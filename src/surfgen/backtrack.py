@@ -141,18 +141,15 @@ def fill_post_contexts(items) -> tuple:
     """
     segs: list = []
     refs: list[tuple[BacktrackPoint, int]] = []
-
-    def walk(items) -> None:
-        for item in items:
-            if isinstance(item, DerivationNode):
-                walk(item.children)
-            elif isinstance(item, ChoiceRef):
+    stack = list(reversed(items))
+    while stack:
+        item = stack.pop()
+        if isinstance(item, DerivationNode):
+            stack.extend(reversed(item.children))
+        else:
+            if isinstance(item, ChoiceRef):
                 refs.append((item.point, len(segs)))
-                segs.append(item)
-            else:
-                segs.append(item)
-
-    walk(items)
+            segs.append(item)
     for point, idx in refs:
         if point.post_local is None:
             point.post_local = tuple(segs[idx + 1:])
@@ -203,15 +200,13 @@ def layer_points(items) -> list[BacktrackPoint]:
     """Choice points of one container layer, document order, not descending
     into ego variants."""
     out: list[BacktrackPoint] = []
-
-    def walk(items) -> None:
-        for item in items:
-            if isinstance(item, ChoiceRef):
-                out.append(item.point)
-            elif isinstance(item, DerivationNode):
-                walk(item.children)
-
-    walk(items)
+    stack = list(reversed(items))
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ChoiceRef):
+            out.append(item.point)
+        elif isinstance(item, DerivationNode):
+            stack.extend(reversed(item.children))
     return out
 
 
@@ -222,28 +217,52 @@ def iter_assignments(items, fixed: dict[int, int]) -> Iterator[dict[int, int]]:
     reachable point ranges over its current variants.  A reachable point
     without variants yields no assignments at all.
     """
-    points = layer_points(items)
-
-    def rec(idx: int, acc: dict[int, int]) -> Iterator[dict[int, int]]:
+    # A layer is (points, acc, spawner): its choice points, its choices so
+    # far, and the (layer, idx) of the point whose variant holds it.  A
+    # frame [layer, idx, choices, pos] steps point idx through its choices;
+    # for each it pushes the chosen variant's inner layer.  A frame at
+    # idx == len(points) has completed its layer: the outermost yields acc,
+    # an inner one merges acc into its spawner's layer and pushes the frame
+    # for the spawner's next point.  Merged choices stay in the outer acc
+    # even once a later choice makes them unreachable; resolving ignores
+    # them.  A frame is popped when exhausted, resuming the one below.
+    stack: list[list] = [[(layer_points(items), {}, None), 0, None, 0]]
+    while stack:
+        frame = stack[-1]
+        layer, idx, choices, pos = frame
+        points, acc, spawner = layer
         if idx == len(points):
-            yield dict(acc)
-            return
+            if choices is not None:  # resumed after its continuation ran
+                stack.pop()
+                continue
+            frame[2] = ()
+            if spawner is None:
+                yield dict(acc)
+            else:
+                outer, outer_idx = spawner
+                outer[1].update(acc)
+                stack.append([outer, outer_idx + 1, None, 0])
+            continue
         point = points[idx]
-        if point.id in fixed:
-            choices: tuple = (fixed[point.id],)
-            if not point.variants or fixed[point.id] >= len(point.variants):
-                return
-        else:
-            choices = tuple(range(len(point.variants)))
-        for k in choices:
-            acc[point.id] = k
-            inner = point.variants[k].node.children
-            for sub in iter_assignments(inner, fixed):
-                acc.update(sub)
-                yield from rec(idx + 1, acc)
-        acc.pop(point.id, None)
-
-    yield from rec(0, {})
+        if choices is None:
+            k = fixed.get(point.id)
+            if k is None:
+                choices = range(len(point.variants))
+            elif k < len(point.variants):
+                choices = (k,)
+            else:
+                stack.pop()
+                continue
+            frame[2] = choices
+        if pos == len(choices):
+            acc.pop(point.id, None)
+            stack.pop()
+            continue
+        k = choices[pos]
+        frame[3] = pos + 1
+        acc[point.id] = k
+        inner = point.variants[k].node.children
+        stack.append([(layer_points(inner), {}, (layer, idx)), 0, None, 0])
 
 
 def resolve_items(items, assignment: dict[int, int]) -> Iterator:
@@ -252,13 +271,14 @@ def resolve_items(items, assignment: dict[int, int]) -> Iterator:
     Events come in document order: ("node", DerivationNode) on entering a
     fired rule and ("leaf", preterminal) for frontier material.
     """
-    for item in items:
+    stack = list(reversed(items))
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ChoiceRef):
+            item = item.point.variants[assignment[item.point.id]].node
         if isinstance(item, DerivationNode):
             yield ("node", item)
-            yield from resolve_items(item.children, assignment)
-        elif isinstance(item, ChoiceRef):
-            k = assignment[item.point.id]
-            yield from resolve_items([item.point.variants[k].node], assignment)
+            stack.extend(reversed(item.children))
         else:
             yield ("leaf", item)
 

@@ -82,6 +82,9 @@ def cmd_generate(cfg: RunConfig, out=None, err=None) -> int:
             input_fs = parse_gil(_read(cfg.input, "input"))
         except GilError as e:
             raise _Usage(f"{cfg.input}:{e}") from None
+        except RecursionError:
+            raise _Usage(f"{cfg.input}: structure nested too deeply "
+                         f"to parse") from None
         diagnostics = validate_grammar(grammar, registries)
         errors = [d for d in diagnostics if d.severity is Severity.ERROR]
         for diag in diagnostics:
@@ -119,6 +122,10 @@ def cmd_generate(cfg: RunConfig, out=None, err=None) -> int:
         except MorphoError as e:
             print(f"error: {e}", file=err)
             return EXIT_ERROR
+        cutoffs = session.stats.depth_cutoffs
+        if not emitted and cutoffs:
+            print(f"note: no solution within max_depth {session.max_depth}; "
+                  f"derivation was cut off {cutoffs} time(s)", file=err)
         if cfg.stats:
             for key, value in session.stats.snapshot().items():
                 print(f"{key}: {value}", file=err)

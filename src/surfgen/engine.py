@@ -363,6 +363,7 @@ class Stats:
     combinations_filtered: int = 0
     constraint_clashes: int = 0
     side_effects_run: int = 0
+    depth_cutoffs: int = 0
     fired_by_rule: dict = field(default_factory=dict)
 
     def count_fire(self, rule_name: str) -> None:
@@ -383,6 +384,7 @@ class Stats:
             "combinations-filtered": self.combinations_filtered,
             "constraint-clashes": self.constraint_clashes,
             "side-effects-run": self.side_effects_run,
+            "depth-cutoffs": self.depth_cutoffs,
         }
 
 

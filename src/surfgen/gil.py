@@ -80,15 +80,20 @@ def is_atom(v: object) -> bool:
 
 
 class FeatureStructure:
-    """An ordered attribute-value map with unique, case-insensitive keys."""
+    """An ordered attribute-value map with unique, case-insensitive keys.
 
-    __slots__ = ("_names", "_values", "_index", "coref_tag")
+    A structure is not changed once ``parse_gil`` has returned it, so
+    ``fs_digest`` caches its result in ``_digest``.
+    """
+
+    __slots__ = ("_names", "_values", "_index", "coref_tag", "_digest")
 
     def __init__(self, pairs=(), coref_tag: Optional[int] = None):
         self._names: list[str] = []
         self._values: list[Value] = []
         self._index: dict[str, int] = {}
         self.coref_tag = coref_tag
+        self._digest: Optional[int] = None
         for name, value in pairs:
             self._append(name, value)
 
@@ -554,22 +559,38 @@ def _value_equal(a: Value, b: Value) -> bool:
 
 
 def fs_digest(fs: FeatureStructure) -> int:
-    """A hash consistent with fs_equal, for cheap equality pre-screening."""
-    memo: dict[int, int] = {}
+    """A hash consistent with fs_equal, for cheap equality pre-screening.
 
-    def dig(v: Value) -> int:
-        if isinstance(v, FeatureStructure):
-            cached = memo.get(id(v))
-            if cached is not None:
-                return cached
-            memo[id(v)] = 0  # acyclic, so this placeholder is never read back
-            h = hash(frozenset((n.upper(), dig(val)) for n, val in v.pairs()))
-            memo[id(v)] = h
-            return h
-        if isinstance(v, tuple):
-            return hash(("list",) + tuple(dig(item) for item in v))
-        if isinstance(v, Sym):
-            return hash(v)
-        return hash((type(v).__name__, v))
-
-    return dig(fs)
+    Computed bottom-up with an explicit stack and cached on every structure
+    it passes, so each structure is hashed once however often it is asked.
+    """
+    if fs._digest is not None:
+        return fs._digest
+    done: list[int] = []  # digests of finished values, in visit order
+    # (value, None) visits a value; (structure or None, n) combines the
+    # last n digests into that structure's digest, or a list's when None
+    todo: list = [(fs, None)]
+    while todo:
+        v, n = todo.pop()
+        if n is not None:
+            parts = done[len(done) - n:]
+            del done[len(done) - n:]
+            if v is None:
+                done.append(hash(("list",) + tuple(parts)))
+            else:
+                v._digest = hash(frozenset(zip(v._index, parts)))
+                done.append(v._digest)
+        elif isinstance(v, FeatureStructure):
+            if v._digest is not None:
+                done.append(v._digest)
+            else:
+                todo.append((v, len(v._values)))
+                todo.extend((c, None) for c in reversed(v._values))
+        elif isinstance(v, tuple):
+            todo.append((None, len(v)))
+            todo.extend((c, None) for c in reversed(v))
+        elif isinstance(v, Sym):
+            done.append(hash(v))
+        else:
+            done.append(hash((type(v).__name__, v)))
+    return done[0]

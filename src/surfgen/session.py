@@ -65,10 +65,13 @@ class ResolvedNode:
     children: tuple  # ResolvedNode | LiteralTok | InflectCall
 
     def rule_names(self) -> Iterator[str]:
-        yield self.rule_name
-        for child in self.children:
-            if isinstance(child, ResolvedNode):
-                yield from child.rule_names()
+        """Rule names of the tree in pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node.rule_name
+            stack.extend(c for c in reversed(node.children)
+                         if isinstance(c, ResolvedNode))
 
 
 @dataclass(frozen=True)
@@ -190,6 +193,8 @@ class GenerationSession:
     def _generate(self, category: str, fs: FeatureStructure, node_id: int) -> bool:
         """Derive one category over fs into the current frame."""
         if self._depth > self.max_depth:
+            self.stats.depth_cutoffs += 1
+            self._trace("depth-cutoff", category, detail=f"max_depth={self.max_depth}")
             self._last_retryable = False
             return False
         sink = self._frames[-1]
@@ -517,19 +522,18 @@ class GenerationSession:
             chain_index[parent[0].id] = parent[1]
             parent = parent[0].parent
 
-        def walk(items, owner) -> None:
-            for item in items:
-                if isinstance(item, DerivationNode):
-                    for ob in item.obligations:
-                        self._assert_obligation(ob, owner)
-                    walk(item.children, owner)
-                elif isinstance(item, ChoiceRef):
-                    index = chain_index.get(item.point.id)
-                    if index is not None:
-                        variant = item.point.variants[index]
-                        walk([variant.node], variant)
-
-        walk(self._root_items, ROOT_OWNER)
+        stack = [(item, ROOT_OWNER) for item in reversed(self._root_items)]
+        while stack:
+            item, owner = stack.pop()
+            if isinstance(item, DerivationNode):
+                for ob in item.obligations:
+                    self._assert_obligation(ob, owner)
+                stack.extend((c, owner) for c in reversed(item.children))
+            elif isinstance(item, ChoiceRef):
+                index = chain_index.get(item.point.id)
+                if index is not None:
+                    variant = item.point.variants[index]
+                    stack.append((variant.node, variant))
 
     def _capture(self, items) -> None:
         """Freeze a completed layer: post-contexts filled, points committed."""

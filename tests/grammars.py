@@ -263,3 +263,22 @@ def hard_case(seed: int):
 
     input_fs = parse_gil(hard_input(rng))
     return grammar, input_fs
+
+
+# A right-recursive list: one derivation level per item.
+LIST_GRAMMAR = """
+(DEFPRODUCTION "more"
+  (:PRECOND (:CAT TXT :TEST ((EXISTS REST)))
+   :ACTIONS (:TEMPLATE (:FUN (string (PATH NO))) (:RULE TXT (PATH REST)))))
+(DEFPRODUCTION "last"
+  (:PRECOND (:CAT TXT :TEST ((NOT (EXISTS REST))))
+   :ACTIONS (:TEMPLATE (:FUN (string (PATH NO))))))
+"""
+
+
+def list_gil(n: int) -> str:
+    """GIL text of an n-item list for LIST_GRAMMAR, realized as "1 2 ... n"."""
+    body = ""
+    for k in range(n, 0, -1):
+        body = f"[(NO {k})" + (f" (REST {body})" if body else "") + "]"
+    return body

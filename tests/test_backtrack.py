@@ -6,6 +6,8 @@ from surfgen.gil import FeatureStructure, parse_gil
 from surfgen.session import GenerationSession
 from surfgen.tgl import Registries, parse_grammar
 
+from .grammars import LIST_GRAMMAR, list_gil
+
 # A grammar shaped like the worked three-point table: an early choice, a
 # later choice whose second alternative fails, and a choice nested inside
 # the second one's ego.
@@ -265,6 +267,18 @@ def test_recursive_grammar_terminates(regs):
     session = GenerationSession(g, regs, max_depth=16)
     assert list(session.solutions(FeatureStructure())) == []
     assert len(session.trail) == 0
+
+
+@pytest.mark.parametrize("items, cutoffs", [(4, 0), (6, 1)])
+def test_depth_cutoffs_are_counted(regs, items, cutoffs):
+    events = []
+    session = GenerationSession(parse_grammar(LIST_GRAMMAR), regs,
+                                max_depth=4, trace=events.append)
+    texts = [s.text for s in session.solutions(parse_gil(list_gil(items)))]
+    assert texts == ([] if cutoffs else ["1 2 3 4"])
+    assert session.stats.depth_cutoffs == cutoffs
+    assert session.stats.snapshot()["depth-cutoffs"] == cutoffs
+    assert [e.kind for e in events].count("depth-cutoff") == cutoffs
 
 
 def test_session_is_single_use(regs):

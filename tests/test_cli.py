@@ -4,6 +4,8 @@ import pytest
 
 from surfgen.cli import EXIT_ERROR, EXIT_NO_SOLUTION, EXIT_OK, main
 
+from .grammars import LIST_GRAMMAR, list_gil
+
 pytestmark = pytest.mark.usefixtures("demo_dir")
 
 
@@ -228,3 +230,33 @@ def test_custom_lexicon_flag(paths, tmp_path):
                         "--lexicon", str(lex)])
     assert code == EXIT_OK
     assert out == "Prof. Zweig will Sie am Freitag sehen\n"
+
+
+def test_too_deeply_nested_input_is_an_input_error(paths, tmp_path):
+    depth = 2000
+    doc = tmp_path / "nested.gil"
+    doc.write_text("[(A " * depth + "x" + ")]" * depth, encoding="utf-8")
+    code, out, err = run(["generate", "--grammar", paths["appointment"],
+                          "--input", str(doc)])
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == f"error: {doc}: structure nested too deeply to parse\n"
+
+
+@pytest.mark.parametrize("items, code, cut", [(60, EXIT_OK, False),
+                                              (70, EXIT_NO_SOLUTION, True)])
+def test_depth_cutoff_is_reported(tmp_path, items, code, cut):
+    grammar = tmp_path / "list.tgl"
+    grammar.write_text(LIST_GRAMMAR, encoding="utf-8")
+    doc = tmp_path / "list.gil"
+    doc.write_text(list_gil(items), encoding="utf-8")
+    got, out, err = run(["generate", "--grammar", str(grammar),
+                         "--input", str(doc)])
+    assert got == code
+    if cut:
+        assert out == ""
+        assert err.startswith("note: no solution within max_depth 64; ")
+        assert len(err.splitlines()) == 1
+    else:
+        assert out == " ".join(str(k) for k in range(1, items + 1)) + "\n"
+        assert err == ""
