@@ -2,12 +2,13 @@
 
 A backtrack point is recorded wherever a conflict set held more than one
 rule.  Its *ego* collects one preterminal sequence per rule that succeeded
-there; the *pre-context* (known at recording time, thanks to left-to-right
-processing) and the *post-context* (filled once the first full solution
-exists) hold the surrounding material, with nested points appearing
-symbolically.  Producing another solution never re-derives the contexts:
-a new ego is generated from the point's stored input and combined with
-everything already in the table, so the solution set reads off as
+there; the *pre-context* and the *post-context* hold the surrounding
+material, with nested points appearing symbolically.  Both are read off the
+frontier of the point's layer, flattened once when the layer completes, and
+off the contexts of the enclosing points.  Producing another solution never
+re-derives the contexts: a new ego is generated from the point's stored
+input and combined with everything already in the table, so the solution
+set reads off as
 
     pre-context . {ego variants} . post-context
 
@@ -23,10 +24,12 @@ features flipped by a new ego re-inflect material outside it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .engine import ChoiceRef, DerivationNode, Slot, _atom_eq, flatten_frontier
+from .engine import (ChoiceRef, ConstraintClash, DerivationNode, FeatureGraph,
+                     flatten_frontier)
 from .gil import FeatureStructure, fs_digest, fs_equal
 from .tgl import Rule
 
@@ -50,16 +53,20 @@ class Variant:
 
 
 class BacktrackPoint:
-    """A recorded conflict set with its surrounding context."""
+    """A recorded conflict set with its surrounding context.
+
+    ``layer`` is the frontier of the completed layer holding the point
+    (shared by every point in it) and ``index`` the point's position there;
+    both stay None while the layer is open.
+    """
 
     __slots__ = ("id", "category", "input", "node_id", "parent",
                  "conflict_rules", "remainder", "consumed", "variants",
-                 "pre_context", "post_local", "committed")
+                 "layer", "index", "committed")
 
     def __init__(self, id: int, category: str, input: FeatureStructure,
                  node_id: int, rules: list[Rule],
-                 parent: Optional[tuple["BacktrackPoint", int]],
-                 pre_context: tuple):
+                 parent: Optional[tuple["BacktrackPoint", int]]):
         self.id = id
         self.category = category
         self.input = input
@@ -69,29 +76,36 @@ class BacktrackPoint:
         self.remainder: list[Rule] = list(rules)
         self.consumed: list[str] = []
         self.variants: list[Variant] = []
-        self.pre_context = pre_context
-        self.post_local: Optional[tuple] = None
+        self.layer: Optional[tuple] = None
+        self.index = 0
         self.committed = False
-
-    @property
-    def all_rules(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.conflict_rules)
 
     @property
     def exhausted(self) -> bool:
         return not self.remainder
 
     @property
+    def pre_context(self) -> Optional[tuple]:
+        """Material to the left, through enclosing points; None while open."""
+        return self._context(left=True)
+
+    @property
     def post_context(self) -> Optional[tuple]:
         """Material to the right, through enclosing points; None while open."""
-        if self.post_local is None:
-            return None
-        if self.parent is None:
-            return self.post_local
-        outer = self.parent[0].post_context
-        if outer is None:
-            return None
-        return self.post_local + outer
+        return self._context(left=False)
+
+    def _context(self, left: bool) -> Optional[tuple]:
+        parts = []
+        point = self
+        while point is not None:
+            if point.layer is None:
+                return None
+            parts.append(point.layer[:point.index] if left
+                         else point.layer[point.index + 1:])
+            point = point.parent[0] if point.parent else None
+        if left:
+            parts.reverse()
+        return tuple(itertools.chain.from_iterable(parts))
 
     def ego_frontiers(self) -> list[tuple]:
         return [v.frontier() for v in self.variants]
@@ -109,9 +123,9 @@ class BTTable:
         self._next_id = 1
 
     def record(self, category: str, input: FeatureStructure, node_id: int,
-               rules: list[Rule], parent, pre_context: tuple) -> BacktrackPoint:
+               rules: list[Rule], parent) -> BacktrackPoint:
         point = BacktrackPoint(self._next_id, category, input, node_id,
-                               rules, parent, pre_context)
+                               rules, parent)
         self._next_id += 1
         self.points[point.id] = point
         return point
@@ -132,28 +146,18 @@ class BTTable:
 
 
 def fill_post_contexts(items) -> tuple:
-    """Fill post-contexts of points found in this (now complete) layer.
+    """Give the points of this (now complete) layer their contexts.
 
-    Walks one container subtree: nested nodes are flattened, choice points
-    stay symbolic and receive the frontier to their right as their local
-    post-context.  Points inside ego variants are handled when their own
-    variant completes.
+    Flattens one container subtree into its frontier, choice points staying
+    symbolic, and hands every point in it the frontier and its position.
+    Points inside ego variants are handled when their own variant completes.
     """
-    segs: list = []
-    refs: list[tuple[BacktrackPoint, int]] = []
-    stack = list(reversed(items))
-    while stack:
-        item = stack.pop()
-        if isinstance(item, DerivationNode):
-            stack.extend(reversed(item.children))
-        else:
-            if isinstance(item, ChoiceRef):
-                refs.append((item.point, len(segs)))
-            segs.append(item)
-    for point, idx in refs:
-        if point.post_local is None:
-            point.post_local = tuple(segs[idx + 1:])
-    return tuple(segs)
+    layer = flatten_frontier(items)
+    for index, item in enumerate(layer):
+        if isinstance(item, ChoiceRef):
+            item.point.layer = layer
+            item.point.index = index
+    return layer
 
 
 # ---------------------------------------------------------------------------
@@ -283,54 +287,16 @@ def resolve_items(items, assignment: dict[int, int]) -> Iterator:
             yield ("leaf", item)
 
 
-class ComboGraph:
-    """Throwaway union-find used to check and realize one combination."""
-
-    def __init__(self):
-        self.parent: dict[Slot, Slot] = {}
-        self.binding: dict[Slot, object] = {}
-
-    def find(self, slot: Slot) -> Slot:
-        while slot in self.parent:
-            slot = self.parent[slot]
-        return slot
-
-    def assert_obligation(self, ob: tuple) -> bool:
-        if ob[0] == "assign":
-            _, slot, atom = ob
-            root = self.find(slot)
-            current = self.binding.get(root)
-            if current is None:
-                self.binding[root] = atom
-                return True
-            return _atom_eq(current, atom)
-        _, slots = ob
-        first = self.find(slots[0])
-        for other in slots[1:]:
-            other = self.find(other)
-            if other == first:
-                continue
-            b1, b2 = self.binding.get(first), self.binding.get(other)
-            if b1 is not None and b2 is not None and not _atom_eq(b1, b2):
-                return False
-            self.parent[other] = first
-            if b2 is not None and b1 is None:
-                self.binding[first] = b2
-            self.binding.pop(other, None)
-        return True
-
-    def value(self, slot: Slot):
-        return self.binding.get(self.find(slot))
-
-
-def combination_state(items, assignment: dict[int, int]):
-    """Assert all obligations of one combination; None when inconsistent."""
-    graph = ComboGraph()
-    for kind, payload in resolve_items(items, assignment):
-        if kind == "node":
-            for ob in payload.obligations:
-                if not graph.assert_obligation(ob):
-                    return None
+def combination_state(items, assignment: dict[int, int], graph: FeatureGraph):
+    """Impose all obligations of one combination on graph; None when
+    inconsistent.  The caller undoes them through the graph's trail."""
+    try:
+        for kind, payload in resolve_items(items, assignment):
+            if kind == "node":
+                for ob in payload.obligations:
+                    graph.impose(ob)
+    except ConstraintClash:
+        return None
     return graph
 
 

@@ -16,7 +16,7 @@ the word forms it touches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .gil import Atom, FeatureStructure, Sym
 from .morpho import FunctionRegistry, InflectionRequest, inflect
@@ -31,6 +31,17 @@ class EngineError(Exception):
 ROOT_OWNER = "root"
 
 Slot = tuple  # (node_id, FEATURE)
+
+
+class Obligation(NamedTuple):
+    """One constraint equation with its references resolved to slots.
+
+    ``atom is None`` equates all ``slots`` into one agreement class;
+    otherwise ``slots`` holds one slot, which is bound to ``atom``.
+    """
+
+    slots: tuple
+    atom: Optional[Atom] = None
 
 
 class ConstraintClash(Exception):
@@ -56,21 +67,20 @@ class Trail:
 
     def __init__(self):
         self.events: list[tuple] = []
+        self.push = self.events.append
 
     def mark(self) -> int:
         return len(self.events)
-
-    def push(self, event: tuple) -> None:
-        self.events.append(event)
 
     def __len__(self) -> int:
         return len(self.events)
 
     def undo_to(self, mark: int) -> None:
-        if mark < 0 or mark > len(self.events):
+        events = self.events
+        if mark < 0 or mark > len(events):
             raise EngineError(f"unknown trail mark {mark}")
-        while len(self.events) > mark:
-            event = self.events.pop()
+        while len(events) > mark:
+            event = events.pop()
             kind = event[0]
             if kind == "bind":
                 _, graph, root = event
@@ -108,15 +118,13 @@ class FeatureGraph:
 
     def find(self, slot: Slot) -> Slot:
         # no path compression: keeps undo trivial
-        while slot in self.parent:
-            slot = self.parent[slot]
+        parent = self.parent
+        while slot in parent:
+            slot = parent[slot]
         return slot
 
     def value(self, slot: Slot) -> Optional[Atom]:
         return self.binding.get(self.find(slot))
-
-    def same_class(self, a: Slot, b: Slot) -> bool:
-        return self.find(a) == self.find(b)
 
     def bind(self, slot: Slot, atom: Atom, owner: object = ROOT_OWNER) -> None:
         root = self.find(slot)
@@ -128,10 +136,17 @@ class FeatureGraph:
         elif not _atom_eq(current, atom):
             raise ConstraintClash(slot, current, atom, (self.owner[root],))
 
-    def equate(self, slots, owner: object = ROOT_OWNER) -> None:
+    def equate(self, slots) -> None:
         first = slots[0]
         for other in slots[1:]:
             self._union(first, other)
+
+    def impose(self, ob: Obligation, owner: object = ROOT_OWNER) -> None:
+        slots, atom = ob
+        if atom is None:
+            self.equate(slots)
+        else:
+            self.bind(slots[0], atom, owner)
 
     def _union(self, a: Slot, b: Slot) -> None:
         ra, rb = self.find(a), self.find(b)
@@ -235,7 +250,7 @@ class DerivationNode:
     """
 
     __slots__ = ("category", "rule_name", "input", "node_id", "children",
-                 "obligations", "bt_point")
+                 "obligations")
 
     def __init__(self, category: str, rule_name: str, input: FeatureStructure,
                  node_id: int):
@@ -244,8 +259,7 @@ class DerivationNode:
         self.input = input
         self.node_id = node_id
         self.children: list = []
-        self.obligations: list[tuple] = []
-        self.bt_point: Optional[int] = None
+        self.obligations: list[Obligation] = []
 
     def __repr__(self) -> str:
         return f"<{self.category} {self.rule_name!r}>"
@@ -275,28 +289,26 @@ def resolve_ref(ref, lhs_node: int, rule: Rule,
 
 
 def apply_constraints(rule: Rule, lhs_node: int, position_nodes: dict[int, int],
-                      graph: FeatureGraph, owner: object = ROOT_OWNER) -> list[tuple]:
+                      graph: FeatureGraph, owner: object = ROOT_OWNER) -> list[Obligation]:
     """Assert the rule's equations; returns them in slot-resolved form.
 
     Raises ConstraintClash when a class would be overwritten with a
     different atom; the caller treats that as failure of the rule.
     """
-    obligations: list[tuple] = []
+    obligations: list[Obligation] = []
     for eq in rule.constraints:
         if isinstance(eq, Assign):
             node = resolve_ref(eq.at, lhs_node, rule, position_nodes)
-            slot = (node, eq.feature)
-            graph.bind(slot, eq.value, owner)
-            obligations.append(("assign", slot, eq.value))
+            ob = Obligation(((node, eq.feature),), eq.value)
         elif isinstance(eq, Equate):
-            slots = tuple(
+            ob = Obligation(tuple(
                 (resolve_ref(ref, lhs_node, rule, position_nodes), eq.feature)
                 for ref in eq.at
-            )
-            graph.equate(slots, owner)
-            obligations.append(("equate", slots))
+            ))
         else:  # pragma: no cover
             raise EngineError(f"unknown equation {eq!r}")
+        graph.impose(ob, owner)
+        obligations.append(ob)
     return obligations
 
 
@@ -334,16 +346,14 @@ def realize(frontier, registry: FunctionRegistry,
 def flatten_frontier(items) -> tuple:
     """In-order frontier of an item sequence; choice points stay symbolic."""
     out: list = []
-    _flatten_into(items, out)
-    return tuple(out)
-
-
-def _flatten_into(items, out: list) -> None:
-    for item in items:
+    stack = list(reversed(items))
+    while stack:
+        item = stack.pop()
         if isinstance(item, DerivationNode):
-            _flatten_into(item.children, out)
+            stack.extend(reversed(item.children))
         else:
             out.append(item)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

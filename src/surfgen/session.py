@@ -44,11 +44,11 @@ from .engine import (
     FeatureGraph,
     InflectCall,
     LiteralTok,
+    Obligation,
     Stats,
     TraceEvent,
     Trail,
     apply_constraints,
-    flatten_frontier,
     match,
     realize,
 )
@@ -115,10 +115,9 @@ class GenerationSession:
         self._node_ids = itertools.count(1)
         self._root_items: list = []
         self._frames: list[list] = []
-        self._pre_prefix: tuple = ()
-        self._owner_stack: list = []
-        self._variant_stack: list = []
-        self._chain_owners: set = set()
+        # (point, variant index, variant) of every ego being built or
+        # replayed, outermost first
+        self._variants: list[tuple[BacktrackPoint, int, Variant]] = []
         self._depth = 0
         self._last_retryable = False
         self._fail_reason = ""
@@ -175,20 +174,14 @@ class GenerationSession:
 
     @property
     def _current_owner(self):
-        return self._owner_stack[-1] if self._owner_stack else ROOT_OWNER
+        return self._variants[-1][2] if self._variants else ROOT_OWNER
 
     @property
     def _current_parent(self):
-        return self._variant_stack[-1] if self._variant_stack else None
+        return self._variants[-1][:2] if self._variants else None
 
     def _is_permanent(self, owner) -> bool:
-        return (owner is ROOT_OWNER or owner in self._chain_owners
-                or any(owner is v for v in self._owner_stack))
-
-    def _pre_context(self) -> tuple:
-        parts = [self._pre_prefix]
-        parts.extend(flatten_frontier(frame) for frame in self._frames)
-        return tuple(itertools.chain.from_iterable(parts))
+        return owner is ROOT_OWNER or any(owner is v for _, _, v in self._variants)
 
     def _generate(self, category: str, fs: FeatureStructure, node_id: int) -> bool:
         """Derive one category over fs into the current frame."""
@@ -251,7 +244,7 @@ class GenerationSession:
 
     def _record_point(self, category, fs, node_id, rules) -> BacktrackPoint:
         point = self.table.record(category, fs, node_id, list(rules),
-                                  self._current_parent, self._pre_context())
+                                  self._current_parent)
         self.trail.push(("btpoint", self.table, point))
         self.stats.bt_points_created += 1
         self._trace("bt-created", category,
@@ -260,16 +253,13 @@ class GenerationSession:
 
     def _try_variant(self, point: BacktrackPoint, rule: Rule) -> Optional[Variant]:
         variant = Variant(rule.name, None)
-        self._owner_stack.append(variant)
-        self._variant_stack.append((point, len(point.variants)))
+        self._variants.append((point, len(point.variants), variant))
         try:
             node = self._fire(rule, point.input, point.node_id)
         finally:
-            self._variant_stack.pop()
-            self._owner_stack.pop()
+            self._variants.pop()
         if node is None:
             return None
-        node.bt_point = point.id
         variant.node = node
         return variant
 
@@ -418,15 +408,10 @@ class GenerationSession:
         new = DerivationNode(node.category, node.rule_name, node.input,
                              mapped(node.node_id))
         for ob in node.obligations:
-            if ob[0] == "assign":
-                _, slot, atom = ob
-                new_ob = ("assign", (mapped(slot[0]), slot[1]), atom)
-            else:
-                _, slots = ob
-                new_ob = ("equate", tuple((mapped(s[0]), s[1]) for s in slots))
+            new_ob = Obligation(tuple((mapped(n), f) for n, f in ob.slots), ob.atom)
             new.obligations.append(new_ob)
             if replay:
-                self._assert_obligation(new_ob, self._current_owner)
+                self.graph.impose(new_ob, self._current_owner)
         self._frames.append(new.children)
         try:
             for child in node.children:
@@ -446,32 +431,20 @@ class GenerationSession:
         succeeded = {v.rule_name for v in old.variants}
         untried = [r for r in old.conflict_rules if r.name not in succeeded]
         point = self.table.record(old.category, old.input, mapped(old.node_id),
-                                  untried, self._current_parent,
-                                  self._pre_context())
+                                  untried, self._current_parent)
         point.conflict_rules = old.conflict_rules
         self.trail.push(("btpoint", self.table, point))
         self.stats.bt_points_created += 1
         for index, variant in enumerate(old.variants):
             new_variant = Variant(variant.rule_name, None)
-            self._owner_stack.append(new_variant)
-            self._variant_stack.append((point, index))
+            self._variants.append((point, index, new_variant))
             try:
-                copied = self._copy_node(variant.node, node_map,
-                                         replay and index == 0)
+                new_variant.node = self._copy_node(variant.node, node_map,
+                                                   replay and index == 0)
             finally:
-                self._variant_stack.pop()
-                self._owner_stack.pop()
-            copied.bt_point = point.id
-            new_variant.node = copied
+                self._variants.pop()
             point.variants.append(new_variant)
         return point
-
-    def _assert_obligation(self, ob: tuple, owner) -> None:
-        if ob[0] == "assign":
-            _, slot, atom = ob
-            self.graph.bind(slot, atom, owner)
-        else:
-            self.graph.equate(ob[1], owner)
 
     # -- expansion ----------------------------------------------------------
 
@@ -487,52 +460,47 @@ class GenerationSession:
         self.stats.bt_expansions += 1
         self._trace("expand", point.category, rule.name, f"B{point.id}")
         mark = self.trail.mark()
-        saved_frames, saved_prefix = self._frames, self._pre_prefix
+        saved_frames = self._frames
         self._frames = [[]]
-        self._pre_prefix = point.pre_context
-        chain: list[Variant] = []
+        entry = len(self._variants)
+        chain = []
         parent = point.parent
         while parent is not None:
-            chain.append(parent[0].variants[parent[1]])
-            parent = parent[0].parent
-        self._chain_owners = set(chain)
+            outer, index = parent
+            chain.append((outer, index, outer.variants[index]))
+            parent = outer.parent
+        self._variants.extend(reversed(chain))
         try:
-            self._replay_chain(point)
+            self._replay_chain()
             variant = self._try_variant(point, rule)
         finally:
-            self._frames, self._pre_prefix = saved_frames, saved_prefix
-            self._chain_owners = set()
+            self._frames = saved_frames
+            del self._variants[entry:]
         point.remainder.pop(0)
         if variant is None:
             point.consumed.append(rule.name)
             self.trail.undo_to(mark)
             return None
         point.variants.append(variant)
-        fill_post_contexts([variant.node])
         self._capture(variant.node.children)
         self.trail.undo_to(mark)
         return len(point.variants) - 1
 
-    def _replay_chain(self, point: BacktrackPoint) -> None:
+    def _replay_chain(self) -> None:
         """Re-assert the obligations present in every solution through the
-        point: root-layer material plus its ancestor egos."""
-        chain_index: dict[int, int] = {}
-        parent = point.parent
-        while parent is not None:
-            chain_index[parent[0].id] = parent[1]
-            parent = parent[0].parent
-
+        expanded point: root-layer material plus the egos on the ancestor
+        stack."""
+        chain = {point.id: variant for point, _, variant in self._variants}
         stack = [(item, ROOT_OWNER) for item in reversed(self._root_items)]
         while stack:
             item, owner = stack.pop()
             if isinstance(item, DerivationNode):
                 for ob in item.obligations:
-                    self._assert_obligation(ob, owner)
+                    self.graph.impose(ob, owner)
                 stack.extend((c, owner) for c in reversed(item.children))
             elif isinstance(item, ChoiceRef):
-                index = chain_index.get(item.point.id)
-                if index is not None:
-                    variant = item.point.variants[index]
+                variant = chain.get(item.point.id)
+                if variant is not None:
                     stack.append((variant.node, variant))
 
     def _capture(self, items) -> None:
@@ -547,13 +515,19 @@ class GenerationSession:
 
     def _emit(self, fixed: dict[int, int]) -> Iterator[Solution]:
         for assignment in iter_assignments(self._root_items, fixed):
-            state = combination_state(self._root_items, assignment)
-            if state is None:
-                self.stats.combinations_filtered += 1
-                continue
-            frontier = combination_frontier(self._root_items, assignment)
-            text = realize(frontier, self.registries.functions,
-                           state.value, self.stats)
+            # the graph is empty here: the check sees only this combination
+            mark = self.trail.mark()
+            try:
+                state = combination_state(self._root_items, assignment,
+                                          self.graph)
+                if state is None:
+                    self.stats.combinations_filtered += 1
+                    continue
+                frontier = combination_frontier(self._root_items, assignment)
+                text = realize(frontier, self.registries.functions,
+                               state.value, self.stats)
+            finally:
+                self.trail.undo_to(mark)
             derivation = self._resolve(self._root_items[0], assignment)
             weight = self.strategy.weight(derivation)
             self.stats.solutions_emitted += 1

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from surfgen.cli import EXIT_OK, main
-from surfgen.engine import ConstraintClash, FeatureGraph, LiteralTok, Trail
+from surfgen.engine import ConstraintClash, FeatureGraph, LiteralTok, Obligation, Trail
 from surfgen.gil import FeatureStructure, Sym, parse_gil
 from surfgen.prefs import CriteriaSpec, Criterion, applied_rules, best_first_stream
 from surfgen.session import GenerationSession
@@ -138,10 +138,10 @@ def test_criterion_5_constraint_semantics(regs):
         ops = []
         for _ in range(rng.randint(1, 10)):
             if rng.random() < 0.5:
-                ops.append(("assign", (rng.randint(1, 4), "F"),
-                            Sym(rng.choice("ab"))))
+                ops.append(Obligation(((rng.randint(1, 4), "F"),),
+                                      Sym(rng.choice("ab"))))
             else:
-                ops.append(("equate", ((rng.randint(1, 4), "F"),
+                ops.append(Obligation(((rng.randint(1, 4), "F"),
                                        (rng.randint(1, 4), "F"))))
         trail = Trail()
         graph = FeatureGraph(trail)
@@ -149,10 +149,7 @@ def test_criterion_5_constraint_semantics(regs):
         clashed = False
         try:
             for op in ops:
-                if op[0] == "assign":
-                    graph.bind(op[1], op[2])
-                else:
-                    graph.equate(op[1])
+                graph.impose(op)
         except ConstraintClash:
             clashed = True
         # independent check: transitive closure of equates up to the clash
@@ -185,14 +182,14 @@ def _inconsistent(ops) -> bool:
 
     values: dict = {}
     for op in ops:
-        if op[0] == "equate":
-            a, b = (find(s) for s in op[1])
+        if op.atom is None:
+            a, b = (find(s) for s in op.slots)
             if a != b:
                 parent[a] = b
     for op in ops:
-        if op[0] == "assign":
-            root = find(op[1])
-            values.setdefault(root, set()).add(op[2])
+        if op.atom is not None:
+            root = find(op.slots[0])
+            values.setdefault(root, set()).add(op.atom)
     return any(len(v) > 1 for v in values.values())
 
 

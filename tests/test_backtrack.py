@@ -1,12 +1,12 @@
 import pytest
 
-from surfgen.backtrack import iter_assignments
+from surfgen.backtrack import combination_frontier, iter_assignments, resolve_items
 from surfgen.engine import ChoiceRef, InflectCall, LiteralTok
 from surfgen.gil import FeatureStructure, parse_gil
 from surfgen.session import GenerationSession
 from surfgen.tgl import Registries, parse_grammar
 
-from .grammars import LIST_GRAMMAR, list_gil
+from .grammars import LIST_GRAMMAR, build_registries, hard_case, list_gil, random_case
 
 # A grammar shaped like the worked three-point table: an early choice, a
 # later choice whose second alternative fails, and a choice nested inside
@@ -96,6 +96,38 @@ def test_table_shape(regs):
     # nesting is recorded: B3 sits inside the first ego of B2
     assert b3.parent == (b2, 0)
     assert b1.parent is None
+
+
+def _leaves(items, assignment):
+    return [p for kind, p in resolve_items(items, assignment) if kind == "leaf"]
+
+
+@pytest.mark.parametrize("memo", [True, False])
+@pytest.mark.parametrize("make_case", [random_case, hard_case])
+def test_solutions_decompose_into_contexts_and_ego(make_case, memo):
+    """pre-context . chosen ego . post-context, expanded under a solution's
+    assignment, is that solution's frontier, for every point it reaches."""
+    checked = 0
+    for seed in range(100):
+        grammar, fs = make_case(seed)
+        session = GenerationSession(grammar, build_registries(), use_memo=memo)
+        solutions = list(session.solutions(fs))
+        root = session._root_items
+        for solution in solutions:
+            assignment = solution.assignment
+            frontier = combination_frontier(root, assignment)
+            reached = [item.point for item in root if isinstance(item, ChoiceRef)]
+            reached += [child.point for kind, node in resolve_items(root, assignment)
+                        if kind == "node" for child in node.children
+                        if isinstance(child, ChoiceRef)]
+            for point in reached:
+                ego = point.variants[assignment[point.id]].node
+                got = (_leaves(point.pre_context, assignment) + _leaves([ego], assignment)
+                       + _leaves(point.post_context, assignment))
+                assert len(got) == len(frontier)
+                assert all(a is b for a, b in zip(got, frontier))
+                checked += 1
+    assert checked > 500
 
 
 def test_expansion_fires_only_ego_rules(regs):
@@ -254,7 +286,7 @@ def test_first_solution_fills_every_post_context_once(regs):
     # every post-context is known
     for point in session.table:
         assert len(point.variants) == 1
-        assert point.post_local is not None
+        assert point.layer is not None
         assert point.post_context is not None
     stream.close()
 

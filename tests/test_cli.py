@@ -243,6 +243,23 @@ def test_too_deeply_nested_input_is_an_input_error(paths, tmp_path):
     assert err == f"error: {doc}: structure nested too deeply to parse\n"
 
 
+@pytest.mark.parametrize("command", ["generate", "validate"])
+def test_too_deeply_nested_grammar_is_an_input_error(paths, tmp_path, command):
+    depth = 3000
+    grammar = tmp_path / "nested.tgl"
+    grammar.write_text(
+        '(DEFPRODUCTION "t" (:PRECOND (:CAT TXT :TEST ('
+        + "(NOT " * depth + "(TRUE)" + ")" * depth
+        + ')) :ACTIONS (:TEMPLATE "x")))\n', encoding="utf-8")
+    argv = [command, "--grammar", str(grammar)]
+    if command == "generate":
+        argv += ["--input", paths["meeting"]]
+    code, out, err = run(argv)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == f"error: {grammar}: grammar nested too deeply to parse\n"
+
+
 @pytest.mark.parametrize("items, code, cut", [(60, EXIT_OK, False),
                                               (70, EXIT_NO_SOLUTION, True)])
 def test_depth_cutoff_is_reported(tmp_path, items, code, cut):
@@ -260,3 +277,43 @@ def test_depth_cutoff_is_reported(tmp_path, items, code, cut):
     else:
         assert out == " ".join(str(k) for k in range(1, items + 1)) + "\n"
         assert err == ""
+
+
+# Demo stdout byte for byte: the stream order, texts and weights of both
+# demos, plain, exhaustive and under criteria.
+VOICE_ALL = [
+    "Der Professor prüft den Bericht",
+    "Der Professor prüft diesen Bericht",
+    "Dieser Professor prüft den Bericht",
+    "Dieser Professor prüft diesen Bericht",
+    "Der Bericht wird von dem Professor geprüft",
+    "Der Bericht wird von diesem Professor geprüft",
+    "Dieser Bericht wird von dem Professor geprüft",
+    "Dieser Bericht wird von diesem Professor geprüft",
+]
+MEETING_ALL = ["Prof. Zweig will Sie am Freitag treffen",
+               "Zweig will Sie am Freitag treffen"]
+
+GOLDEN = [
+    ("voice", "report", [], VOICE_ALL[:1]),
+    ("voice", "report", ["--max", "0"], VOICE_ALL),
+    ("voice", "report", ["--criteria", "criteria"], VOICE_ALL[4:5]),
+    ("voice", "report", ["--criteria", "criteria", "--weights"], ["[w=1] " + VOICE_ALL[4]]),
+    ("voice", "report", ["--max", "0", "--criteria", "criteria", "--weights"],
+     ["[w=1] " + t for t in VOICE_ALL[4:]] + ["[w=0] " + t for t in VOICE_ALL[:4]]),
+    ("appointment", "meeting", [], MEETING_ALL[:1]),
+    ("appointment", "meeting", ["--max", "0"], MEETING_ALL),
+    ("appointment", "meeting", ["--criteria", "criteria"], MEETING_ALL[:1]),
+    ("appointment", "meeting", ["--criteria", "criteria", "--weights"], ["[w=0] " + MEETING_ALL[0]]),
+    ("appointment", "meeting", ["--max", "0", "--criteria", "criteria", "--weights"],
+     ["[w=0] " + t for t in MEETING_ALL]),
+]
+
+
+@pytest.mark.parametrize("grammar, doc, flags, lines", GOLDEN)
+def test_demo_output_is_pinned(paths, grammar, doc, flags, lines):
+    code, out, err = run(["generate", "--grammar", paths[grammar],
+                          "--input", paths[doc]] + [paths.get(f, f) for f in flags])
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == "".join(f"{t}\n" for t in lines).encode("utf-8")
+    assert err == ""

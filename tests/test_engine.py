@@ -6,6 +6,7 @@ from surfgen.engine import (
     FeatureGraph,
     InflectCall,
     LiteralTok,
+    Obligation,
     Stats,
     Trail,
     apply_constraints,
@@ -162,7 +163,7 @@ def test_apply_constraints_assign():
     obligations = apply_constraints(rule, lhs_node=1, position_nodes={0: 2},
                                     graph=graph)
     assert graph.value((2, "CASE")) == Sym("akk")
-    assert obligations == [("assign", (2, "CASE"), Sym("akk"))]
+    assert obligations == [Obligation(((2, "CASE"),), Sym("akk"))]
 
 
 def test_equate_then_assign_percolates():
@@ -226,9 +227,9 @@ def test_trail_undo_class_merge():
     graph = FeatureGraph(trail)
     mark = trail.mark()
     graph.equate([(1, "NUM"), (2, "NUM")])
-    assert graph.same_class((1, "NUM"), (2, "NUM"))
+    assert graph.find((1, "NUM")) == graph.find((2, "NUM"))
     trail.undo_to(mark)
-    assert not graph.same_class((1, "NUM"), (2, "NUM"))
+    assert graph.find((1, "NUM")) != graph.find((2, "NUM"))
     assert graph.is_empty()
 
 

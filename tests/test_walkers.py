@@ -121,10 +121,10 @@ def ref_fill_post_contexts(items):
                 segs.append(item)
 
     walk(items)
+    layer = tuple(segs)
     for point, idx in refs:
-        if point.post_local is None:
-            point.post_local = tuple(segs[idx + 1:])
-    return tuple(segs)
+        point.layer, point.index = layer, idx
+    return layer
 
 
 def ref_rule_names(node):
@@ -138,14 +138,14 @@ def ordered(assignments):
     return [list(a.items()) for a in assignments]
 
 
-def post_locals(fill, items, points):
-    saved = [p.post_local for p in points]
+def point_layers(fill, items, points):
+    saved = [(p.layer, p.index) for p in points]
     for p in points:
-        p.post_local = None
+        p.layer, p.index = None, 0
     segs = fill(items)
-    got = [p.post_local for p in points]
-    for p, s in zip(points, saved):
-        p.post_local = s
+    got = [(p.layer, p.index) for p in points]
+    for p, (layer, index) in zip(points, saved):
+        p.layer, p.index = layer, index
     return segs, got
 
 
@@ -163,8 +163,8 @@ def test_walkers_match_reference_walks(case):
     layers = [root] + [v.node.children for p in points for v in p.variants]
     for items in layers:
         assert layer_points(items) == ref_layer_points(items)
-        assert post_locals(fill_post_contexts, items, points) == \
-            post_locals(ref_fill_post_contexts, items, points)
+        assert point_layers(fill_post_contexts, items, points) == \
+            point_layers(ref_fill_post_contexts, items, points)
     pins = [{}] + [{p.id: k} for p in points for k in range(len(p.variants) + 1)]
     for fixed in pins:
         got = list(iter_assignments(root, fixed))
@@ -185,7 +185,7 @@ DEPTH = 5000
 def deep_chain():
     """A DEPTH-level right-branching derivation ending in one choice point."""
     fs = FeatureStructure()
-    point = BacktrackPoint(1, "X", fs, 0, [], None, ())
+    point = BacktrackPoint(1, "X", fs, 0, [], None)
     point.variants.append(Variant("x", DerivationNode("X", "x", fs, 0)))
     point.variants[0].node.children.append(LiteralTok("x"))
     tail: list = [ChoiceRef(point)]
@@ -205,7 +205,8 @@ def test_walkers_on_deep_chain():
     assert events[-1] == ("leaf", LiteralTok("x"))
     segs = fill_post_contexts(items)
     assert len(segs) == DEPTH + 1 and segs[-1] == ChoiceRef(point)
-    assert point.post_local == ()
+    assert (point.layer, point.index) == (segs, DEPTH)
+    assert point.post_context == ()
 
 
 def test_rule_names_on_deep_tree():
