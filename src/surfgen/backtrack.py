@@ -19,7 +19,10 @@ re-derived when they recur.
 Every ego variant carries the constraint obligations its rules asserted.
 A combination is realized only if the union of its obligations is
 consistent; inflection calls are resolved against that union, so agreement
-features flipped by a new ego re-inflect material outside it.
+features flipped by a new ego re-inflect material outside it.  Each
+combination is walked once, by ``combination_frontier``, which collects its
+frontier, its resolved derivation and its obligations together;
+``combination_state`` then imposes that obligation list.
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ class Variant:
 
     rule_name: str
     node: Optional[DerivationNode]
-
-    def frontier(self) -> tuple:
-        return flatten_frontier([self.node])
 
     def __repr__(self) -> str:
         return f"Variant({self.rule_name!r})"
@@ -106,9 +106,6 @@ class BacktrackPoint:
         if left:
             parts.reverse()
         return tuple(itertools.chain.from_iterable(parts))
-
-    def ego_frontiers(self) -> list[tuple]:
-        return [v.frontier() for v in self.variants]
 
     def __repr__(self) -> str:
         return (f"<B{self.id} {self.category} variants={len(self.variants)} "
@@ -269,37 +266,67 @@ def iter_assignments(items, fixed: dict[int, int]) -> Iterator[dict[int, int]]:
         stack.append([(layer_points(inner), {}, (layer, idx)), 0, None, 0])
 
 
-def resolve_items(items, assignment: dict[int, int]) -> Iterator:
-    """Depth-first walk of one combination: yields (kind, payload) events.
+@dataclass(frozen=True)
+class ResolvedNode:
+    """Derivation tree of one emitted solution, choices resolved."""
 
-    Events come in document order: ("node", DerivationNode) on entering a
-    fired rule and ("leaf", preterminal) for frontier material.
+    rule_name: str
+    category: str
+    children: tuple  # ResolvedNode | LiteralTok | InflectCall
+
+    def rule_names(self) -> Iterator[str]:
+        """Rule names of the tree in pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node.rule_name
+            stack.extend(c for c in reversed(node.children)
+                         if isinstance(c, ResolvedNode))
+
+
+_END = object()  # stack marker: the children of the innermost node are done
+
+
+def combination_frontier(items, assignment: dict[int, int]):
+    """Walk one combination once, in document order.
+
+    Returns (frontier, derivation, obligations): the preterminal sequence,
+    the resolved tree of the first item (None without items), and every
+    fired rule's obligations in pre-order.
     """
+    frontier: list = []
+    obligations: list = []
+    top: list = []
+    built: list[list] = [top]  # resolved children of each node being walked
+    entered: list[DerivationNode] = []
     stack = list(reversed(items))
     while stack:
         item = stack.pop()
+        if item is _END:
+            node = entered.pop()
+            children = tuple(built.pop())
+            built[-1].append(ResolvedNode(node.rule_name, node.category, children))
+            continue
         if isinstance(item, ChoiceRef):
             item = item.point.variants[assignment[item.point.id]].node
         if isinstance(item, DerivationNode):
-            yield ("node", item)
+            obligations.extend(item.obligations)
+            entered.append(item)
+            built.append([])
+            stack.append(_END)
             stack.extend(reversed(item.children))
         else:
-            yield ("leaf", item)
+            frontier.append(item)
+            built[-1].append(item)
+    return frontier, top[0] if top else None, obligations
 
 
-def combination_state(items, assignment: dict[int, int], graph: FeatureGraph):
-    """Impose all obligations of one combination on graph; None when
+def combination_state(obligations, graph: FeatureGraph):
+    """Impose one combination's obligations on graph; None when
     inconsistent.  The caller undoes them through the graph's trail."""
     try:
-        for kind, payload in resolve_items(items, assignment):
-            if kind == "node":
-                for ob in payload.obligations:
-                    graph.impose(ob)
+        for ob in obligations:
+            graph.impose(ob)
     except ConstraintClash:
         return None
     return graph
-
-
-def combination_frontier(items, assignment: dict[int, int]) -> list:
-    return [payload for kind, payload in resolve_items(items, assignment)
-            if kind == "leaf"]

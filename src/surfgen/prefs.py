@@ -24,9 +24,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .backtrack import BacktrackPoint, BTTable
+from .backtrack import BacktrackPoint
 from .gil import FeatureStructure
 from .session import GenerationSession, ResolvedNode, Solution
 from .tgl import Grammar, Registries, Rule
@@ -65,18 +66,15 @@ class CriteriaSpec:
         if self.weight_formula not in FORMULAS:
             raise CriteriaError(f"unknown weight formula {self.weight_formula!r}")
 
-    @property
+    @cached_property
     def weights(self) -> dict[str, Fraction]:
         return {c.rule_name: c.weight for c in self.criteria}
 
     def is_c_rule(self, rule_name: str) -> bool:
-        return any(c.rule_name == rule_name for c in self.criteria)
+        return rule_name in self.weights
 
     def weight_of(self, rule_name: str) -> Optional[Fraction]:
-        for c in self.criteria:
-            if c.rule_name == rule_name:
-                return c.weight
-        return None
+        return self.weights.get(rule_name)
 
 
 EMPTY_SPEC = CriteriaSpec()
@@ -138,10 +136,8 @@ def order_conflict_set(conflict_set: list[Rule], spec: CriteriaSpec) -> list[Rul
 def choose_backtrack_point(open_points, spec: CriteriaSpec) -> Optional[BacktrackPoint]:
     """Prefer points whose remainder still holds a c-rule, then deepest.
 
-    Accepts a table or the list of open points; returns None on exhaustion.
+    Takes the list of open points; returns None on exhaustion.
     """
-    if isinstance(open_points, BTTable):
-        open_points = open_points.open_points()
     if not open_points:
         return None
     if spec.criteria:
@@ -170,7 +166,7 @@ def solution_weight(derivation: ResolvedNode, spec: CriteriaSpec) -> Fraction:
         if n == 0:
             continue
         if spec.weight_formula == "per-occurrence":
-            total += n * (criterion.weight / n)
+            total += criterion.weight  # n occurrences of weight/n each
         else:
             total += criterion.weight / n
     return total

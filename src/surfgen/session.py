@@ -28,6 +28,7 @@ from .backtrack import (
     BacktrackPoint,
     BTTable,
     MemoCache,
+    ResolvedNode,
     Variant,
     combination_frontier,
     combination_state,
@@ -54,24 +55,6 @@ from .engine import (
 )
 from .gil import FeatureStructure, is_atom
 from .tgl import FunCall, Grammar, Literal, Registries, Rule, RuleCall, eval_selector
-
-
-@dataclass(frozen=True)
-class ResolvedNode:
-    """Derivation tree of one emitted solution, choices resolved."""
-
-    rule_name: str
-    category: str
-    children: tuple  # ResolvedNode | LiteralTok | InflectCall
-
-    def rule_names(self) -> Iterator[str]:
-        """Rule names of the tree in pre-order."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node.rule_name
-            stack.extend(c for c in reversed(node.children)
-                         if isinstance(c, ResolvedNode))
 
 
 @dataclass(frozen=True)
@@ -119,8 +102,6 @@ class GenerationSession:
         # replayed, outermost first
         self._variants: list[tuple[BacktrackPoint, int, Variant]] = []
         self._depth = 0
-        self._last_retryable = False
-        self._fail_reason = ""
         self._started = False
 
     # -- public API ---------------------------------------------------------
@@ -188,7 +169,6 @@ class GenerationSession:
         if self._depth > self.max_depth:
             self.stats.depth_cutoffs += 1
             self._trace("depth-cutoff", category, detail=f"max_depth={self.max_depth}")
-            self._last_retryable = False
             return False
         sink = self._frames[-1]
         mark = self.trail.mark()
@@ -202,16 +182,15 @@ class GenerationSession:
         conflict_set = match(category, fs, self.grammar, self.registries)
         conflict_set = self.strategy.order_conflict_set(conflict_set)
         if not conflict_set:
-            self._last_retryable = False
             return False
         if len(conflict_set) == 1:
             rule = conflict_set[0]
-            node = self._fire(rule, fs, node_id)
+            node, retryable = self._fire(rule, fs, node_id)
             if node is not None:
                 sink.append(node)
                 self._memo_store(category, fs, node, effects_before)
                 return True
-            if self._last_retryable:
+            if retryable:
                 # keep the rule for a retry under the always-present context
                 point = self._record_point(category, fs, node_id, conflict_set)
                 sink.append(ChoiceRef(point))
@@ -221,7 +200,7 @@ class GenerationSession:
         i = 0
         while i < len(point.remainder):
             rule = point.remainder[i]
-            variant = self._try_variant(point, rule)
+            variant, retryable = self._try_variant(point, rule)
             if variant is not None:
                 point.remainder.pop(i)
                 point.variants.append(variant)
@@ -229,7 +208,7 @@ class GenerationSession:
                 sink.append(ref)
                 self._memo_store(category, fs, ref, effects_before)
                 return True
-            if self._last_retryable:
+            if retryable:
                 i += 1
             else:
                 point.remainder.pop(i)
@@ -239,7 +218,6 @@ class GenerationSession:
             sink.append(ChoiceRef(point))
             return True
         self.trail.undo_to(mark)
-        self._last_retryable = False
         return False
 
     def _record_point(self, category, fs, node_id, rules) -> BacktrackPoint:
@@ -251,21 +229,23 @@ class GenerationSession:
                     detail=f"B{point.id} conflict={len(rules)}")
         return point
 
-    def _try_variant(self, point: BacktrackPoint, rule: Rule) -> Optional[Variant]:
+    def _try_variant(self, point: BacktrackPoint,
+                     rule: Rule) -> tuple[Optional[Variant], bool]:
+        """The new variant, or None and whether the rule may be retried."""
         variant = Variant(rule.name, None)
         self._variants.append((point, len(point.variants), variant))
         try:
-            node = self._fire(rule, point.input, point.node_id)
+            node, retryable = self._fire(rule, point.input, point.node_id)
         finally:
             self._variants.pop()
         if node is None:
-            return None
+            return None, retryable
         variant.node = node
-        return variant
+        return variant, False
 
     def _fire(self, rule: Rule, fs: FeatureStructure,
-              lhs_node: int) -> Optional[DerivationNode]:
-        self._last_retryable = False
+              lhs_node: int) -> tuple[Optional[DerivationNode], bool]:
+        """The rule's node, or None and whether the rule may be retried."""
         self.stats.count_fire(rule.name)
         self._trace("rule-firing", rule.category, rule.name)
         mark = self.trail.mark()
@@ -273,22 +253,22 @@ class GenerationSession:
         self._frames.append(node.children)
         self._depth += 1
         try:
-            ok = self._fire_body(rule, fs, node)
+            failure = self._fire_body(rule, fs, node)
         finally:
             self._depth -= 1
             self._frames.pop()
-        if ok:
+        if failure is None:
             self.stats.rules_succeeded += 1
             self._trace("rule-fired", rule.category, rule.name)
-            return node
+            return node, False
         self.trail.undo_to(mark)
-        self._trace("rule-failed", rule.category, rule.name, self._fail_reason)
-        return None
+        reason, retryable = failure
+        self._trace("rule-failed", rule.category, rule.name, reason)
+        return None, retryable
 
     def _fire_body(self, rule: Rule, fs: FeatureStructure,
-                   node: DerivationNode) -> bool:
-        retryable = False
-        self._fail_reason = ""
+                   node: DerivationNode) -> Optional[tuple[str, bool]]:
+        """None on success, else (reason, retryable)."""
         for call in rule.side_effects:
             entry = self.registries.functions.require(call.name)
             if not entry.is_side_effect:
@@ -311,10 +291,7 @@ class GenerationSession:
                                                  self._current_owner)
         except ConstraintClash as clash:
             self.stats.constraint_clashes += 1
-            retryable = any(not self._is_permanent(o) for o in clash.owners)
-            self._fail_reason = str(clash)
-            self._last_retryable = retryable
-            return False
+            return str(clash), any(not self._is_permanent(o) for o in clash.owners)
         sink = self._frames[-1]
         for i, action in enumerate(rule.template):
             if isinstance(action, Literal):
@@ -322,26 +299,19 @@ class GenerationSession:
             elif isinstance(action, FunCall):
                 segment = self._make_inflect(action, fs, node.node_id)
                 if segment is None:
-                    self._fail_reason = f"argument of {action.name!r} is absent"
-                    self._last_retryable = False
-                    return False
+                    return f"argument of {action.name!r} is absent", False
                 sink.append(segment)
             else:
                 sub = eval_selector(action.selector, fs, self.registries.selectors)
                 if not isinstance(sub, FeatureStructure):
                     if action.optional:
                         continue
-                    self._fail_reason = f"selector for {action.category} is absent"
-                    self._last_retryable = False
-                    return False
+                    return f"selector for {action.category} is absent", False
                 if not self._generate(action.category, sub, position_nodes[i]):
                     if action.optional:
                         continue
-                    self._fail_reason = f"no {action.category} derivation"
-                    self._last_retryable = False
-                    return False
-        self._last_retryable = False
-        return True
+                    return f"no {action.category} derivation", False
+        return None
 
     def _make_inflect(self, call: FunCall, fs: FeatureStructure,
                       lhs_node: int) -> Optional[InflectCall]:
@@ -472,7 +442,7 @@ class GenerationSession:
         self._variants.extend(reversed(chain))
         try:
             self._replay_chain()
-            variant = self._try_variant(point, rule)
+            variant, _ = self._try_variant(point, rule)
         finally:
             self._frames = saved_frames
             del self._variants[entry:]
@@ -515,31 +485,20 @@ class GenerationSession:
 
     def _emit(self, fixed: dict[int, int]) -> Iterator[Solution]:
         for assignment in iter_assignments(self._root_items, fixed):
+            frontier, derivation, obligations = \
+                combination_frontier(self._root_items, assignment)
             # the graph is empty here: the check sees only this combination
             mark = self.trail.mark()
             try:
-                state = combination_state(self._root_items, assignment,
-                                          self.graph)
+                state = combination_state(obligations, self.graph)
                 if state is None:
                     self.stats.combinations_filtered += 1
                     continue
-                frontier = combination_frontier(self._root_items, assignment)
                 text = realize(frontier, self.registries.functions,
                                state.value, self.stats)
             finally:
                 self.trail.undo_to(mark)
-            derivation = self._resolve(self._root_items[0], assignment)
             weight = self.strategy.weight(derivation)
             self.stats.solutions_emitted += 1
             self._trace("solution", detail=text)
             yield Solution(text, weight, derivation, dict(assignment))
-
-    def _resolve(self, item, assignment: dict[int, int]):
-        if isinstance(item, DerivationNode):
-            return ResolvedNode(item.rule_name, item.category,
-                                tuple(self._resolve(c, assignment)
-                                      for c in item.children))
-        if isinstance(item, ChoiceRef):
-            chosen = item.point.variants[assignment[item.point.id]]
-            return self._resolve(chosen.node, assignment)
-        return item

@@ -1,12 +1,13 @@
 import pytest
 
-from surfgen.backtrack import combination_frontier, iter_assignments, resolve_items
-from surfgen.engine import ChoiceRef, InflectCall, LiteralTok
+from surfgen.backtrack import combination_frontier, iter_assignments
+from surfgen.engine import ChoiceRef, InflectCall, LiteralTok, flatten_frontier
 from surfgen.gil import FeatureStructure, parse_gil
 from surfgen.session import GenerationSession
 from surfgen.tgl import Registries, parse_grammar
 
 from .grammars import LIST_GRAMMAR, build_registries, hard_case, list_gil, random_case
+from .test_walkers import ref_resolve_items
 
 # A grammar shaped like the worked three-point table: an early choice, a
 # later choice whose second alternative fails, and a choice nested inside
@@ -85,9 +86,12 @@ def test_table_shape(regs):
     assert _ctx(b3.post_context) == ["s71", "s8"]
 
     # egos: one sequence per successfully applied conflict-set rule
-    assert [_ctx(f) for f in b1.ego_frontiers()] == [["s21"], ["s22"]]
-    assert [_ctx(f) for f in b2.ego_frontiers()] == [["s51", "B3", "s71"]]
-    assert [_ctx(f) for f in b3.ego_frontiers()] == [["s61"], ["s62"]]
+    def egos(point):
+        return [_ctx(flatten_frontier([v.node])) for v in point.variants]
+
+    assert egos(b1) == [["s21"], ["s22"]]
+    assert egos(b2) == [["s51", "B3", "s71"]]
+    assert egos(b3) == [["s61"], ["s62"]]
 
     # the failing alternative was consumed without producing a variant
     assert b2.consumed == ["b2"]
@@ -99,7 +103,8 @@ def test_table_shape(regs):
 
 
 def _leaves(items, assignment):
-    return [p for kind, p in resolve_items(items, assignment) if kind == "leaf"]
+    """Frontier of items under assignment, by the reference walk."""
+    return [p for kind, p in ref_resolve_items(items, assignment) if kind == "leaf"]
 
 
 @pytest.mark.parametrize("memo", [True, False])
@@ -115,9 +120,9 @@ def test_solutions_decompose_into_contexts_and_ego(make_case, memo):
         root = session._root_items
         for solution in solutions:
             assignment = solution.assignment
-            frontier = combination_frontier(root, assignment)
+            frontier = combination_frontier(root, assignment)[0]
             reached = [item.point for item in root if isinstance(item, ChoiceRef)]
-            reached += [child.point for kind, node in resolve_items(root, assignment)
+            reached += [child.point for kind, node in ref_resolve_items(root, assignment)
                         if kind == "node" for child in node.children
                         if isinstance(child, ChoiceRef)]
             for point in reached:

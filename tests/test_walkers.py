@@ -9,15 +9,16 @@ import pytest
 
 from surfgen.backtrack import (
     BacktrackPoint,
+    ResolvedNode,
     Variant,
+    combination_frontier,
     fill_post_contexts,
     iter_assignments,
     layer_points,
-    resolve_items,
 )
 from surfgen.engine import ChoiceRef, DerivationNode, LiteralTok
 from surfgen.gil import FeatureStructure, Sym, fs_digest, fs_equal, parse_gil
-from surfgen.session import GenerationSession, ResolvedNode
+from surfgen.session import GenerationSession
 
 from .grammars import build_registries, hard_case, random_case
 
@@ -134,6 +135,22 @@ def ref_rule_names(node):
             yield from ref_rule_names(child)
 
 
+def resolved_leaves(node):
+    """Leaves of a resolved tree in document order, without recursion."""
+    out, stack = [], [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ResolvedNode):
+            stack.extend(reversed(item.children))
+        else:
+            out.append(item)
+    return out
+
+
+def same_items(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
 def ordered(assignments):
     return [list(a.items()) for a in assignments]
 
@@ -170,8 +187,19 @@ def test_walkers_match_reference_walks(case):
         got = list(iter_assignments(root, fixed))
         assert ordered(got) == ordered(ref_iter_assignments(root, fixed))
         for assignment in got:
-            assert list(resolve_items(root, assignment)) == \
-                list(ref_resolve_items(root, assignment))
+            frontier, derivation, obligations = combination_frontier(root, assignment)
+            events = list(ref_resolve_items(root, assignment))
+            assert same_items(frontier, [p for kind, p in events if kind == "leaf"])
+            assert same_items(obligations, [ob for kind, node in events
+                                            if kind == "node" for ob in node.obligations])
+            if not root:  # no solution: nothing to resolve
+                assert derivation is None
+                continue
+            first = list(ref_resolve_items(root[:1], assignment))
+            assert list(derivation.rule_names()) == \
+                [node.rule_name for kind, node in first if kind == "node"]
+            assert same_items(resolved_leaves(derivation),
+                              [p for kind, p in first if kind == "leaf"])
     for solution in solutions:
         assert list(solution.derivation.rule_names()) == \
             list(ref_rule_names(solution.derivation))
@@ -200,9 +228,13 @@ def test_walkers_on_deep_chain():
     items, point = deep_chain()
     assert layer_points(items) == [point]
     assert list(iter_assignments(items, {})) == [{point.id: 0}]
-    events = list(resolve_items(items, {point.id: 0}))
-    assert len(events) == 2 * DEPTH + 2
-    assert events[-1] == ("leaf", LiteralTok("x"))
+    frontier, derivation, obligations = combination_frontier(items, {point.id: 0})
+    assert len(frontier) == DEPTH + 1 and frontier[-1] == LiteralTok("x")
+    assert obligations == []
+    # no == on the derivation itself: dataclass equality recurses
+    names = list(derivation.rule_names())
+    assert len(names) == DEPTH + 1 and names[0] == "more" and names[-1] == "x"
+    assert same_items(resolved_leaves(derivation), frontier)
     segs = fill_post_contexts(items)
     assert len(segs) == DEPTH + 1 and segs[-1] == ChoiceRef(point)
     assert (point.layer, point.index) == (segs, DEPTH)
