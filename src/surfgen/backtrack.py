@@ -19,16 +19,20 @@ re-derived when they recur.
 Every ego variant carries the constraint obligations its rules asserted.
 A combination is realized only if the union of its obligations is
 consistent; inflection calls are resolved against that union, so agreement
-features flipped by a new ego re-inflect material outside it.  Each
-combination is walked once, by ``combination_frontier``, which collects its
-frontier, its resolved derivation and its obligations together;
-``combination_state`` then imposes that obligation list.
+features flipped by a new ego re-inflect material outside it.  The
+obligations outside every choice point (the root layer) are the same in
+every combination, so the session imposes them once for the whole stream.
+Each combination is walked once, by ``combination_frontier``, which
+collects its frontier, its resolved derivation, the obligations of its
+chosen egos and its rule names together; ``combination_state`` then
+imposes those obligations on top of the root layer.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .engine import (ChoiceRef, ConstraintClash, DerivationNode, FeatureGraph,
@@ -47,6 +51,11 @@ class Variant:
 
     rule_name: str
     node: Optional[DerivationNode]
+
+    @cached_property
+    def points(self) -> list["BacktrackPoint"]:
+        """Choice points of the variant's own layer; read once it is built."""
+        return layer_points(self.node.children)
 
     def __repr__(self) -> str:
         return f"Variant({self.rule_name!r})"
@@ -262,8 +271,7 @@ def iter_assignments(items, fixed: dict[int, int]) -> Iterator[dict[int, int]]:
         k = choices[pos]
         frame[3] = pos + 1
         acc[point.id] = k
-        inner = point.variants[k].node.children
-        stack.append([(layer_points(inner), {}, (layer, idx)), 0, None, 0])
+        stack.append([(point.variants[k].points, {}, (layer, idx)), 0, None, 0])
 
 
 @dataclass(frozen=True)
@@ -285,45 +293,58 @@ class ResolvedNode:
 
 
 _END = object()  # stack marker: the children of the innermost node are done
+_EGO_END = object()  # the same, for the node of a chosen ego
 
 
 def combination_frontier(items, assignment: dict[int, int]):
     """Walk one combination once, in document order.
 
-    Returns (frontier, derivation, obligations): the preterminal sequence,
-    the resolved tree of the first item (None without items), and every
-    fired rule's obligations in pre-order.
+    Returns (frontier, derivation, obligations, names): the preterminal
+    sequence, the resolved tree of the first item (None without items), the
+    obligations of the nodes inside chosen egos and every fired rule's name,
+    both in pre-order.  The root layer's obligations are left out: they are
+    the same in every combination.
     """
     frontier: list = []
     obligations: list = []
+    names: list = []
     top: list = []
     built: list[list] = [top]  # resolved children of each node being walked
     entered: list[DerivationNode] = []
+    egos = 0  # chosen egos around the current item
     stack = list(reversed(items))
     while stack:
         item = stack.pop()
-        if item is _END:
+        if item is _END or item is _EGO_END:
+            if item is _EGO_END:
+                egos -= 1
             node = entered.pop()
             children = tuple(built.pop())
             built[-1].append(ResolvedNode(node.rule_name, node.category, children))
             continue
+        end = _END
         if isinstance(item, ChoiceRef):
             item = item.point.variants[assignment[item.point.id]].node
+            egos += 1
+            end = _EGO_END
         if isinstance(item, DerivationNode):
-            obligations.extend(item.obligations)
+            if egos:
+                obligations.extend(item.obligations)
+            names.append(item.rule_name)
             entered.append(item)
             built.append([])
-            stack.append(_END)
+            stack.append(end)
             stack.extend(reversed(item.children))
         else:
             frontier.append(item)
             built[-1].append(item)
-    return frontier, top[0] if top else None, obligations
+    return frontier, top[0] if top else None, obligations, names
 
 
 def combination_state(obligations, graph: FeatureGraph):
-    """Impose one combination's obligations on graph; None when
-    inconsistent.  The caller undoes them through the graph's trail."""
+    """Impose one combination's ego obligations on graph, which holds the
+    root layer; None when inconsistent.  The caller undoes them through the
+    graph's trail."""
     try:
         for ob in obligations:
             graph.impose(ob)

@@ -317,6 +317,9 @@ def apply_constraints(rule: Rule, lhs_node: int, position_nodes: dict[int, int],
 
 def join_tokens(tokens) -> str:
     """Single spaces between tokens; tab/newline boundaries suppress them."""
+    text = " ".join(filter(None, tokens))
+    if "\t" not in text and "\n" not in text:
+        return text
     out: list[str] = []
     for tok in tokens:
         if not tok:

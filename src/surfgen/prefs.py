@@ -157,12 +157,12 @@ def choose_backtrack_point(open_points, spec: CriteriaSpec) -> Optional[Backtrac
     return open_points[0]
 
 
-def solution_weight(derivation: ResolvedNode, spec: CriteriaSpec) -> Fraction:
-    """Aggregate the weights of the c-rules a solution applied."""
-    counts = applied_rules(derivation)
+def solution_weight(rule_counts: Counter, spec: CriteriaSpec) -> Fraction:
+    """Aggregate the weights of the c-rules a solution applied, given how
+    often it applied each rule."""
     total = Fraction(0)
     for criterion in spec.criteria:
-        n = counts.get(criterion.rule_name, 0)
+        n = rule_counts.get(criterion.rule_name, 0)
         if n == 0:
             continue
         if spec.weight_formula == "per-occurrence":
@@ -188,8 +188,8 @@ class CriteriaStrategy:
     def choose_point(self, open_points: list[BacktrackPoint]):
         return choose_backtrack_point(open_points, self.spec)
 
-    def weight(self, derivation: ResolvedNode) -> Fraction:
-        return solution_weight(derivation, self.spec)
+    def weight(self, rule_counts: Counter) -> Fraction:
+        return solution_weight(rule_counts, self.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +257,21 @@ def record_history(derivation: ResolvedNode,
                    spec: CriteriaSpec) -> DerivationHistory:
     """History of one solution: c-rules per subtree, plus global counts."""
     history = DerivationHistory(solutions=1)
-
-    def walk(node: ResolvedNode) -> Counter:
-        below: Counter = Counter()
-        for child in node.children:
-            if isinstance(child, ResolvedNode):
-                below.update(walk(child))
-        entry = history.per_rule.setdefault(node.rule_name, Counter())
-        entry.update(below)
+    found = [Counter()]  # c-rules below each open node, outermost first
+    stack: list = [derivation]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ResolvedNode):
+            found.append(Counter())
+            stack.append((item,))  # visited again once its children are done
+            stack.extend(c for c in reversed(item.children)
+                         if isinstance(c, ResolvedNode))
+            continue
+        node, = item
+        below = found.pop()
+        history.per_rule.setdefault(node.rule_name, Counter()).update(below)
         if spec.is_c_rule(node.rule_name):
-            below = below + Counter({node.rule_name: 1})
-        return below
-
-    top = walk(derivation)
-    history.c_rule_totals.update(top)
+            below[node.rule_name] += 1
+        found[-1].update(below)
+    history.c_rule_totals.update(found[0])
     return history

@@ -15,11 +15,16 @@ discarded: it stays in its conflict set's remainder and is retried during
 expansion, where only the always-present context is in force.  Whether any
 given combination of alternatives is consistent is decided per emitted
 solution, against the union of the combination's constraint obligations.
+The obligations outside every choice point are in every combination: they
+are imposed once, when the first derivation is captured, and stay on the
+graph for the whole stream; a combination adds and removes only those of
+its chosen egos.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -74,7 +79,7 @@ class DefaultStrategy:
     def choose_point(self, open_points: list[BacktrackPoint]):
         return open_points[0] if open_points else None
 
-    def weight(self, derivation: ResolvedNode) -> Fraction:
+    def weight(self, rule_counts: Counter) -> Fraction:
         return Fraction(0)
 
 
@@ -120,8 +125,10 @@ class GenerationSession:
             if not ok:
                 self.trail.undo_to(base)
                 return
-            self._capture(self._root_items)
+            self._capture(self._root_items, layer_points(self._root_items))
             self.trail.undo_to(base)
+            # in every solution: imposed once, undone with the stream
+            self._impose_layer(self._root_items, ROOT_OWNER)
             yield from self._emit({})
             while True:
                 point = self.strategy.choose_point(self.table.open_points())
@@ -452,42 +459,44 @@ class GenerationSession:
             self.trail.undo_to(mark)
             return None
         point.variants.append(variant)
-        self._capture(variant.node.children)
+        self._capture(variant.node.children, variant.points)
         self.trail.undo_to(mark)
         return len(point.variants) - 1
 
     def _replay_chain(self) -> None:
-        """Re-assert the obligations present in every solution through the
-        expanded point: root-layer material plus the egos on the ancestor
-        stack."""
-        chain = {point.id: variant for point, _, variant in self._variants}
-        stack = [(item, ROOT_OWNER) for item in reversed(self._root_items)]
+        """Re-assert the egos on the ancestor stack of the expanded point;
+        the root layer is on the graph already."""
+        for _, _, variant in self._variants:
+            self._impose_layer([variant.node], variant)
+
+    def _impose_layer(self, items, owner) -> None:
+        """Impose the obligations of a layer's nodes, not entering choices."""
+        stack = list(reversed(items))
         while stack:
-            item, owner = stack.pop()
+            item = stack.pop()
             if isinstance(item, DerivationNode):
                 for ob in item.obligations:
                     self.graph.impose(ob, owner)
-                stack.extend((c, owner) for c in reversed(item.children))
-            elif isinstance(item, ChoiceRef):
-                variant = chain.get(item.point.id)
-                if variant is not None:
-                    stack.append((variant.node, variant))
+                stack.extend(reversed(item.children))
 
-    def _capture(self, items) -> None:
-        """Freeze a completed layer: post-contexts filled, points committed."""
-        fill_post_contexts(items)
-        for point in layer_points(items):
-            point.committed = True
-            for variant in point.variants:
-                self._capture(variant.node.children)
+    def _capture(self, items, points) -> None:
+        """Freeze a completed layer and the layers of its points' variants:
+        post-contexts filled, points committed."""
+        stack = [(items, points)]
+        while stack:
+            items, points = stack.pop()
+            fill_post_contexts(items)
+            for point in points:
+                point.committed = True
+                stack.extend((v.node.children, v.points) for v in point.variants)
 
     # -- emission -----------------------------------------------------------
 
     def _emit(self, fixed: dict[int, int]) -> Iterator[Solution]:
         for assignment in iter_assignments(self._root_items, fixed):
-            frontier, derivation, obligations = \
+            frontier, derivation, obligations, names = \
                 combination_frontier(self._root_items, assignment)
-            # the graph is empty here: the check sees only this combination
+            # the graph holds the root layer: the check adds the chosen egos
             mark = self.trail.mark()
             try:
                 state = combination_state(obligations, self.graph)
@@ -498,7 +507,7 @@ class GenerationSession:
                                state.value, self.stats)
             finally:
                 self.trail.undo_to(mark)
-            weight = self.strategy.weight(derivation)
+            weight = self.strategy.weight(Counter(names))
             self.stats.solutions_emitted += 1
             self._trace("solution", detail=text)
             yield Solution(text, weight, derivation, dict(assignment))

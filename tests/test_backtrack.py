@@ -347,3 +347,50 @@ def test_iter_assignments_cross_product(regs):
     assert len(combos) == 4  # |B1| = 2 times |B3| = 2; B2 contributes 1
     points = {p.id: p for p in session.table}
     assert all(a[points[2].id] == 0 for a in combos)
+
+
+# --- the root layer is imposed once ---------------------------------------------
+
+POINTS = 16
+# perfbench's wide grammar in small: each W<i> holds a two-way choice C<i>
+# and three obligations of its own, outside the choice
+FLAT_GRAMMAR = "\n".join(
+    [f'(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+     f' :ACTIONS (:TEMPLATE {" ".join(f"(:RULE W{i} (SELF))" for i in range(POINTS))})))']
+    + [f'(DEFPRODUCTION "w{i}" (:PRECOND (:CAT W{i} :TEST ((TRUE)))'
+       f' :ACTIONS (:TEMPLATE (:RULE C{i} (SELF)) "v{i}"'
+       f' :CONSTRAINTS (NUM LHS (C{i})) (TENSE LHS :VAL pres) (PERSON LHS :VAL 3))))'
+       for i in range(POINTS)]
+    + [f'(DEFPRODUCTION "c{i}-{alt}" (:PRECOND (:CAT C{i} :TEST ((TRUE)))'
+       f' :ACTIONS (:TEMPLATE "{alt}{i}" :CONSTRAINTS (NUM LHS :VAL {alt}))))'
+       for i in range(POINTS) for alt in ("sg", "pl")])
+
+
+def test_further_solutions_impose_only_their_egos(regs, monkeypatch):
+    from surfgen.engine import ROOT_OWNER, FeatureGraph
+
+    calls = [0]
+    impose = FeatureGraph.impose
+
+    def counting(self, ob, owner=ROOT_OWNER):
+        calls[0] += 1
+        return impose(self, ob, owner)
+
+    monkeypatch.setattr(FeatureGraph, "impose", counting)
+    session = GenerationSession(parse_grammar(FLAT_GRAMMAR), regs)
+    stream = session.solutions(FeatureStructure())
+    next(stream)
+    # 64 while deriving, then 48 for the root layer and 16 for the egos
+    assert calls[0] == 8 * POINTS
+    expanded = 0
+    for _ in range(40):
+        before, fired = calls[0], session.stats.rules_fired
+        next(stream)
+        fired = session.stats.rules_fired - fired
+        assert fired in (0, 1)
+        expanded += fired
+        # one obligation per chosen ego, one per rule the expansion fired
+        assert calls[0] - before == POINTS + fired
+    assert expanded > 1
+    stream.close()
+    assert session.graph.is_empty() and len(session.trail) == 0

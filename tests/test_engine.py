@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from surfgen.engine import (
@@ -299,6 +301,29 @@ def test_join_tokens_tabs_and_newlines():
     assert join_tokens(["a", "\tb"]) == "a\tb"
     assert join_tokens(["row", "\n", "next"]) == "row\nnext"
     assert join_tokens(["", "x", ""]) == "x"
+
+
+def _join_tokens_loop(tokens) -> str:
+    """The token-by-token join, kept as the reference for the fast path."""
+    out: list[str] = []
+    for tok in tokens:
+        if not tok:
+            continue
+        if out and not out[-1].endswith(("\t", "\n")) \
+                and not tok.startswith(("\t", "\n")):
+            out.append(" ")
+        out.append(tok)
+    return "".join(out)
+
+
+def test_join_tokens_matches_the_loop_on_random_lists():
+    rng = random.Random(7)
+    pool = ["", " ", "\t", "a\t", "\nb", "word", "Zweig", "x y"]
+    for _ in range(2000):
+        tokens = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+        if rng.random() < 0.5:  # half without tabs or newlines: the fast path
+            tokens = [t for t in tokens if "\t" not in t and "\n" not in t]
+        assert join_tokens(tokens) == _join_tokens_loop(tokens), tokens
 
 
 def test_tabular_output_via_literals(regs):

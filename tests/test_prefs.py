@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -114,7 +115,7 @@ def _derivation(*names):
 
 def test_weight_single_application():
     spec = CriteriaSpec((Criterion("c", Fraction(1)),))
-    assert solution_weight(_derivation("c"), spec) == 1
+    assert solution_weight(applied_rules(_derivation("c")), spec) == 1
 
 
 def test_weight_repeated_application_counts_once():
@@ -122,7 +123,7 @@ def test_weight_repeated_application_counts_once():
     spec = CriteriaSpec((Criterion("c", Fraction(2)),))
     deriv = ResolvedNode("top", "T",
                          (_derivation("c"), _derivation("c")))
-    assert solution_weight(deriv, spec) == 2
+    assert solution_weight(applied_rules(deriv), spec) == 2
 
 
 def test_weight_mixed_hand_computed():
@@ -130,7 +131,7 @@ def test_weight_mixed_hand_computed():
     spec = CriteriaSpec((Criterion("a", Fraction(2)), Criterion("b", Fraction(3))))
     deriv = ResolvedNode("top", "T", (
         _derivation("a"), _derivation("b"), _derivation("b"), _derivation("b")))
-    assert solution_weight(deriv, spec) == 5
+    assert solution_weight(applied_rules(deriv), spec) == 5
 
 
 def test_weight_alternative_formula():
@@ -138,7 +139,7 @@ def test_weight_alternative_formula():
                         weight_formula="per-distinct")
     deriv = ResolvedNode("top", "T", (
         _derivation("a"), _derivation("b"), _derivation("b"), _derivation("b")))
-    assert solution_weight(deriv, spec) == Fraction(2) + Fraction(3, 3)
+    assert solution_weight(applied_rules(deriv), spec) == Fraction(2) + Fraction(3, 3)
 
 
 def test_weight_scaling_invariance(voice, report_fs, regs):
@@ -270,3 +271,46 @@ def test_history_over_generated_corpus(voice, report_fs, regs):
     assert corpus.c_rule_totals["np-demonstrative"] == 8
     assert corpus.c_rule_totals["s-passive"] == 4
     assert corpus.per_rule["report text"]["s-passive"] == 4
+
+
+def _ref_record_history(derivation, spec):
+    """The recursive reference: one call per level."""
+    history = DerivationHistory(solutions=1)
+
+    def walk(node):
+        below = Counter()
+        for child in node.children:
+            if isinstance(child, ResolvedNode):
+                below.update(walk(child))
+        history.per_rule.setdefault(node.rule_name, Counter()).update(below)
+        if spec.is_c_rule(node.rule_name):
+            below = below + Counter({node.rule_name: 1})
+        return below
+
+    history.c_rule_totals.update(walk(derivation))
+    return history
+
+
+def test_history_matches_recursive_reference(voice, report_fs, regs):
+    spec = CriteriaSpec((Criterion("s-passive"), Criterion("np-demonstrative")))
+    sols = list(best_first_stream(voice, report_fs, spec, registries=regs))
+    assert len(sols) == 8
+    for sol in sols:
+        got = record_history(sol.derivation, spec)
+        want = _ref_record_history(sol.derivation, spec)
+        assert got == want
+        assert list(got.per_rule) == list(want.per_rule)
+
+
+def test_history_on_deep_chain():
+    depth = 2000
+    spec = CriteriaSpec((Criterion("more", Fraction(2)),))
+    node = ResolvedNode("last", "L", ())
+    for _ in range(depth):
+        node = ResolvedNode("more", "L", (node,))
+    assert solution_weight(applied_rules(node), spec) == 2
+    history = record_history(node, spec)
+    assert history.c_rule_totals == {"more": depth}
+    # the k-th "more" from the bottom has k - 1 below it
+    assert history.per_rule["more"]["more"] == depth * (depth - 1) // 2
+    assert history.per_rule["last"] == {}

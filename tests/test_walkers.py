@@ -109,6 +109,18 @@ def ref_resolve_items(items, assignment):
             yield ("leaf", item)
 
 
+def ref_ego_obligations(items, assignment, inside=False):
+    """Obligations of the nodes inside chosen egos, in pre-order."""
+    for item in items:
+        if isinstance(item, DerivationNode):
+            if inside:
+                yield from item.obligations
+            yield from ref_ego_obligations(item.children, assignment, inside)
+        elif isinstance(item, ChoiceRef):
+            node = item.point.variants[assignment[item.point.id]].node
+            yield from ref_ego_obligations([node], assignment, True)
+
+
 def ref_fill_post_contexts(items):
     segs, refs = [], []
 
@@ -187,11 +199,12 @@ def test_walkers_match_reference_walks(case):
         got = list(iter_assignments(root, fixed))
         assert ordered(got) == ordered(ref_iter_assignments(root, fixed))
         for assignment in got:
-            frontier, derivation, obligations = combination_frontier(root, assignment)
+            frontier, derivation, obligations, names = \
+                combination_frontier(root, assignment)
             events = list(ref_resolve_items(root, assignment))
             assert same_items(frontier, [p for kind, p in events if kind == "leaf"])
-            assert same_items(obligations, [ob for kind, node in events
-                                            if kind == "node" for ob in node.obligations])
+            assert same_items(obligations, list(ref_ego_obligations(root, assignment)))
+            assert names == [node.rule_name for kind, node in events if kind == "node"]
             if not root:  # no solution: nothing to resolve
                 assert derivation is None
                 continue
@@ -228,12 +241,14 @@ def test_walkers_on_deep_chain():
     items, point = deep_chain()
     assert layer_points(items) == [point]
     assert list(iter_assignments(items, {})) == [{point.id: 0}]
-    frontier, derivation, obligations = combination_frontier(items, {point.id: 0})
+    frontier, derivation, obligations, walked = \
+        combination_frontier(items, {point.id: 0})
     assert len(frontier) == DEPTH + 1 and frontier[-1] == LiteralTok("x")
     assert obligations == []
     # no == on the derivation itself: dataclass equality recurses
     names = list(derivation.rule_names())
     assert len(names) == DEPTH + 1 and names[0] == "more" and names[-1] == "x"
+    assert walked == names
     assert same_items(resolved_leaves(derivation), frontier)
     segs = fill_post_contexts(items)
     assert len(segs) == DEPTH + 1 and segs[-1] == ChoiceRef(point)
