@@ -157,12 +157,16 @@ def choose_backtrack_point(open_points, spec: CriteriaSpec) -> Optional[Backtrac
     return open_points[0]
 
 
-def solution_weight(rule_counts: Counter, spec: CriteriaSpec) -> Fraction:
-    """Aggregate the weights of the c-rules a solution applied, given how
-    often it applied each rule."""
+def solution_weight(applied: ResolvedNode | Iterable[str],
+                    spec: CriteriaSpec) -> Fraction:
+    """Aggregate the weights of the c-rules a solution applied.  applied is
+    the solution's derivation or the names of its fired rules, one per
+    application (a Counter of them will do)."""
+    counts = (applied_rules(applied) if isinstance(applied, ResolvedNode)
+              else Counter(applied))
     total = Fraction(0)
     for criterion in spec.criteria:
-        n = rule_counts.get(criterion.rule_name, 0)
+        n = counts.get(criterion.rule_name, 0)
         if n == 0:
             continue
         if spec.weight_formula == "per-occurrence":
@@ -188,8 +192,8 @@ class CriteriaStrategy:
     def choose_point(self, open_points: list[BacktrackPoint]):
         return choose_backtrack_point(open_points, self.spec)
 
-    def weight(self, rule_counts: Counter) -> Fraction:
-        return solution_weight(rule_counts, self.spec)
+    def weight(self, rule_names: list[str]) -> Fraction:
+        return solution_weight(rule_names, self.spec)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ its chosen egos.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -79,7 +78,7 @@ class DefaultStrategy:
     def choose_point(self, open_points: list[BacktrackPoint]):
         return open_points[0] if open_points else None
 
-    def weight(self, rule_counts: Counter) -> Fraction:
+    def weight(self, rule_names: list[str]) -> Fraction:
         return Fraction(0)
 
 
@@ -507,7 +506,7 @@ class GenerationSession:
                                state.value, self.stats)
             finally:
                 self.trail.undo_to(mark)
-            weight = self.strategy.weight(Counter(names))
+            weight = self.strategy.weight(names)
             self.stats.solutions_emitted += 1
             self._trace("solution", detail=text)
             yield Solution(text, weight, derivation, dict(assignment))

@@ -115,7 +115,7 @@ def _derivation(*names):
 
 def test_weight_single_application():
     spec = CriteriaSpec((Criterion("c", Fraction(1)),))
-    assert solution_weight(applied_rules(_derivation("c")), spec) == 1
+    assert solution_weight(_derivation("c"), spec) == 1
 
 
 def test_weight_repeated_application_counts_once():
@@ -123,7 +123,7 @@ def test_weight_repeated_application_counts_once():
     spec = CriteriaSpec((Criterion("c", Fraction(2)),))
     deriv = ResolvedNode("top", "T",
                          (_derivation("c"), _derivation("c")))
-    assert solution_weight(applied_rules(deriv), spec) == 2
+    assert solution_weight(deriv, spec) == 2
 
 
 def test_weight_mixed_hand_computed():
@@ -131,7 +131,7 @@ def test_weight_mixed_hand_computed():
     spec = CriteriaSpec((Criterion("a", Fraction(2)), Criterion("b", Fraction(3))))
     deriv = ResolvedNode("top", "T", (
         _derivation("a"), _derivation("b"), _derivation("b"), _derivation("b")))
-    assert solution_weight(applied_rules(deriv), spec) == 5
+    assert solution_weight(deriv, spec) == 5
 
 
 def test_weight_alternative_formula():
@@ -139,7 +139,19 @@ def test_weight_alternative_formula():
                         weight_formula="per-distinct")
     deriv = ResolvedNode("top", "T", (
         _derivation("a"), _derivation("b"), _derivation("b"), _derivation("b")))
-    assert solution_weight(applied_rules(deriv), spec) == Fraction(2) + Fraction(3, 3)
+    assert solution_weight(deriv, spec) == Fraction(2) + Fraction(3, 3)
+
+
+def test_weight_from_derivation_names_or_counts():
+    spec = CriteriaSpec((Criterion("a", Fraction(2)), Criterion("b", Fraction(3))),
+                        weight_formula="per-distinct")
+    deriv = ResolvedNode("top", "T", (
+        _derivation("a"), _derivation("b"), _derivation("b"), _derivation("b")))
+    names = list(deriv.rule_names())
+    want = Fraction(2) + Fraction(3, 3)
+    assert solution_weight(deriv, spec) == want
+    assert solution_weight(names, spec) == want
+    assert solution_weight(Counter(names), spec) == want
 
 
 def test_weight_scaling_invariance(voice, report_fs, regs):
@@ -308,7 +320,7 @@ def test_history_on_deep_chain():
     node = ResolvedNode("last", "L", ())
     for _ in range(depth):
         node = ResolvedNode("more", "L", (node,))
-    assert solution_weight(applied_rules(node), spec) == 2
+    assert solution_weight(node, spec) == 2
     history = record_history(node, spec)
     assert history.c_rule_totals == {"more": depth}
     # the k-th "more" from the bottom has k - 1 below it
