@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .gil import GilError, parse_gil
-from .morpho import MorphoError, default_lexicon, load_lexicon
-from .prefs import CriteriaError, CriteriaSpec, load_criteria, make_session
+from .morpho import MorphoError, default_lexicon, parse_lexicon
+from .prefs import CriteriaError, CriteriaSpec, make_session, parse_criteria
 from .tgl import Registries, Severity, TglError, parse_grammar, validate_grammar
 
 EXIT_OK = 0
@@ -53,13 +53,15 @@ def _read(path: str, what: str) -> str:
             return handle.read()
     except OSError as e:
         raise _Usage(f"cannot read {what} {path!r}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise _Usage(f"cannot read {what} {path!r}: not UTF-8 "
+                     f"(byte {e.start})") from None
 
 
 def _registries(lexicon_path: Optional[str]) -> Registries:
     try:
-        lexicon = load_lexicon(lexicon_path) if lexicon_path else default_lexicon()
-    except OSError as e:
-        raise _Usage(f"cannot read lexicon {lexicon_path!r}: {e.strerror}") from None
+        lexicon = (parse_lexicon(_read(lexicon_path, "lexicon")) if lexicon_path
+                   else default_lexicon())
     except MorphoError as e:
         raise _Usage(f"{lexicon_path}: {e}") from None
     return Registries.standard(lexicon)
@@ -84,9 +86,6 @@ def cmd_generate(cfg: RunConfig, out=None, err=None) -> int:
             input_fs = parse_gil(_read(cfg.input, "input"))
         except GilError as e:
             raise _Usage(f"{cfg.input}:{e}") from None
-        except RecursionError:
-            raise _Usage(f"{cfg.input}: structure nested too deeply "
-                         f"to parse") from None
         diagnostics = validate_grammar(grammar, registries)
         errors = [d for d in diagnostics if d.severity is Severity.ERROR]
         for diag in diagnostics:
@@ -95,12 +94,9 @@ def cmd_generate(cfg: RunConfig, out=None, err=None) -> int:
             return EXIT_ERROR
         spec = CriteriaSpec()
         if cfg.criteria:
+            mode = "weight-ranked" if cfg.weights else "first-solution-bias"
             try:
-                mode = "weight-ranked" if cfg.weights else "first-solution-bias"
-                spec = load_criteria(cfg.criteria, mode=mode)
-            except OSError as e:
-                raise _Usage(f"cannot read criteria {cfg.criteria!r}: "
-                             f"{e.strerror}") from None
+                spec = parse_criteria(_read(cfg.criteria, "criteria"), mode=mode)
             except CriteriaError as e:
                 raise _Usage(f"{cfg.criteria}: {e}") from None
         trace = (lambda event: print(event, file=err)) if cfg.trace else None

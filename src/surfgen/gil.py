@@ -10,8 +10,8 @@ coreference tags that make the parsed result a DAG.  Concrete syntax:
 
 ``<`` and ``>`` delimit lists, ``,`` separates list elements, ``;`` starts
 a line comment.  Symbols match ``[A-Za-z][A-Za-z0-9_-]*`` and compare
-case-insensitively; quoted strings compare exactly; integers are the only
-numeric type.
+case-insensitively; quoted strings compare exactly; integers, an optional
+``-`` and decimal digits, are the only numeric type.
 
 Parsing resolves every ``#n`` to the very node object defined at ``#n=``,
 so structure sharing is observable through object identity.  Cyclic
@@ -20,12 +20,15 @@ references are rejected.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, NoReturn, Optional, Union
 
 
-class GilError(Exception):
-    """Problem in a GIL document; carries a 1-based line/column position."""
+class PositionedError(Exception):
+    """A reader's error; carries a 1-based line/column position, 0 when
+    there is none."""
 
     def __init__(self, message: str, line: int = 0, col: int = 0):
         super().__init__(message)
@@ -37,6 +40,10 @@ class GilError(Exception):
         if self.line:
             return f"{self.line}:{self.col}: {self.message}"
         return self.message
+
+
+class GilError(PositionedError):
+    """Problem in a GIL document."""
 
 
 @dataclass(frozen=True)
@@ -58,21 +65,10 @@ class Sym:
         return self.text
 
 
-@dataclass(frozen=True)
-class CorefRef:
-    """An unresolved ``#n`` reference.
-
-    Only seen transiently inside the parser; parsed documents have every
-    reference replaced by the shared node itself.
-    """
-
-    tag: int
-
-
 # Atoms are symbols, quoted strings (plain ``str``) or integers.
 Atom = Union[Sym, str, int]
 # A value is an atom, a list (tuple) of values, or a nested structure.
-Value = Union[Atom, tuple, "FeatureStructure", CorefRef]
+Value = Union[Atom, tuple, "FeatureStructure"]
 
 
 def is_atom(v: object) -> bool:
@@ -152,292 +148,259 @@ class Path:
 
 
 # ---------------------------------------------------------------------------
-# Lexer (shared token shapes with the grammar reader, but self-contained)
+# Scanner, shared with the grammar reader
 
-_SYM_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_SYM_CONT = _SYM_START | set("0123456789_-")
-_PUNCT = {"[": "lbrack", "]": "rbrack", "(": "lparen", ")": "rparen",
-          "<": "langle", ">": "rangle", ",": "comma"}
-
-
-@dataclass
-class _Tok:
-    kind: str
-    value: object
-    line: int
-    col: int
+STRING = r'"(?:[^"\\\n]|\\[nt"\\])*"'
+_STRING_START = re.compile(STRING[:-1])  # the longest well-formed prefix
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+def unquote(lexeme: str) -> str:
+    body = lexeme[1:-1]
+    return _ESCAPE.sub(lambda m: _ESCAPES[m[1]], body) if "\\" in body else body
 
-    def err(msg):
-        raise GilError(msg, line, col)
 
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c in _PUNCT:
-            toks.append(_Tok(_PUNCT[c], c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                err("expected digits after '#'")
-            tag = int(text[i + 1:j])
-            if tag <= 0:
-                err("coreference tags are positive")
-            if j < n and text[j] == "=":
-                toks.append(_Tok("corefdef", tag, start_line, start_col))
-                j += 1
-            else:
-                toks.append(_Tok("corefref", tag, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while True:
-                if j >= n:
-                    err("unterminated string")
-                ch = text[j]
-                if ch == "\\":
-                    if j + 1 >= n:
-                        err("unterminated escape")
-                    esc = text[j + 1]
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc))
-                    if out[-1] is None:
-                        err(f"unknown escape \\{esc}")
-                    j += 2
-                elif ch == '"':
-                    j += 1
-                    break
-                elif ch == "\n":
-                    err("newline in string literal")
-                else:
-                    out.append(ch)
-                    j += 1
-            toks.append(_Tok("string", "".join(out), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", int(text[i:j]), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _SYM_START:
-            j = i + 1
-            while j < n and text[j] in _SYM_CONT:
-                j += 1
-            toks.append(_Tok("symbol", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        err(f"unexpected character {c!r}")
-    toks.append(_Tok("eof", None, line, col))
-    return toks
+def quote(text: str) -> str:
+    """The string literal that reads back as ``text``."""
+    body = text.replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + body.replace("\n", "\\n").replace("\t", "\\t") + '"'
+
+
+def locator(text: str) -> Callable[[int], tuple[int, int]]:
+    """Turn offsets into ``text`` into 1-based (line, column) positions."""
+    newlines = [m.start() for m in re.finditer("\n", text)]
+
+    def where(offset: int) -> tuple[int, int]:
+        line = bisect_left(newlines, offset)
+        return line + 1, offset - (newlines[line - 1] if line else -1)
+    return where
+
+
+class Scanner:
+    """A language's tokens as one compiled pattern of named groups.
+
+    Each match skips blanks and whole comment lines, then takes the first
+    kind whose pattern fits.  ``eof`` fits the end of the text, or an
+    unterminated last comment, which puts the end at the comment's start;
+    ``bad`` takes the rest of the text when nothing else fits.  ``convert``
+    maps a kind to the function that makes a token's value from its text;
+    it raises ``ValueError`` for a malformed token.  ``hints`` gives the
+    message for a bad character that starts no token of the language.
+    """
+
+    def __init__(self, error: type, hints: dict, convert: dict, **kinds: str):
+        tokens = "".join(f"(?P<{kind}>{pattern})|" for kind, pattern in kinds.items())
+        self.pattern = re.compile(r"(?:[ \t\r\n]+|;[^\n]*\n)*(?:" + tokens
+                                  + r"(?P<eof>(?:;[^\n]*)?\Z)|(?P<bad>[\s\S]+))")
+        self.error = error
+        self.hints = hints
+        self.convert = dict(convert, bad=self._bad)
+
+    def scan(self, text: str) -> Iterator[tuple]:
+        """The (kind, value, offset) tokens of ``text``, the last one
+        ``eof``; a malformed one raises ``error`` at its position.
+
+        A reader that finds an error drains the rest first, so that a
+        malformed token anywhere in the text is the error reported.
+        """
+        convert = self.convert
+        for m in self.pattern.finditer(text):
+            kind = m.lastgroup
+            value = m.group(kind)
+            at = m.start(kind)
+            if kind in convert:
+                try:
+                    value = convert[kind](value)
+                except ValueError as e:
+                    raise self.error(str(e), *locator(text)(at)) from None
+            yield kind, value, at
+            if kind == "eof":
+                return
+
+    def _bad(self, rest: str) -> None:
+        if rest[0] != '"':
+            raise ValueError(self.hints.get(rest[0], f"unexpected character {rest[0]!r}"))
+        end = _STRING_START.match(rest).end()
+        if end == len(rest):
+            raise ValueError("unterminated string")
+        if rest[end] == "\n":
+            raise ValueError("newline in string literal")
+        if end + 1 == len(rest):
+            raise ValueError("unterminated escape")
+        raise ValueError(f"unknown escape \\{rest[end + 1]}")
+
+
+def _tag(lexeme: str) -> int:
+    tag = int(lexeme.strip("#="))
+    if tag <= 0:
+        raise ValueError("coreference tags are positive")
+    return tag
+
+
+_TOKENS = Scanner(
+    GilError, {"#": "expected digits after '#'"},
+    {"corefdef": _tag, "corefref": _tag, "string": unquote, "int": int},
+    lparen=r"\(", rparen=r"\)", symbol=r"[A-Za-z][A-Za-z0-9_-]*", lbrack=r"\[",
+    rbrack=r"\]", int=r"-?\d+", langle="<", rangle=">", comma=",",
+    corefdef=r"#\d+=", corefref=r"#\d+", string=STRING)
 
 
 # ---------------------------------------------------------------------------
-# Parser
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _lex(text)
-        self.pos = 0
-        self.defs: dict[int, FeatureStructure] = {}
-        self.def_pos: dict[int, tuple[int, int]] = {}
-
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str) -> _Tok:
-        t = self.next()
-        if t.kind != kind:
-            raise GilError(f"expected {kind}, found {t.kind}", t.line, t.col)
-        return t
-
-    def document(self) -> FeatureStructure:
-        t = self.peek()
-        if t.kind != "lbrack":
-            raise GilError("a GIL document starts with '['", t.line, t.col)
-        fs = self.structure()
-        t = self.peek()
-        if t.kind != "eof":
-            raise GilError(f"trailing {t.kind} after document", t.line, t.col)
-        return fs
-
-    def structure(self) -> FeatureStructure:
-        open_tok = self.expect("lbrack")
-        fs = FeatureStructure()
-        while True:
-            t = self.peek()
-            if t.kind == "rbrack":
-                self.next()
-                return fs
-            if t.kind == "eof":
-                raise GilError("unbalanced '['", open_tok.line, open_tok.col)
-            if t.kind != "lparen":
-                raise GilError(f"expected '(' or ']', found {t.kind}", t.line, t.col)
-            self.next()
-            name_tok = self.expect("symbol")
-            value = self.value()
-            close = self.next()
-            if close.kind != "rparen":
-                raise GilError("attribute pair not closed with ')'",
-                               close.line, close.col)
-            try:
-                fs._append(name_tok.value, value)
-            except GilError as e:
-                raise GilError(e.message, name_tok.line, name_tok.col) from None
-
-    def value(self) -> Value:
-        t = self.peek()
-        if t.kind == "symbol":
-            self.next()
-            return Sym(t.value)
-        if t.kind == "string":
-            self.next()
-            return t.value
-        if t.kind == "int":
-            self.next()
-            return t.value
-        if t.kind == "lbrack":
-            return self.structure()
-        if t.kind == "langle":
-            return self.value_list()
-        if t.kind == "corefref":
-            self.next()
-            return CorefRef(t.value)
-        if t.kind == "corefdef":
-            self.next()
-            node = self.peek()
-            if node.kind != "lbrack":
-                raise GilError("'#n=' must be followed by a structure",
-                               node.line, node.col)
-            fs = self.structure()
-            if t.value in self.defs:
-                raise GilError(f"coreference tag #{t.value} defined twice",
-                               t.line, t.col)
-            fs.coref_tag = t.value
-            self.defs[t.value] = fs
-            self.def_pos[t.value] = (t.line, t.col)
-            return fs
-        raise GilError(f"expected a value, found {t.kind}", t.line, t.col)
-
-    def value_list(self) -> tuple:
-        open_tok = self.expect("langle")
-        items: list[Value] = []
-        if self.peek().kind == "rangle":
-            self.next()
-            return ()
-        while True:
-            items.append(self.value())
-            t = self.next()
-            if t.kind == "rangle":
-                return tuple(items)
-            if t.kind == "comma":
-                continue
-            if t.kind == "eof":
-                raise GilError("unbalanced '<'", open_tok.line, open_tok.col)
-            raise GilError(f"expected ',' or '>', found {t.kind}", t.line, t.col)
-
-
-def _resolve(root: FeatureStructure, defs: dict[int, FeatureStructure]) -> None:
-    """Replace CorefRef placeholders by the defined nodes, rejecting cycles."""
-
-    def subst(value: Value) -> Value:
-        if isinstance(value, CorefRef):
-            target = defs.get(value.tag)
-            if target is None:
-                raise GilError(f"coreference tag #{value.tag} is never defined")
-            return target
-        if isinstance(value, tuple):
-            return tuple(subst(v) for v in value)
-        return value
-
-    seen: set[int] = set()
-
-    def walk_fs(fs: FeatureStructure) -> None:
-        if id(fs) in seen:
-            return
-        seen.add(id(fs))
-        for i, v in enumerate(fs._values):
-            fs._values[i] = subst(v)
-        for v in fs._values:
-            walk_value(v)
-
-    def walk_value(v: Value) -> None:
-        if isinstance(v, FeatureStructure):
-            walk_fs(v)
-        elif isinstance(v, tuple):
-            for item in v:
-                walk_value(item)
-
-    walk_fs(root)
-
-    # cycle check over the resolved graph
-    on_stack: set[int] = set()
-    done: set[int] = set()
-
-    def visit(fs: FeatureStructure) -> None:
-        if id(fs) in done:
-            return
-        if id(fs) in on_stack:
-            raise GilError("coreferences form a cycle")
-        on_stack.add(id(fs))
-        for _, v in fs.pairs():
-            for child in _child_structures(v):
-                visit(child)
-        on_stack.discard(id(fs))
-        done.add(id(fs))
-
-    visit(root)
-
-
-def _child_structures(v: Value) -> Iterator[FeatureStructure]:
-    if isinstance(v, FeatureStructure):
-        yield v
-    elif isinstance(v, tuple):
-        for item in v:
-            yield from _child_structures(item)
-
+# Reader
 
 def parse_gil(text: str) -> FeatureStructure:
     """Parse a GIL document into its root structure, with sharing resolved."""
-    parser = _Parser(text)
-    root = parser.document()
-    _resolve(root, parser.defs)
-    return root
+
+    tokens = _TOKENS.scan(text)
+
+    def fail(message: str, at: int) -> NoReturn:
+        for _ in tokens:
+            pass
+        raise GilError(message, *locator(text)(at))
+
+    return _read(tokens, fail)
+
+
+def _read(tokens: Iterator[tuple], fail) -> FeatureStructure:
+    """Read a document with an explicit stack of open structures and lists.
+
+    A ``#n`` reference takes the node of its tag at once, also before the
+    ``#n=`` that fills that node in is read, so nothing is left to resolve.
+    """
+    kind, _, at = next(tokens)
+    if kind != "lbrack":
+        fail("a GIL document starts with '['", at)
+    shared: dict[int, FeatureStructure] = {}  # the node each tag stands for
+    opened: set[int] = set()  # tags whose definition has begun
+    defined: set[int] = set()  # tags whose definition is complete
+    referenced = False
+    # open structures [fs, at, name, name at, tag, tag at] and lists [items, at]
+    stack: list[list] = [[FeatureStructure(), at, None, 0, None, 0]]
+    value = None  # the value just read; None when a list or structure opened
+    while True:
+        # hand the value to the innermost open list or structure, and close
+        # each one whose closing token follows
+        while True:
+            frame = stack[-1]
+            if len(frame) == 2:
+                if value is None:
+                    break
+                frame[0].append(value)
+                kind, _, at = next(tokens)
+                if kind == "comma":
+                    break
+                if kind == "eof":
+                    fail("unbalanced '<'", frame[1])
+                if kind != "rangle":
+                    fail(f"expected ',' or '>', found {kind}", at)
+                stack.pop()
+                value = tuple(frame[0])
+                continue
+            fs = frame[0]
+            if value is not None:
+                kind, _, at = next(tokens)
+                if kind != "rparen":
+                    fail("attribute pair not closed with ')'", at)
+                try:
+                    fs._append(frame[2], value)
+                except GilError as e:
+                    fail(e.message, frame[3])
+            kind, _, at = next(tokens)
+            if kind == "lparen":
+                kind, name, at = next(tokens)
+                if kind != "symbol":
+                    fail(f"expected symbol, found {kind}", at)
+                frame[2], frame[3] = name, at
+                break
+            if kind == "eof":
+                fail("unbalanced '['", frame[1])
+            if kind != "rbrack":
+                fail(f"expected '(' or ']', found {kind}", at)
+            stack.pop()
+            tag = frame[4]
+            if tag is not None:
+                if tag in defined:
+                    fail(f"coreference tag #{tag} defined twice", frame[5])
+                defined.add(tag)
+                fs.coref_tag = tag
+            if not stack:
+                kind, _, at = next(tokens)
+                if kind != "eof":
+                    fail(f"trailing {kind} after document", at)
+                if referenced:
+                    _check_references(fs, {id(node): tag for tag, node in shared.items()
+                                           if tag not in defined})
+                return fs
+            value = fs
+        kind, value, at = next(tokens)  # the first token of the next value
+        if kind == "symbol":
+            value = Sym(value)
+        elif kind == "corefref":
+            referenced = True
+            node = shared.get(value)
+            if node is None:
+                node = shared[value] = FeatureStructure()
+            value = node
+        elif kind == "langle":
+            stack.append([[], at])
+            value = None
+        elif kind == "rangle" and len(stack[-1]) == 2 and not stack[-1][0]:
+            stack.pop()  # '< >'
+            value = ()
+        elif kind == "lbrack" or kind == "corefdef":
+            fs, tag, tag_at = FeatureStructure(), None, 0
+            if kind == "corefdef":
+                tag, tag_at = value, at
+                kind, _, at = next(tokens)
+                if kind != "lbrack":
+                    fail("'#n=' must be followed by a structure", at)
+                if tag not in opened:  # a second definition fails when it closes
+                    opened.add(tag)
+                    fs = shared.setdefault(tag, fs)
+            stack.append([fs, at, None, 0, tag, tag_at])
+            value = None
+        elif kind != "string" and kind != "int":
+            fail(f"expected a value, found {kind}", at)
+
+
+def _check_references(root: FeatureStructure, undefined: dict[int, int]) -> None:
+    """Raise for the first node in ``undefined`` (id -> tag) met in a
+    depth-first walk in document order, else for a cycle."""
+    on_path: set[int] = set()
+    done: set[int] = set()
+    todo: list = [(root, False)]
+    while todo:
+        fs, leaving = todo.pop()
+        if leaving:
+            on_path.discard(id(fs))
+            done.add(id(fs))
+            continue
+        if id(fs) in done:
+            continue
+        if id(fs) in on_path:
+            if undefined:
+                continue
+            raise GilError("coreferences form a cycle")
+        on_path.add(id(fs))
+        todo.append((fs, True))
+        children = _child_structures(fs)
+        for child in children:
+            if id(child) in undefined:
+                raise GilError(f"coreference tag #{undefined[id(child)]} is never defined")
+        todo.extend((child, False) for child in reversed(children))
+
+
+def _child_structures(fs: FeatureStructure) -> list[FeatureStructure]:
+    """The structures among ``fs``'s values, lists flattened, in order."""
+    out, todo = [], fs._values[::-1]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, FeatureStructure):
+            out.append(v)
+        elif isinstance(v, tuple):
+            todo.extend(reversed(v))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +439,7 @@ def serialize_gil(fs: FeatureStructure, pretty: bool = False) -> str:
         if isinstance(v, Sym):
             return v.text
         if isinstance(v, str):
-            body = v.replace("\\", "\\\\").replace('"', '\\"')
-            body = body.replace("\n", "\\n").replace("\t", "\\t")
-            return f'"{body}"'
+            return quote(v)
         if isinstance(v, int):
             return str(v)
         if isinstance(v, tuple):
@@ -534,28 +495,29 @@ def fs_equal(a: FeatureStructure, b: FeatureStructure) -> bool:
 
     Sharing and tag numbering are invisible to equality.
     """
-    return _value_equal(a, b)
-
-
-def _value_equal(a: Value, b: Value) -> bool:
-    if isinstance(a, FeatureStructure) and isinstance(b, FeatureStructure):
-        if a is b:
-            return True
-        keys_a = {n.upper() for n in a.attributes()}
-        keys_b = {n.upper() for n in b.attributes()}
-        if keys_a != keys_b:
+    todo: list = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if isinstance(a, FeatureStructure) and isinstance(b, FeatureStructure):
+            if a is not b:
+                if a._index.keys() != b._index.keys():
+                    return False
+                todo.extend((v, b._values[b._index[key]])
+                            for key, v in zip(a._index, a._values))
+        elif isinstance(a, tuple) and isinstance(b, tuple):
+            if len(a) != len(b):
+                return False
+            todo.extend(zip(a, b))
+        elif not atoms_equal(a, b):
             return False
-        return all(_value_equal(a.get(k), b.get(k)) for k in keys_a)
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(_value_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, Sym) and isinstance(b, Sym):
-        return a == b
-    if type(a) is type(b):
+    return True
+
+
+def atoms_equal(a, b) -> bool:
+    if isinstance(a, Sym) and isinstance(b, Sym) or type(a) is type(b):
         return a == b
     # bool is an int subtype; ints only ever come from the parser
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    return False
+    return isinstance(a, int) and isinstance(b, int) and a == b
 
 
 def fs_digest(fs: FeatureStructure) -> int:

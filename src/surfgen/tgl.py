@@ -34,27 +34,30 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, NoReturn, Optional, Union
 
-from .gil import Atom, FeatureStructure, Path, Sym, get_path, is_atom
+from .gil import (
+    STRING,
+    Atom,
+    FeatureStructure,
+    Path,
+    PositionedError,
+    Scanner,
+    Sym,
+    atoms_equal,
+    get_path,
+    is_atom,
+    locator,
+    quote,
+    unquote,
+)
 from .morpho import FunctionRegistry
 
 START_CATEGORY = "TXT"
 
 
-class TglError(Exception):
-    """Grammar text problem, with a 1-based line/column position."""
-
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(message)
-        self.message = message
-        self.line = line
-        self.col = col
-
-    def __str__(self) -> str:
-        if self.line:
-            return f"{self.line}:{self.col}: {self.message}"
-        return self.message
+class TglError(PositionedError):
+    """Grammar text problem."""
 
 
 # ---------------------------------------------------------------------------
@@ -279,238 +282,135 @@ class Grammar:
 
 
 # ---------------------------------------------------------------------------
-# Reader: s-expressions over the shared token shapes
+# Reader: s-expressions over the shared scanner.  Every item is a triple
+# (kind, value, offset): a token, or ("list", items, offset of its '(').
 
-_PUNCT = {"(": "lparen", ")": "rparen"}
-_SYM_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_SYM_CONT = _SYM_START | set("0123456789_-.")
-
-
-@dataclass
-class _Tok:
-    kind: str  # lparen rparen symbol keyword string int eof
-    value: object
-    line: int
-    col: int
+_TOKENS = Scanner(
+    TglError, {":": "expected a keyword name after ':'"},
+    {"keyword": lambda lexeme: lexeme[1:].upper(), "string": unquote, "int": int},
+    lparen=r"\(", rparen=r"\)", symbol=r"[A-Za-z][A-Za-z0-9_.-]*",
+    keyword=r":[A-Za-z0-9_.-]+", string=STRING, int=r"-?\d+")
 
 
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(msg):
-        raise TglError(msg, line, col)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+def _read_all(tokens: Iterator[tuple], fail) -> list:
+    forms: list = []
+    open_lists: list = []
+    for token in tokens:
+        kind = token[0]
+        if kind == "lparen":
+            open_lists.append(("list", [], token[2]))
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c in _PUNCT:
-            toks.append(_Tok(_PUNCT[c], c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == ":":
-            j = i + 1
-            while j < n and text[j] in _SYM_CONT:
-                j += 1
-            if j == i + 1:
-                err("expected a keyword name after ':'")
-            toks.append(_Tok("keyword", text[i + 1:j].upper(), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while True:
-                if j >= n:
-                    err("unterminated string")
-                ch = text[j]
-                if ch == "\\":
-                    if j + 1 >= n:
-                        err("unterminated escape")
-                    esc = text[j + 1]
-                    rep = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc)
-                    if rep is None:
-                        err(f"unknown escape \\{esc}")
-                    out.append(rep)
-                    j += 2
-                elif ch == '"':
-                    j += 1
-                    break
-                elif ch == "\n":
-                    err("newline in string literal")
-                else:
-                    out.append(ch)
-                    j += 1
-            toks.append(_Tok("string", "".join(out), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", int(text[i:j]), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _SYM_START:
-            j = i + 1
-            while j < n and text[j] in _SYM_CONT:
-                j += 1
-            toks.append(_Tok("symbol", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        err(f"unexpected character {c!r}")
-    toks.append(_Tok("eof", None, line, col))
-    return toks
-
-
-@dataclass
-class _SExpr:
-    items: list
-    line: int
-    col: int
-
-
-def _read_all(text: str) -> list:
-    toks = _lex(text)
-    pos = 0
-
-    def read_one():
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
-        if t.kind == "lparen":
-            items = []
-            while True:
-                nxt = toks[pos]
-                if nxt.kind == "rparen":
-                    pos += 1
-                    return _SExpr(items, t.line, t.col)
-                if nxt.kind == "eof":
-                    raise TglError("unbalanced '('", t.line, t.col)
-                items.append(read_one())
-        if t.kind == "rparen":
-            raise TglError("unmatched ')'", t.line, t.col)
-        return t
-
-    forms = []
-    while toks[pos].kind != "eof":
-        forms.append(read_one())
+        if kind == "eof":
+            if open_lists:
+                fail("unbalanced '('", open_lists[-1])
+            break
+        if kind == "rparen":
+            if not open_lists:
+                fail("unmatched ')'", token)
+            token = open_lists.pop()
+        (open_lists[-1][1] if open_lists else forms).append(token)
     return forms
 
 
+def _is_list(x) -> bool:
+    return x is not None and x[0] == "list"
+
+
 def _is_sym(x, name: Optional[str] = None) -> bool:
-    return (isinstance(x, _Tok) and x.kind == "symbol"
-            and (name is None or x.value.upper() == name))
+    return x[0] == "symbol" and (name is None or x[1].upper() == name)
 
 
 def _is_kw(x, name: str) -> bool:
-    return isinstance(x, _Tok) and x.kind == "keyword" and x.value == name
-
-
-def _where(x) -> tuple[int, int]:
-    return (x.line, x.col)
-
-
-def _atom_of(tok) -> Atom:
-    if tok.kind == "symbol":
-        return Sym(tok.value)
-    if tok.kind == "string":
-        return tok.value
-    if tok.kind == "int":
-        return tok.value
-    raise TglError(f"expected an atom, found {tok.kind}", *_where(tok))
-
-
-def _path_of(tok) -> Path:
-    if not _is_sym(tok):
-        raise TglError("expected an attribute path", *_where(tok))
-    try:
-        return Path.parse(tok.value)
-    except ValueError as e:
-        raise TglError(str(e), *_where(tok)) from None
+    return x[0] == "keyword" and x[1] == name
 
 
 class _GrammarReader:
-    def parse(self, text: str) -> Grammar:
+    def __init__(self, text: str):
+        self.tokens = _TOKENS.scan(text)
+        self.where = locator(text)
+
+    def fail(self, message: str, item) -> NoReturn:
+        for _ in self.tokens:
+            pass
+        raise TglError(message, *self.where(item[2]))
+
+    def parse(self) -> Grammar:
         grammar = Grammar()
-        for form in _read_all(text):
-            if not isinstance(form, _SExpr):
-                raise TglError("top level expects (DEFPRODUCTION ...)", *_where(form))
+        for form in _read_all(self.tokens, self.fail):
+            if form[0] != "list":
+                self.fail("top level expects (DEFPRODUCTION ...)", form)
             grammar.add(self.production(form))
         return grammar
 
-    def production(self, form: _SExpr) -> Rule:
-        items = form.items
+    def atom(self, item) -> Atom:
+        kind, value, _ = item
+        if kind == "symbol":
+            return Sym(value)
+        if kind == "string" or kind == "int":
+            return value
+        self.fail(f"expected an atom, found {kind}", item)
+
+    def path(self, item) -> Path:
+        if not _is_sym(item):
+            self.fail("expected an attribute path", item)
+        try:
+            return Path.parse(item[1])
+        except ValueError as e:
+            self.fail(str(e), item)
+
+    def production(self, form) -> Rule:
+        items = form[1]
         if not items or not _is_sym(items[0], "DEFPRODUCTION"):
-            raise TglError("expected (DEFPRODUCTION ...)", form.line, form.col)
+            self.fail("expected (DEFPRODUCTION ...)", form)
         if len(items) != 3:
-            raise TglError("DEFPRODUCTION wants a name and a rule body",
-                           form.line, form.col)
-        name_tok, body = items[1], items[2]
-        if not (isinstance(name_tok, _Tok) and name_tok.kind == "string"):
-            raise TglError("rule name must be a quoted string", *_where(name_tok))
-        if not isinstance(body, _SExpr):
-            raise TglError("rule body must be a list", *_where(body))
+            self.fail("DEFPRODUCTION wants a name and a rule body", form)
+        name, body = items[1], items[2]
+        if name[0] != "string":
+            self.fail("rule name must be a quoted string", name)
+        if body[0] != "list":
+            self.fail("rule body must be a list", body)
 
         precond = actions = None
         i = 0
-        while i < len(body.items):
-            item = body.items[i]
+        while i < len(body[1]):
+            item = body[1][i]
             if _is_kw(item, "PRECOND"):
-                precond = body.items[i + 1] if i + 1 < len(body.items) else None
+                precond = body[1][i + 1] if i + 1 < len(body[1]) else None
                 i += 2
             elif _is_kw(item, "ACTIONS"):
-                actions = body.items[i + 1] if i + 1 < len(body.items) else None
+                actions = body[1][i + 1] if i + 1 < len(body[1]) else None
                 i += 2
             else:
-                raise TglError("rule body allows :PRECOND and :ACTIONS",
-                               *_where(item))
-        if not isinstance(precond, _SExpr):
-            raise TglError("missing (:PRECOND ...)", body.line, body.col)
-        if not isinstance(actions, _SExpr):
-            raise TglError("missing (:ACTIONS ...)", body.line, body.col)
+                self.fail("rule body allows :PRECOND and :ACTIONS", item)
+        if not _is_list(precond):
+            self.fail("missing (:PRECOND ...)", body)
+        if not _is_list(actions):
+            self.fail("missing (:ACTIONS ...)", body)
 
         category, test = self.precond(precond)
         template, side_effects, constraints = self.actions(actions)
-        return Rule(name=name_tok.value, category=category, test=test,
+        return Rule(name=name[1], category=category, test=test,
                     template=template, side_effects=side_effects,
-                    constraints=constraints, line=form.line)
+                    constraints=constraints, line=self.where(form[2])[0])
 
-    def precond(self, form: _SExpr):
+    def precond(self, form):
+        items = form[1]
         category = None
         test: TestExpr = TrueTest()
         i = 0
-        while i < len(form.items):
-            item = form.items[i]
+        while i < len(items):
+            item = items[i]
             if _is_kw(item, "CAT"):
-                cat_tok = form.items[i + 1] if i + 1 < len(form.items) else None
+                cat_tok = items[i + 1] if i + 1 < len(items) else None
                 if cat_tok is None or not _is_sym(cat_tok):
-                    raise TglError(":CAT wants a category symbol", *_where(item))
-                category = cat_tok.value.upper()
+                    self.fail(":CAT wants a category symbol", item)
+                category = cat_tok[1].upper()
                 i += 2
             elif _is_kw(item, "TEST"):
-                test_form = form.items[i + 1] if i + 1 < len(form.items) else None
-                if not isinstance(test_form, _SExpr):
-                    raise TglError(":TEST wants a list of test expressions",
-                                   *_where(item))
-                exprs = [self.test(e) for e in test_form.items]
+                test_form = items[i + 1] if i + 1 < len(items) else None
+                if not _is_list(test_form):
+                    self.fail(":TEST wants a list of test expressions", item)
+                exprs = [self.test(e) for e in test_form[1]]
                 if not exprs:
                     test = TrueTest()
                 elif len(exprs) == 1:
@@ -519,177 +419,160 @@ class _GrammarReader:
                     test = And(tuple(exprs))
                 i += 2
             else:
-                raise TglError(":PRECOND allows :CAT and :TEST", *_where(item))
+                self.fail(":PRECOND allows :CAT and :TEST", item)
         if category is None:
-            raise TglError("rule lacks a :CAT", form.line, form.col)
+            self.fail("rule lacks a :CAT", form)
         return category, test
 
     def test(self, form) -> TestExpr:
-        if not isinstance(form, _SExpr) or not form.items or not _is_sym(form.items[0]):
-            raise TglError("test expression must be (OP ...)",
-                           *_where(form))
-        op = form.items[0].value.upper()
-        args = form.items[1:]
+        if form[0] != "list" or not form[1] or not _is_sym(form[1][0]):
+            self.fail("test expression must be (OP ...)", form)
+        op = form[1][0][1].upper()
+        args = form[1][1:]
         if op == "TRUE":
             return TrueTest()
         if op == "AND" or op == "OR":
             if not args:
-                raise TglError(f"{op} wants at least one expression",
-                               form.line, form.col)
+                self.fail(f"{op} wants at least one expression", form)
             items = tuple(self.test(a) for a in args)
             return And(items) if op == "AND" else Or(items)
         if op == "NOT":
             if len(args) != 1:
-                raise TglError("NOT wants exactly one expression",
-                               form.line, form.col)
+                self.fail("NOT wants exactly one expression", form)
             return Not(self.test(args[0]))
         if op == "EXISTS":
             if len(args) != 1:
-                raise TglError("EXISTS wants a path", form.line, form.col)
-            return Exists(_path_of(args[0]))
+                self.fail("EXISTS wants a path", form)
+            return Exists(self.path(args[0]))
         if op == "EQ":
             if len(args) != 2:
-                raise TglError("EQ wants a path and an atom", form.line, form.col)
-            return AtomEq(_path_of(args[0]), _atom_of(args[1]))
+                self.fail("EQ wants a path and an atom", form)
+            return AtomEq(self.path(args[0]), self.atom(args[1]))
         if op == "ROLE-FILLER-P":
             if len(args) != 1 or not _is_sym(args[0]):
-                raise TglError("ROLE-FILLER-P wants a role symbol",
-                               form.line, form.col)
-            return RoleFillerP(Sym(args[0].value))
+                self.fail("ROLE-FILLER-P wants a role symbol", form)
+            return RoleFillerP(Sym(args[0][1]))
         if op == "HAS-ADJUNCT":
             if len(args) != 1 or not _is_sym(args[0]):
-                raise TglError("HAS-ADJUNCT wants temp, dur or loc",
-                               form.line, form.col)
-            kind = Sym(args[0].value)
+                self.fail("HAS-ADJUNCT wants temp, dur or loc", form)
+            kind = Sym(args[0][1])
             if kind not in (Sym("temp"), Sym("dur"), Sym("loc")):
-                raise TglError("HAS-ADJUNCT wants temp, dur or loc",
-                               form.line, form.col)
+                self.fail("HAS-ADJUNCT wants temp, dur or loc", form)
             return HasAdjunct(kind)
         if op == "PRED":
             if not args or not _is_sym(args[0]):
-                raise TglError("PRED wants a predicate name", form.line, form.col)
-            return CallPred(args[0].value,
-                            tuple(self.pred_arg(a) for a in args[1:]))
-        raise TglError(f"unknown test operator {op}", form.line, form.col)
+                self.fail("PRED wants a predicate name", form)
+            return CallPred(args[0][1], tuple(self.pred_arg(a) for a in args[1:]))
+        self.fail(f"unknown test operator {op}", form)
 
     def pred_arg(self, form):
-        if isinstance(form, _Tok):
-            return _atom_of(form)
+        if form[0] != "list":
+            return self.atom(form)
         return self.selector(form)
 
     def selector(self, form) -> SelectorExpr:
-        if not isinstance(form, _SExpr) or not form.items or not _is_sym(form.items[0]):
-            raise TglError("selector must be (OP ...)", *_where(form))
-        op = form.items[0].value.upper()
-        args = form.items[1:]
+        if form[0] != "list" or not form[1] or not _is_sym(form[1][0]):
+            self.fail("selector must be (OP ...)", form)
+        op = form[1][0][1].upper()
+        args = form[1][1:]
         simple = {"THEME": Theme, "TEMP-ADJUNCT": TempAdjunct,
                   "TEMP-DURATION": TempDuration, "LOC-ADJUNCT": LocAdjunct,
                   "SELF": SelfSel}
         if op in simple:
             if args:
-                raise TglError(f"{op} takes no arguments", form.line, form.col)
+                self.fail(f"{op} takes no arguments", form)
             return simple[op]()
         if op == "PATH":
             if len(args) != 1:
-                raise TglError("PATH wants one path", form.line, form.col)
-            return PathSel(_path_of(args[0]))
+                self.fail("PATH wants one path", form)
+            return PathSel(self.path(args[0]))
         if op == "ROLE-FILLER":
             if len(args) != 1 or not _is_sym(args[0]):
-                raise TglError("ROLE-FILLER wants a role symbol",
-                               form.line, form.col)
-            return RoleFiller(Sym(args[0].value))
+                self.fail("ROLE-FILLER wants a role symbol", form)
+            return RoleFiller(Sym(args[0][1]))
         if op == "SEL":
             if not args or not _is_sym(args[0]):
-                raise TglError("SEL wants a selector name", form.line, form.col)
-            return CallSel(args[0].value,
-                           tuple(self.pred_arg(a) for a in args[1:]))
-        raise TglError(f"unknown selector {op}", form.line, form.col)
+                self.fail("SEL wants a selector name", form)
+            return CallSel(args[0][1], tuple(self.pred_arg(a) for a in args[1:]))
+        self.fail(f"unknown selector {op}", form)
 
-    def actions(self, form: _SExpr):
+    def actions(self, form):
+        items = form[1]
         template: list[Action] = []
         side_effects: list[FunCall] = []
         constraints: list[ConstraintEquation] = []
-        if not form.items or not _is_kw(form.items[0], "TEMPLATE"):
-            raise TglError(":ACTIONS must start with :TEMPLATE",
-                           form.line, form.col)
+        if not items or not _is_kw(items[0], "TEMPLATE"):
+            self.fail(":ACTIONS must start with :TEMPLATE", form)
         i = 1
-        while i < len(form.items):
-            item = form.items[i]
+        while i < len(items):
+            item = items[i]
             if self._is_template_action(item):
                 template.append(self.action(item))
                 i += 1
                 continue
             if _is_kw(item, "SIDE-EFFECTS"):
-                block = form.items[i + 1] if i + 1 < len(form.items) else None
-                if not isinstance(block, _SExpr):
-                    raise TglError(":SIDE-EFFECTS wants (fun-call+)", *_where(item))
-                for call in block.items:
-                    if not (isinstance(call, _SExpr) and call.items
-                            and _is_sym(call.items[0])):
-                        raise TglError("side effects must be function calls",
-                                       *_where(call))
+                block = items[i + 1] if i + 1 < len(items) else None
+                if not _is_list(block):
+                    self.fail(":SIDE-EFFECTS wants (fun-call+)", item)
+                for call in block[1]:
+                    if not (call[0] == "list" and call[1] and _is_sym(call[1][0])):
+                        self.fail("side effects must be function calls", call)
                     side_effects.append(
-                        FunCall(call.items[0].value,
-                                tuple(self.pred_arg(a) for a in call.items[1:]))
+                        FunCall(call[1][0][1],
+                                tuple(self.pred_arg(a) for a in call[1][1:]))
                     )
                 i += 2
                 continue
             if _is_kw(item, "CONSTRAINT") or _is_kw(item, "CONSTRAINTS"):
                 i += 1
                 count = 0
-                while i < len(form.items) and isinstance(form.items[i], _SExpr):
-                    constraints.append(self.equation(form.items[i]))
+                while i < len(items) and items[i][0] == "list":
+                    constraints.append(self.equation(items[i]))
                     count += 1
                     i += 1
                 if count == 0:
-                    raise TglError(":CONSTRAINTS wants at least one equation",
-                                   *_where(item))
+                    self.fail(":CONSTRAINTS wants at least one equation", item)
                 continue
-            raise TglError("unexpected item in :ACTIONS", *_where(item))
+            self.fail("unexpected item in :ACTIONS", item)
         if not template:
-            raise TglError(":TEMPLATE must hold at least one action",
-                           form.line, form.col)
+            self.fail(":TEMPLATE must hold at least one action", form)
         return tuple(template), tuple(side_effects), tuple(constraints)
 
     @staticmethod
     def _is_template_action(item) -> bool:
-        if isinstance(item, _Tok):
-            return item.kind == "string"
-        return bool(item.items) and any(
-            _is_kw(item.items[0], kw) for kw in ("RULE", "OPTRULE", "FUN")
+        if item[0] != "list":
+            return item[0] == "string"
+        return bool(item[1]) and any(
+            _is_kw(item[1][0], kw) for kw in ("RULE", "OPTRULE", "FUN")
         )
 
     def action(self, form) -> Action:
-        if isinstance(form, _Tok):
-            if form.kind == "string":
-                return Literal(form.value)
-            raise TglError("template actions are strings or (:OP ...)",
-                           *_where(form))
-        head = form.items[0]
-        op = head.value
-        args = form.items[1:]
+        if form[0] != "list":
+            if form[0] == "string":
+                return Literal(form[1])
+            self.fail("template actions are strings or (:OP ...)", form)
+        op = form[1][0][1]
+        args = form[1][1:]
         if op in ("RULE", "OPTRULE"):
             if len(args) != 2 or not _is_sym(args[0]):
-                raise TglError(f":{op} wants a category and a selector",
-                               form.line, form.col)
-            return RuleCall(args[0].value.upper(), self.selector(args[1]),
+                self.fail(f":{op} wants a category and a selector", form)
+            return RuleCall(args[0][1].upper(), self.selector(args[1]),
                             optional=(op == "OPTRULE"))
         if op == "FUN":
-            if len(args) != 1 or not isinstance(args[0], _SExpr):
-                raise TglError(":FUN wants one (name arg*) call",
-                               form.line, form.col)
+            if len(args) != 1 or args[0][0] != "list":
+                self.fail(":FUN wants one (name arg*) call", form)
             call = args[0]
-            if not call.items or not _is_sym(call.items[0]):
-                raise TglError("function call wants a name", call.line, call.col)
-            return FunCall(call.items[0].value,
-                           tuple(self.pred_arg(a) for a in call.items[1:]))
-        raise TglError(f"unknown template action :{op}", form.line, form.col)
+            if not call[1] or not _is_sym(call[1][0]):
+                self.fail("function call wants a name", call)
+            return FunCall(call[1][0][1],
+                           tuple(self.pred_arg(a) for a in call[1][1:]))
+        self.fail(f"unknown template action :{op}", form)
 
-    def equation(self, form: _SExpr) -> ConstraintEquation:
-        items = form.items
+    def equation(self, form) -> ConstraintEquation:
+        items = form[1]
         if not items or not _is_sym(items[0]):
-            raise TglError("equation wants a feature name", form.line, form.col)
-        feature = items[0].value.upper()
+            self.fail("equation wants a feature name", form)
+        feature = items[0][1].upper()
         refs: list[ConstituentRef] = []
         i = 1
         while i < len(items) and not _is_kw(items[i], "VAL"):
@@ -697,36 +580,31 @@ class _GrammarReader:
             i += 1
         if i < len(items):  # :VAL form
             if len(items) != i + 2:
-                raise TglError(":VAL wants exactly one atom", form.line, form.col)
+                self.fail(":VAL wants exactly one atom", form)
             if len(refs) != 1:
-                raise TglError("value assignment wants exactly one constituent",
-                               form.line, form.col)
-            return Assign(feature, refs[0], _atom_of(items[i + 1]))
+                self.fail("value assignment wants exactly one constituent", form)
+            return Assign(feature, refs[0], self.atom(items[i + 1]))
         if len(refs) < 2:
-            raise TglError("equation needs :VAL or at least two constituents",
-                           form.line, form.col)
+            self.fail("equation needs :VAL or at least two constituents", form)
         if len(set(map(str, refs))) != len(refs):
-            raise TglError("equated constituents must be distinct",
-                           form.line, form.col)
+            self.fail("equated constituents must be distinct", form)
         return Equate(feature, tuple(refs))
 
     def ref(self, form) -> ConstituentRef:
         if _is_sym(form, "LHS"):
             return Lhs()
-        if isinstance(form, _SExpr) and form.items and _is_sym(form.items[0]):
-            cat = form.items[0].value.upper()
-            if len(form.items) == 1:
+        if form[0] == "list" and form[1] and _is_sym(form[1][0]):
+            cat = form[1][0][1].upper()
+            if len(form[1]) == 1:
                 return Rhs(cat, 1)
-            if len(form.items) == 2 and isinstance(form.items[1], _Tok) \
-                    and form.items[1].kind == "int":
-                return Rhs(cat, form.items[1].value)
-        raise TglError("constituent reference is LHS, (CAT) or (CAT k)",
-                       *_where(form))
+            if len(form[1]) == 2 and form[1][1][0] == "int":
+                return Rhs(cat, form[1][1][1])
+        self.fail("constituent reference is LHS, (CAT) or (CAT k)", form)
 
 
 def parse_grammar(text: str) -> Grammar:
     """Read rules in source order; no name/registry checks beyond syntax."""
-    return _GrammarReader().parse(text)
+    return _GrammarReader(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -755,9 +633,7 @@ def _fmt_atom(a: Atom) -> str:
     if isinstance(a, Sym):
         return a.text
     if isinstance(a, str):
-        body = a.replace("\\", "\\\\").replace('"', '\\"')
-        body = body.replace("\n", "\\n").replace("\t", "\\t")
-        return f'"{body}"'
+        return quote(a)
     return str(a)
 
 
@@ -907,7 +783,7 @@ def eval_test(test: TestExpr, fs: FeatureStructure,
         return get_path(fs, test.path) is not None
     if isinstance(test, AtomEq):
         value = get_path(fs, test.path)
-        return value is not None and _atoms_equal(value, test.atom)
+        return value is not None and atoms_equal(value, test.atom)
     if isinstance(test, RoleFillerP):
         return _role_filler(fs, test.role) is not None
     if isinstance(test, HasAdjunct):
@@ -925,16 +801,6 @@ def eval_test(test: TestExpr, fs: FeatureStructure,
         args = tuple(_eval_arg(a, fs, None) for a in test.args)
         return bool(fn(fs, *args))
     raise TypeError(test)
-
-
-def _atoms_equal(a, b) -> bool:
-    if isinstance(a, Sym) and isinstance(b, Sym):
-        return a == b
-    if type(a) is type(b):
-        return a == b
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    return False
 
 
 def eval_selector(selector: SelectorExpr, fs: FeatureStructure,

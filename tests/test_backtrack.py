@@ -211,6 +211,21 @@ def test_memo_miss_on_different_input(regs):
     assert session.stats.fired_by_rule["np"] == 2
 
 
+def test_memo_hit_on_equal_deep_subtrees(regs):
+    # the bucket check compares the two 4000-deep subtrees without recursing
+    g = parse_grammar(
+        '(DEFPRODUCTION "t" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+        ' :ACTIONS (:TEMPLATE (:RULE NP (PATH A)) (:RULE NP (PATH B)))))\n'
+        '(DEFPRODUCTION "np" (:PRECOND (:CAT NP :TEST ((TRUE)))'
+        ' :ACTIONS (:TEMPLATE "n")))\n'
+    )
+    deep = "[(K " * 4000 + "v" + ")]" * 4000
+    fs = parse_gil(f"[(A {deep}) (B {deep})]")
+    session = GenerationSession(g, regs)
+    assert [s.text for s in session.solutions(fs)] == ["n n"]
+    assert session.stats.memo_hits == 1
+
+
 def test_memo_disabled_same_solutions_more_firing(regs):
     fs = parse_gil("[(A [(K v)])]")
     with_memo = GenerationSession(parse_grammar(MEMO_GRAMMAR), regs)

@@ -232,15 +232,48 @@ def test_custom_lexicon_flag(paths, tmp_path):
     assert out == "Prof. Zweig will Sie am Freitag sehen\n"
 
 
-def test_too_deeply_nested_input_is_an_input_error(paths, tmp_path):
-    depth = 2000
+def test_deeply_nested_input_follows_the_exit_code_contract(paths, tmp_path):
+    # the GIL reader has no recursion ceiling: 100,000 levels parse, and the
+    # demo grammar finds no solution in them
+    depth = 100_000
     doc = tmp_path / "nested.gil"
     doc.write_text("[(A " * depth + "x" + ")]" * depth, encoding="utf-8")
     code, out, err = run(["generate", "--grammar", paths["appointment"],
                           "--input", str(doc)])
+    assert code == EXIT_NO_SOLUTION
+    assert out == ""
+    assert "error:" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["generate", "validate"])
+def test_superscript_digit_is_an_input_error(paths, tmp_path, command):
+    doc = tmp_path / "sup.gil"
+    doc.write_text("[(A \u00b2)]", encoding="utf-8")
+    grammar = tmp_path / "sup.tgl"
+    grammar.write_text('(DEFPRODUCTION "r" (:PRECOND (:CAT TXT :TEST ((EQ A \u00b2)))'
+                       ' :ACTIONS (:TEMPLATE "a")))', encoding="utf-8")
+    argv = [command, "--grammar", str(grammar)]
+    if command == "generate":
+        argv = ["generate", "--grammar", paths["appointment"], "--input", str(doc)]
+    code, out, err = run(argv)
     assert code == EXIT_ERROR
     assert out == ""
-    assert err == f"error: {doc}: structure nested too deeply to parse\n"
+    path, col = (doc, 5) if command == "generate" else (grammar, 53)
+    assert err == f"error: {path}:1:{col}: unexpected character '\u00b2'\n"
+
+
+@pytest.mark.parametrize("which", ["grammar", "input", "criteria", "lexicon"])
+def test_file_that_is_not_utf8_is_an_input_error(paths, tmp_path, which):
+    bad = tmp_path / f"bad.{which}"
+    bad.write_bytes(b"; \xff\n")
+    files = {"grammar": paths["appointment"], "input": paths["meeting"],
+             "criteria": paths["criteria"], "lexicon": None, which: str(bad)}
+    argv = ["generate"] + [arg for name, path in files.items() if path
+                           for arg in (f"--{name}", path)]
+    code, out, err = run(argv)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == f"error: cannot read {which} {str(bad)!r}: not UTF-8 (byte 2)\n"
 
 
 @pytest.mark.parametrize("command", ["generate", "validate"])

@@ -100,6 +100,73 @@ def test_lexical_error_reports_position():
     assert exc.value.col == 5
 
 
+@pytest.mark.parametrize("text, message, col", [
+    ("[(A ²)]", "unexpected character '²'", 5),
+    ("[(A 1²)]", "unexpected character '²'", 6),
+    ("[(A -²)]", "unexpected character '-'", 5),
+    ("[(A #²)]", "expected digits after '#'", 5),
+])
+def test_superscript_digits_are_not_integers(text, message, col):
+    # str.isdigit accepts them but int() does not; only decimal digits count
+    with pytest.raises(GilError) as exc:
+        parse_gil(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, 1, col)
+
+
+def test_decimal_digits_of_any_script_are_integers():
+    assert get_path(parse_gil("[(A ٣) (B -1٣)]"), "A") == 3
+    assert get_path(parse_gil("[(B -1٣)]"), "B") == -13
+
+
+def test_error_str_and_fields():
+    with pytest.raises(GilError) as exc:
+        parse_gil("[(A 1)\n (B $)]")
+    assert (str(exc.value), exc.value.message) == ("2:5: unexpected character '$'",
+                                                   "unexpected character '$'")
+    with pytest.raises(GilError) as exc:
+        parse_gil("[(A #1)]")
+    assert (exc.value.line, exc.value.col) == (0, 0)
+    assert str(exc.value) == "coreference tag #1 is never defined"
+
+
+DEPTH = 100_000
+
+
+def _deep(leaf: str, depth: int = DEPTH) -> str:
+    return "[(A " * depth + leaf + ")]" * depth
+
+
+def test_deep_document_parses_without_recursion():
+    fs = parse_gil(_deep("x"))
+    for _ in range(DEPTH):
+        fs = get_path(fs, "A")
+    assert fs == Sym("x")
+
+
+def test_deep_lists_and_references_parse_without_recursion():
+    depth = 20_000  # far past the recursion limit, and quicker than DEPTH
+    fs = parse_gil("[(R #1) (D " + "< " * depth + "#1= [(K v)]" + " >" * depth + ")]")
+    node = get_path(fs, "D")
+    for _ in range(depth):
+        node = node[0]
+    assert node is get_path(fs, "R")
+    with pytest.raises(GilError, match="cycle"):
+        parse_gil("[(A #1= " + _deep("#1", depth) + ")]")
+    with pytest.raises(GilError, match="#2 is never defined"):
+        parse_gil("[(A #1= " + _deep("#2", depth) + ")]")
+
+
+def test_fs_equal_on_deep_structures():
+    def deep(leaf):
+        fs = FeatureStructure([("A", Sym(leaf))])
+        for _ in range(DEPTH):
+            fs = FeatureStructure([("A", fs)])
+        return fs
+
+    assert fs_equal(deep("x"), deep("x"))
+    assert not fs_equal(deep("x"), deep("y"))
+
+
 def test_coref_definition_binds_tighter_than_list_separator():
     fs = parse_gil("[(A < #1= [(K v)], #1 >)]")
     items = get_path(fs, "A")

@@ -13,7 +13,10 @@ st = hypothesis.strategies
 
 SOURCES = [(DEMO_DIR / name).read_text(encoding="utf-8")
            for name in ("meeting.gil", "report.gil", "appointment.tgl", "voice.tgl")]
-ALPHABET = sorted(set("".join(SOURCES)))
+# plus characters that look like digits or letters to str methods but are
+# not decimal digits or ASCII letters, a decimal digit of another script,
+# and a control character
+ALPHABET = sorted(set("".join(SOURCES)) | set("\u00b2\u0663\u00e9\x00"))
 MAX_LEN = 200
 
 

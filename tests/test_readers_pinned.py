@@ -8,8 +8,8 @@ scheme of ``test_parser_fuzz`` (a window of at most 200 characters, or the
 whole text, with up to 8 insertions, deletions and replacements drawn from
 the demo texts' characters), plus hand-written cases for the corners:
 forward references, which of several undefined tags is reported, cycles,
-a tag defined twice beside another error, comments ending the text, and
-bad escapes.  The digests in ``data/reader_digests.json`` were taken
+a tag defined twice beside another error, a syntax error before a
+malformed token, comments ending the text, and bad escapes.  The digests in ``data/reader_digests.json`` were taken
 before the readers were last rewritten; regenerate them only for an
 intended change of behaviour:
 
@@ -92,6 +92,10 @@ HAND = {
         "name-not-symbol": '[("A" 1)]',
         "value-missing": "[(A)]",
         "symbol-chars": "[(A-b_2 x-y_9)]",
+        "syntax-error-then-lex-error": "[(A ] x $",
+        "lists-nested-empty": "[(A < < >, < > >)]",
+        "list-open-at-end": "[(A <",
+        "list-comma-first": "[(A < , 1 >)]",
     },
     "tgl": {
         "appointment": TEXTS["appointment.tgl"],
@@ -106,6 +110,7 @@ HAND = {
         "keyword-at-end": "(DEFPRODUCTION :",
         "unbalanced": '(DEFPRODUCTION "x" (:PRECOND (:CAT TXT',
         "unmatched": ")",
+        "unmatched-then-lex-error": '(A) ) "x',
         "top-level-atom": "DEFPRODUCTION",
         "comment-ends-text": RULE.format(test="", body='"a"') + " ; done",
         "comment-ends-open-text": '(DEFPRODUCTION "x" ; c',

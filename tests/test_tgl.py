@@ -1,6 +1,6 @@
 import pytest
 
-from surfgen.gil import FeatureStructure, Sym, fs_equal, get_path, parse_gil, serialize_gil
+from surfgen.gil import FeatureStructure, Path, Sym, fs_equal, get_path, parse_gil, serialize_gil
 from surfgen.tgl import (
     Assign,
     AtomEq,
@@ -83,6 +83,30 @@ def test_syntax_error_has_position():
     with pytest.raises(TglError) as exc:
         parse_grammar('(DEFPRODUCTION "x"\n  (:PRECOND (:CAT TXT :TEST ((TRUE)')
     assert exc.value.line >= 1
+
+
+def _rule_with_test(test: str) -> str:
+    return ('(DEFPRODUCTION "r" (:PRECOND (:CAT TXT :TEST (%s))'
+            ' :ACTIONS (:TEMPLATE "a")))' % test)
+
+
+def test_superscript_digit_is_not_an_integer():
+    with pytest.raises(TglError) as exc:
+        parse_grammar(_rule_with_test("(EQ A \u00b2)"))
+    assert (exc.value.message, exc.value.line, exc.value.col) == \
+        ("unexpected character '\u00b2'", 1, 53)
+    assert parse_grammar(_rule_with_test("(EQ A \u0663)")).rules[0].test \
+        == AtomEq(Path.parse("A"), 3)
+
+
+@pytest.mark.parametrize("text", [
+    _rule_with_test("(EQ A (B))"),
+    '(DEFPRODUCTION "r" (:PRECOND (:CAT TXT)'
+    ' :ACTIONS (:TEMPLATE "a" :CONSTRAINTS (N LHS :VAL (x)))))',
+])
+def test_list_where_an_atom_belongs_is_a_grammar_error(text):
+    with pytest.raises(TglError, match="expected an atom, found list"):
+        parse_grammar(text)
 
 
 def test_mixed_literals_and_calls_keep_order():
