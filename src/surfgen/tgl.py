@@ -615,7 +615,7 @@ def format_grammar(grammar: Grammar) -> str:
 
 
 def format_rule(rule: Rule) -> str:
-    lines = [f'(DEFPRODUCTION "{rule.name}"']
+    lines = [f"(DEFPRODUCTION {quote(rule.name)}"]
     lines.append(f"  (:PRECOND (:CAT {rule.category} :TEST ({_fmt_test(rule.test)}))")
     actions = " ".join(_fmt_action(a) for a in rule.template)
     body = f"   :ACTIONS (:TEMPLATE {actions}"

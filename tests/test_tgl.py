@@ -1,6 +1,15 @@
 import pytest
 
-from surfgen.gil import FeatureStructure, Path, Sym, fs_equal, get_path, parse_gil, serialize_gil
+from surfgen.gil import (
+    FeatureStructure,
+    Path,
+    Sym,
+    fs_equal,
+    get_path,
+    parse_gil,
+    quote,
+    serialize_gil,
+)
 from surfgen.tgl import (
     Assign,
     AtomEq,
@@ -169,6 +178,14 @@ def test_full_ast_roundtrip():
         test=g.rules[0].test, template=g.rules[0].template,
         side_effects=g.rules[0].side_effects,
         constraints=g.rules[0].constraints, line=again.rules[0].line)
+
+
+def test_rule_name_with_escapes_roundtrips():
+    name = 'say "hi"\\\n\t'
+    g = parse_grammar(f'(DEFPRODUCTION {quote(name)} (:PRECOND (:CAT TXT)'
+                      ' :ACTIONS (:TEMPLATE "x")))')
+    assert g.rules[0].name == name
+    assert parse_grammar(format_grammar(g)).rules[0].name == name
 
 
 def test_pretty_print_roundtrip(demo_dir):
