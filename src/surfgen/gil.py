@@ -190,8 +190,9 @@ class Scanner:
     """
 
     def __init__(self, error: type, hints: dict, convert: dict, **kinds: str):
-        tokens = "".join(f"(?P<{kind}>{pattern})|" for kind, pattern in kinds.items())
-        self.pattern = re.compile(r"(?:[ \t\r\n]+|;[^\n]*\n)*(?:" + tokens
+        alternatives = "".join(f"(?P<{kind}>{pattern})|"
+                               for kind, pattern in kinds.items())
+        self.pattern = re.compile(r"(?:[ \t\r\n]+|;[^\n]*\n)*(?:" + alternatives
                                   + r"(?P<eof>(?:;[^\n]*)?\Z)|(?P<bad>[\s\S]+))")
         self.error = error
         self.hints = hints
@@ -220,7 +221,8 @@ class Scanner:
 
     def _bad(self, rest: str) -> None:
         if rest[0] != '"':
-            raise ValueError(self.hints.get(rest[0], f"unexpected character {rest[0]!r}"))
+            raise ValueError(self.hints.get(rest[0],
+                                            f"unexpected character {rest[0]!r}"))
         end = _STRING_START.match(rest).end()
         if end == len(rest):
             raise ValueError("unterminated string")
@@ -387,7 +389,8 @@ def _check_references(root: FeatureStructure, undefined: dict[int, int]) -> None
         children = _child_structures(fs)
         for child in children:
             if id(child) in undefined:
-                raise GilError(f"coreference tag #{undefined[id(child)]} is never defined")
+                tag = undefined[id(child)]
+                raise GilError(f"coreference tag #{tag} is never defined")
         todo.extend((child, False) for child in reversed(children))
 
 
