@@ -282,3 +282,70 @@ def list_gil(n: int) -> str:
     for k in range(n, 0, -1):
         body = f"[(NO {k})" + (f" (REST {body})" if body else "") + "]"
     return body
+
+
+def flat_grammar(points: int) -> str:
+    """perfbench's wide grammar in small: W<i> holds a two-way choice C<i>
+    and, outside it, the verb agreeing with it in number."""
+    return "\n".join(
+        [f'(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+         f' :ACTIONS (:TEMPLATE'
+         f' {" ".join(f"(:RULE W{i} (SELF))" for i in range(points))})))']
+        + [f'(DEFPRODUCTION "w{i}" (:PRECOND (:CAT W{i} :TEST ((TRUE)))'
+           f' :ACTIONS (:TEMPLATE (:RULE C{i} (SELF)) (:FUN (verb fit))'
+           f' :CONSTRAINTS (NUM LHS (C{i})) (TENSE LHS :VAL pres)'
+           f' (PERSON LHS :VAL 3))))'
+           for i in range(points)]
+        + [f'(DEFPRODUCTION "c{i}-{alt}" (:PRECOND (:CAT C{i} :TEST ((TRUE)))'
+           f' :ACTIONS (:TEMPLATE "{alt}{i}" :CONSTRAINTS (NUM LHS :VAL {alt}))))'
+           for i in range(points) for alt in ("sg", "pl")])
+
+
+# Three choices X<i>, each holding in both its variants a choice Y<i>.  The
+# verb of S<i>, outside X<i>'s ego, agrees in number with Y<i> through
+# X<i>; the marker of X<i>'s second variant, outside Y<i>'s ego, agrees
+# with it in F.
+NESTED_GRAMMAR = "\n".join(
+    ['(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+     ' :ACTIONS (:TEMPLATE (:RULE S1 (SELF)) "and" (:RULE S2 (SELF))'
+     ' (:RULE S3 (SELF)))))']
+    + [line for i in (1, 2, 3) for line in (
+        f'(DEFPRODUCTION "s{i}" (:PRECOND (:CAT S{i} :TEST ((TRUE)))'
+        f' :ACTIONS (:TEMPLATE (:RULE X{i} (SELF)) (:FUN (verb fit))'
+        f' :CONSTRAINTS (NUM LHS (X{i})) (TENSE LHS :VAL pres)'
+        f' (PERSON LHS :VAL 3))))',
+        f'(DEFPRODUCTION "x{i}-a" (:PRECOND (:CAT X{i} :TEST ((TRUE)))'
+        f' :ACTIONS (:TEMPLATE "a{i}" (:RULE Y{i} (SELF))'
+        f' :CONSTRAINTS (NUM LHS (Y{i})))))',
+        f'(DEFPRODUCTION "x{i}-b" (:PRECOND (:CAT X{i} :TEST ((TRUE)))'
+        f' :ACTIONS (:TEMPLATE (:RULE Y{i} (SELF)) (:FUN (mark b{i}))'
+        f' :CONSTRAINTS (NUM LHS (Y{i})) (F LHS (Y{i})))))',
+        f'(DEFPRODUCTION "y{i}-sg" (:PRECOND (:CAT Y{i} :TEST ((TRUE)))'
+        f' :ACTIONS (:TEMPLATE "sg{i}" :CONSTRAINTS (NUM LHS :VAL sg)'
+        f' (F LHS :VAL v1))))',
+        f'(DEFPRODUCTION "y{i}-pl" (:PRECOND (:CAT Y{i} :TEST ((TRUE)))'
+        f' :ACTIONS (:TEMPLATE "pl{i}" :CONSTRAINTS (NUM LHS :VAL pl)'
+        f' (F LHS :VAL v2))))')])
+
+# A and B must agree in number, C and D in F, so 52 of 72 combinations are
+# filtered; the verb and the marker in the root layer follow them.
+FILTERED_GRAMMAR = "\n".join(
+    ['(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+     ' :ACTIONS (:TEMPLATE (:RULE A (SELF)) (:RULE B (SELF)) (:FUN (verb fit))'
+     ' (:RULE C (SELF)) (:RULE E (SELF)) (:RULE D (SELF)) (:FUN (mark z))'
+     ' :CONSTRAINTS (NUM LHS (A) (B)) (TENSE LHS :VAL pres)'
+     ' (PERSON LHS :VAL 3) (F LHS (C) (D)))))']
+    + [f'(DEFPRODUCTION "{cat.lower()}-{alt}" (:PRECOND (:CAT {cat}'
+       f' :TEST ((TRUE))) :ACTIONS (:TEMPLATE "{cat.lower()}{alt}"'
+       f' :CONSTRAINTS (NUM LHS :VAL {alt}))))'
+       for cat in "AB" for alt in ("sg", "pl")]
+    + [f'(DEFPRODUCTION "c-{v}" (:PRECOND (:CAT C :TEST ((TRUE)))'
+       f' :ACTIONS (:TEMPLATE "c{v}" :CONSTRAINTS (F LHS :VAL {v}))))'
+       for v in VALUES]
+    + [f'(DEFPRODUCTION "d-{v}" (:PRECOND (:CAT D :TEST ((TRUE)))'
+       f' :ACTIONS (:TEMPLATE "d{v}" :CONSTRAINTS (F LHS :VAL {v}))))'
+       for v in VALUES[:2]]
+    + ['(DEFPRODUCTION "d-any" (:PRECOND (:CAT D :TEST ((TRUE)))'
+       ' :ACTIONS (:TEMPLATE "dx")))']
+    + [f'(DEFPRODUCTION "e-{k}" (:PRECOND (:CAT E :TEST ((TRUE)))'
+       f' :ACTIONS (:TEMPLATE "e{k}")))' for k in (1, 2)])

@@ -3,7 +3,11 @@
 For every randomized case (``random_case`` and ``hard_case`` seeds 0-99),
 memo on and off, under three strategies, one short SHA-256 covers what a
 session shows: texts, weights, assignments, the derivations, the counters,
-the trace and the empty trail and graph after exhaustion.  The digests in
+the trace and the empty trail and graph after exhaustion.  Three long
+streams follow, in which many choices change at once between two emitted
+solutions: a 10-point flat grammar (1024 solutions), nested choices agreeing
+with words outside their enclosing ego, and choices that filter most
+combinations.  The digests in
 ``data/stream_digests.json`` were taken before the emission path was last
 reworked, so any change in behaviour names the first case that differs.
 
@@ -20,14 +24,20 @@ from fractions import Fraction
 
 from surfgen.backtrack import ResolvedNode
 from surfgen.engine import InflectCall, LiteralTok
+from surfgen.gil import FeatureStructure
 from surfgen.prefs import CriteriaSpec, Criterion, CriteriaStrategy
 from surfgen.session import GenerationSession
 
-from .grammars import build_registries, hard_case, random_case
+from surfgen.tgl import parse_grammar
+
+from .grammars import (FILTERED_GRAMMAR, NESTED_GRAMMAR, build_registries,
+                       flat_grammar, hard_case, random_case)
 
 DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "stream_digests.json"
 SEEDS = range(100)
 STRATEGIES = ("default", "per-occurrence", "ranked-per-distinct")
+LONG = {"flat10": flat_grammar(10), "nested": NESTED_GRAMMAR,
+        "filtered": FILTERED_GRAMMAR}
 
 
 def criteria(grammar, key: str, formula: str, mode: str) -> CriteriaStrategy:
@@ -103,6 +113,14 @@ def compute_digests() -> dict:
                     key = f"{kind}-{seed}-{'memo' if use_memo else 'nomemo'}-{name}"
                     strategy = strategy_for(name, grammar, key)
                     out[key] = digest(session_record(grammar, fs, use_memo, strategy))
+    for kind, text in LONG.items():
+        grammar = parse_grammar(text)
+        for use_memo in (True, False):
+            for name in STRATEGIES:
+                key = f"{kind}-{'memo' if use_memo else 'nomemo'}-{name}"
+                strategy = strategy_for(name, grammar, key)
+                out[key] = digest(session_record(grammar, FeatureStructure(),
+                                                 use_memo, strategy))
     return out
 
 
