@@ -412,63 +412,73 @@ def _child_structures(fs: FeatureStructure) -> list[FeatureStructure]:
 def serialize_gil(fs: FeatureStructure, pretty: bool = False) -> str:
     """Emit the concrete syntax; shared structures become ``#n=`` / ``#n``.
 
-    The output re-parses to a structure equal to the input.
+    The output re-parses to a structure equal to the input.  Both passes
+    are explicit-stack walks, so nesting depth is not bounded by Python's
+    recursion limit.
     """
+    # first pass, pre-order: how often each structure is reached; a
+    # structure reached twice is tagged, numbered by its first visit
     counts: dict[int, int] = {}
     order: list[FeatureStructure] = []
-    visiting: set[int] = set()
-
-    def count(v: Value) -> None:
+    todo: list = [fs]
+    while todo:
+        v = todo.pop()
         if isinstance(v, FeatureStructure):
             counts[id(v)] = counts.get(id(v), 0) + 1
             if counts[id(v)] == 1:
-                if id(v) in visiting:
-                    raise GilError("cannot serialize a cyclic structure")
-                visiting.add(id(v))
                 order.append(v)
-                for _, child in v.pairs():
-                    count(child)
-                visiting.discard(id(v))
+                todo.extend(reversed(v._values))
         elif isinstance(v, tuple):
-            for item in v:
-                count(item)
-
-    count(fs)
+            todo.extend(reversed(v))
     tags = {id(node): i + 1
             for i, node in enumerate(n for n in order if counts[id(n)] > 1)}
     emitted: set[int] = set()
-
-    def emit(v: Value, indent: int) -> str:
+    # second pass, in the same order: a str on the stack is output as it
+    # is, a (value, indent) pair is emitted
+    out: list[str] = []
+    todo = [(fs, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        v, indent = item
         if isinstance(v, Sym):
-            return v.text
-        if isinstance(v, str):
-            return quote(v)
-        if isinstance(v, int):
-            return str(v)
-        if isinstance(v, tuple):
+            out.append(v.text)
+        elif isinstance(v, str):
+            out.append(quote(v))
+        elif isinstance(v, int):
+            out.append(str(v))
+        elif isinstance(v, tuple):
             if not v:
-                return "< >"
-            return "< " + ", ".join(emit(item, indent) for item in v) + " >"
-        if isinstance(v, FeatureStructure):
+                out.append("< >")
+                continue
+            todo.append(" >")
+            for i in range(len(v) - 1, -1, -1):
+                todo.append((v[i], indent))
+                todo.append(", " if i else "< ")
+        elif isinstance(v, FeatureStructure):
             tag = tags.get(id(v))
             if tag is not None:
                 if id(v) in emitted:
-                    return f"#{tag}"
+                    out.append(f"#{tag}")
+                    continue
                 emitted.add(id(v))
-                return f"#{tag}= " + emit_fs(v, indent)
-            return emit_fs(v, indent)
-        raise GilError(f"cannot serialize value of type {type(v).__name__}")
-
-    def emit_fs(node: FeatureStructure, indent: int) -> str:
-        parts = [f"({name} {emit(value, indent + 1)})" for name, value in node.pairs()]
-        if not parts:
-            return "[]"
-        if pretty and len(parts) > 1:
-            pad = "\n" + " " * (indent + 1)
-            return "[" + pad.join(parts) + "]"
-        return "[" + " ".join(parts) + "]"
-
-    return emit_fs(fs, 0) if tags.get(id(fs)) is None else emit(fs, 0)
+                out.append(f"#{tag}= ")
+            if not v._names:
+                out.append("[]")
+                continue
+            sep = " "
+            if pretty and len(v._names) > 1:
+                sep = "\n" + " " * (indent + 1)
+            todo.append(")]")
+            for i in range(len(v._names) - 1, -1, -1):
+                todo.append((v._values[i], indent + 1))
+                todo.append(("[(" if i == 0 else ")" + sep + "(")
+                            + v._names[i] + " ")
+        else:
+            raise GilError(f"cannot serialize value of type {type(v).__name__}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from surfgen.gil import (
     serialize_gil,
 )
 
+from .grammars import hard_input, random_input
+
 
 def test_parse_meeting_document(meeting_fs):
     assert get_path(meeting_fs, "PRED") == Sym("request")
@@ -203,6 +205,33 @@ def test_serialize_shared_child_emits_one_definition():
     assert out.count("#1") == 2  # one definition, one reference
     again = parse_gil(out)
     assert get_path(again, "X") is get_path(again, "Y")
+
+
+def test_serialize_and_repr_of_a_very_deep_document():
+    depth = 100_000
+    text = "[(A " * depth + "x" + ")]" * depth
+    fs = parse_gil(text)
+    out = serialize_gil(fs)
+    assert out == text
+    assert fs_equal(parse_gil(out), fs)
+    assert repr(fs) == f"<FeatureStructure {text}>"
+
+
+@pytest.mark.parametrize("make", ["random", "hard"])
+def test_serialize_roundtrips_generated_documents(make):
+    """parse(serialize(fs)) equals fs, and serializing again gives the same
+    text: sharing and its #n= tags survive the trip."""
+    shared = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        fs = parse_gil(random_input(rng) if make == "random" else hard_input(rng))
+        for pretty in (False, True):
+            text = serialize_gil(fs, pretty)
+            again = parse_gil(text)
+            assert fs_equal(again, fs), text
+            assert serialize_gil(again, pretty) == text
+        shared += "#1=" in text
+    assert shared > 0 or make == "random"
 
 
 def test_serialize_escapes():

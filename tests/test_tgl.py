@@ -42,6 +42,8 @@ from surfgen.tgl import (
     validate_grammar,
 )
 
+from .grammars import hard_case, random_case
+
 VP_RULE = """
 (DEFPRODUCTION "VPinf with temp/loc adjuncts"
   (:PRECOND (:CAT VP :TEST ((ROLE-FILLER-P patient)))
@@ -186,6 +188,25 @@ def test_rule_name_with_escapes_roundtrips():
                       ' :ACTIONS (:TEMPLATE "x")))')
     assert g.rules[0].name == name
     assert parse_grammar(format_grammar(g)).rules[0].name == name
+
+
+def _grammar_texts(demo_dir):
+    from perfbench.workloads import wide_grammar_text
+
+    for name in ("appointment.tgl", "voice.tgl"):
+        yield name, (demo_dir / name).read_text(encoding="utf-8")
+    yield "wide", wide_grammar_text([8])
+    for seed in range(100):
+        for make in (random_case, hard_case):
+            yield f"{make.__name__}-{seed}", make(seed)[0]
+
+
+def test_format_grammar_is_a_fixed_point(demo_dir):
+    for name, grammar in _grammar_texts(demo_dir):
+        if isinstance(grammar, str):
+            grammar = parse_grammar(grammar)
+        text = format_grammar(grammar)
+        assert format_grammar(parse_grammar(text)) == text, name
 
 
 def test_pretty_print_roundtrip(demo_dir):
