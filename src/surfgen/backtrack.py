@@ -16,27 +16,34 @@ expanded through nested points, all combinations.  Partial results are
 additionally memoized by (category, input) and spliced instead of being
 re-derived when they recur.
 
-Every ego variant carries the constraint obligations its rules asserted.
-A combination is realized only if the union of its obligations is
-consistent; inflection calls are resolved against that union, so agreement
-features flipped by a new ego re-inflect material outside it.  The
-obligations outside every choice point (the root layer) are the same in
-every combination, so the session imposes them once for the whole stream.
-Each combination is walked once, by ``combination_frontier``, which
-collects its frontier, its resolved derivation, the obligations of its
-chosen egos and its rule names together; ``combination_state`` then
-imposes those obligations on top of the root layer.
+A *layer* is the root's or one ego variant's own material, down to but not
+into its choice points.  The walk that flattens a completed layer also
+reads off its points, the obligations its rules asserted and its rule
+names, once.  A combination is realized only if the union of its chosen
+egos' obligations is consistent; the obligations of the root layer are the
+same in every combination, so the session imposes them once for the whole
+stream.
+
+Each solution is built from the previous one as a delta (``Shown``): only
+the layers of egos whose choice changed are resolved again, the resolved
+trees above them are path-copied (Driscoll, Sarnak, Sleator and Tarjan
+1989) and every other subtree is shared, and only the enclosing layers'
+strings are joined again.  Inflection calls are resolved against the
+combination's feature values, but only those of the entered layers and
+those whose agreement class an entered or left ego touches are read again,
+so agreement features flipped by a new ego re-inflect exactly the material
+that agrees with it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .engine import (ChoiceRef, ConstraintClash, DerivationNode, FeatureGraph,
-                     flatten_frontier)
+                     InflectCall, LiteralTok, join_tokens)
 from .gil import FeatureStructure, fs_digest, fs_equal
 from .tgl import Rule
 
@@ -51,11 +58,7 @@ class Variant:
 
     rule_name: str
     node: Optional[DerivationNode]
-
-    @cached_property
-    def points(self) -> list["BacktrackPoint"]:
-        """Choice points of the variant's own layer; read once it is built."""
-        return layer_points(self.node.children)
+    layer: Optional["Layer"] = None  # set once the variant is captured
 
     def __repr__(self) -> str:
         return f"Variant({self.rule_name!r})"
@@ -64,9 +67,9 @@ class Variant:
 class BacktrackPoint:
     """A recorded conflict set with its surrounding context.
 
-    ``layer`` is the frontier of the completed layer holding the point
-    (shared by every point in it) and ``index`` the point's position there;
-    both stay None while the layer is open.
+    ``layer`` is the completed layer holding the point and ``index`` the
+    point's position in its frontier; ``layer`` stays None while the layer
+    is open.
     """
 
     __slots__ = ("id", "category", "input", "node_id", "parent",
@@ -85,7 +88,7 @@ class BacktrackPoint:
         self.remainder: list[Rule] = list(rules)
         self.consumed: list[str] = []
         self.variants: list[Variant] = []
-        self.layer: Optional[tuple] = None
+        self.layer: Optional[Layer] = None
         self.index = 0
         self.committed = False
 
@@ -109,8 +112,9 @@ class BacktrackPoint:
         while point is not None:
             if point.layer is None:
                 return None
-            parts.append(point.layer[:point.index] if left
-                         else point.layer[point.index + 1:])
+            frontier = point.layer.frontier
+            parts.append(frontier[:point.index] if left
+                         else frontier[point.index + 1:])
             point = point.parent[0] if point.parent else None
         if left:
             parts.reverse()
@@ -151,18 +155,76 @@ class BTTable:
         return len(self.points)
 
 
-def fill_post_contexts(items) -> tuple:
-    """Give the points of this (now complete) layer their contexts.
+class Layer:
+    """One layer: the root's or a variant's own material, down to its points.
 
-    Flattens one container subtree into its frontier, choice points staying
-    symbolic, and hands every point in it the frontier and its position.
-    Points inside ego variants are handled when their own variant completes.
+    What the walk that completes it reads off stays fixed: ``items`` (the
+    root's items, or the variant's node), ``point`` (the point it is a
+    variant of; None for the root), ``depth`` (points around it), its
+    ``frontier`` (choice points symbolic), its ``points``, the frontier
+    positions of its inflection ``calls``, and its nodes' ``obligations``
+    and rule ``names``, in pre-order.  The rest is how the layer was last
+    resolved: ``top`` (its resolved items), ``paths`` (point id -> child
+    index path in ``top``), ``parts`` (one string per frontier item; a
+    point's is its chosen ego's text) and ``text``, their join.
     """
-    layer = flatten_frontier(items)
-    for index, item in enumerate(layer):
+
+    __slots__ = ("items", "point", "depth", "frontier", "points", "calls",
+                 "obligations", "names", "top", "paths", "parts", "text")
+
+    def __init__(self, items, point: Optional[BacktrackPoint], depth: int):
+        self.items = items
+        self.point = point
+        self.depth = depth
+        self.top: Optional[tuple] = None
+        self.paths: Optional[dict] = None
+        self.parts: Optional[list] = None
+        self.text: Optional[str] = None
+
+    def __repr__(self) -> str:
+        owner = f"B{self.point.id}" if self.point else "root"
+        return f"<Layer {owner} depth={self.depth}>"
+
+
+def fill_post_contexts(items, readers: dict, point: Optional[BacktrackPoint] = None,
+                       depth: int = 0) -> Layer:
+    """Read off a (now complete) layer in one walk, and give its points
+    their contexts.
+
+    Flattens the items into their frontier, choice points staying
+    symbolic, and hands every point in it the layer and its position.
+    Points inside ego variants are handled when their own variant
+    completes.  Each inflection call with hooks is entered in ``readers``
+    under the node its hooks read (its rule's node), as (layer, position).
+    """
+    layer = Layer(items, point, depth)
+    frontier: list = []
+    points: list[BacktrackPoint] = []
+    calls: list[int] = []
+    obligations: list = []
+    names: list[str] = []
+    stack = list(reversed(items))
+    while stack:
+        item = stack.pop()
+        if isinstance(item, DerivationNode):
+            obligations.extend(item.obligations)
+            names.append(item.rule_name)
+            stack.extend(reversed(item.children))
+            continue
         if isinstance(item, ChoiceRef):
             item.point.layer = layer
-            item.point.index = index
+            item.point.index = len(frontier)
+            points.append(item.point)
+        elif isinstance(item, InflectCall):
+            calls.append(len(frontier))
+            if item.hooks:
+                readers.setdefault(item.hooks[0][1], []).append((layer, len(frontier)))
+        frontier.append(item)
+    layer.frontier = tuple(frontier)
+    layer.points = points
+    layer.calls = calls
+    layer.obligations = obligations
+    layer.names = names
     return layer
 
 
@@ -206,22 +268,8 @@ class MemoCache:
 # ---------------------------------------------------------------------------
 # Combinations: enumerating assignments over the table
 
-def layer_points(items) -> list[BacktrackPoint]:
-    """Choice points of one container layer, document order, not descending
-    into ego variants."""
-    out: list[BacktrackPoint] = []
-    stack = list(reversed(items))
-    while stack:
-        item = stack.pop()
-        if isinstance(item, ChoiceRef):
-            out.append(item.point)
-        elif isinstance(item, DerivationNode):
-            stack.extend(reversed(item.children))
-    return out
-
-
-def iter_assignments(items, fixed: dict[int, int]) -> Iterator[dict[int, int]]:
-    """All choice assignments for the subtree, leftmost point slowest.
+def iter_assignments(root: Layer, fixed: dict[int, int]) -> Iterator[dict[int, int]]:
+    """All choice assignments below the layer, leftmost point slowest.
 
     ``fixed`` pins given point ids to a variant index; every other
     reachable point ranges over its current variants.  A reachable point
@@ -236,7 +284,7 @@ def iter_assignments(items, fixed: dict[int, int]) -> Iterator[dict[int, int]]:
     # for the spawner's next point.  Merged choices stay in the outer acc
     # even once a later choice makes them unreachable; resolving ignores
     # them.  A frame is popped when exhausted, resuming the one below.
-    stack: list[list] = [[(layer_points(items), {}, None), 0, None, 0]]
+    stack: list[list] = [[(root.points, {}, None), 0, None, 0]]
     while stack:
         frame = stack[-1]
         layer, idx, choices, pos = frame
@@ -271,7 +319,7 @@ def iter_assignments(items, fixed: dict[int, int]) -> Iterator[dict[int, int]]:
         k = choices[pos]
         frame[3] = pos + 1
         acc[point.id] = k
-        stack.append([(point.variants[k].points, {}, (layer, idx)), 0, None, 0])
+        stack.append([(point.variants[k].layer.points, {}, (layer, idx)), 0, None, 0])
 
 
 @dataclass(frozen=True)
@@ -293,52 +341,237 @@ class ResolvedNode:
 
 
 _END = object()  # stack marker: the children of the innermost node are done
-_EGO_END = object()  # the same, for the node of a chosen ego
 
 
-def combination_frontier(items, assignment: dict[int, int]):
-    """Walk one combination once, in document order.
-
-    Returns (frontier, derivation, obligations, names): the preterminal
-    sequence, the resolved tree of the first item (None without items), the
-    obligations of the nodes inside chosen egos and every fired rule's name,
-    both in pre-order.  The root layer's obligations are left out: they are
-    the same in every combination.
-    """
-    frontier: list = []
-    obligations: list = []
-    names: list = []
-    top: list = []
-    built: list[list] = [top]  # resolved children of each node being walked
+def _resolve(layer: Layer, assignment: dict[int, int]) -> None:
+    """Give the layer its resolved items under assignment, whose chosen
+    layers below it are resolved already.  The first time, one walk of its
+    nodes also records the path to each point and the literal parts; after
+    that, only the points whose resolved ego differs are path-copied."""
+    if layer.top is not None:
+        top = layer.top
+        for point in layer.points:
+            ego = point.variants[assignment[point.id]].layer.top[0]
+            top = _path_copy(top, layer.paths[point.id], ego)
+        layer.top = top
+        return
+    paths: dict[int, tuple] = {}
+    parts: list[str] = []
+    built: list[list] = [[]]  # resolved children of each node being walked
     entered: list[DerivationNode] = []
-    egos = 0  # chosen egos around the current item
-    stack = list(reversed(items))
+    stack = list(reversed(layer.items))
     while stack:
         item = stack.pop()
-        if item is _END or item is _EGO_END:
-            if item is _EGO_END:
-                egos -= 1
+        if item is _END:
             node = entered.pop()
             children = tuple(built.pop())
             built[-1].append(ResolvedNode(node.rule_name, node.category, children))
-            continue
-        end = _END
-        if isinstance(item, ChoiceRef):
-            item = item.point.variants[assignment[item.point.id]].node
-            egos += 1
-            end = _EGO_END
-        if isinstance(item, DerivationNode):
-            if egos:
-                obligations.extend(item.obligations)
-            names.append(item.rule_name)
+        elif isinstance(item, DerivationNode):
             entered.append(item)
             built.append([])
-            stack.append(end)
+            stack.append(_END)
             stack.extend(reversed(item.children))
+        elif isinstance(item, ChoiceRef):
+            point = item.point
+            paths[point.id] = tuple(map(len, built))
+            built[-1].append(point.variants[assignment[point.id]].layer.top[0])
+            parts.append("")
         else:
-            frontier.append(item)
             built[-1].append(item)
-    return frontier, top[0] if top else None, obligations, names
+            parts.append(item.text if isinstance(item, LiteralTok) else "")
+    layer.top = tuple(built[0])
+    layer.paths = paths
+    layer.parts = parts
+
+
+def _path_copy(top: tuple, path: tuple, new) -> tuple:
+    """top with the item at path replaced by new: the nodes on the path are
+    copied, every subtree off it is shared.  top itself if new is there."""
+    seqs = [top]
+    for i in path[:-1]:
+        seqs.append(seqs[-1][i].children)
+    if seqs[-1][path[-1]] is new:
+        return top
+    for d in range(len(path) - 1, 0, -1):
+        seq, i = seqs[d], path[d]
+        node = seqs[d - 1][path[d - 1]]
+        new = ResolvedNode(node.rule_name, node.category,
+                           seq[:i] + (new,) + seq[i + 1:])
+    i = path[0]
+    return top[:i] + (new,) + top[i + 1:]
+
+
+class Shown:
+    """The last emitted solution, layer by layer: the base of the next one.
+
+    ``chosen`` maps each point the solution reaches to the layer of its
+    chosen variant, ``assignment`` is the solution's assignment and
+    ``names`` counts its fired rules.  Each shown layer holds its resolved
+    items and strings (see ``Layer``), so the solution's text and
+    derivation are the root layer's.
+    """
+
+    def __init__(self, root: Layer):
+        self.root = root
+        self.chosen: dict[int, Layer] = {}
+        self.assignment: dict[int, int] = {}
+        self.names: Counter = Counter()
+
+    @property
+    def text(self) -> str:
+        return self.root.text
+
+    @property
+    def derivation(self) -> "ResolvedNode":
+        return self.root.top[0]
+
+
+@dataclass
+class Delta:
+    """How a combination differs from the shown solution.
+
+    ``changes`` holds, per point reached through unchanged choices whose
+    own choice changed, (point, layer it now shows); the first solution
+    has the one change (None, root layer).  ``entered`` holds the layers of
+    the changes and the layers chosen within them, parents first, and
+    ``left`` the layers shown under a changed point.  ``chosen`` is the
+    combination's point -> layer map.  ``again`` lists the (layer,
+    position) of the calls of layers shown before and after that
+    ``inflections`` found must be read again.
+    """
+
+    assignment: dict
+    changes: list
+    entered: list
+    left: list
+    chosen: dict
+    again: list = field(default_factory=list)
+
+    def obligations(self) -> Iterator:
+        """The obligations of every chosen ego."""
+        return itertools.chain.from_iterable(
+            layer.obligations for layer in self.chosen.values())
+
+
+def combination_frontier(shown: Shown, assignment: dict[int, int]) -> Delta:
+    """The delta from the shown solution to one combination.
+
+    Resolves the entered layers, children first; nothing shown is touched,
+    so the delta is committed (``commit``) only if the combination turns
+    out consistent.
+    """
+    if shown.root.text is None:
+        changes = [(None, shown.root)]
+    else:
+        changes = []
+        for pid, k in assignment.items() - shown.assignment.items():
+            layer = shown.chosen.get(pid)
+            if layer is None:  # inside a changed ego, or out of reach
+                continue
+            point = layer.point
+            parent = point.parent
+            while parent is not None and assignment.get(parent[0].id) == parent[1]:
+                parent = parent[0].parent
+            if parent is None:
+                changes.append((point, point.variants[k].layer))
+    entered: list[Layer] = []
+    stack = [layer for _, layer in changes]
+    while stack:
+        layer = stack.pop()
+        entered.append(layer)
+        stack.extend(p.variants[assignment[p.id]].layer for p in layer.points)
+    for layer in reversed(entered):
+        _resolve(layer, assignment)
+    left: list[Layer] = []
+    stack = [shown.chosen[point.id] for point, _ in changes if point is not None]
+    while stack:
+        layer = stack.pop()
+        left.append(layer)
+        stack.extend(shown.chosen[p.id] for p in layer.points)
+    chosen = dict(shown.chosen)
+    for layer in left:
+        del chosen[layer.point.id]
+    for layer in entered:
+        if layer.point is not None:
+            chosen[layer.point.id] = layer
+    return Delta(assignment, changes, entered, left, chosen)
+
+
+def inflections(delta: Delta, graph: FeatureGraph, readers: dict) -> list:
+    """The (layer, position) of every inflection call the combination must
+    read, graph holding the combination: each call of an entered layer, and
+    each call of a layer shown before and after that has a hook slot in
+    the class of a slot named by an entered or left layer's obligation (a
+    hooked class that holds no such slot now held none before either, so
+    its value is unchanged).  readers is the index ``fill_post_contexts``
+    builds."""
+    calls = [(layer, pos) for layer in delta.entered for pos in layer.calls]
+    if delta.changes and delta.changes[0][0] is None:  # the first: all entered
+        return calls
+    entered = set(delta.entered)
+    chosen = delta.chosen
+    ring = graph.ring
+    seen: set = set()
+    again: dict = {}
+    for layer in itertools.chain(delta.entered, delta.left):
+        for slots, _ in layer.obligations:
+            for slot in slots:
+                root = graph.find(slot)
+                if root in seen:
+                    continue
+                seen.add(root)
+                member = slot
+                while True:
+                    for owner, pos in readers.get(member[0], ()):
+                        if owner not in entered \
+                                and (owner.point is None
+                                     or chosen.get(owner.point.id) is owner) \
+                                and (member[1], member[0]) in owner.frontier[pos].hooks:
+                            again[owner, pos] = None
+                    member = ring.get(member, member)
+                    if member == slot:
+                        break
+    delta.again = list(again)
+    return calls + delta.again
+
+
+def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
+    """Make the combination the shown solution: the read word forms go into
+    their parts, the entered layers are joined, and each changed layer
+    hands its resolved items and text to the layer around it, deepest
+    first, up to the root."""
+    for (layer, pos), form in zip(calls, forms):
+        layer.parts[pos] = form
+    chosen = delta.chosen
+    for layer in reversed(delta.entered):
+        for point in layer.points:
+            layer.parts[point.index] = chosen[point.id].text
+        layer.text = join_tokens(layer.parts)
+    levels: dict[int, dict] = {}  # depth -> layers whose text is stale
+
+    def hand_up(layer: Layer) -> None:
+        point = layer.point
+        if point is not None:
+            outer = point.layer
+            outer.top = _path_copy(outer.top, outer.paths[point.id], layer.top[0])
+            outer.parts[point.index] = layer.text
+            levels.setdefault(outer.depth, {})[outer] = None
+
+    for point, layer in delta.changes:
+        if point is not None:
+            hand_up(layer)
+    for layer, _ in delta.again:
+        levels.setdefault(layer.depth, {})[layer] = None
+    while levels:
+        for layer in levels.pop(max(levels)):
+            layer.text = join_tokens(layer.parts)
+            hand_up(layer)
+    for layer in delta.left:
+        shown.names.subtract(layer.names)
+    shown.names.update(itertools.chain.from_iterable(
+        layer.names for layer in delta.entered))
+    shown.chosen = chosen
+    shown.assignment = delta.assignment
 
 
 def combination_state(obligations, graph: FeatureGraph):

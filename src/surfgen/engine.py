@@ -10,7 +10,8 @@ The frontier of a derivation consists of preterminals: literal tokens and
 deferred inflection calls.  Inflection calls are turned into strings only at
 output time, against the feature values of the combination being realized,
 so a backtracked choice that flips an agreement feature re-realizes exactly
-the word forms it touches.
+the word forms it touches.  To find those forms, the feature graph links the
+slots of each agreement class in a ring.
 """
 
 from __future__ import annotations
@@ -90,6 +91,12 @@ class Trail:
                 _, graph, child, parent, child_binding, parent_was_bound = event
                 del graph.parent[child]
                 graph.size[parent] -= graph.size.get(child, 1)
+                ring = graph.ring  # swap the successors back
+                ring[child], ring[parent] = ring[parent], ring[child]
+                if ring[child] == child:
+                    del ring[child]
+                if ring[parent] == parent:
+                    del ring[parent]
                 if child_binding is not None:
                     graph.binding[child], graph.owner[child] = child_binding
                     if not parent_was_bound:
@@ -107,7 +114,12 @@ class Trail:
 
 
 class FeatureGraph:
-    """Union-find over (node, feature) slots with at most one atom per class."""
+    """Union-find over (node, feature) slots with at most one atom per class.
+
+    ``ring`` links the slots of each class in a cycle (a slot missing from
+    it is alone in its class), so a class's members can be listed from any
+    one of them.
+    """
 
     def __init__(self, trail: Trail):
         self.trail = trail
@@ -115,6 +127,7 @@ class FeatureGraph:
         self.size: dict[Slot, int] = {}
         self.binding: dict[Slot, Atom] = {}
         self.owner: dict[Slot, object] = {}
+        self.ring: dict[Slot, Slot] = {}
 
     def find(self, slot: Slot) -> Slot:
         # no path compression: keeps undo trivial
@@ -169,10 +182,12 @@ class FeatureGraph:
                 self.owner[rb] = old_owner
         self.parent[ra] = rb
         self.size[rb] = self.size.get(rb, 1) + self.size.get(ra, 1)
+        ring = self.ring  # swapping two successors joins their cycles
+        ring[ra], ring[rb] = ring.get(rb, rb), ring.get(ra, ra)
         self.trail.push(("union", self, ra, rb, child_binding, parent_was_bound))
 
     def is_empty(self) -> bool:
-        return not self.parent and not self.binding
+        return not self.parent and not self.binding and not self.ring
 
 
 def _atom_eq(a: Atom, b: Atom) -> bool:
@@ -331,32 +346,20 @@ def join_tokens(tokens) -> str:
     return "".join(out)
 
 
-def realize(frontier, registry: FunctionRegistry,
+def realize(items, registry: FunctionRegistry,
             values: Callable[[Slot], Optional[Atom]] = lambda slot: None,
-            stats: Optional["Stats"] = None) -> str:
-    """Turn a complete frontier of preterminals into its surface string."""
-    tokens = []
-    for item in frontier:
-        if isinstance(item, LiteralTok):
-            tokens.append(item.text)
-        elif isinstance(item, InflectCall):
-            tokens.append(item.realize(values, registry, stats))
+            stats: Optional["Stats"] = None) -> list[str]:
+    """The strings of preterminals: literal texts, and the word forms of
+    inflection calls under the given feature values."""
+    out = []
+    for item in items:
+        if isinstance(item, InflectCall):
+            out.append(item.realize(values, registry, stats))
+        elif isinstance(item, LiteralTok):
+            out.append(item.text)
         else:
             raise EngineError(f"frontier holds a non-preterminal: {item!r}")
-    return join_tokens(tokens)
-
-
-def flatten_frontier(items) -> tuple:
-    """In-order frontier of an item sequence; choice points stay symbolic."""
-    out: list = []
-    stack = list(reversed(items))
-    while stack:
-        item = stack.pop()
-        if isinstance(item, DerivationNode):
-            stack.extend(reversed(item.children))
-        else:
-            out.append(item)
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -160,10 +160,14 @@ def choose_backtrack_point(open_points, spec: CriteriaSpec) -> Optional[Backtrac
 def solution_weight(applied: ResolvedNode | Iterable[str],
                     spec: CriteriaSpec) -> Fraction:
     """Aggregate the weights of the c-rules a solution applied.  applied is
-    the solution's derivation or the names of its fired rules, one per
-    application (a Counter of them will do)."""
-    counts = (applied_rules(applied) if isinstance(applied, ResolvedNode)
-              else Counter(applied))
+    the solution's derivation, a Counter of its fired rules' names, or the
+    names themselves, one per application."""
+    if isinstance(applied, ResolvedNode):
+        counts = applied_rules(applied)
+    elif isinstance(applied, Counter):
+        counts = applied
+    else:
+        counts = Counter(applied)
     total = Fraction(0)
     for criterion in spec.criteria:
         n = counts.get(criterion.rule_name, 0)
@@ -192,7 +196,7 @@ class CriteriaStrategy:
     def choose_point(self, open_points: list[BacktrackPoint]):
         return choose_backtrack_point(open_points, self.spec)
 
-    def weight(self, rule_names: list[str]) -> Fraction:
+    def weight(self, rule_names: Counter) -> Fraction:
         return solution_weight(rule_names, self.spec)
 
 

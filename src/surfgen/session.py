@@ -5,9 +5,13 @@ memo cache, side-effect memory).  ``solutions()`` is a lazy stream: the
 first solution is derived top-down depth-first; every further solution is
 produced on demand by picking an unexhausted backtrack point, firing its
 next rule against the stored input substructure, and combining the new ego
-with the already-known contexts.  Only the new ego's subtree fires rules;
-everything else is reused, modulo word forms whose agreement features
-changed.
+with the already-known contexts.  Only the new ego's subtree fires rules.
+
+Emission, too, is a delta: each solution is built from the last one
+emitted (``backtrack.Shown``).  Only the egos whose choice changed are
+resolved and rendered, only the word forms they agree with are inflected
+again, and only the strings and resolved nodes around them are rebuilt;
+the first solution is the delta from nothing.
 
 A rule whose constraints clash with material that is *not* part of every
 solution through its position (a closed sibling alternative) is not
@@ -17,13 +21,14 @@ given combination of alternatives is consistent is decided per emitted
 solution, against the union of the combination's constraint obligations.
 The obligations outside every choice point are in every combination: they
 are imposed once, when the first derivation is captured, and stay on the
-graph for the whole stream; a combination adds and removes only those of
-its chosen egos.
+graph for the whole stream; the check of a combination adds and removes
+those of all its chosen egos.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -31,14 +36,17 @@ from typing import Iterator, Optional
 from .backtrack import (
     BacktrackPoint,
     BTTable,
+    Layer,
     MemoCache,
     ResolvedNode,
+    Shown,
     Variant,
     combination_frontier,
     combination_state,
+    commit,
     fill_post_contexts,
+    inflections,
     iter_assignments,
-    layer_points,
 )
 from .engine import (
     ROOT_OWNER,
@@ -78,7 +86,7 @@ class DefaultStrategy:
     def choose_point(self, open_points: list[BacktrackPoint]):
         return open_points[0] if open_points else None
 
-    def weight(self, rule_names: list[str]) -> Fraction:
+    def weight(self, rule_names: Counter) -> Fraction:
         return Fraction(0)
 
 
@@ -101,6 +109,10 @@ class GenerationSession:
         self.stats = Stats()
         self._node_ids = itertools.count(1)
         self._root_items: list = []
+        self._shown: Optional[Shown] = None  # set once the first derivation exists
+        # node id -> (layer, frontier position) of each inflection call whose
+        # hooks read that node, over every captured layer
+        self._readers: dict[int, list] = {}
         self._frames: list[list] = []
         # (point, variant index, variant) of every ego being built or
         # replayed, outermost first
@@ -124,10 +136,12 @@ class GenerationSession:
             if not ok:
                 self.trail.undo_to(base)
                 return
-            self._capture(self._root_items, layer_points(self._root_items))
+            root = self._capture(self._root_items, None, 0)
+            self._shown = Shown(root)
             self.trail.undo_to(base)
             # in every solution: imposed once, undone with the stream
-            self._impose_layer(self._root_items, ROOT_OWNER)
+            for ob in root.obligations:
+                self.graph.impose(ob, ROOT_OWNER)
             yield from self._emit({})
             while True:
                 point = self.strategy.choose_point(self.table.open_points())
@@ -458,7 +472,7 @@ class GenerationSession:
             self.trail.undo_to(mark)
             return None
         point.variants.append(variant)
-        self._capture(variant.node.children, variant.points)
+        variant.layer = self._capture([variant.node], point, point.layer.depth + 1)
         self.trail.undo_to(mark)
         return len(point.variants) - 1
 
@@ -466,47 +480,45 @@ class GenerationSession:
         """Re-assert the egos on the ancestor stack of the expanded point;
         the root layer is on the graph already."""
         for _, _, variant in self._variants:
-            self._impose_layer([variant.node], variant)
+            for ob in variant.layer.obligations:
+                self.graph.impose(ob, variant)
 
-    def _impose_layer(self, items, owner) -> None:
-        """Impose the obligations of a layer's nodes, not entering choices."""
-        stack = list(reversed(items))
-        while stack:
-            item = stack.pop()
-            if isinstance(item, DerivationNode):
-                for ob in item.obligations:
-                    self.graph.impose(ob, owner)
-                stack.extend(reversed(item.children))
-
-    def _capture(self, items, points) -> None:
+    def _capture(self, items, point: Optional[BacktrackPoint], depth: int) -> Layer:
         """Freeze a completed layer and the layers of its points' variants:
-        post-contexts filled, points committed."""
-        stack = [(items, points)]
+        each read off once, post-contexts filled, points committed."""
+        readers = self._readers
+        top = fill_post_contexts(items, readers, point, depth)
+        stack = [top]
         while stack:
-            items, points = stack.pop()
-            fill_post_contexts(items)
-            for point in points:
-                point.committed = True
-                stack.extend((v.node.children, v.points) for v in point.variants)
+            layer = stack.pop()
+            for inner in layer.points:
+                inner.committed = True
+                for v in inner.variants:
+                    v.layer = fill_post_contexts([v.node], readers, inner,
+                                                 layer.depth + 1)
+                    stack.append(v.layer)
+        return top
 
     # -- emission -----------------------------------------------------------
 
     def _emit(self, fixed: dict[int, int]) -> Iterator[Solution]:
-        for assignment in iter_assignments(self._root_items, fixed):
-            frontier, derivation, obligations, names = \
-                combination_frontier(self._root_items, assignment)
+        shown = self._shown
+        for assignment in iter_assignments(shown.root, fixed):
+            delta = combination_frontier(shown, assignment)
             # the graph holds the root layer: the check adds the chosen egos
             mark = self.trail.mark()
             try:
-                state = combination_state(obligations, self.graph)
+                state = combination_state(delta.obligations(), self.graph)
                 if state is None:
                     self.stats.combinations_filtered += 1
                     continue
-                text = realize(frontier, self.registries.functions,
-                               state.value, self.stats)
+                calls = inflections(delta, state, self._readers)
+                forms = realize([layer.frontier[pos] for layer, pos in calls],
+                                self.registries.functions, state.value, self.stats)
             finally:
                 self.trail.undo_to(mark)
-            weight = self.strategy.weight(names)
+            commit(shown, delta, calls, forms)
+            weight = self.strategy.weight(shown.names)
             self.stats.solutions_emitted += 1
-            self._trace("solution", detail=text)
-            yield Solution(text, weight, derivation, dict(assignment))
+            self._trace("solution", detail=shown.text)
+            yield Solution(shown.text, weight, shown.derivation, dict(assignment))

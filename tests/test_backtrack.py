@@ -1,12 +1,13 @@
 import pytest
 
-from surfgen.backtrack import combination_frontier, iter_assignments
-from surfgen.engine import ChoiceRef, InflectCall, LiteralTok, flatten_frontier
+from surfgen.backtrack import iter_assignments
+from surfgen.engine import ChoiceRef, InflectCall, LiteralTok
 from surfgen.gil import FeatureStructure, parse_gil
 from surfgen.session import GenerationSession
 from surfgen.tgl import Registries, parse_grammar
 
-from .grammars import LIST_GRAMMAR, build_registries, hard_case, list_gil, random_case
+from .grammars import (LIST_GRAMMAR, build_registries, flat_grammar, hard_case,
+                       list_gil, random_case)
 from .test_walkers import ref_resolve_items
 
 # A grammar shaped like the worked three-point table: an early choice, a
@@ -87,7 +88,7 @@ def test_table_shape(regs):
 
     # egos: one sequence per successfully applied conflict-set rule
     def egos(point):
-        return [_ctx(flatten_frontier([v.node])) for v in point.variants]
+        return [_ctx(v.layer.frontier) for v in point.variants]
 
     assert egos(b1) == [["s21"], ["s22"]]
     assert egos(b2) == [["s51", "B3", "s71"]]
@@ -120,7 +121,7 @@ def test_solutions_decompose_into_contexts_and_ego(make_case, memo):
         root = session._root_items
         for solution in solutions:
             assignment = solution.assignment
-            frontier = combination_frontier(root, assignment)[0]
+            frontier = _leaves(root, assignment)
             reached = [item.point for item in root if isinstance(item, ChoiceRef)]
             reached += [child.point for kind, node in ref_resolve_items(root, assignment)
                         if kind == "node" for child in node.children
@@ -358,7 +359,7 @@ def test_iter_assignments_cross_product(regs):
     g = parse_grammar(TABLE_GRAMMAR)
     session = GenerationSession(g, regs)
     list(session.solutions(FeatureStructure()))
-    combos = list(iter_assignments(session._root_items, {}))
+    combos = list(iter_assignments(session._shown.root, {}))
     assert len(combos) == 4  # |B1| = 2 times |B3| = 2; B2 contributes 1
     points = {p.id: p for p in session.table}
     assert all(a[points[2].id] == 0 for a in combos)
@@ -409,3 +410,30 @@ def test_further_solutions_impose_only_their_egos(regs, monkeypatch):
     assert expanded > 1
     stream.close()
     assert session.graph.is_empty() and len(session.trail) == 0
+
+
+def test_further_solutions_inflect_only_what_changed(regs, monkeypatch):
+    calls = [0]
+    realize = InflectCall.realize
+
+    def counting(self, *args):
+        calls[0] += 1
+        return realize(self, *args)
+
+    monkeypatch.setattr(InflectCall, "realize", counting)
+    session = GenerationSession(parse_grammar(flat_grammar(POINTS)), regs)
+    stream = session.solutions(FeatureStructure())
+    previous = next(stream).assignment
+    assert calls[0] == POINTS  # every verb
+    flipped = set()
+    for _ in range(300):
+        before = calls[0]
+        solution = next(stream)
+        changed = [p for p, k in solution.assignment.items() if previous[p] != k]
+        # each changed ego has no call of its own and one verb agreeing with it
+        assert calls[0] - before == len(changed)
+        flipped.update(changed)
+        previous = solution.assignment
+    # a verb is inflected anew only the first time its point flips
+    assert session.stats.re_realizations == len(flipped)
+    stream.close()

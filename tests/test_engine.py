@@ -265,6 +265,34 @@ def test_trail_full_undo_equals_fresh_state():
     assert len(trail) == 0
 
 
+def test_ring_lists_each_class_through_unions_and_undo():
+    rng = random.Random(11)
+    slots = [(n, f) for n in range(8) for f in ("F", "G")]
+    trail = Trail()
+    graph = FeatureGraph(trail)
+    marks = []
+    for _ in range(400):
+        roll = rng.random()
+        if roll < 0.2:
+            marks.append(trail.mark())
+        elif roll < 0.35 and marks:
+            trail.undo_to(marks.pop(rng.randrange(len(marks))))
+            del marks[len([m for m in marks if m <= trail.mark()]):]
+        else:
+            graph.equate(rng.sample(slots, rng.randint(2, 3)))
+        for slot in slots:
+            members, m = [], slot
+            while True:
+                members.append(m)
+                m = graph.ring.get(m, m)
+                if m == slot:
+                    break
+            root = graph.find(slot)
+            assert sorted(members) == [s for s in slots if graph.find(s) == root]
+    trail.undo_to(0)
+    assert graph.is_empty()
+
+
 # --- realization -------------------------------------------------------------
 
 def test_realize_example_frontier(regs):
@@ -274,11 +302,11 @@ def test_realize_example_frontier(regs):
         InflectCall("verb", (Sym("meet"),), ((("VFORM"), 1),)),
     ]
     values = lambda slot: Sym("inf") if slot == (1, "VFORM") else None
-    assert realize(frontier, regs.functions, values) == "Sie am Freitag treffen"
+    assert realize(frontier, regs.functions, values) == ["Sie", "am Freitag", "treffen"]
 
 
 def test_realize_empty_frontier(regs):
-    assert realize([], regs.functions) == ""
+    assert realize([], regs.functions) == []
 
 
 def test_realize_changed_hook_changes_form(regs):
@@ -288,11 +316,11 @@ def test_realize_changed_hook_changes_form(regs):
                   lambda s: Sym("akk"), stats)
     dat = realize([call], regs.functions,
                   lambda s: Sym("dat"), stats)
-    assert (akk, dat) == ("Sie", "Ihnen")
+    assert (akk, dat) == (["Sie"], ["Ihnen"])
     assert stats.re_realizations == 1
     # repeating a seen feature set reuses the cached form
     again = realize([call], regs.functions, lambda s: Sym("akk"), stats)
-    assert again == "Sie" and stats.re_realizations == 1
+    assert again == ["Sie"] and stats.re_realizations == 1
 
 
 def test_join_tokens_tabs_and_newlines():
@@ -316,14 +344,36 @@ def _join_tokens_loop(tokens) -> str:
     return "".join(out)
 
 
+TOKEN_POOL = ["", " ", "\t", "a\t", "\nb", "word", "Zweig", "x y"]
+
+
 def test_join_tokens_matches_the_loop_on_random_lists():
     rng = random.Random(7)
-    pool = ["", " ", "\t", "a\t", "\nb", "word", "Zweig", "x y"]
+    pool = TOKEN_POOL
     for _ in range(2000):
         tokens = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
         if rng.random() < 0.5:  # half without tabs or newlines: the fast path
             tokens = [t for t in tokens if "\t" not in t and "\n" not in t]
         assert join_tokens(tokens) == _join_tokens_loop(tokens), tokens
+
+
+def _joined_in_segments(tokens, rng, depth: int) -> str:
+    """join_tokens over the joins of random contiguous segments, nested."""
+    if depth == 0 or rng.random() < 0.3:
+        return join_tokens(tokens)
+    cuts = sorted(rng.choices(range(len(tokens) + 1), k=rng.randint(1, 3)))
+    bounds = [0] + cuts + [len(tokens)]
+    return join_tokens([_joined_in_segments(tokens[a:b], rng, depth - 1)
+                        for a, b in zip(bounds, bounds[1:])])
+
+
+def test_join_tokens_of_segment_joins_is_the_flat_join():
+    """A layer's text joins its chosen egos' texts as single tokens: exact,
+    since a join starts and ends with its first and last non-empty token."""
+    rng = random.Random(8)
+    for _ in range(2000):
+        tokens = [rng.choice(TOKEN_POOL) for _ in range(rng.randint(0, 12))]
+        assert _joined_in_segments(tokens, rng, 3) == join_tokens(tokens), tokens
 
 
 def test_tabular_output_via_literals(regs):

@@ -2,21 +2,26 @@
 
 The walkers are checked against reference recursive walks written here, on
 the derivations of the randomized grammars, and on chains far deeper than
-Python's recursion limit.
+Python's recursion limit.  The delta emission is checked the same way: a
+chain of deltas between arbitrary assignments must show, after each one,
+what a whole walk of that assignment gives.
 """
+
+from collections import Counter
 
 import pytest
 
 from surfgen.backtrack import (
     BacktrackPoint,
     ResolvedNode,
+    Shown,
     Variant,
     combination_frontier,
+    commit,
     fill_post_contexts,
     iter_assignments,
-    layer_points,
 )
-from surfgen.engine import ChoiceRef, DerivationNode, LiteralTok
+from surfgen.engine import ChoiceRef, DerivationNode, LiteralTok, join_tokens
 from surfgen.gil import FeatureStructure, Sym, fs_digest, fs_equal, parse_gil
 from surfgen.session import GenerationSession
 
@@ -122,6 +127,7 @@ def ref_ego_obligations(items, assignment, inside=False):
 
 
 def ref_fill_post_contexts(items):
+    """The layer's frontier and, per point in it, (point, position)."""
     segs, refs = [], []
 
     def walk(items):
@@ -134,10 +140,15 @@ def ref_fill_post_contexts(items):
                 segs.append(item)
 
     walk(items)
-    layer = tuple(segs)
-    for point, idx in refs:
-        point.layer, point.index = layer, idx
-    return layer
+    return tuple(segs), refs
+
+
+def ref_layer_nodes(items):
+    """The layer's nodes in pre-order, not entering choices."""
+    for item in items:
+        if isinstance(item, DerivationNode):
+            yield item
+            yield from ref_layer_nodes(item.children)
 
 
 def ref_rule_names(node):
@@ -167,15 +178,17 @@ def ordered(assignments):
     return [list(a.items()) for a in assignments]
 
 
-def point_layers(fill, items, points):
-    saved = [(p.layer, p.index) for p in points]
-    for p in points:
-        p.layer, p.index = None, 0
-    segs = fill(items)
-    got = [(p.layer, p.index) for p in points]
-    for p, (layer, index) in zip(points, saved):
-        p.layer, p.index = layer, index
-    return segs, got
+def form(item) -> str:
+    """A stand-in word form: the delta checks below need no feature values."""
+    return item.text if isinstance(item, LiteralTok) else f"<{item.function}>"
+
+
+def show(shown, assignment):
+    """Apply the delta to assignment, reading every entered layer's calls."""
+    delta = combination_frontier(shown, assignment)
+    calls = [(layer, pos) for layer in delta.entered for pos in layer.calls]
+    commit(shown, delta, calls, [form(layer.frontier[pos]) for layer, pos in calls])
+    return delta
 
 
 CASES = [random_case(seed) for seed in range(40)] + \
@@ -187,31 +200,40 @@ def test_walkers_match_reference_walks(case):
     grammar, fs = CASES[case]
     session = GenerationSession(grammar, build_registries())
     solutions = list(session.solutions(fs))
+    if session._shown is None:  # no derivation: nothing was captured
+        assert not solutions
+        return
     root = session._root_items
     points = list(session.table)
-    layers = [root] + [v.node.children for p in points for v in p.variants]
-    for items in layers:
-        assert layer_points(items) == ref_layer_points(items)
-        assert point_layers(fill_post_contexts, items, points) == \
-            point_layers(ref_fill_post_contexts, items, points)
+    layers = [session._shown.root] + [v.layer for p in points for v in p.variants]
+    for layer in layers:
+        frontier, refs = ref_fill_post_contexts(layer.items)
+        assert layer.frontier == frontier
+        assert [(p, p.index) for p in layer.points] == refs
+        assert all(p.layer is layer for p in layer.points)
+        nodes = list(ref_layer_nodes(layer.items))
+        assert same_items(layer.obligations, [ob for n in nodes for ob in n.obligations])
+        assert layer.names == [n.rule_name for n in nodes]
+    # a new chain of deltas over every assignment the pins give, in turn
+    shown = Shown(session._shown.root)
+    shown.root.text = None
     pins = [{}] + [{p.id: k} for p in points for k in range(len(p.variants) + 1)]
     for fixed in pins:
-        got = list(iter_assignments(root, fixed))
+        got = list(iter_assignments(shown.root, fixed))
         assert ordered(got) == ordered(ref_iter_assignments(root, fixed))
         for assignment in got:
-            frontier, derivation, obligations, names = \
-                combination_frontier(root, assignment)
+            delta = show(shown, assignment)
             events = list(ref_resolve_items(root, assignment))
-            assert same_items(frontier, [p for kind, p in events if kind == "leaf"])
-            assert same_items(obligations, list(ref_ego_obligations(root, assignment)))
-            assert names == [node.rule_name for kind, node in events if kind == "node"]
-            if not root:  # no solution: nothing to resolve
-                assert derivation is None
-                continue
+            assert shown.text == join_tokens([form(p) for kind, p in events
+                                              if kind == "leaf"])
+            assert Counter(map(id, delta.obligations())) == \
+                Counter(map(id, ref_ego_obligations(root, assignment)))
+            assert shown.names == Counter(node.rule_name for kind, node in events
+                                          if kind == "node")
             first = list(ref_resolve_items(root[:1], assignment))
-            assert list(derivation.rule_names()) == \
+            assert list(shown.derivation.rule_names()) == \
                 [node.rule_name for kind, node in first if kind == "node"]
-            assert same_items(resolved_leaves(derivation),
+            assert same_items(resolved_leaves(shown.derivation),
                               [p for kind, p in first if kind == "leaf"])
     for solution in solutions:
         assert list(solution.derivation.rule_names()) == \
@@ -239,21 +261,37 @@ def deep_chain():
 
 def test_walkers_on_deep_chain():
     items, point = deep_chain()
-    assert layer_points(items) == [point]
-    assert list(iter_assignments(items, {})) == [{point.id: 0}]
-    frontier, derivation, obligations, walked = \
-        combination_frontier(items, {point.id: 0})
-    assert len(frontier) == DEPTH + 1 and frontier[-1] == LiteralTok("x")
-    assert obligations == []
-    # no == on the derivation itself: dataclass equality recurses
-    names = list(derivation.rule_names())
-    assert len(names) == DEPTH + 1 and names[0] == "more" and names[-1] == "x"
-    assert walked == names
-    assert same_items(resolved_leaves(derivation), frontier)
-    segs = fill_post_contexts(items)
-    assert len(segs) == DEPTH + 1 and segs[-1] == ChoiceRef(point)
-    assert (point.layer, point.index) == (segs, DEPTH)
+    readers: dict = {}
+    x = point.variants[0]
+    x.layer = fill_post_contexts([x.node], readers, point, 1)
+    root = fill_post_contexts(items, readers)
+    assert root.points == [point]
+    assert len(root.frontier) == DEPTH + 1 and root.frontier[-1] == ChoiceRef(point)
+    assert (point.layer, point.index) == (root, DEPTH)
     assert point.post_context == ()
+    assert root.obligations == [] and len(root.names) == DEPTH
+    assert list(iter_assignments(root, {})) == [{point.id: 0}]
+    shown = Shown(root)
+    show(shown, {point.id: 0})
+    words = " ".join(str(k) for k in range(1, DEPTH + 1))
+    assert shown.text == words + " x"
+    first = shown.derivation
+    # no == on the derivation itself: dataclass equality recurses
+    names = list(first.rule_names())
+    assert len(names) == DEPTH + 1 and names[0] == "more" and names[-1] == "x"
+    assert Counter(names) == shown.names
+    leaves = resolved_leaves(first)
+    assert len(leaves) == DEPTH + 1 and leaves[-1] == LiteralTok("x")
+    # a second variant: the path to it is copied, the first tree is kept
+    y = Variant("y", DerivationNode("X", "y", point.input, 0))
+    y.node.children.append(LiteralTok("y"))
+    point.variants.append(y)
+    y.layer = fill_post_contexts([y.node], readers, point, 1)
+    show(shown, {point.id: 1})
+    assert shown.text == words + " y"
+    assert resolved_leaves(shown.derivation)[-1] == LiteralTok("y")
+    assert resolved_leaves(first)[-1] == LiteralTok("x")
+    assert shown.names["x"] == 0 and shown.names["y"] == 1
 
 
 def test_rule_names_on_deep_tree():
