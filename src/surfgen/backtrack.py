@@ -67,9 +67,9 @@ class Variant:
 class BacktrackPoint:
     """A recorded conflict set with its surrounding context.
 
-    ``layer`` is the completed layer holding the point and ``index`` the
-    point's position in its frontier; ``layer`` stays None while the layer
-    is open.
+    ``layer`` is the frontier of the completed layer holding the point
+    (shared by every point in it) and ``index`` the point's position there;
+    ``layer`` stays None while the layer is open.
     """
 
     __slots__ = ("id", "category", "input", "node_id", "parent",
@@ -88,7 +88,7 @@ class BacktrackPoint:
         self.remainder: list[Rule] = list(rules)
         self.consumed: list[str] = []
         self.variants: list[Variant] = []
-        self.layer: Optional[Layer] = None
+        self.layer: Optional[tuple] = None
         self.index = 0
         self.committed = False
 
@@ -112,9 +112,8 @@ class BacktrackPoint:
         while point is not None:
             if point.layer is None:
                 return None
-            frontier = point.layer.frontier
-            parts.append(frontier[:point.index] if left
-                         else frontier[point.index + 1:])
+            parts.append(point.layer[:point.index] if left
+                         else point.layer[point.index + 1:])
             point = point.parent[0] if point.parent else None
         if left:
             parts.reverse()
@@ -192,7 +191,7 @@ def fill_post_contexts(items, readers: dict, point: Optional[BacktrackPoint] = N
     their contexts.
 
     Flattens the items into their frontier, choice points staying
-    symbolic, and hands every point in it the layer and its position.
+    symbolic, and hands every point in it the frontier and its position.
     Points inside ego variants are handled when their own variant
     completes.  Each inflection call with hooks is entered in ``readers``
     under the node its hooks read (its rule's node), as (layer, position).
@@ -212,7 +211,6 @@ def fill_post_contexts(items, readers: dict, point: Optional[BacktrackPoint] = N
             stack.extend(reversed(item.children))
             continue
         if isinstance(item, ChoiceRef):
-            item.point.layer = layer
             item.point.index = len(frontier)
             points.append(item.point)
         elif isinstance(item, InflectCall):
@@ -221,10 +219,12 @@ def fill_post_contexts(items, readers: dict, point: Optional[BacktrackPoint] = N
                 readers.setdefault(item.hooks[0][1], []).append((layer, len(frontier)))
         frontier.append(item)
     layer.frontier = tuple(frontier)
-    layer.points = points
-    layer.calls = calls
-    layer.obligations = obligations
-    layer.names = names
+    for p in points:
+        p.layer = layer.frontier
+    layer.points = tuple(points)
+    layer.calls = tuple(calls)
+    layer.obligations = tuple(obligations)
+    layer.names = tuple(names)
     return layer
 
 
@@ -322,7 +322,7 @@ def iter_assignments(root: Layer, fixed: dict[int, int]) -> Iterator[dict[int, i
         stack.append([(point.variants[k].layer.points, {}, (layer, idx)), 0, None, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolvedNode:
     """Derivation tree of one emitted solution, choices resolved."""
 
@@ -420,6 +420,13 @@ class Shown:
     @property
     def text(self) -> str:
         return self.root.text
+
+    def holder(self, point: BacktrackPoint) -> Layer:
+        """The layer holding point."""
+        if point.parent is None:
+            return self.root
+        outer, k = point.parent
+        return outer.variants[k].layer
 
     @property
     def derivation(self) -> "ResolvedNode":
@@ -552,7 +559,7 @@ def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
     def hand_up(layer: Layer) -> None:
         point = layer.point
         if point is not None:
-            outer = point.layer
+            outer = shown.holder(point)
             outer.top = _path_copy(outer.top, outer.paths[point.id], layer.top[0])
             outer.parts[point.index] = layer.text
             levels.setdefault(outer.depth, {})[outer] = None

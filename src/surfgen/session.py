@@ -472,7 +472,8 @@ class GenerationSession:
             self.trail.undo_to(mark)
             return None
         point.variants.append(variant)
-        variant.layer = self._capture([variant.node], point, point.layer.depth + 1)
+        depth = self._shown.holder(point).depth + 1
+        variant.layer = self._capture([variant.node], point, depth)
         self.trail.undo_to(mark)
         return len(point.variants) - 1
 

@@ -277,7 +277,7 @@ def test_ring_lists_each_class_through_unions_and_undo():
             marks.append(trail.mark())
         elif roll < 0.35 and marks:
             trail.undo_to(marks.pop(rng.randrange(len(marks))))
-            del marks[len([m for m in marks if m <= trail.mark()]):]
+            marks = [m for m in marks if m <= trail.mark()]
         else:
             graph.equate(rng.sample(slots, rng.randint(2, 3)))
         for slot in slots:
@@ -349,9 +349,8 @@ TOKEN_POOL = ["", " ", "\t", "a\t", "\nb", "word", "Zweig", "x y"]
 
 def test_join_tokens_matches_the_loop_on_random_lists():
     rng = random.Random(7)
-    pool = TOKEN_POOL
     for _ in range(2000):
-        tokens = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+        tokens = [rng.choice(TOKEN_POOL) for _ in range(rng.randint(0, 8))]
         if rng.random() < 0.5:  # half without tabs or newlines: the fast path
             tokens = [t for t in tokens if "\t" not in t and "\n" not in t]
         assert join_tokens(tokens) == _join_tokens_loop(tokens), tokens

@@ -210,10 +210,10 @@ def test_walkers_match_reference_walks(case):
         frontier, refs = ref_fill_post_contexts(layer.items)
         assert layer.frontier == frontier
         assert [(p, p.index) for p in layer.points] == refs
-        assert all(p.layer is layer for p in layer.points)
+        assert all(p.layer is layer.frontier for p in layer.points)
         nodes = list(ref_layer_nodes(layer.items))
         assert same_items(layer.obligations, [ob for n in nodes for ob in n.obligations])
-        assert layer.names == [n.rule_name for n in nodes]
+        assert layer.names == tuple(n.rule_name for n in nodes)
     # a new chain of deltas over every assignment the pins give, in turn
     shown = Shown(session._shown.root)
     shown.root.text = None
@@ -265,11 +265,11 @@ def test_walkers_on_deep_chain():
     x = point.variants[0]
     x.layer = fill_post_contexts([x.node], readers, point, 1)
     root = fill_post_contexts(items, readers)
-    assert root.points == [point]
+    assert root.points == (point,)
     assert len(root.frontier) == DEPTH + 1 and root.frontier[-1] == ChoiceRef(point)
-    assert (point.layer, point.index) == (root, DEPTH)
+    assert (point.layer, point.index) == (root.frontier, DEPTH)
     assert point.post_context == ()
-    assert root.obligations == [] and len(root.names) == DEPTH
+    assert root.obligations == () and len(root.names) == DEPTH
     assert list(iter_assignments(root, {})) == [{point.id: 0}]
     shown = Shown(root)
     show(shown, {point.id: 0})
