@@ -407,8 +407,9 @@ class Shown:
     ``chosen`` maps each point the solution reaches to the layer of its
     chosen variant, ``assignment`` is the solution's assignment and
     ``names`` counts its fired rules.  Each shown layer holds its resolved
-    items and strings (see ``Layer``), so the solution's text and
-    derivation are the root layer's.
+    items and strings (see ``Layer``): the solution's text is the root
+    layer's ``text`` and its derivation the root layer's one resolved
+    item.
     """
 
     def __init__(self, root: Layer):
@@ -417,20 +418,12 @@ class Shown:
         self.assignment: dict[int, int] = {}
         self.names: Counter = Counter()
 
-    @property
-    def text(self) -> str:
-        return self.root.text
-
     def holder(self, point: BacktrackPoint) -> Layer:
         """The layer holding point."""
         if point.parent is None:
             return self.root
         outer, k = point.parent
         return outer.variants[k].layer
-
-    @property
-    def derivation(self) -> "ResolvedNode":
-        return self.root.top[0]
 
 
 @dataclass

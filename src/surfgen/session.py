@@ -521,5 +521,6 @@ class GenerationSession:
             commit(shown, delta, calls, forms)
             weight = self.strategy.weight(shown.names)
             self.stats.solutions_emitted += 1
-            self._trace("solution", detail=shown.text)
-            yield Solution(shown.text, weight, shown.derivation, dict(assignment))
+            text = shown.root.text
+            self._trace("solution", detail=text)
+            yield Solution(text, weight, shown.root.top[0], dict(assignment))

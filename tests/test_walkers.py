@@ -212,7 +212,8 @@ def test_walkers_match_reference_walks(case):
         assert [(p, p.index) for p in layer.points] == refs
         assert all(p.layer is layer.frontier for p in layer.points)
         nodes = list(ref_layer_nodes(layer.items))
-        assert same_items(layer.obligations, [ob for n in nodes for ob in n.obligations])
+        assert same_items(layer.obligations,
+                          [ob for n in nodes for ob in n.obligations])
         assert layer.names == tuple(n.rule_name for n in nodes)
     # a new chain of deltas over every assignment the pins give, in turn
     shown = Shown(session._shown.root)
@@ -224,16 +225,16 @@ def test_walkers_match_reference_walks(case):
         for assignment in got:
             delta = show(shown, assignment)
             events = list(ref_resolve_items(root, assignment))
-            assert shown.text == join_tokens([form(p) for kind, p in events
+            assert shown.root.text == join_tokens([form(p) for kind, p in events
                                               if kind == "leaf"])
             assert Counter(map(id, delta.obligations())) == \
                 Counter(map(id, ref_ego_obligations(root, assignment)))
             assert shown.names == Counter(node.rule_name for kind, node in events
                                           if kind == "node")
             first = list(ref_resolve_items(root[:1], assignment))
-            assert list(shown.derivation.rule_names()) == \
+            assert list(shown.root.top[0].rule_names()) == \
                 [node.rule_name for kind, node in first if kind == "node"]
-            assert same_items(resolved_leaves(shown.derivation),
+            assert same_items(resolved_leaves(shown.root.top[0]),
                               [p for kind, p in first if kind == "leaf"])
     for solution in solutions:
         assert list(solution.derivation.rule_names()) == \
@@ -274,8 +275,8 @@ def test_walkers_on_deep_chain():
     shown = Shown(root)
     show(shown, {point.id: 0})
     words = " ".join(str(k) for k in range(1, DEPTH + 1))
-    assert shown.text == words + " x"
-    first = shown.derivation
+    assert shown.root.text == words + " x"
+    first = shown.root.top[0]
     # no == on the derivation itself: dataclass equality recurses
     names = list(first.rule_names())
     assert len(names) == DEPTH + 1 and names[0] == "more" and names[-1] == "x"
@@ -288,8 +289,8 @@ def test_walkers_on_deep_chain():
     point.variants.append(y)
     y.layer = fill_post_contexts([y.node], readers, point, 1)
     show(shown, {point.id: 1})
-    assert shown.text == words + " y"
-    assert resolved_leaves(shown.derivation)[-1] == LiteralTok("y")
+    assert shown.root.text == words + " y"
+    assert resolved_leaves(shown.root.top[0])[-1] == LiteralTok("y")
     assert resolved_leaves(first)[-1] == LiteralTok("x")
     assert shown.names["x"] == 0 and shown.names["y"] == 1
 
