@@ -20,9 +20,19 @@ A *layer* is the root's or one ego variant's own material, down to but not
 into its choice points.  The walk that flattens a completed layer also
 reads off its points, the obligations its rules asserted and its rule
 names, once.  A combination is realized only if the union of its chosen
-egos' obligations is consistent; the obligations of the root layer are the
-same in every combination, so the session imposes them once for the whole
-stream.
+egos' obligations is consistent.  The obligations of the root layer are the
+same in every combination: they are imposed once for the whole stream.
+Those of the shown solution's egos stay imposed too, on a stack
+(``EgoStack``) whose order puts the egos that change most often on top, so
+checking the next combination undoes and imposes little more than the egos
+it changes.
+
+Assignments are enumerated by an odometer over the layers' points
+(``iter_assignments``).  A run of points that each have one variant, whose
+layer folds whole in turn, is one step of it (``Run``): the run's
+assignment is a fragment set at once.  The folds are cached on the layers
+and split as points gain variants, so starting the odometer costs a step
+per point that has a choice, not a step per point.
 
 Each solution is built from the previous one as a delta (``Shown``): only
 the layers of egos whose choice changed are resolved again, the resolved
@@ -93,10 +103,6 @@ class BacktrackPoint:
         self.committed = False
 
     @property
-    def exhausted(self) -> bool:
-        return not self.remainder
-
-    @property
     def pre_context(self) -> Optional[tuple]:
         """Material to the left, through enclosing points; None while open."""
         return self._context(left=True)
@@ -125,10 +131,16 @@ class BacktrackPoint:
 
 
 class BTTable:
-    """All backtrack points of one generation session, in creation order."""
+    """All backtrack points of one generation session, in creation order.
+
+    ``open`` holds the points whose remainder is not empty, in creation
+    order too: a point enters it when recorded with rules left and leaves
+    it when ``take`` empties its remainder or ``remove`` drops it.
+    """
 
     def __init__(self):
         self.points: dict[int, BacktrackPoint] = {}
+        self.open: dict[int, BacktrackPoint] = {}
         self._next_id = 1
 
     def record(self, category: str, input: FeatureStructure, node_id: int,
@@ -137,15 +149,23 @@ class BTTable:
                                rules, parent)
         self._next_id += 1
         self.points[point.id] = point
+        if point.remainder:
+            self.open[point.id] = point
         return point
+
+    def take(self, point: BacktrackPoint, i: int = 0) -> None:
+        """Remove rule i of the point's remainder."""
+        del point.remainder[i]
+        if not point.remainder:
+            self.open.pop(point.id, None)
 
     def remove(self, point: BacktrackPoint) -> None:
         self.points.pop(point.id, None)
+        self.open.pop(point.id, None)
 
     def open_points(self) -> list[BacktrackPoint]:
         """Unexhausted points, most recently created first."""
-        return [p for p in reversed(self.points.values())
-                if not p.exhausted]
+        return list(reversed(self.open.values()))
 
     def __iter__(self) -> Iterator[BacktrackPoint]:
         return iter(self.points.values())
@@ -162,19 +182,23 @@ class Layer:
     variant of; None for the root), ``depth`` (points around it), its
     ``frontier`` (choice points symbolic), its ``points``, the frontier
     positions of its inflection ``calls``, and its nodes' ``obligations``
-    and rule ``names``, in pre-order.  The rest is how the layer was last
-    resolved: ``top`` (its resolved items), ``paths`` (point id -> child
-    index path in ``top``), ``parts`` (one string per frontier item; a
-    point's is its chosen ego's text) and ``text``, their join.
+    and rule ``names``, in pre-order.  ``steps`` is its fold cache (see
+    ``layer_steps``), None until a walk needs it; ``Shown.unfold`` keeps it
+    up to date as points gain variants.  The rest is how the layer was
+    last resolved: ``top`` (its resolved items), ``paths`` (point id ->
+    child index path in ``top``), ``parts`` (one string per frontier item;
+    a point's is its chosen ego's text) and ``text``, their join.
     """
 
     __slots__ = ("items", "point", "depth", "frontier", "points", "calls",
-                 "obligations", "names", "top", "paths", "parts", "text")
+                 "obligations", "names", "steps", "top", "paths", "parts",
+                 "text")
 
     def __init__(self, items, point: Optional[BacktrackPoint], depth: int):
         self.items = items
         self.point = point
         self.depth = depth
+        self.steps: Optional[tuple] = None
         self.top: Optional[tuple] = None
         self.paths: Optional[dict] = None
         self.parts: Optional[list] = None
@@ -268,6 +292,100 @@ class MemoCache:
 # ---------------------------------------------------------------------------
 # Combinations: enumerating assignments over the table
 
+class Run:
+    """Consecutive points of a layer that each have one variant, whose
+    layer is folded whole: the odometer sets them all at once.
+
+    ``fragment`` is their assignment, {id: 0} for each of them and each
+    point below it, in pre-order; ``ids`` are the ids of the run's own
+    points and ``points`` the points, walked one by one when a pin falls
+    inside the run.
+    """
+
+    __slots__ = ("fragment", "ids", "points")
+
+    def __init__(self, fragment: dict[int, int], ids: list[int],
+                 points: list[BacktrackPoint]):
+        self.fragment = fragment
+        self.ids = ids
+        self.points = points
+
+
+def _whole_fragment(layer: Layer) -> Optional[dict]:
+    """The fragment of a layer folded whole, or None."""
+    steps = layer.steps
+    if not steps:
+        return {}
+    if len(steps) == 1 and type(steps[0]) is Run:
+        return steps[0].fragment
+    return None
+
+
+def layer_steps(layer: Layer) -> tuple:
+    """The layer's points, each run of foldable ones as one ``Run``.
+
+    A point is foldable when it has one variant and that variant's layer
+    is folded whole (it has no points, or one run).  The result is cached
+    on the layer, and the caches of the variant layers it reads are built
+    first, innermost first.
+    """
+    if layer.steps is not None:
+        return layer.steps
+    if not layer.points:
+        layer.steps = ()
+        return layer.steps
+    stack = [layer]
+    while stack:
+        top = stack[-1]
+        missing = [p.variants[0].layer for p in top.points
+                   if len(p.variants) == 1 and p.variants[0].layer.steps is None]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        steps: list = []
+        run = None
+        for point in top.points:
+            inner = _whole_fragment(point.variants[0].layer) \
+                if len(point.variants) == 1 else None
+            if inner is None:
+                steps.append(point)
+                run = None
+                continue
+            if run is None:
+                run = Run({}, [], [])
+                steps.append(run)
+            run.fragment[point.id] = 0
+            run.fragment.update(inner)
+            run.ids.append(point.id)
+            run.points.append(point)
+        top.steps = tuple(steps)
+    return layer.steps
+
+
+def _split(steps: tuple, point: BacktrackPoint) -> tuple:
+    """steps with point, which folds no longer, taken out of its run."""
+    for i, run in enumerate(steps):
+        if type(run) is Run and point.id in run.fragment:
+            break
+    else:
+        return steps
+    if len(run.ids) == 1:
+        return steps[:i] + (point,) + steps[i + 1:]
+    j = run.ids.index(point.id)
+    keys = list(run.fragment)  # the run's points' parts, one after another
+    start = keys.index(point.id)
+    parts: list = [point]
+    if j > 0:
+        parts.insert(0, Run(dict.fromkeys(keys[:start], 0), run.ids[:j],
+                            run.points[:j]))
+    if j + 1 < len(run.ids):
+        end = keys.index(run.ids[j + 1], start)
+        parts.append(Run(dict.fromkeys(keys[end:], 0), run.ids[j + 1:],
+                         run.points[j + 1:]))
+    return steps[:i] + tuple(parts) + steps[i + 1:]
+
+
 def iter_assignments(root: Layer, fixed: dict[int, int]) -> Iterator[dict[int, int]]:
     """All choice assignments below the layer, leftmost point slowest.
 
@@ -275,21 +393,25 @@ def iter_assignments(root: Layer, fixed: dict[int, int]) -> Iterator[dict[int, i
     reachable point ranges over its current variants.  A reachable point
     without variants yields no assignments at all.
     """
-    # A layer is (points, acc, spawner): its choice points, its choices so
-    # far, and the (layer, idx) of the point whose variant holds it.  A
-    # frame [layer, idx, choices, pos] steps point idx through its choices;
-    # for each it pushes the chosen variant's inner layer.  A frame at
-    # idx == len(points) has completed its layer: the outermost yields acc,
-    # an inner one merges acc into its spawner's layer and pushes the frame
-    # for the spawner's next point.  Merged choices stay in the outer acc
-    # even once a later choice makes them unreachable; resolving ignores
-    # them.  A frame is popped when exhausted, resuming the one below.
-    stack: list[list] = [[(root.points, {}, None), 0, None, 0]]
+    # A layer is (steps, acc, spawner): its steps (``layer_steps``), its
+    # choices so far, and the (layer, idx) of the step whose variant holds
+    # it.  A frame [layer, idx, choices, pos] steps the point at idx through
+    # its choices; for each it pushes the chosen variant's inner layer.  A run
+    # step sets its fragment in acc and pushes the frame for the next step;
+    # resumed, it pops its own ids, as its points' frames would.  A run
+    # with a pin inside is walked point by point instead, as a layer of its
+    # points sharing acc.  A frame at idx == len(steps) has completed its
+    # layer: the outermost yields acc, an inner one merges acc into its
+    # spawner's layer and pushes the frame for the spawner's next step.
+    # Merged choices stay in the outer acc even once a later choice makes
+    # them unreachable; resolving ignores them.  A frame is popped when
+    # exhausted, resuming the one below.
+    stack: list[list] = [[(layer_steps(root), {}, None), 0, None, 0]]
     while stack:
         frame = stack[-1]
         layer, idx, choices, pos = frame
-        points, acc, spawner = layer
-        if idx == len(points):
+        steps, acc, spawner = layer
+        if idx == len(steps):
             if choices is not None:  # resumed after its continuation ran
                 stack.pop()
                 continue
@@ -301,7 +423,21 @@ def iter_assignments(root: Layer, fixed: dict[int, int]) -> Iterator[dict[int, i
                 outer[1].update(acc)
                 stack.append([outer, outer_idx + 1, None, 0])
             continue
-        point = points[idx]
+        step = steps[idx]
+        if type(step) is Run:
+            if choices is not None:  # resumed after its continuation ran
+                for pid in choices:
+                    del acc[pid]
+                stack.pop()
+            elif fixed and not fixed.keys().isdisjoint(step.fragment.keys()):
+                frame[2] = ()
+                stack.append([(step.points, acc, (layer, idx)), 0, None, 0])
+            else:
+                acc.update(step.fragment)
+                frame[2] = step.ids
+                stack.append([layer, idx + 1, None, 0])
+            continue
+        point = step
         if choices is None:
             k = fixed.get(point.id)
             if k is None:
@@ -319,7 +455,8 @@ def iter_assignments(root: Layer, fixed: dict[int, int]) -> Iterator[dict[int, i
         k = choices[pos]
         frame[3] = pos + 1
         acc[point.id] = k
-        stack.append([(point.variants[k].layer.points, {}, (layer, idx)), 0, None, 0])
+        stack.append([(layer_steps(point.variants[k].layer), {}, (layer, idx)),
+                      0, None, 0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,6 +562,27 @@ class Shown:
         outer, k = point.parent
         return outer.variants[k].layer
 
+    def unfold(self, point: BacktrackPoint) -> None:
+        """Bring the fold caches up to date once point has a new variant.
+
+        A point with two variants now no longer folds: it is split out of
+        its run, and a layer that was folded whole no longer is, so its own
+        point is split out in the layer around it, and so on.  A point that
+        gains its first variant stays a step of its own where a cache has
+        it so; the walk takes such a step as it takes any point.
+        """
+        if len(point.variants) != 2:
+            return
+        layer = self.holder(point)
+        # a layer without a cache folds nothing, nor does any around it
+        while layer.steps is not None:
+            whole = _whole_fragment(layer) is not None
+            layer.steps = _split(layer.steps, point)
+            if not whole or layer.point is None:
+                return
+            point = layer.point
+            layer = self.holder(point)
+
 
 @dataclass
 class Delta:
@@ -434,10 +592,11 @@ class Delta:
     own choice changed, (point, layer it now shows); the first solution
     has the one change (None, root layer).  ``entered`` holds the layers of
     the changes and the layers chosen within them, parents first, and
-    ``left`` the layers shown under a changed point.  ``chosen`` is the
-    combination's point -> layer map.  ``again`` lists the (layer,
-    position) of the calls of layers shown before and after that
-    ``inflections`` found must be read again.
+    ``left`` the layers shown under a changed point.  ``changes`` and
+    ``entered`` are in document order.  ``chosen`` is the combination's
+    point -> layer map.  ``again`` lists the (layer, position) of the calls
+    of layers shown before and after that ``inflections`` found must be
+    read again.
     """
 
     assignment: dict
@@ -447,10 +606,17 @@ class Delta:
     chosen: dict
     again: list = field(default_factory=list)
 
-    def obligations(self) -> Iterator:
-        """The obligations of every chosen ego."""
-        return itertools.chain.from_iterable(
-            layer.obligations for layer in self.chosen.values())
+
+def _position(change) -> list:
+    """Where a change's point sits in document order: the frontier
+    positions of it and of the points around it, outermost first."""
+    point = change[0]
+    path = []
+    while point is not None:
+        path.append(point.index)
+        point = point.parent[0] if point.parent else None
+    path.reverse()
+    return path
 
 
 def combination_frontier(shown: Shown, assignment: dict[int, int]) -> Delta:
@@ -474,12 +640,15 @@ def combination_frontier(shown: Shown, assignment: dict[int, int]) -> Delta:
                 parent = parent[0].parent
             if parent is None:
                 changes.append((point, point.variants[k].layer))
-    entered: list[Layer] = []
-    stack = [layer for _, layer in changes]
+        if len(changes) > 1:
+            changes.sort(key=_position)
+    entered: list[Layer] = []  # in pre-order
+    stack = [layer for _, layer in reversed(changes)]
     while stack:
         layer = stack.pop()
         entered.append(layer)
-        stack.extend(p.variants[assignment[p.id]].layer for p in layer.points)
+        stack.extend(p.variants[assignment[p.id]].layer
+                     for p in reversed(layer.points))
     for layer in reversed(entered):
         _resolve(layer, assignment)
     left: list[Layer] = []
@@ -574,13 +743,75 @@ def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
     shown.assignment = delta.assignment
 
 
-def combination_state(obligations, graph: FeatureGraph):
-    """Impose one combination's ego obligations on graph, which holds the
-    root layer; None when inconsistent.  The caller undoes them through the
-    graph's trail."""
+class EgoStack:
+    """The shown solution's egos, imposed on a graph that holds the root
+    layer, so that checking a combination undoes and imposes only what
+    differs.
+
+    Each ego's obligations are imposed under one trail mark: ``layers``
+    and ``marks`` list them bottom first, and ``index`` maps each layer to
+    its position.  The first solution pushes its egos in document order,
+    and each combination pushes the egos it enters on top, so the egos
+    that change most often, the rightmost ones, sit highest.  Union-find
+    with backtracking undoes in LIFO order only (Westbrook and Tarjan
+    1989); the order of the stack keeps that cheap.
+    """
+
+    __slots__ = ("graph", "layers", "marks", "index")
+
+    def __init__(self, graph: FeatureGraph):
+        self.graph = graph
+        self.layers: list[Layer] = []
+        self.marks: list[int] = []
+        self.index: dict[Layer, int] = {}
+
+    def push(self, layers) -> None:
+        """Impose each layer's obligations on top; raises ConstraintClash
+        with the clashing layer pushed in part."""
+        graph = self.graph
+        for layer in layers:
+            self.index[layer] = len(self.layers)
+            self.layers.append(layer)
+            self.marks.append(graph.trail.mark())
+            for ob in layer.obligations:
+                graph.impose(ob)
+
+    def pop_to(self, i: int) -> list[Layer]:
+        """Undo the egos from position i up; returns them, bottom first."""
+        popped = self.layers[i:]
+        if popped:
+            self.graph.trail.undo_to(self.marks[i])
+            del self.layers[i:], self.marks[i:]
+            for layer in popped:
+                del self.index[layer]
+        return popped
+
+    def close(self) -> None:
+        """Undo every ego and forget the root layer: graph and trail end
+        empty, and no trail event keeps the graph in a reference cycle."""
+        self.pop_to(0)
+        self.graph.clear()
+
+
+def combination_state(delta: Delta, egos: EgoStack):
+    """Make egos hold the combination instead of the shown solution and
+    return its graph; None when the combination is inconsistent, egos then
+    holding the shown solution still.
+
+    Undoes the shown egos down to the lowest one the combination leaves,
+    imposes again those above it that the combination keeps, in their
+    order, and then the egos it enters."""
+    left = delta.left
+    i = min(map(egos.index.__getitem__, left)) if left else len(egos.layers)
+    popped = egos.pop_to(i)
+    pushed = [layer for layer in delta.entered if layer.point is not None]
+    if len(popped) > len(left):  # every ego left is among the popped
+        left = set(left)
+        pushed = [layer for layer in popped if layer not in left] + pushed
     try:
-        for ob in obligations:
-            graph.impose(ob)
+        egos.push(pushed)
     except ConstraintClash:
+        egos.pop_to(i)
+        egos.push(popped)
         return None
-    return graph
+    return egos.graph

@@ -186,6 +186,22 @@ class FeatureGraph:
         ring[ra], ring[rb] = ring.get(rb, rb), ring.get(ra, ra)
         self.trail.push(("union", self, ra, rb, child_binding, parent_was_bound))
 
+    def copy(self, trail: Trail) -> "FeatureGraph":
+        """A graph holding the same classes and bindings, logging to trail;
+        the copy itself writes no trail events."""
+        other = FeatureGraph(trail)
+        other.parent = dict(self.parent)
+        other.size = dict(self.size)
+        other.binding = dict(self.binding)
+        other.owner = dict(self.owner)
+        other.ring = dict(self.ring)
+        return other
+
+    def clear(self) -> None:
+        """Forget every class and binding, without trail events."""
+        for table in (self.parent, self.size, self.binding, self.owner, self.ring):
+            table.clear()
+
     def is_empty(self) -> bool:
         return not self.parent and not self.binding and not self.ring
 

@@ -21,6 +21,7 @@ weights are non-negative rationals (``2``, ``0.5``, ``1/3``), default 1.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,6 +70,15 @@ class CriteriaSpec:
     @cached_property
     def weights(self) -> dict[str, Fraction]:
         return {c.rule_name: c.weight for c in self.criteria}
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[tuple[str, int], ...], int]:
+        """The weights over their least common denominator: ((rule name,
+        numerator), ...) in criteria order, and the denominator."""
+        denominator = math.lcm(*(c.weight.denominator for c in self.criteria))
+        return (tuple((c.rule_name,
+                       c.weight.numerator * (denominator // c.weight.denominator))
+                      for c in self.criteria), denominator)
 
     def is_c_rule(self, rule_name: str) -> bool:
         return rule_name in self.weights
@@ -140,16 +150,20 @@ def choose_backtrack_point(open_points, spec: CriteriaSpec) -> Optional[Backtrac
     """
     if not open_points:
         return None
-    if spec.criteria:
+    weights = spec.weights
+    if weights:
+        bias = spec.mode == "first-solution-bias"
         best: Optional[tuple[Fraction, BacktrackPoint]] = None
         for point in open_points:
-            weights = [spec.weight_of(r.name) for r in point.remainder
-                       if spec.is_c_rule(r.name)]
-            if not weights:
+            top = None
+            for rule in point.remainder:
+                weight = weights.get(rule.name)
+                if weight is not None and (top is None or weight > top):
+                    top = weight
+            if top is None:
                 continue
-            if spec.mode == "first-solution-bias":
+            if bias:
                 return point  # deepest-first among c-rule carriers
-            top = max(weights)
             if best is None or top > best[0]:
                 best = (top, point)
         if best is not None:
@@ -168,14 +182,20 @@ def solution_weight(applied: ResolvedNode | Iterable[str],
         counts = applied
     else:
         counts = Counter(applied)
+    if spec.weight_formula == "per-occurrence":
+        # n occurrences of weight/n each: one Fraction over the common
+        # denominator
+        numerators, denominator = spec.scaled
+        total = 0
+        for name, numerator in numerators:
+            if counts.get(name, 0) != 0:
+                total += numerator
+        # one-argument Fraction skips the gcd when every weight is whole
+        return Fraction(total, denominator) if denominator > 1 else Fraction(total)
     total = Fraction(0)
     for criterion in spec.criteria:
         n = counts.get(criterion.rule_name, 0)
-        if n == 0:
-            continue
-        if spec.weight_formula == "per-occurrence":
-            total += criterion.weight  # n occurrences of weight/n each
-        else:
+        if n != 0:
             total += criterion.weight / n
     return total
 

@@ -21,8 +21,12 @@ given combination of alternatives is consistent is decided per emitted
 solution, against the union of the combination's constraint obligations.
 The obligations outside every choice point are in every combination: they
 are imposed once, when the first derivation is captured, and stay on the
-graph for the whole stream; the check of a combination adds and removes
-those of all its chosen egos.
+session's graph for the whole stream, where expansion sees them.  The check
+runs on a copy of that graph with a trail of its own
+(``backtrack.EgoStack``), which keeps the shown solution's egos imposed
+between solutions: checking a combination undoes the shown egos only down
+to the lowest one it leaves, imposes again those above that it keeps, then
+the egos it enters.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import Iterator, Optional
 from .backtrack import (
     BacktrackPoint,
     BTTable,
+    EgoStack,
     Layer,
     MemoCache,
     ResolvedNode,
@@ -110,6 +115,8 @@ class GenerationSession:
         self._node_ids = itertools.count(1)
         self._root_items: list = []
         self._shown: Optional[Shown] = None  # set once the first derivation exists
+        # the shown solution's egos on a copy of the root layer's graph
+        self._egos: Optional[EgoStack] = None
         # node id -> (layer, frontier position) of each inflection call whose
         # hooks read that node, over every captured layer
         self._readers: dict[int, list] = {}
@@ -142,6 +149,7 @@ class GenerationSession:
             # in every solution: imposed once, undone with the stream
             for ob in root.obligations:
                 self.graph.impose(ob, ROOT_OWNER)
+            self._egos = EgoStack(self.graph.copy(Trail()))
             yield from self._emit({})
             while True:
                 point = self.strategy.choose_point(self.table.open_points())
@@ -158,6 +166,8 @@ class GenerationSession:
                 yield from self._emit(fixed)
         finally:
             self.trail.undo_to(base)
+            if self._egos is not None:
+                self._egos.close()
 
     def first(self, input_fs: FeatureStructure,
               start: Optional[str] = None) -> Optional[Solution]:
@@ -222,7 +232,7 @@ class GenerationSession:
             rule = point.remainder[i]
             variant, retryable = self._try_variant(point, rule)
             if variant is not None:
-                point.remainder.pop(i)
+                self.table.take(point, i)
                 point.variants.append(variant)
                 ref = ChoiceRef(point)
                 sink.append(ref)
@@ -231,7 +241,7 @@ class GenerationSession:
             if retryable:
                 i += 1
             else:
-                point.remainder.pop(i)
+                self.table.take(point, i)
                 point.consumed.append(rule.name)
         if point.remainder:
             # nothing derivable right here, but alternatives stay open
@@ -466,12 +476,13 @@ class GenerationSession:
         finally:
             self._frames = saved_frames
             del self._variants[entry:]
-        point.remainder.pop(0)
+        self.table.take(point)
         if variant is None:
             point.consumed.append(rule.name)
             self.trail.undo_to(mark)
             return None
         point.variants.append(variant)
+        self._shown.unfold(point)
         depth = self._shown.holder(point).depth + 1
         variant.layer = self._capture([variant.node], point, depth)
         self.trail.undo_to(mark)
@@ -506,18 +517,13 @@ class GenerationSession:
         shown = self._shown
         for assignment in iter_assignments(shown.root, fixed):
             delta = combination_frontier(shown, assignment)
-            # the graph holds the root layer: the check adds the chosen egos
-            mark = self.trail.mark()
-            try:
-                state = combination_state(delta.obligations(), self.graph)
-                if state is None:
-                    self.stats.combinations_filtered += 1
-                    continue
-                calls = inflections(delta, state, self._readers)
-                forms = realize([layer.frontier[pos] for layer, pos in calls],
-                                self.registries.functions, state.value, self.stats)
-            finally:
-                self.trail.undo_to(mark)
+            state = combination_state(delta, self._egos)
+            if state is None:
+                self.stats.combinations_filtered += 1
+                continue
+            calls = inflections(delta, state, self._readers)
+            forms = realize([layer.frontier[pos] for layer, pos in calls],
+                            self.registries.functions, state.value, self.stats)
             commit(shown, delta, calls, forms)
             weight = self.strategy.weight(shown.names)
             self.stats.solutions_emitted += 1

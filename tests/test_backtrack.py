@@ -96,7 +96,7 @@ def test_table_shape(regs):
 
     # the failing alternative was consumed without producing a variant
     assert b2.consumed == ["b2"]
-    assert b2.exhausted
+    assert not b2.remainder
 
     # nesting is recorded: B3 sits inside the first ego of B2
     assert b3.parent == (b2, 0)
@@ -382,7 +382,9 @@ FLAT_GRAMMAR = "\n".join(
        for i in range(POINTS) for alt in ("sg", "pl")])
 
 
-def test_further_solutions_impose_only_their_egos(regs, monkeypatch):
+@pytest.fixture()
+def imposes(monkeypatch):
+    """Counts FeatureGraph.impose calls, on every graph."""
     from surfgen.engine import ROOT_OWNER, FeatureGraph
 
     calls = [0]
@@ -393,23 +395,48 @@ def test_further_solutions_impose_only_their_egos(regs, monkeypatch):
         return impose(self, ob, owner)
 
     monkeypatch.setattr(FeatureGraph, "impose", counting)
+    return calls
+
+
+def test_further_solutions_impose_only_their_egos(regs, imposes):
     session = GenerationSession(parse_grammar(FLAT_GRAMMAR), regs)
     stream = session.solutions(FeatureStructure())
-    next(stream)
+    previous = next(stream).assignment
     # 64 while deriving, then 48 for the root layer and 16 for the egos
-    assert calls[0] == 8 * POINTS
-    expanded = 0
-    for _ in range(40):
-        before, fired = calls[0], session.stats.rules_fired
-        next(stream)
-        fired = session.stats.rules_fired - fired
-        assert fired in (0, 1)
-        expanded += fired
-        # one obligation per chosen ego, one per rule the expansion fired
-        assert calls[0] - before == POINTS + fired
-    assert expanded > 1
+    assert imposes[0] == 8 * POINTS
+    before, fired = imposes[0], session.stats.rules_fired
+    changed = 0
+    for _ in range(200):
+        solution = next(stream)
+        changed += sum(previous[p] != k for p, k in solution.assignment.items())
+        previous = solution.assignment
+    fired = session.stats.rules_fired - fired
+    assert fired > 1
+    # the egos a solution keeps stay imposed: amortized, a changed ego is
+    # undone and imposed again at most twice, and each rule an expansion
+    # fires imposes its one obligation
+    assert imposes[0] - before <= 2 * changed + fired
     stream.close()
+    egos = session._egos
     assert session.graph.is_empty() and len(session.trail) == 0
+    assert egos.graph.is_empty() and len(egos.graph.trail) == 0
+    assert not egos.layers and not egos.index
+
+
+def test_further_solutions_cost_the_same_at_any_width(regs, imposes):
+    counts = {}
+    for points in (16, 128):
+        session = GenerationSession(parse_grammar(flat_grammar(points)), regs)
+        stream = session.solutions(FeatureStructure())
+        next(stream)
+        before = imposes[0]
+        for _ in range(64):
+            next(stream)
+        counts[points] = imposes[0] - before
+        stream.close()
+    # the odometer's fast digits are the rightmost points: they sit on top
+    # of the ego stack, whatever the number of points below them
+    assert counts[128] <= 1.25 * counts[16]
 
 
 def test_further_solutions_inflect_only_what_changed(regs, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -104,6 +105,42 @@ def test_choose_weight_ranked_picks_heaviest():
     assert choose_backtrack_point([p1, p2], spec) is p2
 
 
+def ref_choose(open_points, spec):
+    """The choice as first written: two lookups per remainder rule."""
+    if not open_points:
+        return None
+    if spec.criteria:
+        best = None
+        for point in open_points:
+            weights = [spec.weight_of(r.name) for r in point.remainder
+                       if spec.is_c_rule(r.name)]
+            if not weights:
+                continue
+            if spec.mode == "first-solution-bias":
+                return point
+            if best is None or max(weights) > best[0]:
+                best = (max(weights), point)
+        if best is not None:
+            return best[1]
+    return open_points[0]
+
+
+@pytest.mark.parametrize("mode", ["first-solution-bias", "weight-ranked"])
+def test_choose_matches_reference_ties_included(mode):
+    rng = random.Random(mode)
+    names = [f"r{i}" for i in range(8)]
+    rules = dict(zip(names, _rules(names)))
+    for _ in range(300):
+        # few distinct weights, so ties between points are common
+        spec = CriteriaSpec(tuple(Criterion(n, Fraction(rng.choice((1, 2, 2))))
+                                  for n in rng.sample(names, rng.randint(0, 4))),
+                            mode)
+        points = [_FakePoint([]) for _ in range(rng.randint(0, 6))]
+        for point in points:
+            point.remainder = [rules[n] for n in rng.sample(names, rng.randint(0, 3))]
+        assert choose_backtrack_point(points, spec) is ref_choose(points, spec)
+
+
 # --- weights ---------------------------------------------------------------------
 
 def _derivation(*names):
@@ -140,6 +177,20 @@ def test_weight_alternative_formula():
     deriv = ResolvedNode("top", "T", (
         _derivation("a"), _derivation("b"), _derivation("b"), _derivation("b")))
     assert solution_weight(deriv, spec) == Fraction(2) + Fraction(3, 3)
+
+
+def test_weight_per_occurrence_matches_fraction_sum():
+    rng = random.Random(7)
+    names = [f"c{i}" for i in range(20)]
+    for _ in range(200):
+        spec = CriteriaSpec(tuple(
+            Criterion(n, Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 4, 6, 7))))
+            for n in rng.sample(names, rng.randint(0, 20))))
+        counts = Counter({n: rng.randint(0, 3) for n in rng.sample(names, 10)})
+        want = sum((c.weight for c in spec.criteria
+                    if counts.get(c.rule_name, 0) != 0), Fraction(0))
+        got = solution_weight(counts, spec)
+        assert type(got) is Fraction and got == want and str(got) == str(want)
 
 
 def test_weight_from_derivation_names_or_counts():

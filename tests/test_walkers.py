@@ -218,8 +218,7 @@ def test_walkers_match_reference_walks(case):
     # a new chain of deltas over every assignment the pins give, in turn
     shown = Shown(session._shown.root)
     shown.root.text = None
-    pins = [{}] + [{p.id: k} for p in points for k in range(len(p.variants) + 1)]
-    for fixed in pins:
+    for fixed in pins_for(points):
         got = list(iter_assignments(shown.root, fixed))
         assert ordered(got) == ordered(ref_iter_assignments(root, fixed))
         for assignment in got:
@@ -227,7 +226,8 @@ def test_walkers_match_reference_walks(case):
             events = list(ref_resolve_items(root, assignment))
             assert shown.root.text == join_tokens([form(p) for kind, p in events
                                               if kind == "leaf"])
-            assert Counter(map(id, delta.obligations())) == \
+            chosen = [ob for layer in delta.chosen.values() for ob in layer.obligations]
+            assert Counter(map(id, chosen)) == \
                 Counter(map(id, ref_ego_obligations(root, assignment)))
             assert shown.names == Counter(node.rule_name for kind, node in events
                                           if kind == "node")
@@ -239,6 +239,47 @@ def test_walkers_match_reference_walks(case):
     for solution in solutions:
         assert list(solution.derivation.rule_names()) == \
             list(ref_rule_names(solution.derivation))
+
+
+def pins_for(points):
+    """No pin, then each point pinned to each variant and one past them."""
+    return [{}] + [{p.id: k} for p in points for k in range(len(p.variants) + 1)]
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_odometer_matches_reference_while_variants_arrive(case):
+    """The fold caches are split as expansions add variants: after each
+    expansion, and after each solution, the odometer still yields what the
+    point-by-point reference walk yields, key order and stale entries
+    included, and the open points are the unexhausted ones."""
+    grammar, fs = CASES[case]
+    session = GenerationSession(grammar, build_registries())
+    checks = [0]
+
+    def check():
+        points = list(session.table)
+        assert session.table.open_points() == \
+            [p for p in reversed(points) if p.remainder]
+        if session._shown is None:
+            return
+        for fixed in pins_for(points):
+            got = iter_assignments(session._shown.root, fixed)
+            assert ordered(got) == \
+                ordered(ref_iter_assignments(session._root_items, fixed))
+        checks[0] += 1
+
+    expand = session._expand
+
+    def expand_and_check(point):
+        k = expand(point)
+        check()
+        return k
+
+    session._expand = expand_and_check
+    for _ in session.solutions(fs):
+        check()
+    check()
+    assert checks[0] > 0 or session._shown is None
 
 
 # --- depth beyond the recursion limit ------------------------------------------
