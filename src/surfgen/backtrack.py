@@ -524,14 +524,17 @@ def _resolve(layer: Layer, assignment: dict[int, int]) -> None:
 def _path_copy(top: tuple, path: tuple, new) -> tuple:
     """top with the item at path replaced by new: the nodes on the path are
     copied, every subtree off it is shared.  top itself if new is there."""
-    seqs = [top]
+    nodes = []  # the nodes on the path, outermost first
+    seq = top
     for i in path[:-1]:
-        seqs.append(seqs[-1][i].children)
-    if seqs[-1][path[-1]] is new:
+        node = seq[i]
+        nodes.append(node)
+        seq = node.children
+    if seq[path[-1]] is new:
         return top
-    for d in range(len(path) - 1, 0, -1):
-        seq, i = seqs[d], path[d]
-        node = seqs[d - 1][path[d - 1]]
+    # each node holds the next one down at the next position of the path
+    for node, i in zip(reversed(nodes), reversed(path)):
+        seq = node.children
         new = ResolvedNode(node.rule_name, node.category,
                            seq[:i] + (new,) + seq[i + 1:])
     i = path[0]
@@ -749,30 +752,28 @@ class EgoStack:
     differs.
 
     Each ego's obligations are imposed under one trail mark: ``layers``
-    and ``marks`` list them bottom first, and ``index`` maps each layer to
-    its position.  The first solution pushes its egos in document order,
-    and each combination pushes the egos it enters on top, so the egos
-    that change most often, the rightmost ones, sit highest.  Union-find
-    with backtracking undoes in LIFO order only (Westbrook and Tarjan
-    1989); the order of the stack keeps that cheap.
+    and ``marks`` list them bottom first.  The first solution pushes its
+    egos in document order, and each combination pushes the egos it
+    enters on top, so the egos that change most often, the rightmost ones,
+    sit highest.  Union-find with backtracking undoes in LIFO order only
+    (Westbrook and Tarjan 1989); the order of the stack keeps that cheap.
     """
 
-    __slots__ = ("graph", "layers", "marks", "index")
+    __slots__ = ("graph", "layers", "marks")
 
     def __init__(self, graph: FeatureGraph):
         self.graph = graph
         self.layers: list[Layer] = []
         self.marks: list[int] = []
-        self.index: dict[Layer, int] = {}
 
     def push(self, layers) -> None:
         """Impose each layer's obligations on top; raises ConstraintClash
         with the clashing layer pushed in part."""
-        graph = self.graph
+        graph, stack, marks = self.graph, self.layers, self.marks
+        events = graph.trail.events
         for layer in layers:
-            self.index[layer] = len(self.layers)
-            self.layers.append(layer)
-            self.marks.append(graph.trail.mark())
+            stack.append(layer)
+            marks.append(len(events))
             for ob in layer.obligations:
                 graph.impose(ob)
 
@@ -782,8 +783,6 @@ class EgoStack:
         if popped:
             self.graph.trail.undo_to(self.marks[i])
             del self.layers[i:], self.marks[i:]
-            for layer in popped:
-                del self.index[layer]
         return popped
 
     def close(self) -> None:
@@ -801,12 +800,23 @@ def combination_state(delta: Delta, egos: EgoStack):
     Undoes the shown egos down to the lowest one the combination leaves,
     imposes again those above it that the combination keeps, in their
     order, and then the egos it enters."""
+    layers = egos.layers
     left = delta.left
-    i = min(map(egos.index.__getitem__, left)) if left else len(egos.layers)
-    popped = egos.pop_to(i)
-    pushed = [layer for layer in delta.entered if layer.point is not None]
-    if len(popped) > len(left):  # every ego left is among the popped
+    i = len(layers)
+    if left:
+        # finding the lowest ego left from the top costs no more than
+        # undoing the egos above it
         left = set(left)
+        missing = len(left)
+        while missing:
+            i -= 1
+            if layers[i] in left:
+                missing -= 1
+    popped = egos.pop_to(i)
+    pushed = delta.entered
+    if pushed and pushed[0].point is None:  # the first: the root is imposed
+        pushed = pushed[1:]
+    if len(popped) > len(left):  # kept egos were popped with those left
         pushed = [layer for layer in popped if layer not in left] + pushed
     try:
         egos.push(pushed)

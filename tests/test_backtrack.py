@@ -6,8 +6,9 @@ from surfgen.gil import FeatureStructure, parse_gil
 from surfgen.session import GenerationSession
 from surfgen.tgl import Registries, parse_grammar
 
-from .grammars import (LIST_GRAMMAR, build_registries, flat_grammar, hard_case,
-                       list_gil, random_case)
+from .grammars import (FILTERED_GRAMMAR, LIST_GRAMMAR, NESTED_GRAMMAR,
+                       build_registries, flat_grammar, hard_case, list_gil,
+                       random_case)
 from .test_walkers import ref_resolve_items
 
 # A grammar shaped like the worked three-point table: an early choice, a
@@ -404,23 +405,26 @@ def test_further_solutions_impose_only_their_egos(regs, imposes):
     previous = next(stream).assignment
     # 64 while deriving, then 48 for the root layer and 16 for the egos
     assert imposes[0] == 8 * POINTS
-    before, fired = imposes[0], session.stats.rules_fired
-    changed = 0
+    before = imposes[0]
+    changed = expanded = 0
     for _ in range(200):
+        fired = session.stats.rules_fired
         solution = next(stream)
+        fired = session.stats.rules_fired - fired
+        assert fired in (0, 1)
+        expanded += fired
         changed += sum(previous[p] != k for p, k in solution.assignment.items())
         previous = solution.assignment
-    fired = session.stats.rules_fired - fired
-    assert fired > 1
+    assert expanded > 1
     # the egos a solution keeps stay imposed: amortized, a changed ego is
     # undone and imposed again at most twice, and each rule an expansion
     # fires imposes its one obligation
-    assert imposes[0] - before <= 2 * changed + fired
+    assert imposes[0] - before <= 2 * changed + expanded
     stream.close()
     egos = session._egos
     assert session.graph.is_empty() and len(session.trail) == 0
     assert egos.graph.is_empty() and len(egos.graph.trail) == 0
-    assert not egos.layers and not egos.index
+    assert not egos.layers and not egos.marks
 
 
 def test_further_solutions_cost_the_same_at_any_width(regs, imposes):
@@ -437,6 +441,59 @@ def test_further_solutions_cost_the_same_at_any_width(regs, imposes):
     # the odometer's fast digits are the rightmost points: they sit on top
     # of the ego stack, whatever the number of points below them
     assert counts[128] <= 1.25 * counts[16]
+
+
+def classes(graph):
+    """A graph's state as {class of slots: its atom}, classes of one unbound
+    slot left out."""
+    members = {}
+    for slot in {*graph.parent, *graph.parent.values(), *graph.binding}:
+        members.setdefault(graph.find(slot), set()).add(slot)
+    return {frozenset(m): graph.binding.get(root) for root, m in members.items()}
+
+
+EGO_CASES = [FILTERED_GRAMMAR, NESTED_GRAMMAR, flat_grammar(10)] + list(range(20))
+
+
+@pytest.mark.parametrize("case", range(len(EGO_CASES)))
+def test_ego_stack_holds_the_shown_egos(case, monkeypatch):
+    """After each combination's check, consistent or filtered, the ego stack
+    holds exactly the egos of the solution it leaves shown, each once, and
+    its graph is what imposing the root layer and those egos afresh gives."""
+    from surfgen import session as session_module
+    from surfgen.engine import FeatureGraph, Trail
+
+    case = EGO_CASES[case]
+    if isinstance(case, str):
+        grammar, fs = parse_grammar(case), FeatureStructure()
+    else:
+        grammar, fs = random_case(case)
+    session = GenerationSession(grammar, build_registries())
+    check = session_module.combination_state
+    checked = [0, 0]
+
+    def checking(delta, egos):
+        state = check(delta, egos)
+        # a filtered combination leaves the shown solution on the stack
+        chosen = delta.chosen if state is not None else session._shown.chosen
+        assert len(egos.layers) == len(egos.marks) == len(chosen)
+        assert set(egos.layers) == set(chosen.values())
+        fresh = FeatureGraph(Trail())
+        for layer in [session._shown.root, *egos.layers]:
+            for ob in layer.obligations:
+                fresh.impose(ob)
+        assert classes(egos.graph) == classes(fresh)
+        checked[state is None] += 1
+        return state
+
+    monkeypatch.setattr(session_module, "combination_state", checking)
+    solutions = list(session.solutions(fs))
+    assert checked[0] == len(solutions)
+    assert checked[1] == session.stats.combinations_filtered
+    if case is FILTERED_GRAMMAR:
+        assert checked[1] > 0
+    egos = session._egos
+    assert egos is None or (egos.graph.is_empty() and not egos.layers)
 
 
 def test_further_solutions_inflect_only_what_changed(regs, monkeypatch):
