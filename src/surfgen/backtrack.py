@@ -17,15 +17,18 @@ additionally memoized by (category, input) and spliced instead of being
 re-derived when they recur.
 
 A *layer* is the root's or one ego variant's own material, down to but not
-into its choice points.  The walk that flattens a completed layer also
-reads off its points, the obligations its rules asserted and its rule
-names, once.  A combination is realized only if the union of its chosen
-egos' obligations is consistent.  The obligations of the root layer are the
-same in every combination: they are imposed once for the whole stream.
-Those of the shown solution's egos stay imposed too, on a stack
-(``EgoStack``) whose order puts the egos that change most often on top, so
-checking the next combination undoes and imposes little more than the egos
-it changes.
+into its choice points; a point's variants are its variant layers.  The
+walk that flattens a completed layer (its capture) also reads off its
+points, the obligations its rules asserted and its rule names, once, and
+only then do its points join the table: a point recorded in a derivation
+that failed is never captured, so nothing has to take it out again.
+
+A combination is realized only if the union of its chosen egos'
+obligations is consistent.  The obligations of the root layer are the same
+in every combination: they are imposed once for the whole stream.  Those
+of the shown solution's egos stay imposed too, on a stack (``EgoStack``)
+whose order puts the egos that change most often on top, so checking the
+next combination undoes and imposes little more than the egos it changes.
 
 Assignments are enumerated by an odometer over the layers' points
 (``iter_assignments``).  A run of points that each have one variant, whose
@@ -58,33 +61,17 @@ from .gil import FeatureStructure, fs_digest, fs_equal
 from .tgl import Rule
 
 
-@dataclass(eq=False)
-class Variant:
-    """One successful ego alternative: the rule that fired and its subtree.
-
-    Compared by identity: a variant also serves as the ownership tag for
-    the feature bindings asserted while it was being built.
-    """
-
-    rule_name: str
-    node: Optional[DerivationNode]
-    layer: Optional["Layer"] = None  # set once the variant is captured
-
-    def __repr__(self) -> str:
-        return f"Variant({self.rule_name!r})"
-
-
 class BacktrackPoint:
     """A recorded conflict set with its surrounding context.
 
+    ``variants`` are the layers of its egos, one per rule that fired there.
     ``layer`` is the frontier of the completed layer holding the point
     (shared by every point in it) and ``index`` the point's position there;
     ``layer`` stays None while the layer is open.
     """
 
     __slots__ = ("id", "category", "input", "node_id", "parent",
-                 "conflict_rules", "remainder", "consumed", "variants",
-                 "layer", "index", "committed")
+                 "conflict_rules", "remainder", "variants", "layer", "index")
 
     def __init__(self, id: int, category: str, input: FeatureStructure,
                  node_id: int, rules: list[Rule],
@@ -96,11 +83,9 @@ class BacktrackPoint:
         self.parent = parent
         self.conflict_rules = tuple(rules)
         self.remainder: list[Rule] = list(rules)
-        self.consumed: list[str] = []
-        self.variants: list[Variant] = []
+        self.variants: list[Layer] = []
         self.layer: Optional[tuple] = None
         self.index = 0
-        self.committed = False
 
     @property
     def pre_context(self) -> Optional[tuple]:
@@ -131,11 +116,14 @@ class BacktrackPoint:
 
 
 class BTTable:
-    """All backtrack points of one generation session, in creation order.
+    """The captured backtrack points of one generation session, in creation
+    order.
 
-    ``open`` holds the points whose remainder is not empty, in creation
-    order too: a point enters it when recorded with rules left and leaves
-    it when ``take`` empties its remainder or ``remove`` drops it.
+    ``record`` only numbers a new point: a point joins the table when the
+    layer holding it is captured (``add``), so a point recorded in a
+    derivation that failed never does.  ``open`` holds the points whose
+    remainder is not empty, in creation order too: a point enters it when
+    added with rules left and leaves it when ``take`` empties its remainder.
     """
 
     def __init__(self):
@@ -148,20 +136,19 @@ class BTTable:
         point = BacktrackPoint(self._next_id, category, input, node_id,
                                rules, parent)
         self._next_id += 1
+        return point
+
+    def add(self, point: BacktrackPoint) -> None:
+        """Enter a captured point; points are added in creation order."""
         self.points[point.id] = point
         if point.remainder:
             self.open[point.id] = point
-        return point
 
     def take(self, point: BacktrackPoint, i: int = 0) -> None:
         """Remove rule i of the point's remainder."""
         del point.remainder[i]
         if not point.remainder:
             self.open.pop(point.id, None)
-
-    def remove(self, point: BacktrackPoint) -> None:
-        self.points.pop(point.id, None)
-        self.open.pop(point.id, None)
 
     def open_points(self) -> list[BacktrackPoint]:
         """Unexhausted points, most recently created first."""
@@ -177,10 +164,14 @@ class BTTable:
 class Layer:
     """One layer: the root's or a variant's own material, down to its points.
 
-    What the walk that completes it reads off stays fixed: ``items`` (the
-    root's items, or the variant's node), ``point`` (the point it is a
-    variant of; None for the root), ``depth`` (points around it), its
-    ``frontier`` (choice points symbolic), its ``points``, the frontier
+    A point's variants are its variant layers.  A variant layer is made
+    when its rule starts firing, and while the rule fires it is the
+    ownership tag of the feature bindings asserted, compared by identity;
+    once the rule has fired, ``items`` is (its node,).  ``point`` is the
+    point it is a variant of (None for the root, whose ``items`` are the
+    root's items) and ``depth`` the number of points around it.  What the
+    walk that completes it (``fill_post_contexts``) reads off stays fixed:
+    its ``frontier`` (choice points symbolic), its ``points``, the frontier
     positions of its inflection ``calls``, and its nodes' ``obligations``
     and rule ``names``, in pre-order.  ``steps`` is its fold cache (see
     ``layer_steps``), None until a walk needs it; ``Shown.unfold`` keeps it
@@ -209,8 +200,7 @@ class Layer:
         return f"<Layer {owner} depth={self.depth}>"
 
 
-def fill_post_contexts(items, readers: dict, point: Optional[BacktrackPoint] = None,
-                       depth: int = 0) -> Layer:
+def fill_post_contexts(layer: Layer, readers: dict) -> None:
     """Read off a (now complete) layer in one walk, and give its points
     their contexts.
 
@@ -220,13 +210,12 @@ def fill_post_contexts(items, readers: dict, point: Optional[BacktrackPoint] = N
     completes.  Each inflection call with hooks is entered in ``readers``
     under the node its hooks read (its rule's node), as (layer, position).
     """
-    layer = Layer(items, point, depth)
     frontier: list = []
     points: list[BacktrackPoint] = []
     calls: list[int] = []
     obligations: list = []
     names: list[str] = []
-    stack = list(reversed(items))
+    stack = list(reversed(layer.items))
     while stack:
         item = stack.pop()
         if isinstance(item, DerivationNode):
@@ -249,7 +238,6 @@ def fill_post_contexts(items, readers: dict, point: Optional[BacktrackPoint] = N
     layer.calls = tuple(calls)
     layer.obligations = tuple(obligations)
     layer.names = tuple(names)
-    return layer
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +272,6 @@ class MemoCache:
 
     def flush(self) -> None:
         self._entries.clear()
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._entries.values())
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +322,8 @@ def layer_steps(layer: Layer) -> tuple:
     stack = [layer]
     while stack:
         top = stack[-1]
-        missing = [p.variants[0].layer for p in top.points
-                   if len(p.variants) == 1 and p.variants[0].layer.steps is None]
+        missing = [p.variants[0] for p in top.points
+                   if len(p.variants) == 1 and p.variants[0].steps is None]
         if missing:
             stack.extend(missing)
             continue
@@ -346,7 +331,7 @@ def layer_steps(layer: Layer) -> tuple:
         steps: list = []
         run = None
         for point in top.points:
-            inner = _whole_fragment(point.variants[0].layer) \
+            inner = _whole_fragment(point.variants[0]) \
                 if len(point.variants) == 1 else None
             if inner is None:
                 steps.append(point)
@@ -455,17 +440,25 @@ def iter_assignments(root: Layer, fixed: dict[int, int]) -> Iterator[dict[int, i
         k = choices[pos]
         frame[3] = pos + 1
         acc[point.id] = k
-        stack.append([(layer_steps(point.variants[k].layer), {}, (layer, idx)),
-                      0, None, 0])
+        stack.append([(layer_steps(point.variants[k]), {}, (layer, idx)), 0, None, 0])
 
 
-@dataclass(frozen=True, slots=True)
 class ResolvedNode:
-    """Derivation tree of one emitted solution, choices resolved."""
+    """Derivation tree of one emitted solution, choices resolved.
 
-    rule_name: str
-    category: str
-    children: tuple  # ResolvedNode | LiteralTok | InflectCall
+    ``children`` holds ResolvedNode, LiteralTok and InflectCall items.
+    Compared by identity: unchanged subtrees are shared between solutions.
+    """
+
+    __slots__ = ("rule_name", "category", "children")
+
+    def __init__(self, rule_name: str, category: str, children: tuple):
+        self.rule_name = rule_name
+        self.category = category
+        self.children = children
+
+    def __repr__(self) -> str:
+        return f"<{self.category} {self.rule_name!r}>"
 
     def rule_names(self) -> Iterator[str]:
         """Rule names of the tree in pre-order."""
@@ -488,7 +481,7 @@ def _resolve(layer: Layer, assignment: dict[int, int]) -> None:
     if layer.top is not None:
         top = layer.top
         for point in layer.points:
-            ego = point.variants[assignment[point.id]].layer.top[0]
+            ego = point.variants[assignment[point.id]].top[0]
             top = _path_copy(top, layer.paths[point.id], ego)
         layer.top = top
         return
@@ -511,7 +504,7 @@ def _resolve(layer: Layer, assignment: dict[int, int]) -> None:
         elif isinstance(item, ChoiceRef):
             point = item.point
             paths[point.id] = tuple(map(len, built))
-            built[-1].append(point.variants[assignment[point.id]].layer.top[0])
+            built[-1].append(point.variants[assignment[point.id]].top[0])
             parts.append("")
         else:
             built[-1].append(item)
@@ -545,11 +538,11 @@ class Shown:
     """The last emitted solution, layer by layer: the base of the next one.
 
     ``chosen`` maps each point the solution reaches to the layer of its
-    chosen variant, ``assignment`` is the solution's assignment and
-    ``names`` counts its fired rules.  Each shown layer holds its resolved
-    items and strings (see ``Layer``): the solution's text is the root
-    layer's ``text`` and its derivation the root layer's one resolved
-    item.
+    chosen variant (``commit`` edits it in place), ``assignment`` is the
+    solution's assignment and ``names`` counts its fired rules.  Each shown
+    layer holds its resolved items and strings (see ``Layer``): the
+    solution's text is the root layer's ``text`` and its derivation the
+    root layer's one resolved item.
     """
 
     def __init__(self, root: Layer):
@@ -563,7 +556,7 @@ class Shown:
         if point.parent is None:
             return self.root
         outer, k = point.parent
-        return outer.variants[k].layer
+        return outer.variants[k]
 
     def unfold(self, point: BacktrackPoint) -> None:
         """Bring the fold caches up to date once point has a new variant.
@@ -596,17 +589,16 @@ class Delta:
     has the one change (None, root layer).  ``entered`` holds the layers of
     the changes and the layers chosen within them, parents first, and
     ``left`` the layers shown under a changed point.  ``changes`` and
-    ``entered`` are in document order.  ``chosen`` is the combination's
-    point -> layer map.  ``again`` lists the (layer, position) of the calls
-    of layers shown before and after that ``inflections`` found must be
-    read again.
+    ``entered`` are in document order.  The combination's point -> layer
+    map is the shown one without ``left`` and with ``entered``.  ``again``
+    lists the (layer, position) of the calls of layers shown before and
+    after that ``inflections`` found must be read again.
     """
 
     assignment: dict
     changes: list
     entered: list
     left: list
-    chosen: dict
     again: list = field(default_factory=list)
 
 
@@ -642,7 +634,7 @@ def combination_frontier(shown: Shown, assignment: dict[int, int]) -> Delta:
             while parent is not None and assignment.get(parent[0].id) == parent[1]:
                 parent = parent[0].parent
             if parent is None:
-                changes.append((point, point.variants[k].layer))
+                changes.append((point, point.variants[k]))
         if len(changes) > 1:
             changes.sort(key=_position)
     entered: list[Layer] = []  # in pre-order
@@ -650,8 +642,7 @@ def combination_frontier(shown: Shown, assignment: dict[int, int]) -> Delta:
     while stack:
         layer = stack.pop()
         entered.append(layer)
-        stack.extend(p.variants[assignment[p.id]].layer
-                     for p in reversed(layer.points))
+        stack.extend(p.variants[assignment[p.id]] for p in reversed(layer.points))
     for layer in reversed(entered):
         _resolve(layer, assignment)
     left: list[Layer] = []
@@ -660,28 +651,24 @@ def combination_frontier(shown: Shown, assignment: dict[int, int]) -> Delta:
         layer = stack.pop()
         left.append(layer)
         stack.extend(shown.chosen[p.id] for p in layer.points)
-    chosen = dict(shown.chosen)
-    for layer in left:
-        del chosen[layer.point.id]
-    for layer in entered:
-        if layer.point is not None:
-            chosen[layer.point.id] = layer
-    return Delta(assignment, changes, entered, left, chosen)
+    return Delta(assignment, changes, entered, left)
 
 
-def inflections(delta: Delta, graph: FeatureGraph, readers: dict) -> list:
+def inflections(shown: Shown, delta: Delta, graph: FeatureGraph,
+                readers: dict) -> list:
     """The (layer, position) of every inflection call the combination must
     read, graph holding the combination: each call of an entered layer, and
     each call of a layer shown before and after that has a hook slot in
     the class of a slot named by an entered or left layer's obligation (a
     hooked class that holds no such slot now held none before either, so
-    its value is unchanged).  readers is the index ``fill_post_contexts``
-    builds."""
+    its value is unchanged).  A layer is shown before and after when it is
+    the root, or shown and not left: an entered layer was not shown.
+    readers is the index ``fill_post_contexts`` builds."""
     calls = [(layer, pos) for layer in delta.entered for pos in layer.calls]
     if delta.changes and delta.changes[0][0] is None:  # the first: all entered
         return calls
-    entered = set(delta.entered)
-    chosen = delta.chosen
+    left = set(delta.left)
+    chosen = shown.chosen
     ring = graph.ring
     seen: set = set()
     again: dict = {}
@@ -695,9 +682,9 @@ def inflections(delta: Delta, graph: FeatureGraph, readers: dict) -> list:
                 member = slot
                 while True:
                     for owner, pos in readers.get(member[0], ()):
-                        if owner not in entered \
-                                and (owner.point is None
-                                     or chosen.get(owner.point.id) is owner) \
+                        if (owner.point is None
+                                or (chosen.get(owner.point.id) is owner
+                                    and owner not in left)) \
                                 and (member[1], member[0]) in owner.frontier[pos].hooks:
                             again[owner, pos] = None
                     member = ring.get(member, member)
@@ -708,13 +695,19 @@ def inflections(delta: Delta, graph: FeatureGraph, readers: dict) -> list:
 
 
 def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
-    """Make the combination the shown solution: the read word forms go into
-    their parts, the entered layers are joined, and each changed layer
+    """Make the combination the shown solution: the left layers leave the
+    point -> layer map and the entered ones join it, the read word forms go
+    into their parts, the entered layers are joined, and each changed layer
     hands its resolved items and text to the layer around it, deepest
     first, up to the root."""
     for (layer, pos), form in zip(calls, forms):
         layer.parts[pos] = form
-    chosen = delta.chosen
+    chosen = shown.chosen
+    for layer in delta.left:
+        del chosen[layer.point.id]
+    for layer in delta.entered:
+        if layer.point is not None:
+            chosen[layer.point.id] = layer
     for layer in reversed(delta.entered):
         for point in layer.points:
             layer.parts[point.index] = chosen[point.id].text
@@ -742,7 +735,6 @@ def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
         shown.names.subtract(layer.names)
     shown.names.update(itertools.chain.from_iterable(
         layer.names for layer in delta.entered))
-    shown.chosen = chosen
     shown.assignment = delta.assignment
 
 

@@ -64,7 +64,8 @@ class ConstraintClash(Exception):
 
 
 class Trail:
-    """Reversible log of every state change made while firing rules."""
+    """Reversible log of the state changes made while firing rules: feature
+    bindings and unions (``bind``, ``union``) and side effects (``effect``)."""
 
     def __init__(self):
         self.events: list[tuple] = []
@@ -105,10 +106,6 @@ class Trail:
             elif kind == "effect":
                 _, undo, memory, args, saved = event
                 undo(memory, args, saved)
-            elif kind == "btpoint":
-                _, table, point = event
-                if not point.committed:
-                    table.remove(point)
             else:  # pragma: no cover
                 raise EngineError(f"unknown trail event {kind}")
 

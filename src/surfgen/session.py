@@ -7,6 +7,10 @@ produced on demand by picking an unexhausted backtrack point, firing its
 next rule against the stored input substructure, and combining the new ego
 with the already-known contexts.  Only the new ego's subtree fires rules.
 
+The trail undoes feature bindings and side effects only.  A backtrack point
+needs no undoing: it joins the table once the layer holding it is
+captured, after its derivation has succeeded.
+
 Emission, too, is a delta: each solution is built from the last one
 emitted (``backtrack.Shown``).  Only the egos whose choice changed are
 resolved and rendered, only the word forms they agree with are inflected
@@ -45,7 +49,6 @@ from .backtrack import (
     MemoCache,
     ResolvedNode,
     Shown,
-    Variant,
     combination_frontier,
     combination_state,
     commit,
@@ -120,11 +123,12 @@ class GenerationSession:
         # node id -> (layer, frontier position) of each inflection call whose
         # hooks read that node, over every captured layer
         self._readers: dict[int, list] = {}
-        self._frames: list[list] = []
-        # (point, variant index, variant) of every ego being built or
+        # the children list each level of the derivation appends to; its
+        # length less one is the derivation depth
+        self._frames: list[list] = [self._root_items]
+        # (point, variant index, variant layer) of every ego being built or
         # replayed, outermost first
-        self._variants: list[tuple[BacktrackPoint, int, Variant]] = []
-        self._depth = 0
+        self._variants: list[tuple[BacktrackPoint, int, Layer]] = []
         self._started = False
 
     # -- public API ---------------------------------------------------------
@@ -137,13 +141,13 @@ class GenerationSession:
         self._started = True
         start_cat = (start or self.grammar.start).upper()
         base = self.trail.mark()
-        self._frames = [self._root_items]
         try:
             ok = self._generate(start_cat, input_fs, self._new_node())
             if not ok:
                 self.trail.undo_to(base)
                 return
-            root = self._capture(self._root_items, None, 0)
+            root = Layer(self._root_items, None, 0)
+            self._capture(root)
             self._shown = Shown(root)
             self.trail.undo_to(base)
             # in every solution: imposed once, undone with the stream
@@ -181,7 +185,7 @@ class GenerationSession:
     def _trace(self, kind: str, category: str = "", rule: str = "",
                detail: str = "") -> None:
         if self.trace is not None:
-            self.trace(TraceEvent(kind, category, rule, detail, self._depth))
+            self.trace(TraceEvent(kind, category, rule, detail, len(self._frames) - 1))
 
     @property
     def _current_owner(self):
@@ -196,7 +200,7 @@ class GenerationSession:
 
     def _generate(self, category: str, fs: FeatureStructure, node_id: int) -> bool:
         """Derive one category over fs into the current frame."""
-        if self._depth > self.max_depth:
+        if len(self._frames) - 1 > self.max_depth:
             self.stats.depth_cutoffs += 1
             self._trace("depth-cutoff", category, detail=f"max_depth={self.max_depth}")
             return False
@@ -242,7 +246,6 @@ class GenerationSession:
                 i += 1
             else:
                 self.table.take(point, i)
-                point.consumed.append(rule.name)
         if point.remainder:
             # nothing derivable right here, but alternatives stay open
             sink.append(ChoiceRef(point))
@@ -253,25 +256,24 @@ class GenerationSession:
     def _record_point(self, category, fs, node_id, rules) -> BacktrackPoint:
         point = self.table.record(category, fs, node_id, list(rules),
                                   self._current_parent)
-        self.trail.push(("btpoint", self.table, point))
         self.stats.bt_points_created += 1
         self._trace("bt-created", category,
                     detail=f"B{point.id} conflict={len(rules)}")
         return point
 
     def _try_variant(self, point: BacktrackPoint,
-                     rule: Rule) -> tuple[Optional[Variant], bool]:
-        """The new variant, or None and whether the rule may be retried."""
-        variant = Variant(rule.name, None)
-        self._variants.append((point, len(point.variants), variant))
+                     rule: Rule) -> tuple[Optional[Layer], bool]:
+        """The new variant layer, or None and whether the rule may be retried."""
+        layer = Layer(None, point, len(self._variants) + 1)
+        self._variants.append((point, len(point.variants), layer))
         try:
             node, retryable = self._fire(rule, point.input, point.node_id)
         finally:
             self._variants.pop()
         if node is None:
             return None, retryable
-        variant.node = node
-        return variant, False
+        layer.items = (node,)
+        return layer, False
 
     def _fire(self, rule: Rule, fs: FeatureStructure,
               lhs_node: int) -> tuple[Optional[DerivationNode], bool]:
@@ -281,11 +283,9 @@ class GenerationSession:
         mark = self.trail.mark()
         node = DerivationNode(rule.category, rule.name, fs, lhs_node)
         self._frames.append(node.children)
-        self._depth += 1
         try:
             failure = self._fire_body(rule, fs, node)
         finally:
-            self._depth -= 1
             self._frames.pop()
         if failure is None:
             self.stats.rules_succeeded += 1
@@ -412,12 +412,8 @@ class GenerationSession:
             new.obligations.append(new_ob)
             if replay:
                 self.graph.impose(new_ob, self._current_owner)
-        self._frames.append(new.children)
-        try:
-            for child in node.children:
-                new.children.append(self._copy_item(child, node_map, replay))
-        finally:
-            self._frames.pop()
+        for child in node.children:
+            new.children.append(self._copy_item(child, node_map, replay))
         return new
 
     def _copy_point(self, old: BacktrackPoint, node_map, replay: bool):
@@ -428,22 +424,21 @@ class GenerationSession:
 
         # rules the original consumed were pruned against the obligations of
         # *its* position; at the new position they are merely untried
-        succeeded = {v.rule_name for v in old.variants}
+        succeeded = {v.items[0].rule_name for v in old.variants}
         untried = [r for r in old.conflict_rules if r.name not in succeeded]
         point = self.table.record(old.category, old.input, mapped(old.node_id),
                                   untried, self._current_parent)
         point.conflict_rules = old.conflict_rules
-        self.trail.push(("btpoint", self.table, point))
         self.stats.bt_points_created += 1
         for index, variant in enumerate(old.variants):
-            new_variant = Variant(variant.rule_name, None)
-            self._variants.append((point, index, new_variant))
+            layer = Layer(None, point, len(self._variants) + 1)
+            self._variants.append((point, index, layer))
             try:
-                new_variant.node = self._copy_node(variant.node, node_map,
-                                                   replay and index == 0)
+                layer.items = (self._copy_node(variant.items[0], node_map,
+                                               replay and index == 0),)
             finally:
                 self._variants.pop()
-            point.variants.append(new_variant)
+            point.variants.append(layer)
         return point
 
     # -- expansion ----------------------------------------------------------
@@ -478,38 +473,39 @@ class GenerationSession:
             del self._variants[entry:]
         self.table.take(point)
         if variant is None:
-            point.consumed.append(rule.name)
             self.trail.undo_to(mark)
             return None
         point.variants.append(variant)
         self._shown.unfold(point)
-        depth = self._shown.holder(point).depth + 1
-        variant.layer = self._capture([variant.node], point, depth)
+        self._capture(variant)
         self.trail.undo_to(mark)
         return len(point.variants) - 1
 
     def _replay_chain(self) -> None:
         """Re-assert the egos on the ancestor stack of the expanded point;
         the root layer is on the graph already."""
-        for _, _, variant in self._variants:
-            for ob in variant.layer.obligations:
-                self.graph.impose(ob, variant)
+        for _, _, layer in self._variants:
+            for ob in layer.obligations:
+                self.graph.impose(ob, layer)
 
-    def _capture(self, items, point: Optional[BacktrackPoint], depth: int) -> Layer:
-        """Freeze a completed layer and the layers of its points' variants:
-        each read off once, post-contexts filled, points committed."""
+    def _capture(self, top: Layer) -> None:
+        """Freeze a completed layer and the layers of its points' variants,
+        each read off once, and enter their points in the table in
+        creation order."""
         readers = self._readers
-        top = fill_post_contexts(items, readers, point, depth)
+        fill_post_contexts(top, readers)
+        points = []
         stack = [top]
         while stack:
             layer = stack.pop()
+            points.extend(layer.points)
             for inner in layer.points:
-                inner.committed = True
                 for v in inner.variants:
-                    v.layer = fill_post_contexts([v.node], readers, inner,
-                                                 layer.depth + 1)
-                    stack.append(v.layer)
-        return top
+                    fill_post_contexts(v, readers)
+                    stack.append(v)
+        points.sort(key=lambda p: p.id)
+        for point in points:
+            self.table.add(point)
 
     # -- emission -----------------------------------------------------------
 
@@ -521,7 +517,7 @@ class GenerationSession:
             if state is None:
                 self.stats.combinations_filtered += 1
                 continue
-            calls = inflections(delta, state, self._readers)
+            calls = inflections(shown, delta, state, self._readers)
             forms = realize([layer.frontier[pos] for layer, pos in calls],
                             self.registries.functions, state.value, self.stats)
             commit(shown, delta, calls, forms)

@@ -70,7 +70,8 @@ def test_first_solution_and_total(regs):
 
 def test_table_shape(regs):
     g = parse_grammar(TABLE_GRAMMAR)
-    session = GenerationSession(g, regs)
+    events = []
+    session = GenerationSession(g, regs, trace=events.append)
     list(session.solutions(FeatureStructure()))
 
     points = {p.id: p for p in session.table}
@@ -89,14 +90,15 @@ def test_table_shape(regs):
 
     # egos: one sequence per successfully applied conflict-set rule
     def egos(point):
-        return [_ctx(v.layer.frontier) for v in point.variants]
+        return [_ctx(v.frontier) for v in point.variants]
 
     assert egos(b1) == [["s21"], ["s22"]]
     assert egos(b2) == [["s51", "B3", "s71"]]
     assert egos(b3) == [["s61"], ["s62"]]
 
     # the failing alternative was consumed without producing a variant
-    assert b2.consumed == ["b2"]
+    assert [e.rule for e in events if e.kind == "rule-failed"] == ["b2"]
+    assert len(b2.variants) == 1
     assert not b2.remainder
 
     # nesting is recorded: B3 sits inside the first ego of B2
@@ -128,7 +130,7 @@ def test_solutions_decompose_into_contexts_and_ego(make_case, memo):
                         if kind == "node" for child in node.children
                         if isinstance(child, ChoiceRef)]
             for point in reached:
-                ego = point.variants[assignment[point.id]].node
+                ego = point.variants[assignment[point.id]].items[0]
                 got = (_leaves(point.pre_context, assignment) + _leaves([ego], assignment)
                        + _leaves(point.post_context, assignment))
                 assert len(got) == len(frontier)
@@ -160,6 +162,30 @@ def test_point_only_for_real_conflicts(regs):
     assert [s.text for s in session.solutions(FeatureStructure())] == ["w"]
     assert len(session.table) == 0
     assert session.stats.bt_points_created == 0
+
+
+# A's first rule records a point for B, then fails on D; its second succeeds
+DISCARDED_POINT_GRAMMAR = """
+(DEFPRODUCTION "top"
+  (:PRECOND (:CAT TXT :TEST ((TRUE))) :ACTIONS (:TEMPLATE (:RULE A (SELF)))))
+(DEFPRODUCTION "a-bad"
+  (:PRECOND (:CAT A :TEST ((TRUE)))
+   :ACTIONS (:TEMPLATE (:RULE B (SELF)) (:RULE D (PATH MISSING)))))
+(DEFPRODUCTION "a-good" (:PRECOND (:CAT A :TEST ((TRUE))) :ACTIONS (:TEMPLATE "a")))
+(DEFPRODUCTION "b1" (:PRECOND (:CAT B :TEST ((TRUE))) :ACTIONS (:TEMPLATE "b1")))
+(DEFPRODUCTION "b2" (:PRECOND (:CAT B :TEST ((TRUE))) :ACTIONS (:TEMPLATE "b2")))
+(DEFPRODUCTION "d" (:PRECOND (:CAT D :TEST ((TRUE))) :ACTIONS (:TEMPLATE "d")))
+"""
+
+
+def test_point_of_a_failed_rule_never_joins_the_table(regs):
+    session = GenerationSession(parse_grammar(DISCARDED_POINT_GRAMMAR), regs)
+    assert [s.text for s in session.solutions(FeatureStructure())] == ["a"]
+    assert session.stats.bt_points_created == 2
+    # only A's point was captured; B's, with b2 untried, went with a-bad
+    assert len(session.table) == 1
+    assert [p.category for p in session.table] == ["A"]
+    assert session.table.open_points() == []
 
 
 def test_conflict_of_three_leaves_remainder_of_two(regs):
@@ -475,9 +501,12 @@ def test_ego_stack_holds_the_shown_egos(case, monkeypatch):
     def checking(delta, egos):
         state = check(delta, egos)
         # a filtered combination leaves the shown solution on the stack
-        chosen = delta.chosen if state is not None else session._shown.chosen
+        chosen = set(session._shown.chosen.values())
+        if state is not None:
+            chosen = chosen.difference(delta.left).union(
+                layer for layer in delta.entered if layer.point is not None)
         assert len(egos.layers) == len(egos.marks) == len(chosen)
-        assert set(egos.layers) == set(chosen.values())
+        assert set(egos.layers) == chosen
         fresh = FeatureGraph(Trail())
         for layer in [session._shown.root, *egos.layers]:
             for ob in layer.obligations:

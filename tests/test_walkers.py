@@ -13,9 +13,9 @@ import pytest
 
 from surfgen.backtrack import (
     BacktrackPoint,
+    Layer,
     ResolvedNode,
     Shown,
-    Variant,
     combination_frontier,
     commit,
     fill_post_contexts,
@@ -94,7 +94,7 @@ def ref_iter_assignments(items, fixed):
             choices = tuple(range(len(point.variants)))
         for k in choices:
             acc[point.id] = k
-            for sub in ref_iter_assignments(point.variants[k].node.children, fixed):
+            for sub in ref_iter_assignments(point.variants[k].items[0].children, fixed):
                 acc.update(sub)
                 yield from rec(idx + 1, acc)
         acc.pop(point.id, None)
@@ -108,7 +108,7 @@ def ref_resolve_items(items, assignment):
             yield ("node", item)
             yield from ref_resolve_items(item.children, assignment)
         elif isinstance(item, ChoiceRef):
-            node = item.point.variants[assignment[item.point.id]].node
+            node = item.point.variants[assignment[item.point.id]].items[0]
             yield from ref_resolve_items([node], assignment)
         else:
             yield ("leaf", item)
@@ -122,7 +122,7 @@ def ref_ego_obligations(items, assignment, inside=False):
                 yield from item.obligations
             yield from ref_ego_obligations(item.children, assignment, inside)
         elif isinstance(item, ChoiceRef):
-            node = item.point.variants[assignment[item.point.id]].node
+            node = item.point.variants[assignment[item.point.id]].items[0]
             yield from ref_ego_obligations([node], assignment, True)
 
 
@@ -205,7 +205,14 @@ def test_walkers_match_reference_walks(case):
         return
     root = session._root_items
     points = list(session.table)
-    layers = [session._shown.root] + [v.layer for p in points for v in p.variants]
+    # the table holds exactly the points the captured layers hold
+    reached, stack = [], [session._shown.root]
+    while stack:
+        layer = stack.pop()
+        reached.extend(layer.points)
+        stack.extend(v for p in layer.points for v in p.variants)
+    assert points == sorted(reached, key=lambda p: p.id)
+    layers = [session._shown.root] + [v for p in points for v in p.variants]
     for layer in layers:
         frontier, refs = ref_fill_post_contexts(layer.items)
         assert layer.frontier == frontier
@@ -222,11 +229,11 @@ def test_walkers_match_reference_walks(case):
         got = list(iter_assignments(shown.root, fixed))
         assert ordered(got) == ordered(ref_iter_assignments(root, fixed))
         for assignment in got:
-            delta = show(shown, assignment)
+            show(shown, assignment)
             events = list(ref_resolve_items(root, assignment))
             assert shown.root.text == join_tokens([form(p) for kind, p in events
                                               if kind == "leaf"])
-            chosen = [ob for layer in delta.chosen.values() for ob in layer.obligations]
+            chosen = [ob for layer in shown.chosen.values() for ob in layer.obligations]
             assert Counter(map(id, chosen)) == \
                 Counter(map(id, ref_ego_obligations(root, assignment)))
             assert shown.names == Counter(node.rule_name for kind, node in events
@@ -291,8 +298,9 @@ def deep_chain():
     """A DEPTH-level right-branching derivation ending in one choice point."""
     fs = FeatureStructure()
     point = BacktrackPoint(1, "X", fs, 0, [], None)
-    point.variants.append(Variant("x", DerivationNode("X", "x", fs, 0)))
-    point.variants[0].node.children.append(LiteralTok("x"))
+    x = DerivationNode("X", "x", fs, 0)
+    x.children.append(LiteralTok("x"))
+    point.variants.append(Layer((x,), point, 1))
     tail: list = [ChoiceRef(point)]
     for k in range(DEPTH, 0, -1):
         node = DerivationNode("L", "more", fs, k)
@@ -304,9 +312,9 @@ def deep_chain():
 def test_walkers_on_deep_chain():
     items, point = deep_chain()
     readers: dict = {}
-    x = point.variants[0]
-    x.layer = fill_post_contexts([x.node], readers, point, 1)
-    root = fill_post_contexts(items, readers)
+    fill_post_contexts(point.variants[0], readers)
+    root = Layer(items, None, 0)
+    fill_post_contexts(root, readers)
     assert root.points == (point,)
     assert len(root.frontier) == DEPTH + 1 and root.frontier[-1] == ChoiceRef(point)
     assert (point.layer, point.index) == (root.frontier, DEPTH)
@@ -318,17 +326,16 @@ def test_walkers_on_deep_chain():
     words = " ".join(str(k) for k in range(1, DEPTH + 1))
     assert shown.root.text == words + " x"
     first = shown.root.top[0]
-    # no == on the derivation itself: dataclass equality recurses
     names = list(first.rule_names())
     assert len(names) == DEPTH + 1 and names[0] == "more" and names[-1] == "x"
     assert Counter(names) == shown.names
     leaves = resolved_leaves(first)
     assert len(leaves) == DEPTH + 1 and leaves[-1] == LiteralTok("x")
     # a second variant: the path to it is copied, the first tree is kept
-    y = Variant("y", DerivationNode("X", "y", point.input, 0))
-    y.node.children.append(LiteralTok("y"))
-    point.variants.append(y)
-    y.layer = fill_post_contexts([y.node], readers, point, 1)
+    y = DerivationNode("X", "y", point.input, 0)
+    y.children.append(LiteralTok("y"))
+    point.variants.append(Layer((y,), point, 1))
+    fill_post_contexts(point.variants[1], readers)
     show(shown, {point.id: 1})
     assert shown.root.text == words + " y"
     assert resolved_leaves(shown.root.top[0])[-1] == LiteralTok("y")
@@ -343,3 +350,6 @@ def test_rule_names_on_deep_tree():
     names = list(node.rule_names())
     assert len(names) == DEPTH + 1
     assert names[0] == f"r{DEPTH - 1}" and names[-1] == "leaf"
+    # printing and hashing a derivation look at its top node only
+    assert repr(node) == f"<L 'r{DEPTH - 1}'>"
+    assert hash(node) == hash(node)
