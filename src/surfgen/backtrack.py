@@ -3,9 +3,10 @@
 A backtrack point is recorded wherever a conflict set held more than one
 rule.  Its *ego* collects one preterminal sequence per rule that succeeded
 there; the *pre-context* and the *post-context* hold the surrounding
-material, with nested points appearing symbolically.  Both are read off the
-frontier of the point's layer, flattened once when the layer completes, and
-off the contexts of the enclosing points.  Producing another solution never
+material, with nested points appearing symbolically.  Both are the frontier
+of the layer holding the point, flattened once when the layer completes, on
+either side of the point's position, and the contexts of the enclosing
+points around that.  Producing another solution never
 re-derives the contexts: a new ego is generated from the point's stored
 input and combined with everything already in the table, so the solution
 set reads off as
@@ -35,7 +36,21 @@ Assignments are enumerated by an odometer over the layers' points
 layer folds whole in turn, is one step of it (``Run``): the run's
 assignment is a fragment set at once.  The folds are cached on the layers
 and split as points gain variants, so starting the odometer costs a step
-per point that has a choice, not a step per point.
+per point that has a choice, not a step per point.  The odometer reports
+the ids its point steps set (a run sets variant 0 only, which never needs
+reporting), and the delta to the shown solution compares only those.
+
+The open points are indexed as their layers are captured (``BTTable``):
+without criteria the newest is taken directly, with criteria the first
+entry of a heap of the points with a c-rule left, keyed by the best such
+rule, whose stale entries are keyed again only on reaching the top
+(``BTTable.first_ranked``, ``prefs.choose_backtrack_point``).  So neither the choice of a point nor
+the delta looks at every point.  What a further solution still does per
+point is C-level and inherent to emitting a new solution: copying its
+assignment once, into ``Solution.assignment``, writing the run fragments
+into the odometer when it starts, and the path copy and
+string join of the root layer, whose frontier holds every point outside
+the egos.
 
 Each solution is built from the previous one as a delta (``Shown``): only
 the layers of egos whose choice changed are resolved again, the resolved
@@ -50,6 +65,7 @@ that agrees with it.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -65,13 +81,14 @@ class BacktrackPoint:
     """A recorded conflict set with its surrounding context.
 
     ``variants`` are the layers of its egos, one per rule that fired there.
-    ``layer`` is the frontier of the completed layer holding the point
-    (shared by every point in it) and ``index`` the point's position there;
-    ``layer`` stays None while the layer is open.
+    ``index`` is the point's position in the frontier of the layer holding
+    it (``Shown.holder``), set when that layer completes; its pre- and
+    post-context are the frontier on either side of it, through the points
+    around it.
     """
 
     __slots__ = ("id", "category", "input", "node_id", "parent",
-                 "conflict_rules", "remainder", "variants", "layer", "index")
+                 "conflict_rules", "remainder", "variants", "index")
 
     def __init__(self, id: int, category: str, input: FeatureStructure,
                  node_id: int, rules: list[Rule],
@@ -84,31 +101,7 @@ class BacktrackPoint:
         self.conflict_rules = tuple(rules)
         self.remainder: list[Rule] = list(rules)
         self.variants: list[Layer] = []
-        self.layer: Optional[tuple] = None
         self.index = 0
-
-    @property
-    def pre_context(self) -> Optional[tuple]:
-        """Material to the left, through enclosing points; None while open."""
-        return self._context(left=True)
-
-    @property
-    def post_context(self) -> Optional[tuple]:
-        """Material to the right, through enclosing points; None while open."""
-        return self._context(left=False)
-
-    def _context(self, left: bool) -> Optional[tuple]:
-        parts = []
-        point = self
-        while point is not None:
-            if point.layer is None:
-                return None
-            parts.append(point.layer[:point.index] if left
-                         else point.layer[point.index + 1:])
-            point = point.parent[0] if point.parent else None
-        if left:
-            parts.reverse()
-        return tuple(itertools.chain.from_iterable(parts))
 
     def __repr__(self) -> str:
         return (f"<B{self.id} {self.category} variants={len(self.variants)} "
@@ -124,11 +117,20 @@ class BTTable:
     derivation that failed never does.  ``open`` holds the points whose
     remainder is not empty, in creation order too: a point enters it when
     added with rules left and leaves it when ``take`` empties its remainder.
+
+    Given a ``rank`` (point -> key, or None for a point ranked below every
+    key), ``add`` also enters each open point with a key in ``index``, a
+    heap of (key, -id, remainder length, point): the lowest key first, the
+    newest point among equal keys, and the newest open point when no point
+    has a key (``first_ranked``).  The rank must be one whose key can only
+    rise, or become None, as ``take`` shrinks the point's remainder.
     """
 
-    def __init__(self):
+    def __init__(self, rank=None):
         self.points: dict[int, BacktrackPoint] = {}
         self.open: dict[int, BacktrackPoint] = {}
+        self.rank = rank
+        self.index: list[tuple] = []
         self._next_id = 1
 
     def record(self, category: str, input: FeatureStructure, node_id: int,
@@ -143,6 +145,9 @@ class BTTable:
         self.points[point.id] = point
         if point.remainder:
             self.open[point.id] = point
+            key = None if self.rank is None else self.rank(point)
+            if key is not None:
+                heapq.heappush(self.index, (key, -point.id, len(point.remainder), point))
 
     def take(self, point: BacktrackPoint, i: int = 0) -> None:
         """Remove rule i of the point's remainder."""
@@ -150,9 +155,30 @@ class BTTable:
         if not point.remainder:
             self.open.pop(point.id, None)
 
-    def open_points(self) -> list[BacktrackPoint]:
-        """Unexhausted points, most recently created first."""
-        return list(reversed(self.open.values()))
+    def newest_open(self) -> Optional[BacktrackPoint]:
+        """The most recently created open point; None when none is open."""
+        return next(reversed(self.open.values()), None)
+
+    def first_ranked(self) -> Optional[BacktrackPoint]:
+        """The open point the index ranks first; None when none is open.
+
+        An entry whose point's remainder shrank since it was keyed is keyed
+        again only once it is on top: keys only rise as remainders shrink,
+        so the first entry that is up to date is the answer, and the other
+        entries are not looked at.
+        """
+        index = self.index
+        while index:
+            _, newest, left, point = index[0]
+            now = len(point.remainder)
+            if now == left:
+                return point
+            key = self.rank(point) if now else None
+            if key is None:
+                heapq.heappop(index)
+            else:
+                heapq.heapreplace(index, (key, newest, now, point))
+        return self.newest_open()
 
     def __iter__(self) -> Iterator[BacktrackPoint]:
         return iter(self.points.values())
@@ -205,7 +231,7 @@ def fill_post_contexts(layer: Layer, readers: dict) -> None:
     their contexts.
 
     Flattens the items into their frontier, choice points staying
-    symbolic, and hands every point in it the frontier and its position.
+    symbolic, and gives every point in it its position there.
     Points inside ego variants are handled when their own variant
     completes.  Each inflection call with hooks is entered in ``readers``
     under the node its hooks read (its rule's node), as (layer, position).
@@ -232,8 +258,6 @@ def fill_post_contexts(layer: Layer, readers: dict) -> None:
                 readers.setdefault(item.hooks[0][1], []).append((layer, len(frontier)))
         frontier.append(item)
     layer.frontier = tuple(frontier)
-    for p in points:
-        p.layer = layer.frontier
     layer.points = tuple(points)
     layer.calls = tuple(calls)
     layer.obligations = tuple(obligations)
@@ -349,34 +373,58 @@ def layer_steps(layer: Layer) -> tuple:
 
 
 def _split(steps: tuple, point: BacktrackPoint) -> tuple:
-    """steps with point, which folds no longer, taken out of its run."""
+    """steps with point, which folds no longer, taken out of its run.
+
+    The run keeps the parts before the point's: the point's part and those
+    after it are popped off the end of its fragment, and the latter make a
+    new run.  The cost is that of the parts popped, so splitting the newest
+    point of a run, the one the choice of points favours, is local.
+    """
     for i, run in enumerate(steps):
         if type(run) is Run and point.id in run.fragment:
             break
     else:
         return steps
-    if len(run.ids) == 1:
-        return steps[:i] + (point,) + steps[i + 1:]
-    j = run.ids.index(point.id)
-    keys = list(run.fragment)  # the run's points' parts, one after another
-    start = keys.index(point.id)
+    ids, fragment = run.ids, run.fragment
+    j = len(ids) - 1
+    while ids[j] != point.id:
+        j -= 1
+    popped = []
+    while True:
+        pid = fragment.popitem()[0]
+        if pid == point.id:
+            break
+        popped.append(pid)
     parts: list = [point]
+    if j + 1 < len(ids):
+        popped.reverse()  # the point's own part, then the later points'
+        after = popped[popped.index(ids[j + 1]):]
+        parts.append(Run(dict.fromkeys(after, 0), ids[j + 1:], run.points[j + 1:]))
     if j > 0:
-        parts.insert(0, Run(dict.fromkeys(keys[:start], 0), run.ids[:j],
-                            run.points[:j]))
-    if j + 1 < len(run.ids):
-        end = keys.index(run.ids[j + 1], start)
-        parts.append(Run(dict.fromkeys(keys[end:], 0), run.ids[j + 1:],
-                         run.points[j + 1:]))
+        del ids[j:], run.points[j:]
+        parts.insert(0, run)
     return steps[:i] + tuple(parts) + steps[i + 1:]
 
 
-def iter_assignments(root: Layer, fixed: dict[int, int]) -> Iterator[dict[int, int]]:
+def iter_assignments(root: Layer, fixed: dict[int, int],
+                     moved: set) -> Iterator[dict[int, int]]:
     """All choice assignments below the layer, leftmost point slowest.
 
     ``fixed`` pins given point ids to a variant index; every other
     reachable point ranges over its current variants.  A reachable point
     without variants yields no assignments at all.
+
+    What the odometer moved is reported in ``moved``: before each yield it
+    holds, besides what the caller left there, the id of every point whose
+    frame set a variant since the last yield (for the first yield, since
+    the start).  That covers every id whose variant differs from the last
+    yield's, an id absent there reading as variant 0: a run sets variant
+    0 only, so its ids need no reporting.
+
+    The assignment yielded is the odometer's own, valid until the next
+    step: copy it to keep it.  A run step writes its whole fragment into
+    it, C-level work and the only work here that grows with the number of
+    points rather than with the steps.
     """
     # A layer is (steps, acc, spawner): its steps (``layer_steps``), its
     # choices so far, and the (layer, idx) of the step whose variant holds
@@ -402,7 +450,7 @@ def iter_assignments(root: Layer, fixed: dict[int, int]) -> Iterator[dict[int, i
                 continue
             frame[2] = ()
             if spawner is None:
-                yield dict(acc)
+                yield acc
             else:
                 outer, outer_idx = spawner
                 outer[1].update(acc)
@@ -440,6 +488,7 @@ def iter_assignments(root: Layer, fixed: dict[int, int]) -> Iterator[dict[int, i
         k = choices[pos]
         frame[3] = pos + 1
         acc[point.id] = k
+        moved.add(point.id)
         stack.append([(layer_steps(point.variants[k]), {}, (layer, idx)), 0, None, 0])
 
 
@@ -538,8 +587,8 @@ class Shown:
     """The last emitted solution, layer by layer: the base of the next one.
 
     ``chosen`` maps each point the solution reaches to the layer of its
-    chosen variant (``commit`` edits it in place), ``assignment`` is the
-    solution's assignment and ``names`` counts its fired rules.  Each shown
+    chosen variant (``commit`` edits it in place) and ``names`` counts its
+    fired rules.  Each shown
     layer holds its resolved items and strings (see ``Layer``): the
     solution's text is the root layer's ``text`` and its derivation the
     root layer's one resolved item.
@@ -548,7 +597,6 @@ class Shown:
     def __init__(self, root: Layer):
         self.root = root
         self.chosen: dict[int, Layer] = {}
-        self.assignment: dict[int, int] = {}
         self.names: Counter = Counter()
 
     def holder(self, point: BacktrackPoint) -> Layer:
@@ -595,7 +643,6 @@ class Delta:
     after that ``inflections`` found must be read again.
     """
 
-    assignment: dict
     changes: list
     entered: list
     left: list
@@ -614,22 +661,29 @@ def _position(change) -> list:
     return path
 
 
-def combination_frontier(shown: Shown, assignment: dict[int, int]) -> Delta:
+def combination_frontier(shown: Shown, assignment: dict[int, int],
+                         moved) -> Delta:
     """The delta from the shown solution to one combination.
 
-    Resolves the entered layers, children first; nothing shown is touched,
-    so the delta is committed (``commit``) only if the combination turns
-    out consistent.
+    ``moved`` holds at least the ids whose variant in assignment differs
+    from the shown one, as ``iter_assignments`` reports them; only those
+    are compared with the shown layers, so the cost grows with them, not
+    with the number of points.  Resolves the entered layers, children first; nothing shown is
+    touched, so the delta is committed (``commit``) only if the combination
+    turns out consistent.
     """
     if shown.root.text is None:
         changes = [(None, shown.root)]
     else:
         changes = []
-        for pid, k in assignment.items() - shown.assignment.items():
+        for pid in moved:
             layer = shown.chosen.get(pid)
             if layer is None:  # inside a changed ego, or out of reach
                 continue
+            k = assignment.get(pid)
             point = layer.point
+            if k is None or point.variants[k] is layer:
+                continue
             parent = point.parent
             while parent is not None and assignment.get(parent[0].id) == parent[1]:
                 parent = parent[0].parent
@@ -651,7 +705,7 @@ def combination_frontier(shown: Shown, assignment: dict[int, int]) -> Delta:
         layer = stack.pop()
         left.append(layer)
         stack.extend(shown.chosen[p.id] for p in layer.points)
-    return Delta(assignment, changes, entered, left)
+    return Delta(changes, entered, left)
 
 
 def inflections(shown: Shown, delta: Delta, graph: FeatureGraph,
@@ -699,7 +753,9 @@ def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
     point -> layer map and the entered ones join it, the read word forms go
     into their parts, the entered layers are joined, and each changed layer
     hands its resolved items and text to the layer around it, deepest
-    first, up to the root."""
+    first, up to the root.  At the root, the path copy copies a tuple and
+    the join reads a list as long as the root layer's frontier: C-level
+    work that grows with the number of points outside the egos."""
     for (layer, pos), form in zip(calls, forms):
         layer.parts[pos] = form
     chosen = shown.chosen
@@ -735,7 +791,6 @@ def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
         shown.names.subtract(layer.names)
     shown.names.update(itertools.chain.from_iterable(
         layer.names for layer in delta.entered))
-    shown.assignment = delta.assignment
 
 
 class EgoStack:

@@ -73,6 +73,8 @@ def _load_grammar(path: str):
     except TglError as e:
         raise _Usage(f"{path}:{e}") from None
     except RecursionError:
+        # _GrammarReader.selector still reads selector calls nested as
+        # arguments of selector calls by recursion
         raise _Usage(f"{path}: grammar nested too deeply to parse") from None
 
 
@@ -86,7 +88,7 @@ def cmd_generate(cfg: RunConfig, out=None, err=None) -> int:
             input_fs = parse_gil(_read(cfg.input, "input"))
         except GilError as e:
             raise _Usage(f"{cfg.input}:{e}") from None
-        diagnostics = validate_grammar(grammar, registries)
+        diagnostics = validate_grammar(grammar, registries, cfg.start)
         errors = [d for d in diagnostics if d.severity is Severity.ERROR]
         for diag in diagnostics:
             print(f"{cfg.grammar}: {diag}", file=err)

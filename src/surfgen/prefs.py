@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .backtrack import BacktrackPoint
+from .backtrack import BacktrackPoint, BTTable
 from .gil import FeatureStructure
 from .session import GenerationSession, ResolvedNode, Solution
 from .tgl import Grammar, Registries, Rule
@@ -79,6 +79,33 @@ class CriteriaSpec:
         return (tuple((c.rule_name,
                        c.weight.numerator * (denominator // c.weight.denominator))
                       for c in self.criteria), denominator)
+
+    @cached_property
+    def point_rank(self):
+        """The key by which a table indexes open backtrack points for
+        ``choose_backtrack_point``, lowest first; None without criteria.
+        Only points whose remainder holds a c-rule have a key: under
+        weight-ranked the heaviest such rule's weight, negated, and 0 for
+        all of them otherwise.  A key can only rise, or become None, as the
+        remainder shrinks."""
+        weights = self.weights
+        if not weights:
+            return None
+        if self.mode == "first-solution-bias":
+            def rank(point):
+                for rule in point.remainder:
+                    if rule.name in weights:
+                        return 0
+                return None
+        else:
+            def rank(point):
+                top = None
+                for rule in point.remainder:
+                    weight = weights.get(rule.name)
+                    if weight is not None and (top is None or weight > top):
+                        top = weight
+                return None if top is None else -top
+        return rank
 
     def is_c_rule(self, rule_name: str) -> bool:
         return rule_name in self.weights
@@ -143,32 +170,19 @@ def order_conflict_set(conflict_set: list[Rule], spec: CriteriaSpec) -> list[Rul
     return c_rules + others
 
 
-def choose_backtrack_point(open_points, spec: CriteriaSpec) -> Optional[BacktrackPoint]:
-    """Prefer points whose remainder still holds a c-rule, then deepest.
+def choose_backtrack_point(table: BTTable,
+                           spec: CriteriaSpec) -> Optional[BacktrackPoint]:
+    """Prefer points whose remainder still holds a c-rule (under
+    weight-ranked, the heaviest one), then the most recently created.
 
-    Takes the list of open points; returns None on exhaustion.
+    Takes the table of the session, whose index ``spec.point_rank`` keys
+    (a session with ``CriteriaStrategy(spec)`` builds its table so), and
+    reads the first entry of that index, not every open point; returns
+    None on exhaustion.
     """
-    if not open_points:
-        return None
-    weights = spec.weights
-    if weights:
-        bias = spec.mode == "first-solution-bias"
-        best: Optional[tuple[Fraction, BacktrackPoint]] = None
-        for point in open_points:
-            top = None
-            for rule in point.remainder:
-                weight = weights.get(rule.name)
-                if weight is not None and (top is None or weight > top):
-                    top = weight
-            if top is None:
-                continue
-            if bias:
-                return point  # deepest-first among c-rule carriers
-            if best is None or top > best[0]:
-                best = (top, point)
-        if best is not None:
-            return best[1]
-    return open_points[0]
+    if spec.point_rank is None:
+        return table.newest_open()
+    return table.first_ranked()
 
 
 def solution_weight(applied: ResolvedNode | Iterable[str],
@@ -209,12 +223,13 @@ class CriteriaStrategy:
 
     def __init__(self, spec: CriteriaSpec = EMPTY_SPEC):
         self.spec = spec
+        self.rank = spec.point_rank
 
     def order_conflict_set(self, rules: list[Rule]) -> list[Rule]:
         return order_conflict_set(rules, self.spec)
 
-    def choose_point(self, open_points: list[BacktrackPoint]):
-        return choose_backtrack_point(open_points, self.spec)
+    def choose_point(self, table: BTTable) -> Optional[BacktrackPoint]:
+        return choose_backtrack_point(table, self.spec)
 
     def weight(self, rule_names: Counter) -> Fraction:
         return solution_weight(rule_names, self.spec)

@@ -86,13 +86,20 @@ class Solution:
 
 
 class DefaultStrategy:
-    """No criteria: source order, most recently created point first."""
+    """No criteria: source order, most recently created point first.
+
+    A strategy orders conflict sets, weighs solutions and chooses the open
+    point to expand from the session's table, whose ``index`` its ``rank``
+    keys (see ``BTTable``); this one needs no index.
+    """
+
+    rank = None
 
     def order_conflict_set(self, rules: list[Rule]) -> list[Rule]:
         return list(rules)
 
-    def choose_point(self, open_points: list[BacktrackPoint]):
-        return open_points[0] if open_points else None
+    def choose_point(self, table: BTTable) -> Optional[BacktrackPoint]:
+        return table.newest_open()
 
     def weight(self, rule_names: Counter) -> Fraction:
         return Fraction(0)
@@ -111,7 +118,7 @@ class GenerationSession:
         self.max_depth = max_depth
         self.trail = Trail()
         self.graph = FeatureGraph(self.trail)
-        self.table = BTTable()
+        self.table = BTTable(self.strategy.rank)
         self.memo: Optional[MemoCache] = MemoCache() if use_memo else None
         self.memory: dict = {}
         self.stats = Stats()
@@ -123,6 +130,8 @@ class GenerationSession:
         # node id -> (layer, frontier position) of each inflection call whose
         # hooks read that node, over every captured layer
         self._readers: dict[int, list] = {}
+        # ids the odometer moved since the shown solution was committed
+        self._moved: set[int] = set()
         # the children list each level of the derivation appends to; its
         # length less one is the derivation depth
         self._frames: list[list] = [self._root_items]
@@ -156,7 +165,7 @@ class GenerationSession:
             self._egos = EgoStack(self.graph.copy(Trail()))
             yield from self._emit({})
             while True:
-                point = self.strategy.choose_point(self.table.open_points())
+                point = self.strategy.choose_point(self.table)
                 if point is None:
                     break
                 k = self._expand(point)
@@ -510,9 +519,9 @@ class GenerationSession:
     # -- emission -----------------------------------------------------------
 
     def _emit(self, fixed: dict[int, int]) -> Iterator[Solution]:
-        shown = self._shown
-        for assignment in iter_assignments(shown.root, fixed):
-            delta = combination_frontier(shown, assignment)
+        shown, moved = self._shown, self._moved
+        for assignment in iter_assignments(shown.root, fixed, moved):
+            delta = combination_frontier(shown, assignment, moved)
             state = combination_state(delta, self._egos)
             if state is None:
                 self.stats.combinations_filtered += 1
@@ -521,8 +530,10 @@ class GenerationSession:
             forms = realize([layer.frontier[pos] for layer, pos in calls],
                             self.registries.functions, state.value, self.stats)
             commit(shown, delta, calls, forms)
+            moved.clear()
             weight = self.strategy.weight(shown.names)
             self.stats.solutions_emitted += 1
             text = shown.root.text
             self._trace("solution", detail=text)
+            # the odometer's assignment moves on: the solution keeps a copy
             yield Solution(text, weight, shown.root.top[0], dict(assignment))

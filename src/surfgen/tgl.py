@@ -112,6 +112,8 @@ class CallPred:
 
 TestExpr = Union[TrueTest, Exists, AtomEq, RoleFillerP, HasAdjunct,
                  And, Or, Not, CallPred]
+_COMPOUND_TESTS = (And, Or, Not)
+_COMPOUND_OPS = ("AND", "OR", "NOT")
 
 
 # ---------------------------------------------------------------------------
@@ -425,21 +427,47 @@ class _GrammarReader:
         return category, test
 
     def test(self, form) -> TestExpr:
+        """The test a form reads as.  AND, OR and NOT are built bottom-up
+        from an explicit stack, so a test may nest to any depth; a leaf test
+        needs none."""
+        op, args = self._test_op(form)
+        if op not in _COMPOUND_OPS:
+            return self._leaf_test(op, args, form)
+        self._check_arity(op, args, form)
+        stack = [(op, args, [])]  # per open compound: its operands so far
+        while True:
+            op, args, built = stack[-1]
+            if len(built) < len(args):
+                child = args[len(built)]
+                child_op, child_args = self._test_op(child)
+                if child_op in _COMPOUND_OPS:
+                    self._check_arity(child_op, child_args, child)
+                    stack.append((child_op, child_args, []))
+                else:
+                    built.append(self._leaf_test(child_op, child_args, child))
+                continue
+            stack.pop()
+            test = Not(built[0]) if op == "NOT" else \
+                (And if op == "AND" else Or)(tuple(built))
+            if not stack:
+                return test
+            stack[-1][2].append(test)
+
+    def _test_op(self, form) -> tuple:
         if form[0] != "list" or not form[1] or not _is_sym(form[1][0]):
             self.fail("test expression must be (OP ...)", form)
-        op = form[1][0][1].upper()
-        args = form[1][1:]
-        if op == "TRUE":
-            return TrueTest()
-        if op == "AND" or op == "OR":
-            if not args:
-                self.fail(f"{op} wants at least one expression", form)
-            items = tuple(self.test(a) for a in args)
-            return And(items) if op == "AND" else Or(items)
+        return form[1][0][1].upper(), form[1][1:]
+
+    def _check_arity(self, op: str, args, form) -> None:
         if op == "NOT":
             if len(args) != 1:
                 self.fail("NOT wants exactly one expression", form)
-            return Not(self.test(args[0]))
+        elif not args:
+            self.fail(f"{op} wants at least one expression", form)
+
+    def _leaf_test(self, op: str, args, form) -> TestExpr:
+        if op == "TRUE":
+            return TrueTest()
         if op == "EXISTS":
             if len(args) != 1:
                 self.fail("EXISTS wants a path", form)
@@ -638,6 +666,27 @@ def _fmt_atom(a: Atom) -> str:
 
 
 def _fmt_test(t: TestExpr) -> str:
+    out: list[str] = []
+    stack: list = [t]  # tests still to format, and literal pieces
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Not):
+            stack += [")", item.item, "(NOT "]
+        elif isinstance(item, (And, Or)):
+            stack.append(")")
+            for k in range(len(item.items) - 1, -1, -1):
+                stack.append(item.items[k])
+                if k:
+                    stack.append(" ")
+            stack.append("(AND " if isinstance(item, And) else "(OR ")
+        else:
+            out.append(_fmt_leaf_test(item))
+    return "".join(out)
+
+
+def _fmt_leaf_test(t: TestExpr) -> str:
     if isinstance(t, TrueTest):
         return "(TRUE)"
     if isinstance(t, Exists):
@@ -648,12 +697,6 @@ def _fmt_test(t: TestExpr) -> str:
         return f"(ROLE-FILLER-P {t.role})"
     if isinstance(t, HasAdjunct):
         return f"(HAS-ADJUNCT {t.kind})"
-    if isinstance(t, And):
-        return "(AND " + " ".join(_fmt_test(i) for i in t.items) + ")"
-    if isinstance(t, Or):
-        return "(OR " + " ".join(_fmt_test(i) for i in t.items) + ")"
-    if isinstance(t, Not):
-        return f"(NOT {_fmt_test(t.item)})"
     if isinstance(t, CallPred):
         return "(PRED " + " ".join([t.name] + [_fmt_arg(a) for a in t.args]) + ")"
     raise TypeError(t)
@@ -788,12 +831,8 @@ def eval_test(test: TestExpr, fs: FeatureStructure,
         return _role_filler(fs, test.role) is not None
     if isinstance(test, HasAdjunct):
         return _relative(fs, _ADJUNCT_PATHS[test.kind]) is not None
-    if isinstance(test, And):
-        return all(eval_test(t, fs, predicates) for t in test.items)
-    if isinstance(test, Or):
-        return any(eval_test(t, fs, predicates) for t in test.items)
-    if isinstance(test, Not):
-        return not eval_test(test.item, fs, predicates)
+    if isinstance(test, _COMPOUND_TESTS):
+        return _eval_compound(test, fs, predicates)
     if isinstance(test, CallPred):
         fn = predicates.get(test.name) if predicates else None
         if fn is None:
@@ -801,6 +840,39 @@ def eval_test(test: TestExpr, fs: FeatureStructure,
         args = tuple(_eval_arg(a, fs, None) for a in test.args)
         return bool(fn(fs, *args))
     raise TypeError(test)
+
+
+def _eval_compound(test, fs: FeatureStructure, predicates) -> bool:
+    """AND, OR and NOT from an explicit stack, so that a test may nest to
+    any depth: short-circuit, left to right, as all(), any() and not."""
+    stack = [[test, 0]]  # per open compound: it and its next operand
+    value = False  # the value of the operand last evaluated
+    while stack:
+        frame = stack[-1]
+        test, i = frame
+        if type(test) is Not:
+            if i:
+                value = not value
+                stack.pop()
+                continue
+            child = test.item
+        else:
+            is_or = type(test) is Or
+            if i and bool(value) is is_or:  # decided: AND met false, OR true
+                value = is_or
+                stack.pop()
+                continue
+            if i == len(test.items):
+                value = not is_or
+                stack.pop()
+                continue
+            child = test.items[i]
+        frame[1] = i + 1
+        if isinstance(child, _COMPOUND_TESTS):
+            stack.append([child, 0])
+        else:
+            value = eval_test(child, fs, predicates)
+    return value
 
 
 def eval_selector(selector: SelectorExpr, fs: FeatureStructure,
@@ -857,9 +929,10 @@ class Diagnostic:
         return f"{self.severity.value}: {where}{loc}: {self.message}"
 
 
-def validate_grammar(grammar: Grammar,
-                     registries: Optional[Registries] = None) -> list[Diagnostic]:
-    """Static checks; an empty result means the grammar is clean."""
+def validate_grammar(grammar: Grammar, registries: Optional[Registries] = None,
+                     start: Optional[str] = None) -> list[Diagnostic]:
+    """Static checks; an empty result means the grammar is clean.  start is
+    the start category generation will use (default: the grammar's)."""
     out: list[Diagnostic] = []
 
     def error(msg, rule=None, line=0):
@@ -868,8 +941,9 @@ def validate_grammar(grammar: Grammar,
     def warn(msg, rule=None, line=0):
         out.append(Diagnostic(Severity.WARNING, msg, rule, line))
 
-    if not grammar.rules_for(grammar.start):
-        error(f"start category {grammar.start} has no rules")
+    start = (start or grammar.start).upper()
+    if not grammar.rules_for(start):
+        error(f"start category {start} has no rules")
 
     for rule in grammar.rules:
         positions = rule.constituent_positions()
@@ -915,16 +989,18 @@ def _check_fun(call: FunCall, rule: Rule, registries, error, side_effect: bool):
 
 
 def _check_test_names(test: TestExpr, rule: Rule, registries, error):
-    if isinstance(test, CallPred):
-        if registries is not None and registries.predicates.get(test.name) is None:
-            error(f"unknown predicate {test.name!r}", rule.name, rule.line)
-        for arg in test.args:
-            _check_sel_names(arg, rule, registries, error)
-    elif isinstance(test, (And, Or)):
-        for item in test.items:
-            _check_test_names(item, rule, registries, error)
-    elif isinstance(test, Not):
-        _check_test_names(test.item, rule, registries, error)
+    stack = [test]  # in pre-order, so errors come left to right
+    while stack:
+        test = stack.pop()
+        if isinstance(test, CallPred):
+            if registries is not None and registries.predicates.get(test.name) is None:
+                error(f"unknown predicate {test.name!r}", rule.name, rule.line)
+            for arg in test.args:
+                _check_sel_names(arg, rule, registries, error)
+        elif isinstance(test, (And, Or)):
+            stack.extend(reversed(test.items))
+        elif isinstance(test, Not):
+            stack.append(test.item)
 
 
 def _check_sel_names(sel, rule: Rule, registries, error):

@@ -58,6 +58,18 @@ def _ctx(segments):
     return out
 
 
+def _contexts(shown, point):
+    """(pre-context, post-context) of a point: the frontier on either side
+    of it in the layer holding it, through the points around it."""
+    pre, post = [], []
+    while point is not None:
+        frontier = shown.holder(point).frontier
+        pre[:0] = frontier[:point.index]
+        post.extend(frontier[point.index + 1:])
+        point = point.parent[0] if point.parent else None
+    return pre, post
+
+
 def test_first_solution_and_total(regs):
     g = parse_grammar(TABLE_GRAMMAR)
     session = GenerationSession(g, regs)
@@ -78,15 +90,17 @@ def test_table_shape(regs):
     assert len(points) == 3
     b1, b2, b3 = points[1], points[2], points[3]
 
+    (pre1, post1), (pre2, post2), (pre3, post3) = (
+        _contexts(session._shown, p) for p in (b1, b2, b3))
     # pre-contexts were known at recording time, left to right
-    assert _ctx(b1.pre_context) == ["s1"]
-    assert _ctx(b2.pre_context) == ["s1", "B1", "s3"]
-    assert _ctx(b3.pre_context) == ["s1", "B1", "s3", "s51"]
+    assert _ctx(pre1) == ["s1"]
+    assert _ctx(pre2) == ["s1", "B1", "s3"]
+    assert _ctx(pre3) == ["s1", "B1", "s3", "s51"]
 
     # post-contexts got filled once the first solution existed
-    assert _ctx(b1.post_context) == ["s3", "B2", "s8"]
-    assert _ctx(b2.post_context) == ["s8"]
-    assert _ctx(b3.post_context) == ["s71", "s8"]
+    assert _ctx(post1) == ["s3", "B2", "s8"]
+    assert _ctx(post2) == ["s8"]
+    assert _ctx(post3) == ["s71", "s8"]
 
     # egos: one sequence per successfully applied conflict-set rule
     def egos(point):
@@ -131,8 +145,9 @@ def test_solutions_decompose_into_contexts_and_ego(make_case, memo):
                         if isinstance(child, ChoiceRef)]
             for point in reached:
                 ego = point.variants[assignment[point.id]].items[0]
-                got = (_leaves(point.pre_context, assignment) + _leaves([ego], assignment)
-                       + _leaves(point.post_context, assignment))
+                pre, post = _contexts(session._shown, point)
+                got = (_leaves(pre, assignment) + _leaves([ego], assignment)
+                       + _leaves(post, assignment))
                 assert len(got) == len(frontier)
                 assert all(a is b for a, b in zip(got, frontier))
                 checked += 1
@@ -185,7 +200,7 @@ def test_point_of_a_failed_rule_never_joins_the_table(regs):
     # only A's point was captured; B's, with b2 untried, went with a-bad
     assert len(session.table) == 1
     assert [p.category for p in session.table] == ["A"]
-    assert session.table.open_points() == []
+    assert session.table.newest_open() is None
 
 
 def test_conflict_of_three_leaves_remainder_of_two(regs):
@@ -331,11 +346,11 @@ def test_first_solution_fills_every_post_context_once(regs):
     stream = session.solutions(FeatureStructure())
     next(stream)
     # after the first solution every ego set holds exactly one element and
-    # every post-context is known
+    # every point has its place in the frontier of the layer holding it, so
+    # its contexts are known
     for point in session.table:
         assert len(point.variants) == 1
-        assert point.layer is not None
-        assert point.post_context is not None
+        assert session._shown.holder(point).frontier[point.index].point is point
     stream.close()
 
 
@@ -386,7 +401,7 @@ def test_iter_assignments_cross_product(regs):
     g = parse_grammar(TABLE_GRAMMAR)
     session = GenerationSession(g, regs)
     list(session.solutions(FeatureStructure()))
-    combos = list(iter_assignments(session._shown.root, {}))
+    combos = [dict(a) for a in iter_assignments(session._shown.root, {}, set())]
     assert len(combos) == 4  # |B1| = 2 times |B3| = 2; B2 contributes 1
     points = {p.id: p for p in session.table}
     assert all(a[points[2].id] == 0 for a in combos)

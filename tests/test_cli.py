@@ -115,6 +115,26 @@ def test_start_category_flag(paths):
     assert out == "Sie am Freitag treffen\n"
 
 
+@pytest.mark.parametrize("start, rules", [("NOPE", "TXT"), (None, "S"), ("s", "S")])
+def test_start_category_without_rules_is_an_input_error(tmp_path, start, rules):
+    grammar = tmp_path / "g.tgl"
+    grammar.write_text(f'(DEFPRODUCTION "r" (:PRECOND (:CAT {rules} :TEST ((TRUE)))'
+                       f' :ACTIONS (:TEMPLATE "w")))\n', encoding="utf-8")
+    doc = tmp_path / "empty.gil"
+    doc.write_text("[]", encoding="utf-8")
+    argv = ["generate", "--grammar", str(grammar), "--input", str(doc)]
+    if start:
+        argv += ["--start", start]
+    code, out, err = run(argv)
+    if start == "s":  # the category used is S, and S has a rule
+        assert (code, out, err) == (EXIT_OK, "w\n", "")
+        return
+    assert code == EXIT_ERROR
+    assert out == ""
+    used = start or "TXT"
+    assert err == f"{grammar}: error: grammar: start category {used} has no rules\n"
+
+
 def test_criteria_reorder_stream(paths):
     code, out, _ = run(["generate", "--grammar", paths["voice"],
                         "--input", paths["report"], "--max", "0",
@@ -278,6 +298,25 @@ def test_file_that_is_not_utf8_is_an_input_error(paths, tmp_path, which):
 
 @pytest.mark.parametrize("command", ["generate", "validate"])
 def test_too_deeply_nested_grammar_is_an_input_error(paths, tmp_path, command):
+    # selector calls as arguments of selector calls are still read by
+    # recursion; tests are not (see the next test)
+    depth = 3000
+    grammar = tmp_path / "nested.tgl"
+    grammar.write_text(
+        '(DEFPRODUCTION "t" (:PRECOND (:CAT TXT :TEST ((PRED p '
+        + "(SEL s " * depth + "(SELF)" + ")" * depth
+        + '))) :ACTIONS (:TEMPLATE "x")))\n', encoding="utf-8")
+    argv = [command, "--grammar", str(grammar)]
+    if command == "generate":
+        argv += ["--input", paths["meeting"]]
+    code, out, err = run(argv)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == f"error: {grammar}: grammar nested too deeply to parse\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "validate"])
+def test_deeply_nested_test_is_accepted(paths, tmp_path, command):
     depth = 3000
     grammar = tmp_path / "nested.tgl"
     grammar.write_text(
@@ -287,10 +326,7 @@ def test_too_deeply_nested_grammar_is_an_input_error(paths, tmp_path, command):
     argv = [command, "--grammar", str(grammar)]
     if command == "generate":
         argv += ["--input", paths["meeting"]]
-    code, out, err = run(argv)
-    assert code == EXIT_ERROR
-    assert out == ""
-    assert err == f"error: {grammar}: grammar nested too deeply to parse\n"
+    assert run(argv) == (EXIT_OK, "x\n" if command == "generate" else "OK\n", "")
 
 
 @pytest.mark.parametrize("items, code, cut", [(60, EXIT_OK, False),

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from surfgen.gil import parse_gil
+from surfgen.backtrack import BTTable
+from surfgen.gil import FeatureStructure, parse_gil
 from surfgen.prefs import (
     CriteriaError,
     CriteriaSpec,
@@ -13,6 +14,7 @@ from surfgen.prefs import (
     applied_rules,
     best_first_stream,
     choose_backtrack_point,
+    make_session,
     order_conflict_set,
     parse_criteria,
     rank_solutions,
@@ -21,6 +23,8 @@ from surfgen.prefs import (
 )
 from surfgen.session import GenerationSession, ResolvedNode
 from surfgen.tgl import Registries, parse_grammar
+
+from .grammars import build_registries, hard_case, random_case
 
 
 @pytest.fixture(scope="module")
@@ -78,35 +82,53 @@ def test_order_is_stable_partition():
 # --- backtrack-point choice ----------------------------------------------------
 
 class _FakePoint:
-    def __init__(self, names):
+    def __init__(self, id, names):
+        self.id = id
         self.remainder = _rules(names)
 
 
+def _table(spec, *remainders):
+    """A table indexed as spec's sessions index theirs, holding one point
+    per remainder, created in that order (the last is the newest)."""
+    table = BTTable(spec.point_rank)
+    points = [_FakePoint(i, names) for i, names in enumerate(remainders, start=1)]
+    for point in points:
+        table.add(point)
+    return table, points
+
+
 def test_choose_prefers_c_rule_remainder():
-    p1, p2 = _FakePoint(["plain"]), _FakePoint(["crule"])
     spec = CriteriaSpec((Criterion("crule"),))
-    assert choose_backtrack_point([p2, p1], spec) is p2
-    assert choose_backtrack_point([p1, p2], spec) is p2
+    table, (_, p2) = _table(spec, ["plain"], ["crule"])
+    assert choose_backtrack_point(table, spec) is p2
+    table, (p1, _) = _table(spec, ["crule"], ["plain"])
+    assert choose_backtrack_point(table, spec) is p1
 
 
 def test_choose_without_criteria_is_deepest_first():
-    p1, p2 = _FakePoint(["a"]), _FakePoint(["b"])
-    assert choose_backtrack_point([p2, p1], CriteriaSpec()) is p2
+    table, (_, p2) = _table(CriteriaSpec(), ["a"], ["b"])
+    assert choose_backtrack_point(table, CriteriaSpec()) is p2
 
 
 def test_choose_exhausted():
-    assert choose_backtrack_point([], CriteriaSpec()) is None
+    assert choose_backtrack_point(BTTable(), CriteriaSpec()) is None
+    spec = CriteriaSpec((Criterion("a"),))
+    table, (p1,) = _table(spec, ["a"])
+    table.take(p1)
+    assert choose_backtrack_point(table, spec) is None
 
 
 def test_choose_weight_ranked_picks_heaviest():
-    p1, p2 = _FakePoint(["light"]), _FakePoint(["heavy"])
     spec = CriteriaSpec((Criterion("light", Fraction(1)),
                          Criterion("heavy", Fraction(5))), mode="weight-ranked")
-    assert choose_backtrack_point([p1, p2], spec) is p2
+    # the heavier point wins though the lighter one is newer
+    table, (heavy, _) = _table(spec, ["heavy"], ["light"])
+    assert choose_backtrack_point(table, spec) is heavy
 
 
 def ref_choose(open_points, spec):
-    """The choice as first written: two lookups per remainder rule."""
+    """The choice as first written: two lookups per remainder rule, over
+    the open points, most recently created first."""
     if not open_points:
         return None
     if spec.criteria:
@@ -125,20 +147,114 @@ def ref_choose(open_points, spec):
     return open_points[0]
 
 
+def _open_points(table):
+    return [p for p in reversed(list(table)) if p.remainder]
+
+
 @pytest.mark.parametrize("mode", ["first-solution-bias", "weight-ranked"])
 def test_choose_matches_reference_ties_included(mode):
+    """The index gives the reference's choice, also after remainders shrink
+    under it, one rule at a time."""
     rng = random.Random(mode)
     names = [f"r{i}" for i in range(8)]
-    rules = dict(zip(names, _rules(names)))
     for _ in range(300):
         # few distinct weights, so ties between points are common
         spec = CriteriaSpec(tuple(Criterion(n, Fraction(rng.choice((1, 2, 2))))
                                   for n in rng.sample(names, rng.randint(0, 4))),
                             mode)
-        points = [_FakePoint([]) for _ in range(rng.randint(0, 6))]
-        for point in points:
-            point.remainder = [rules[n] for n in rng.sample(names, rng.randint(0, 3))]
-        assert choose_backtrack_point(points, spec) is ref_choose(points, spec)
+        table, points = _table(spec, *(rng.sample(names, rng.randint(0, 3))
+                                       for _ in range(rng.randint(0, 6))))
+        while True:
+            got = choose_backtrack_point(table, spec)
+            assert got is ref_choose(_open_points(table), spec)
+            if got is None:
+                break
+            shrunk = rng.choice(_open_points(table))
+            table.take(shrunk, rng.randrange(len(shrunk.remainder)))
+
+
+SPECS = ("none", "first-solution-bias", "weight-ranked")
+
+
+@pytest.mark.parametrize("mode", SPECS)
+def test_indexed_choice_matches_reference_in_sessions(mode):
+    """On real sessions, whose remainders shrink and which gain points as
+    expansions capture new egos, every choice is the reference's over the
+    open points of the moment."""
+    rng = random.Random(mode)
+    chosen = gained = 0
+    for seed in range(200):
+        grammar, fs = (random_case if seed % 2 else hard_case)(seed)
+        names = [rule.name for rule in grammar.rules]
+        spec = CriteriaSpec() if mode == "none" else CriteriaSpec(
+            tuple(Criterion(n, Fraction(rng.choice((1, 2, 2))))
+                  for n in rng.sample(names, min(len(names), rng.randint(1, 4)))),
+            mode)
+        session = make_session(grammar, spec, registries=build_registries())
+        choose = session.strategy.choose_point
+
+        def checked(table):
+            nonlocal chosen
+            got = choose(table)
+            assert got is ref_choose(_open_points(table), spec)
+            chosen += 1
+            return got
+
+        session.strategy.choose_point = checked
+        stream = session.solutions(fs)
+        if next(stream, None) is None:
+            continue
+        before = len(session.table)
+        for _ in stream:
+            pass
+        gained += len(session.table) > before
+    assert chosen > 300 and gained > 8
+
+
+def test_choice_cost_follows_expansions_not_width(regs):
+    """16 further solutions of a wide session look up criteria weights in
+    proportion to the points they expand, the same at 16 and 512 points:
+    the choice reads the index, not every open point."""
+    lookups, expanded = {}, {}
+    for n in (16, 512):
+        grammar = parse_grammar("".join(
+            [f'(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+             f' :ACTIONS (:TEMPLATE {" ".join(f"(:RULE X{i} (SELF))" for i in range(n))})))\n']
+            + [f'(DEFPRODUCTION "x{i}-{alt}" (:PRECOND (:CAT X{i} :TEST ((TRUE)))'
+               f' :ACTIONS (:TEMPLATE "{alt}{i}")))\n'
+               for i in range(n) for alt in "abc"]))
+        # three alternatives, all weighed: remainders shrink without emptying
+        spec = CriteriaSpec(tuple(Criterion(f"x{i}-{alt}", Fraction(w))
+                                  for i in range(n) for alt, w in zip("abc", (3, 2, 1))),
+                            "weight-ranked")
+        weights = _CountingDict(spec.weights)
+        spec.__dict__["weights"] = weights
+        session = make_session(grammar, spec, registries=regs)
+        stream = session.solutions(FeatureStructure())
+        next(stream)
+        weights.lookups = 0
+        before = session.stats.bt_expansions
+        for _ in range(16):
+            next(stream)
+        lookups[n] = weights.lookups
+        expanded[n] = session.stats.bt_expansions - before
+        stream.close()
+    assert lookups[512] == lookups[16]
+    assert 0 < lookups[512] <= 3 * expanded[512]
+
+
+class _CountingDict(dict):
+    """A dict that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
 
 
 # --- weights ---------------------------------------------------------------------

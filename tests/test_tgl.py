@@ -11,6 +11,7 @@ from surfgen.gil import (
     serialize_gil,
 )
 from surfgen.tgl import (
+    And,
     Assign,
     AtomEq,
     CallPred,
@@ -22,6 +23,7 @@ from surfgen.tgl import (
     Lhs,
     Literal,
     Not,
+    Or,
     PathSel,
     Registries,
     Rhs,
@@ -362,3 +364,74 @@ def test_eval_purity(meeting_fs, theme):
     eval_selector(TempAdjunct(), theme)
     assert serialize_gil(meeting_fs) == before
     assert fs_equal(parse_gil(before), meeting_fs)
+
+
+# --- tests nested beyond the recursion limit -----------------------------------
+
+def ref_eval(test, fs):
+    """The recursive evaluation the explicit-stack walk replaces."""
+    if isinstance(test, And):
+        return all(ref_eval(t, fs) for t in test.items)
+    if isinstance(test, Or):
+        return any(ref_eval(t, fs) for t in test.items)
+    if isinstance(test, Not):
+        return not ref_eval(test.item, fs)
+    return eval_test(test, fs)
+
+
+def random_test(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice((TrueTest(), Exists(Path(("A",))), Exists(Path(("B",)))))
+    kind = rng.choice((And, Or, Not))
+    if kind is Not:
+        return Not(random_test(rng, depth - 1))
+    return kind(tuple(random_test(rng, depth - 1) for _ in range(rng.randint(0, 3))))
+
+
+def test_compound_tests_evaluate_as_the_recursive_reference():
+    import random
+
+    rng = random.Random(7)
+    fs = parse_gil("[(A x)]")
+    values = set()
+    for _ in range(2000):
+        test = random_test(rng, 5)
+        got = eval_test(test, fs)
+        assert got is ref_eval(test, fs)
+        values.add(got)
+    assert values == {True, False}
+
+
+DEEP = 3000
+
+
+def test_deeply_nested_test_parses_validates_formats_and_evaluates():
+    text = ('(DEFPRODUCTION "t" (:PRECOND (:CAT TXT :TEST ('
+            + "(NOT (AND (TRUE) " * DEEP + "(PRED nope)" + "))" * DEEP
+            + ')) :ACTIONS (:TEMPLATE "x")))\n')
+    g = parse_grammar(text)
+    test = g.rules[0].test
+    for _ in range(DEEP):
+        assert isinstance(test, Not) and isinstance(test.item, And)
+        assert test.item.items[0] == TrueTest()
+        test = test.item.items[1]
+    assert test == CallPred("nope", ())
+    assert format_grammar(parse_grammar(format_grammar(g))) == format_grammar(g)
+    assert "(NOT (AND (TRUE) (NOT (AND (TRUE) " in format_grammar(g)
+    diags = validate_grammar(g, Registries.standard())
+    assert [d.message for d in diags if d.severity is Severity.ERROR] == \
+        ["unknown predicate 'nope'"]
+    # NOT (AND TRUE x) is NOT x, and an even number of NOTs is none
+    for value in (False, True):
+        regs = Registries.standard()
+        regs.predicates.register("nope", lambda fs: value)
+        assert eval_test(g.rules[0].test, FeatureStructure(), regs.predicates) is value
+
+
+def test_nested_test_arity_errors_keep_their_place():
+    with pytest.raises(TglError, match="NOT wants exactly one expression"):
+        parse_grammar('(DEFPRODUCTION "t" (:PRECOND (:CAT TXT :TEST ((AND (TRUE)'
+                      ' (NOT (TRUE) (TRUE))))) :ACTIONS (:TEMPLATE "x")))')
+    with pytest.raises(TglError, match="OR wants at least one expression"):
+        parse_grammar('(DEFPRODUCTION "t" (:PRECOND (:CAT TXT :TEST ((NOT (OR))))'
+                      ' :ACTIONS (:TEMPLATE "x")))')

@@ -185,7 +185,7 @@ def form(item) -> str:
 
 def show(shown, assignment):
     """Apply the delta to assignment, reading every entered layer's calls."""
-    delta = combination_frontier(shown, assignment)
+    delta = combination_frontier(shown, assignment, assignment.keys())
     calls = [(layer, pos) for layer in delta.entered for pos in layer.calls]
     commit(shown, delta, calls, [form(layer.frontier[pos]) for layer, pos in calls])
     return delta
@@ -217,7 +217,7 @@ def test_walkers_match_reference_walks(case):
         frontier, refs = ref_fill_post_contexts(layer.items)
         assert layer.frontier == frontier
         assert [(p, p.index) for p in layer.points] == refs
-        assert all(p.layer is layer.frontier for p in layer.points)
+        assert all(session._shown.holder(p) is layer for p in layer.points)
         nodes = list(ref_layer_nodes(layer.items))
         assert same_items(layer.obligations,
                           [ob for n in nodes for ob in n.obligations])
@@ -226,7 +226,7 @@ def test_walkers_match_reference_walks(case):
     shown = Shown(session._shown.root)
     shown.root.text = None
     for fixed in pins_for(points):
-        got = list(iter_assignments(shown.root, fixed))
+        got = [dict(a) for a in iter_assignments(shown.root, fixed, set())]
         assert ordered(got) == ordered(ref_iter_assignments(root, fixed))
         for assignment in got:
             show(shown, assignment)
@@ -258,19 +258,22 @@ def test_odometer_matches_reference_while_variants_arrive(case):
     """The fold caches are split as expansions add variants: after each
     expansion, and after each solution, the odometer still yields what the
     point-by-point reference walk yields, key order and stale entries
-    included, and the open points are the unexhausted ones."""
+    included, and the open points are the unexhausted ones, the newest
+    chosen first."""
     grammar, fs = CASES[case]
     session = GenerationSession(grammar, build_registries())
     checks = [0]
 
     def check():
         points = list(session.table)
-        assert session.table.open_points() == \
-            [p for p in reversed(points) if p.remainder]
+        open_points = [p for p in points if p.remainder]
+        assert list(session.table.open.values()) == open_points
+        assert session.strategy.choose_point(session.table) is \
+            (open_points[-1] if open_points else None)
         if session._shown is None:
             return
         for fixed in pins_for(points):
-            got = iter_assignments(session._shown.root, fixed)
+            got = iter_assignments(session._shown.root, fixed, set())
             assert ordered(got) == \
                 ordered(ref_iter_assignments(session._root_items, fixed))
         checks[0] += 1
@@ -287,6 +290,47 @@ def test_odometer_matches_reference_while_variants_arrive(case):
         check()
     check()
     assert checks[0] > 0 or session._shown is None
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_odometer_reports_every_id_it_moved(case):
+    """Before each yield, the ids the odometer reported since the last one
+    cover every id whose variant differs from the last yield's, an id
+    absent there reading as variant 0; before the first, every point it
+    reaches that has more than one variant.  Checked after each expansion
+    and each solution, under every pin."""
+    grammar, fs = CASES[case]
+    session = GenerationSession(grammar, build_registries())
+    moves = [0]
+
+    def check():
+        if session._shown is None:
+            return
+        points = session.table.points
+        for fixed in pins_for(list(session.table)):
+            moved: set = set()
+            last = None
+            for assignment in iter_assignments(session._shown.root, fixed, moved):
+                if last is None:
+                    want = {pid for pid in assignment if len(points[pid].variants) > 1}
+                else:
+                    want = {pid for pid, k in assignment.items() if last.get(pid, 0) != k}
+                assert want <= moved
+                moves[0] += len(want)
+                moved.clear()
+                last = dict(assignment)
+
+    expand = session._expand
+
+    def expand_and_check(point):
+        k = expand(point)
+        check()
+        return k
+
+    session._expand = expand_and_check
+    for _ in session.solutions(fs):
+        check()
+    assert moves[0] > 0 or all(len(p.variants) < 2 for p in session.table)
 
 
 # --- depth beyond the recursion limit ------------------------------------------
@@ -317,11 +361,11 @@ def test_walkers_on_deep_chain():
     fill_post_contexts(root, readers)
     assert root.points == (point,)
     assert len(root.frontier) == DEPTH + 1 and root.frontier[-1] == ChoiceRef(point)
-    assert (point.layer, point.index) == (root.frontier, DEPTH)
-    assert point.post_context == ()
-    assert root.obligations == () and len(root.names) == DEPTH
-    assert list(iter_assignments(root, {})) == [{point.id: 0}]
     shown = Shown(root)
+    assert shown.holder(point) is root and point.index == DEPTH
+    assert root.frontier[point.index + 1:] == ()
+    assert root.obligations == () and len(root.names) == DEPTH
+    assert [dict(a) for a in iter_assignments(root, {}, set())] == [{point.id: 0}]
     show(shown, {point.id: 0})
     words = " ".join(str(k) for k in range(1, DEPTH + 1))
     assert shown.root.text == words + " x"
