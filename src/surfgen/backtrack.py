@@ -379,6 +379,13 @@ def _split(steps: tuple, point: BacktrackPoint) -> tuple:
     after it are popped off the end of its fragment, and the latter make a
     new run.  The cost is that of the parts popped, so splitting the newest
     point of a run, the one the choice of points favours, is local.
+
+    The run is changed in place, and a paused odometer holds a run's
+    ``ids`` as a frame's choices and its ``points`` as the steps of a
+    pinned walk: so no ``iter_assignments`` generator may be live when a
+    split runs.  The session keeps to that, because it expands a point
+    (and so unfolds) only after the ``_emit`` before has run its odometer
+    to the end.
     """
     for i, run in enumerate(steps):
         if type(run) is Run and point.id in run.fragment:
@@ -613,7 +620,8 @@ class Shown:
         its run, and a layer that was folded whole no longer is, so its own
         point is split out in the layer around it, and so on.  A point that
         gains its first variant stays a step of its own where a cache has
-        it so; the walk takes such a step as it takes any point.
+        it so; the walk takes such a step as it takes any point.  The runs
+        are split in place: no odometer may be live (see ``_split``).
         """
         if len(point.variants) != 2:
             return

@@ -344,13 +344,8 @@ def apply_constraints(rule: Rule, lhs_node: int, position_nodes: dict[int, int],
 # Realization
 
 def join_tokens(tokens) -> str:
-    """Single spaces between tokens; tab/newline boundaries suppress them.
-    Empty tokens are skipped."""
-    text = " ".join(tokens)
-    # an empty token shows as a doubled space or a space at either end;
-    # without those, there was none to skip
-    if "  " in text or text[:1] == " " or text[-1:] == " ":
-        text = " ".join(filter(None, tokens))
+    """Single spaces between tokens; tab/newline boundaries suppress them."""
+    text = " ".join(filter(None, tokens))
     if "\t" not in text and "\n" not in text:
         return text
     out: list[str] = []

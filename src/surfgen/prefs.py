@@ -178,10 +178,11 @@ def choose_backtrack_point(table: BTTable,
     Takes the table of the session, whose index ``spec.point_rank`` keys
     (a session with ``CriteriaStrategy(spec)`` builds its table so), and
     reads the first entry of that index, not every open point; returns
-    None on exhaustion.
+    None on exhaustion.  Raises ValueError for a table ranked otherwise,
+    whose index would not hold the points this spec prefers.
     """
-    if spec.point_rank is None:
-        return table.newest_open()
+    if table.rank is not spec.point_rank:
+        raise ValueError("the table is not indexed by the spec's point_rank")
     return table.first_ranked()
 
 

@@ -118,6 +118,23 @@ def test_choose_exhausted():
     assert choose_backtrack_point(table, spec) is None
 
 
+def test_choose_rejects_a_table_ranked_otherwise():
+    """A table not indexed by the spec's rank fails loudly instead of
+    handing out its newest point."""
+    spec = CriteriaSpec((Criterion("crule"),))
+    table = BTTable()
+    table.add(_FakePoint(1, ["crule"]))
+    table.add(_FakePoint(2, ["plain"]))
+    with pytest.raises(ValueError):
+        choose_backtrack_point(table, spec)
+    ranked, _ = _table(spec, ["crule"])
+    with pytest.raises(ValueError):
+        choose_backtrack_point(ranked, CriteriaSpec())
+    other = CriteriaSpec((Criterion("crule"),), mode="weight-ranked")
+    with pytest.raises(ValueError):
+        choose_backtrack_point(ranked, other)
+
+
 def test_choose_weight_ranked_picks_heaviest():
     spec = CriteriaSpec((Criterion("light", Fraction(1)),
                          Criterion("heavy", Fraction(5))), mode="weight-ranked")

@@ -11,6 +11,8 @@ from collections import Counter
 
 import pytest
 
+from surfgen import backtrack
+from surfgen import session as session_module
 from surfgen.backtrack import (
     BacktrackPoint,
     Layer,
@@ -331,6 +333,32 @@ def test_odometer_reports_every_id_it_moved(case):
     for _ in session.solutions(fs):
         check()
     assert moves[0] > 0 or all(len(p.variants) < 2 for p in session.table)
+
+
+def test_no_odometer_is_live_when_runs_split(monkeypatch):
+    """``_split`` edits runs in place that a paused odometer would still
+    read, so a session splits only while none of its odometers is live."""
+    live, splits = [0], [0]
+
+    def counted(root, fixed, moved):
+        live[0] += 1
+        try:
+            yield from iter_assignments(root, fixed, moved)
+        finally:
+            live[0] -= 1
+
+    def checked(steps, point):
+        assert live[0] == 0
+        splits[0] += 1
+        return split(steps, point)
+
+    split = backtrack._split
+    monkeypatch.setattr(session_module, "iter_assignments", counted)
+    monkeypatch.setattr(backtrack, "_split", checked)
+    for grammar, fs in CASES:
+        for _ in GenerationSession(grammar, build_registries()).solutions(fs):
+            pass
+    assert splits[0] > 0 and live[0] == 0
 
 
 # --- depth beyond the recursion limit ------------------------------------------
