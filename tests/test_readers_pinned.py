@@ -9,9 +9,12 @@ whole text, with up to 8 insertions, deletions and replacements drawn from
 the demo texts' characters), plus hand-written cases for the corners:
 forward references, which of several undefined tags is reported, cycles,
 a tag defined twice beside another error, a syntax error before a
-malformed token, comments ending the text, and bad escapes.  The digests in ``data/reader_digests.json`` were taken
-before the readers were last rewritten; regenerate them only for an
-intended change of behaviour:
+malformed token, comments ending the text, and bad escapes.  After them
+come texts at scale (a generated wide-shaped grammar of a few hundred
+rules, the benchmark's grammars read from disk, a 60-item right-recursive
+list) and corners of telling a lexeme's kind by its first character.  The
+digests in ``data/reader_digests.json`` were taken before the readers were
+last rewritten; regenerate them only for an intended change of behaviour:
 
     PYTHONPATH=src python -m tests.test_readers_pinned
 """
@@ -25,8 +28,10 @@ from surfgen.gil import parse_gil, serialize_gil
 from surfgen.tgl import format_grammar, parse_grammar
 
 from .conftest import DEMO_DIR
+from .grammars import list_gil
 
-DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "reader_digests.json"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DIGESTS = ROOT / "tests" / "data" / "reader_digests.json"
 SOURCES = {"gil": ("meeting.gil", "report.gil"),
            "tgl": ("appointment.tgl", "voice.tgl")}
 TEXTS = {name: (DEMO_DIR / name).read_text(encoding="utf-8")
@@ -128,6 +133,55 @@ HAND = {
 }
 
 
+
+
+def wide_shaped(n: int) -> str:
+    """A grammar shaped like the benchmark's wide one: n two-way agreement
+    choices under one top rule, rules over two lines, comments between."""
+    out = [";; wide-shaped", '(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+           + "\n :ACTIONS (:TEMPLATE "
+           + " ".join(f"(:RULE W{i} (SELF))" for i in range(n)) + ")))"]
+    for i in range(n):
+        out.append(f'(DEFPRODUCTION "w{i}" (:PRECOND (:CAT W{i} :TEST ((TRUE)))'
+                   f'\n :ACTIONS (:TEMPLATE (:RULE C{i} (SELF)) (:FUN (verb fit))'
+                   f' :CONSTRAINTS (NUM LHS (C{i})) (TENSE LHS :VAL pres) (PERSON LHS :VAL 3))))')
+        for alt in ("sg", "pl"):
+            out.append(f'(DEFPRODUCTION "c{i}-{alt}"\n  (:PRECOND (:CAT C{i} :TEST ((EQ NUM {alt})))'
+                       f' :ACTIONS (:TEMPLATE "{alt}{i}" :CONSTRAINTS (NUM LHS :VAL {alt}))))')
+        if i % 16 == 0:
+            out.append(f"; block {i // 16}\n")
+    return "\n".join(out) + "\n"
+
+
+# texts at scale, and corners of classifying a lexeme by its first character
+LATER = {
+    "gil": {
+        "list-60": list_gil(60),
+        "symbol-non-ascii": "[(A \u00c4b)]",
+        "symbol-then-unicode-digit": "[(A\u0663)]",
+        "formfeed-vtab": "[(A 1)\f(B\v2)]",
+        "nbsp": "[(A\u00a01)]",
+        "tag-unicode-digit": "[(A #\u0663= [(K v)]) (B #\u0663)]",
+        "tag-unicode-zero": "[(A #\u0660)]",
+        "minus-before-letter": "[(A -x)]",
+        "crlf-comment-last-line": "[(A 1)\r\n (B 2)]\r\n; end",
+        "crlf-comment-open": "[(A 1) (\r\n; end",
+    },
+    "tgl": {
+        "wide-shaped": wide_shaped(120),
+        "deep": (ROOT / "perfbench" / "grammars" / "deep.tgl").read_text(encoding="utf-8"),
+        "roster": (ROOT / "perfbench" / "grammars" / "roster.tgl").read_text(encoding="utf-8"),
+        "symbol-non-ascii": RULE.format(test="(EQ A \u00c4b)", body='"a"'),
+        "vtab-formfeed": RULE.format(test="(TRUE)\v", body='\f"a"'),
+        "minus-before-letter": RULE.format(test="(EQ A -x)", body='"a"'),
+        "keyword-unicode-digit": RULE.format(test="", body='"a"').replace(":CAT", ":\u0663"),
+        "crlf-comment-last-line": RULE.format(test="", body='"a"').replace(
+            " :ACTIONS", "\r\n :ACTIONS") + "\r\n; end",
+        "crlf-comment-open": '(DEFPRODUCTION "x"\r\n; c',
+    },
+}
+
+
 def mutate(rng: random.Random, source: str, whole: bool) -> str:
     start = 0 if whole else rng.randrange(len(source))
     chars = list(source if whole else source[start:start + MAX_LEN])
@@ -145,7 +199,8 @@ def mutate(rng: random.Random, source: str, whole: bool) -> str:
 
 
 def cases() -> dict:
-    """Case name -> (language, text), hand-written cases first."""
+    """Case name -> (language, text): hand-written cases, mutated texts,
+    then the later cases."""
     out = {f"{lang}-{name}": (lang, text)
            for lang, texts in HAND.items() for name, text in texts.items()}
     for lang, names in SOURCES.items():
@@ -153,6 +208,8 @@ def cases() -> dict:
         for k in range(MUTATED):
             source = TEXTS[rng.choice(names)]
             out[f"{lang}-mutated-{k}"] = (lang, mutate(rng, source, k % 2 == 1))
+    out.update((f"{lang}-{name}", (lang, text))
+               for lang, texts in LATER.items() for name, text in texts.items())
     return out
 
 
