@@ -72,10 +72,6 @@ def _load_grammar(path: str):
         return parse_grammar(_read(path, "grammar"))
     except TglError as e:
         raise _Usage(f"{path}:{e}") from None
-    except RecursionError:
-        # _GrammarReader.selector still reads selector calls nested as
-        # arguments of selector calls by recursion
-        raise _Usage(f"{path}: grammar nested too deeply to parse") from None
 
 
 def cmd_generate(cfg: RunConfig, out=None, err=None) -> int:

@@ -178,74 +178,97 @@ def locator(text: str) -> Callable[[int], tuple[int, int]]:
 
 
 class Scanner:
-    """A language's tokens as one compiled pattern of named groups.
+    """A language's lexemes, read by one ``findall`` of one plain pattern.
 
-    Each match skips blanks and whole comment lines, then takes the first
-    kind whose pattern fits.  ``eof`` fits the end of the text, or an
-    unterminated last comment, which puts the end at the comment's start;
-    ``bad`` takes the rest of the text when nothing else fits.  ``convert``
-    maps a kind to the function that makes a token's value from its text;
-    it raises ``ValueError`` for a malformed token.  ``hints`` gives the
-    message for a bad character that starts no token of the language.
+    A lexeme is a token of the language or a ``;`` comment, each with the
+    blanks that follow it, or the blanks that start the text; where none
+    of these fits, the last alternative takes the rest of the text.  So
+    the lexemes cover the text end to end, a lexeme's offset is the sum of
+    the lengths before it, and only the last lexeme can be that malformed
+    rest.  A reader tells a lexeme's kind by its first character and
+    converts tokens in text order, raising at once for one whose
+    conversion fails; the rest is raised through ``_bad`` after every
+    lexeme before it, and a reader reports a syntax error only once all
+    lexemes are read, so a malformed token anywhere in the text is the
+    error reported.  ``hints`` gives the message for a character that
+    starts no token.
     """
 
-    def __init__(self, error: type, hints: dict, convert: dict, **kinds: str):
-        alternatives = "".join(f"(?P<{kind}>{pattern})|"
-                               for kind, pattern in kinds.items())
-        self.pattern = re.compile(r"(?:[ \t\r\n]+|;[^\n]*\n)*(?:" + alternatives
-                                  + r"(?P<eof>(?:;[^\n]*)?\Z)|(?P<bad>[\s\S]+))")
+    def __init__(self, error: type, hints: dict, *tokens: str):
+        self.token = re.compile(
+            "(?:" + "|".join(tokens) + r"|;[^\n]*|[ \t\r\n])[ \t\r\n]*")
+        self.pattern = re.compile(self.token.pattern + r"|[\s\S]+")
         self.error = error
         self.hints = hints
-        self.convert = dict(convert, bad=self._bad)
 
-    def scan(self, text: str) -> Iterator[tuple]:
-        """The (kind, value, offset) tokens of ``text``, the last one
-        ``eof``; a malformed one raises ``error`` at its position.
+    def lexemes(self, text: str) -> tuple[list, int, bool]:
+        """The lexemes of ``text``, the offset where reading ends (``eof``),
+        and whether a malformed rest starts there, taken off the lexemes.
 
-        A reader that finds an error drains the rest first, so that a
-        malformed token anywhere in the text is the error reported.
+        Reading ends at the end of the text, or at the start of a last
+        comment that no newline ends, which then stays a lexeme.
         """
-        convert = self.convert
-        for m in self.pattern.finditer(text):
-            kind = m.lastgroup
-            value = m.group(kind)
-            at = m.start(kind)
-            if kind in convert:
-                try:
-                    value = convert[kind](value)
-                except ValueError as e:
-                    raise self.error(str(e), *locator(text)(at)) from None
-            yield kind, value, at
-            if kind == "eof":
-                return
+        lexemes = self.pattern.findall(text)
+        last = lexemes[-1] if lexemes else ""
+        at = len(text) - len(last)
+        if last and not self.token.fullmatch(last):
+            lexemes.pop()
+            return lexemes, at, True
+        return lexemes, at if last[:1] == ";" and "\n" not in last else len(text), False
 
-    def _bad(self, rest: str) -> None:
-        if rest[0] != '"':
-            raise ValueError(self.hints.get(rest[0],
-                                            f"unexpected character {rest[0]!r}"))
-        end = _STRING_START.match(rest).end()
-        if end == len(rest):
-            raise ValueError("unterminated string")
-        if rest[end] == "\n":
-            raise ValueError("newline in string literal")
-        if end + 1 == len(rest):
-            raise ValueError("unterminated escape")
-        raise ValueError(f"unknown escape \\{rest[end + 1]}")
+    def fail(self, message: str, text: str, at: int) -> NoReturn:
+        raise self.error(message, *locator(text)(at))
+
+    def _bad(self, text: str, at: int) -> NoReturn:
+        """Raise for the malformed rest of ``text`` from ``at``."""
+        first = text[at]
+        end = _STRING_START.match(text, at).end() if first == '"' else at
+        self.fail(self.hints.get(first, f"unexpected character {first!r}") if end == at
+                  else "unterminated string" if end == len(text)
+                  else "newline in string literal" if text[end] == "\n"
+                  else "unterminated escape" if end + 1 == len(text)
+                  else f"unknown escape \\{text[end + 1]}", text, at)
 
 
-def _tag(lexeme: str) -> int:
-    tag = int(lexeme.strip("#="))
-    if tag <= 0:
-        raise ValueError("coreference tags are positive")
-    return tag
+INT = r"-?\d+"
+LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+
+_SCANNER = Scanner(GilError, {"#": "expected digits after '#'"},
+                   r"[()\[\]<>,]", r"[A-Za-z][A-Za-z0-9_-]*", INT, r"#\d+=?", STRING)
+_PUNCT = {"(": "lparen", ")": "rparen", "[": "lbrack", "]": "rbrack",
+          "<": "langle", ">": "rangle", ",": "comma"}
 
 
-_TOKENS = Scanner(
-    GilError, {"#": "expected digits after '#'"},
-    {"corefdef": _tag, "corefref": _tag, "string": unquote, "int": int},
-    lparen=r"\(", rparen=r"\)", symbol=r"[A-Za-z][A-Za-z0-9_-]*", lbrack=r"\[",
-    rbrack=r"\]", int=r"-?\d+", langle="<", rangle=">", comma=",",
-    corefdef=r"#\d+=", corefref=r"#\d+", string=STRING)
+def _tokens(text: str) -> Iterator[tuple]:
+    """The (kind, value, offset) tokens of a GIL text, the last one ``eof``,
+    one at a time; a malformed token raises ``GilError`` at its position."""
+    lexemes, end, malformed = _SCANNER.lexemes(text)
+    at = 0
+    for lexeme in lexemes:
+        first = lexeme[0]
+        kind = _PUNCT.get(first)
+        if kind is not None:
+            yield kind, None, at
+        elif first in LETTERS:
+            yield "symbol", lexeme.rstrip(), at
+        elif first == '"':
+            yield "string", unquote(lexeme.rstrip()), at
+        elif first not in " \t\r\n;":  # '#', '-' or a digit of any script
+            token = lexeme.rstrip()
+            try:  # int() refuses more digits than its limit
+                value = int(token.strip("#="))
+            except ValueError as e:
+                _SCANNER.fail(str(e), text, at)
+            if first != "#":
+                yield "int", value, at
+            elif value <= 0:
+                _SCANNER.fail("coreference tags are positive", text, at)
+            else:
+                yield ("corefdef" if token[-1] == "=" else "corefref"), value, at
+        at += len(lexeme)
+    if malformed:
+        _SCANNER._bad(text, end)
+    yield "eof", None, end
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +277,7 @@ _TOKENS = Scanner(
 def parse_gil(text: str) -> FeatureStructure:
     """Parse a GIL document into its root structure, with sharing resolved."""
 
-    tokens = _TOKENS.scan(text)
+    tokens = _tokens(text)
 
     def fail(message: str, at: int) -> NoReturn:
         for _ in tokens:

@@ -33,10 +33,13 @@ whether it gets the whole input or the event structure directly.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NoReturn, Optional, Union
+from typing import Callable, NoReturn, Optional, Union
 
 from .gil import (
+    INT,
+    LETTERS,
     STRING,
     Atom,
     FeatureStructure,
@@ -113,7 +116,8 @@ class CallPred:
 TestExpr = Union[TrueTest, Exists, AtomEq, RoleFillerP, HasAdjunct,
                  And, Or, Not, CallPred]
 _COMPOUND_TESTS = (And, Or, Not)
-_COMPOUND_OPS = ("AND", "OR", "NOT")
+# the makers of compound tests from their operands
+_COMPOUND_OPS = {"AND": And, "OR": Or, "NOT": lambda items: Not(*items)}
 
 
 # ---------------------------------------------------------------------------
@@ -266,83 +270,95 @@ class Grammar:
         self.rules.append(rule)
         self._index(rule)
 
-    @property
-    def categories(self) -> set[str]:
-        cats = {START_CATEGORY}
-        for rule in self.rules:
-            cats.add(rule.category)
-            for action in rule.template:
-                if isinstance(action, RuleCall):
-                    cats.add(action.category)
-        return cats
-
     def rules_for(self, category: str) -> list[Rule]:
         return self.rule_index.get(category.upper(), [])
 
-    def has_side_effects(self) -> bool:
-        return any(rule.side_effects for rule in self.rules)
-
 
 # ---------------------------------------------------------------------------
-# Reader: s-expressions over the shared scanner.  Every item is a triple
-# (kind, value, offset): a token, or ("list", items, offset of its '(').
+# Reader: one loop over the shared scanner's lexemes, told apart by their
+# first characters, nests lists as they open and close and makes each
+# top-level form a rule once it closes.  Every item is a triple (kind,
+# value, offset): a token, or ("list", items, offset of its '(').  Errors
+# keep the scanner's order: a malformed token first (a refused int() at
+# once, the malformed rest after the loop), then an unmatched or unbalanced
+# parenthesis, then the error of the first form that fails.
 
-_TOKENS = Scanner(
-    TglError, {":": "expected a keyword name after ':'"},
-    {"keyword": lambda lexeme: lexeme[1:].upper(), "string": unquote, "int": int},
-    lparen=r"\(", rparen=r"\)", symbol=r"[A-Za-z][A-Za-z0-9_.-]*",
-    keyword=r":[A-Za-z0-9_.-]+", string=STRING, int=r"-?\d+")
+_SIMPLE_SELECTORS = {"THEME": Theme, "TEMP-ADJUNCT": TempAdjunct,
+                     "TEMP-DURATION": TempDuration, "LOC-ADJUNCT": LocAdjunct,
+                     "SELF": SelfSel}
+_ACTION_OPS = ("RULE", "OPTRULE", "FUN")
 
-
-def _read_all(tokens: Iterator[tuple], fail) -> list:
-    forms: list = []
-    open_lists: list = []
-    for token in tokens:
-        kind = token[0]
-        if kind == "lparen":
-            open_lists.append(("list", [], token[2]))
-            continue
-        if kind == "eof":
-            if open_lists:
-                fail("unbalanced '('", open_lists[-1])
-            break
-        if kind == "rparen":
-            if not open_lists:
-                fail("unmatched ')'", token)
-            token = open_lists.pop()
-        (open_lists[-1][1] if open_lists else forms).append(token)
-    return forms
-
-
-def _is_list(x) -> bool:
-    return x is not None and x[0] == "list"
-
-
-def _is_sym(x, name: Optional[str] = None) -> bool:
-    return x[0] == "symbol" and (name is None or x[1].upper() == name)
-
-
-def _is_kw(x, name: str) -> bool:
-    return x[0] == "keyword" and x[1] == name
+_SCANNER = Scanner(TglError, {":": "expected a keyword name after ':'"},
+                   r"[()]", r"[A-Za-z][A-Za-z0-9_.-]*", r":[A-Za-z0-9_.-]+", STRING, INT)
 
 
 class _GrammarReader:
     def __init__(self, text: str):
-        self.tokens = _TOKENS.scan(text)
+        self.text = text
         self.where = locator(text)
 
     def fail(self, message: str, item) -> NoReturn:
-        for _ in self.tokens:
-            pass
         raise TglError(message, *self.where(item[2]))
 
     def parse(self) -> Grammar:
+        """The grammar of the text; only one form's items are held at a
+        time."""
+        text = self.text
+        lexemes, end, malformed = _SCANNER.lexemes(text)
         grammar = Grammar()
-        for form in _read_all(self.tokens, self.fail):
-            if form[0] != "list":
-                self.fail("top level expects (DEFPRODUCTION ...)", form)
-            grammar.add(self.production(form))
+        error = None  # the first error in a form, raised once all are read
+        forms: list = []  # top-level items not yet made rules
+        items = forms  # the innermost open list's items
+        outer: list = []  # the items of the lists around it
+        unmatched = None  # offset of the first ')' that closes nothing
+        at = 0
+        for lexeme in lexemes:
+            first = lexeme[0]
+            if first == "(":
+                inner: list = []
+                items.append(("list", inner, at))
+                outer.append(items)
+                items = inner
+            elif first == ")":
+                if outer:
+                    items = outer.pop()
+                    if not outer and error is None:
+                        error = self.add_rules(forms, grammar)
+                elif unmatched is None:
+                    unmatched = at
+            elif first in LETTERS:
+                items.append(("symbol", lexeme.rstrip(), at))
+            elif first == ":":
+                items.append(("keyword", lexeme[1:].rstrip().upper(), at))
+            elif first == '"':
+                items.append(("string", unquote(lexeme.rstrip()), at))
+            elif first not in " \t\r\n;":  # '-' or a digit of any script
+                try:  # int() refuses more digits than its limit
+                    items.append(("int", int(lexeme), at))
+                except ValueError as e:
+                    _SCANNER.fail(str(e), text, at)
+            at += len(lexeme)
+        if malformed:
+            _SCANNER._bad(text, end)
+        if unmatched is not None:
+            _SCANNER.fail("unmatched ')'", text, unmatched)
+        if outer:
+            self.fail("unbalanced '('", outer[-1][-1])
+        error = error or self.add_rules(forms, grammar)
+        if error:
+            raise error
         return grammar
+
+    def add_rules(self, forms: list, grammar: Grammar) -> Optional[TglError]:
+        """Add the rules of the top-level forms, then forget the forms;
+        the error of the first that fails is returned, not raised."""
+        try:
+            for form in forms:
+                grammar.add(self.production(form))
+        except TglError as e:
+            return e
+        forms.clear()
+        return None
 
     def atom(self, item) -> Atom:
         kind, value, _ = item
@@ -353,7 +369,7 @@ class _GrammarReader:
         self.fail(f"expected an atom, found {kind}", item)
 
     def path(self, item) -> Path:
-        if not _is_sym(item):
+        if item[0] != "symbol":
             self.fail("expected an attribute path", item)
         try:
             return Path.parse(item[1])
@@ -361,8 +377,10 @@ class _GrammarReader:
             self.fail(str(e), item)
 
     def production(self, form) -> Rule:
+        if form[0] != "list":
+            self.fail("top level expects (DEFPRODUCTION ...)", form)
         items = form[1]
-        if not items or not _is_sym(items[0], "DEFPRODUCTION"):
+        if not items or items[0][0] != "symbol" or items[0][1].upper() != "DEFPRODUCTION":
             self.fail("expected (DEFPRODUCTION ...)", form)
         if len(items) != 3:
             self.fail("DEFPRODUCTION wants a name and a rule body", form)
@@ -372,21 +390,17 @@ class _GrammarReader:
         if body[0] != "list":
             self.fail("rule body must be a list", body)
 
-        precond = actions = None
-        i = 0
-        while i < len(body[1]):
-            item = body[1][i]
-            if _is_kw(item, "PRECOND"):
-                precond = body[1][i + 1] if i + 1 < len(body[1]) else None
-                i += 2
-            elif _is_kw(item, "ACTIONS"):
-                actions = body[1][i + 1] if i + 1 < len(body[1]) else None
-                i += 2
-            else:
-                self.fail("rule body allows :PRECOND and :ACTIONS", item)
-        if not _is_list(precond):
+        found = {}
+        parts = body[1]
+        for i in range(0, len(parts), 2):
+            kind, key, _ = parts[i]
+            if kind != "keyword" or key != "PRECOND" and key != "ACTIONS":
+                self.fail("rule body allows :PRECOND and :ACTIONS", parts[i])
+            found[key] = parts[i + 1] if i + 1 < len(parts) else None
+        precond, actions = found.get("PRECOND"), found.get("ACTIONS")
+        if precond is None or precond[0] != "list":
             self.fail("missing (:PRECOND ...)", body)
-        if not _is_list(actions):
+        if actions is None or actions[0] != "list":
             self.fail("missing (:ACTIONS ...)", body)
 
         category, test = self.precond(precond)
@@ -399,71 +413,71 @@ class _GrammarReader:
         items = form[1]
         category = None
         test: TestExpr = TrueTest()
-        i = 0
-        while i < len(items):
+        for i in range(0, len(items), 2):
             item = items[i]
-            if _is_kw(item, "CAT"):
-                cat_tok = items[i + 1] if i + 1 < len(items) else None
-                if cat_tok is None or not _is_sym(cat_tok):
+            kind, key, _ = item
+            value = items[i + 1] if i + 1 < len(items) else None
+            if kind == "keyword" and key == "CAT":
+                if value is None or value[0] != "symbol":
                     self.fail(":CAT wants a category symbol", item)
-                category = cat_tok[1].upper()
-                i += 2
-            elif _is_kw(item, "TEST"):
-                test_form = items[i + 1] if i + 1 < len(items) else None
-                if not _is_list(test_form):
+                category = value[1].upper()
+            elif kind == "keyword" and key == "TEST":
+                if value is None or value[0] != "list":
                     self.fail(":TEST wants a list of test expressions", item)
-                exprs = [self.test(e) for e in test_form[1]]
-                if not exprs:
-                    test = TrueTest()
-                elif len(exprs) == 1:
-                    test = exprs[0]
-                else:
-                    test = And(tuple(exprs))
-                i += 2
+                exprs = [self.expr(e) for e in value[1]]
+                test = And(tuple(exprs)) if len(exprs) > 1 \
+                    else exprs[0] if exprs else TrueTest()
             else:
                 self.fail(":PRECOND allows :CAT and :TEST", item)
         if category is None:
             self.fail("rule lacks a :CAT", form)
         return category, test
 
-    def test(self, form) -> TestExpr:
-        """The test a form reads as.  AND, OR and NOT are built bottom-up
-        from an explicit stack, so a test may nest to any depth; a leaf test
-        needs none."""
-        op, args = self._test_op(form)
-        if op not in _COMPOUND_OPS:
-            return self._leaf_test(op, args, form)
-        self._check_arity(op, args, form)
-        stack = [(op, args, [])]  # per open compound: its operands so far
+    def expr(self, form, selector: bool = False):
+        """The test, or with ``selector`` the selector, a form reads as.
+        AND, OR, NOT, PRED and SEL are built bottom-up from an explicit
+        stack, so that they may nest to any depth; a leaf needs none."""
+        stack: list = []  # per open node: its maker, child forms, children
+        # read, whether those are arguments (atoms and selectors)
         while True:
-            op, args, built = stack[-1]
-            if len(built) < len(args):
-                child = args[len(built)]
-                child_op, child_args = self._test_op(child)
-                if child_op in _COMPOUND_OPS:
-                    self._check_arity(child_op, child_args, child)
-                    stack.append((child_op, child_args, []))
-                else:
-                    built.append(self._leaf_test(child_op, child_args, child))
-                continue
-            stack.pop()
-            test = Not(built[0]) if op == "NOT" else \
-                (And if op == "AND" else Or)(tuple(built))
-            if not stack:
-                return test
-            stack[-1][2].append(test)
-
-    def _test_op(self, form) -> tuple:
-        if form[0] != "list" or not form[1] or not _is_sym(form[1][0]):
-            self.fail("test expression must be (OP ...)", form)
-        return form[1][0][1].upper(), form[1][1:]
-
-    def _check_arity(self, op: str, args, form) -> None:
-        if op == "NOT":
-            if len(args) != 1:
-                self.fail("NOT wants exactly one expression", form)
-        elif not args:
-            self.fail(f"{op} wants at least one expression", form)
+            if form[0] != "list" or not form[1] or form[1][0][0] != "symbol":
+                self.fail("selector must be (OP ...)" if selector
+                          else "test expression must be (OP ...)", form)
+            op, args = form[1][0][1].upper(), form[1][1:]
+            call = "SEL" if selector else "PRED"
+            if op == call:
+                if not args or args[0][0] != "symbol":
+                    self.fail("SEL wants a selector name" if selector
+                              else "PRED wants a predicate name", form)
+                stack.append((partial(CallSel if selector else CallPred, args[0][1]),
+                              args[1:], [], True))
+            elif op in _COMPOUND_OPS and not selector:
+                if op == "NOT" and len(args) != 1:
+                    self.fail("NOT wants exactly one expression", form)
+                if not args:
+                    self.fail(f"{op} wants at least one expression", form)
+                stack.append((_COMPOUND_OPS[op], args, [], False))
+            else:
+                leaf = self._leaf_selector(op, args, form) if selector \
+                    else self._leaf_test(op, args, form)
+                if not stack:
+                    return leaf
+                stack[-1][2].append(leaf)
+            # finish the nodes whose children are all read, up to one with
+            # a child form left to read
+            while True:
+                make, forms, read, are_args = stack[-1]
+                if are_args:
+                    while len(read) < len(forms) and forms[len(read)][0] != "list":
+                        read.append(self.atom(forms[len(read)]))
+                if len(read) < len(forms):
+                    form, selector = forms[len(read)], are_args
+                    break
+                stack.pop()
+                node = make(tuple(read))
+                if not stack:
+                    return node
+                stack[-1][2].append(node)
 
     def _leaf_test(self, op: str, args, form) -> TestExpr:
         if op == "TRUE":
@@ -477,51 +491,35 @@ class _GrammarReader:
                 self.fail("EQ wants a path and an atom", form)
             return AtomEq(self.path(args[0]), self.atom(args[1]))
         if op == "ROLE-FILLER-P":
-            if len(args) != 1 or not _is_sym(args[0]):
+            if len(args) != 1 or args[0][0] != "symbol":
                 self.fail("ROLE-FILLER-P wants a role symbol", form)
             return RoleFillerP(Sym(args[0][1]))
         if op == "HAS-ADJUNCT":
-            if len(args) != 1 or not _is_sym(args[0]):
+            if len(args) != 1 or args[0][0] != "symbol" \
+                    or Sym(args[0][1]) not in _ADJUNCT_PATHS:
                 self.fail("HAS-ADJUNCT wants temp, dur or loc", form)
-            kind = Sym(args[0][1])
-            if kind not in (Sym("temp"), Sym("dur"), Sym("loc")):
-                self.fail("HAS-ADJUNCT wants temp, dur or loc", form)
-            return HasAdjunct(kind)
-        if op == "PRED":
-            if not args or not _is_sym(args[0]):
-                self.fail("PRED wants a predicate name", form)
-            return CallPred(args[0][1], tuple(self.pred_arg(a) for a in args[1:]))
+            return HasAdjunct(Sym(args[0][1]))
         self.fail(f"unknown test operator {op}", form)
 
-    def pred_arg(self, form):
-        if form[0] != "list":
-            return self.atom(form)
-        return self.selector(form)
+    def args(self, forms) -> tuple:
+        """The arguments of a call: atoms and selectors."""
+        return tuple(self.atom(form) if form[0] != "list" else self.expr(form, True)
+                     for form in forms)
 
-    def selector(self, form) -> SelectorExpr:
-        if form[0] != "list" or not form[1] or not _is_sym(form[1][0]):
-            self.fail("selector must be (OP ...)", form)
-        op = form[1][0][1].upper()
-        args = form[1][1:]
-        simple = {"THEME": Theme, "TEMP-ADJUNCT": TempAdjunct,
-                  "TEMP-DURATION": TempDuration, "LOC-ADJUNCT": LocAdjunct,
-                  "SELF": SelfSel}
-        if op in simple:
+    def _leaf_selector(self, op: str, args, form) -> SelectorExpr:
+        simple = _SIMPLE_SELECTORS.get(op)
+        if simple is not None:
             if args:
                 self.fail(f"{op} takes no arguments", form)
-            return simple[op]()
+            return simple()
         if op == "PATH":
             if len(args) != 1:
                 self.fail("PATH wants one path", form)
             return PathSel(self.path(args[0]))
         if op == "ROLE-FILLER":
-            if len(args) != 1 or not _is_sym(args[0]):
+            if len(args) != 1 or args[0][0] != "symbol":
                 self.fail("ROLE-FILLER wants a role symbol", form)
             return RoleFiller(Sym(args[0][1]))
-        if op == "SEL":
-            if not args or not _is_sym(args[0]):
-                self.fail("SEL wants a selector name", form)
-            return CallSel(args[0][1], tuple(self.pred_arg(a) for a in args[1:]))
         self.fail(f"unknown selector {op}", form)
 
     def actions(self, form):
@@ -529,29 +527,26 @@ class _GrammarReader:
         template: list[Action] = []
         side_effects: list[FunCall] = []
         constraints: list[ConstraintEquation] = []
-        if not items or not _is_kw(items[0], "TEMPLATE"):
+        if not items or items[0][0] != "keyword" or items[0][1] != "TEMPLATE":
             self.fail(":ACTIONS must start with :TEMPLATE", form)
         i = 1
         while i < len(items):
             item = items[i]
-            if self._is_template_action(item):
-                template.append(self.action(item))
+            kind, value, _ = item
+            if kind == "string" or kind == "list" and value \
+                    and value[0][0] == "keyword" and value[0][1] in _ACTION_OPS:
+                template.append(Literal(value) if kind == "string" else self.action(item))
                 i += 1
-                continue
-            if _is_kw(item, "SIDE-EFFECTS"):
+            elif kind == "keyword" and value == "SIDE-EFFECTS":
                 block = items[i + 1] if i + 1 < len(items) else None
-                if not _is_list(block):
+                if block is None or block[0] != "list":
                     self.fail(":SIDE-EFFECTS wants (fun-call+)", item)
                 for call in block[1]:
-                    if not (call[0] == "list" and call[1] and _is_sym(call[1][0])):
+                    if call[0] != "list" or not call[1] or call[1][0][0] != "symbol":
                         self.fail("side effects must be function calls", call)
-                    side_effects.append(
-                        FunCall(call[1][0][1],
-                                tuple(self.pred_arg(a) for a in call[1][1:]))
-                    )
+                    side_effects.append(FunCall(call[1][0][1], self.args(call[1][1:])))
                 i += 2
-                continue
-            if _is_kw(item, "CONSTRAINT") or _is_kw(item, "CONSTRAINTS"):
+            elif kind == "keyword" and (value == "CONSTRAINTS" or value == "CONSTRAINT"):
                 i += 1
                 count = 0
                 while i < len(items) and items[i][0] == "list":
@@ -560,50 +555,36 @@ class _GrammarReader:
                     i += 1
                 if count == 0:
                     self.fail(":CONSTRAINTS wants at least one equation", item)
-                continue
-            self.fail("unexpected item in :ACTIONS", item)
+            else:
+                self.fail("unexpected item in :ACTIONS", item)
         if not template:
             self.fail(":TEMPLATE must hold at least one action", form)
         return tuple(template), tuple(side_effects), tuple(constraints)
 
-    @staticmethod
-    def _is_template_action(item) -> bool:
-        if item[0] != "list":
-            return item[0] == "string"
-        return bool(item[1]) and any(
-            _is_kw(item[1][0], kw) for kw in ("RULE", "OPTRULE", "FUN")
-        )
-
     def action(self, form) -> Action:
-        if form[0] != "list":
-            if form[0] == "string":
-                return Literal(form[1])
-            self.fail("template actions are strings or (:OP ...)", form)
+        """A template action (:RULE, :OPTRULE or :FUN ...)."""
         op = form[1][0][1]
         args = form[1][1:]
-        if op in ("RULE", "OPTRULE"):
-            if len(args) != 2 or not _is_sym(args[0]):
-                self.fail(f":{op} wants a category and a selector", form)
-            return RuleCall(args[0][1].upper(), self.selector(args[1]),
-                            optional=(op == "OPTRULE"))
         if op == "FUN":
             if len(args) != 1 or args[0][0] != "list":
                 self.fail(":FUN wants one (name arg*) call", form)
             call = args[0]
-            if not call[1] or not _is_sym(call[1][0]):
+            if not call[1] or call[1][0][0] != "symbol":
                 self.fail("function call wants a name", call)
-            return FunCall(call[1][0][1],
-                           tuple(self.pred_arg(a) for a in call[1][1:]))
-        self.fail(f"unknown template action :{op}", form)
+            return FunCall(call[1][0][1], self.args(call[1][1:]))
+        if len(args) != 2 or args[0][0] != "symbol":
+            self.fail(f":{op} wants a category and a selector", form)
+        return RuleCall(args[0][1].upper(), self.expr(args[1], True),
+                        optional=(op == "OPTRULE"))
 
     def equation(self, form) -> ConstraintEquation:
         items = form[1]
-        if not items or not _is_sym(items[0]):
+        if not items or items[0][0] != "symbol":
             self.fail("equation wants a feature name", form)
         feature = items[0][1].upper()
         refs: list[ConstituentRef] = []
         i = 1
-        while i < len(items) and not _is_kw(items[i], "VAL"):
+        while i < len(items) and (items[i][0] != "keyword" or items[i][1] != "VAL"):
             refs.append(self.ref(items[i]))
             i += 1
         if i < len(items):  # :VAL form
@@ -619,14 +600,15 @@ class _GrammarReader:
         return Equate(feature, tuple(refs))
 
     def ref(self, form) -> ConstituentRef:
-        if _is_sym(form, "LHS"):
+        kind, value, _ = form
+        if kind == "symbol" and value.upper() == "LHS":
             return Lhs()
-        if form[0] == "list" and form[1] and _is_sym(form[1][0]):
-            cat = form[1][0][1].upper()
-            if len(form[1]) == 1:
+        if kind == "list" and value and value[0][0] == "symbol":
+            cat = value[0][1].upper()
+            if len(value) == 1:
                 return Rhs(cat, 1)
-            if len(form[1]) == 2 and form[1][1][0] == "int":
-                return Rhs(cat, form[1][1][1])
+            if len(value) == 2 and value[1][0] == "int":
+                return Rhs(cat, value[1][1])
         self.fail("constituent reference is LHS, (CAT) or (CAT k)", form)
 
 
@@ -644,7 +626,7 @@ def format_grammar(grammar: Grammar) -> str:
 
 def format_rule(rule: Rule) -> str:
     lines = [f"(DEFPRODUCTION {quote(rule.name)}"]
-    lines.append(f"  (:PRECOND (:CAT {rule.category} :TEST ({_fmt_test(rule.test)}))")
+    lines.append(f"  (:PRECOND (:CAT {rule.category} :TEST ({_fmt(rule.test)}))")
     actions = " ".join(_fmt_action(a) for a in rule.template)
     body = f"   :ACTIONS (:TEMPLATE {actions}"
     if rule.side_effects:
@@ -665,67 +647,58 @@ def _fmt_atom(a: Atom) -> str:
     return str(a)
 
 
-def _fmt_test(t: TestExpr) -> str:
+def _fmt(expr) -> str:
+    """A test or selector as text, from an explicit stack, so that it may
+    nest to any depth."""
     out: list[str] = []
-    stack: list = [t]  # tests still to format, and literal pieces
+    stack: list = [expr]  # expressions still to format, and formatted pieces
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
-        elif isinstance(item, Not):
-            stack += [")", item.item, "(NOT "]
+            continue
+        if isinstance(item, Not):
+            head, parts = "(NOT", (item.item,)
         elif isinstance(item, (And, Or)):
-            stack.append(")")
-            for k in range(len(item.items) - 1, -1, -1):
-                stack.append(item.items[k])
-                if k:
-                    stack.append(" ")
-            stack.append("(AND " if isinstance(item, And) else "(OR ")
+            head, parts = "(AND" if isinstance(item, And) else "(OR", item.items
+        elif isinstance(item, (CallPred, CallSel)):
+            head = ("(PRED " if isinstance(item, CallPred) else "(SEL ") + item.name
+            parts = item.args
         else:
-            out.append(_fmt_leaf_test(item))
+            out.append(_fmt_leaf(item))
+            continue
+        stack.append(")")
+        for part in reversed(parts):
+            stack += [_fmt_atom(part) if is_atom(part) else part, " "]
+        stack.append(head)
     return "".join(out)
 
 
-def _fmt_leaf_test(t: TestExpr) -> str:
-    if isinstance(t, TrueTest):
-        return "(TRUE)"
-    if isinstance(t, Exists):
-        return f"(EXISTS {t.path})"
-    if isinstance(t, AtomEq):
-        return f"(EQ {t.path} {_fmt_atom(t.atom)})"
-    if isinstance(t, RoleFillerP):
-        return f"(ROLE-FILLER-P {t.role})"
-    if isinstance(t, HasAdjunct):
-        return f"(HAS-ADJUNCT {t.kind})"
-    if isinstance(t, CallPred):
-        return "(PRED " + " ".join([t.name] + [_fmt_arg(a) for a in t.args]) + ")"
-    raise TypeError(t)
+def _fmt_leaf(x) -> str:
+    text = _FIELDLESS.get(type(x))
+    if text is not None:
+        return text
+    if isinstance(x, Exists):
+        return f"(EXISTS {x.path})"
+    if isinstance(x, AtomEq):
+        return f"(EQ {x.path} {_fmt_atom(x.atom)})"
+    if isinstance(x, RoleFillerP):
+        return f"(ROLE-FILLER-P {x.role})"
+    if isinstance(x, HasAdjunct):
+        return f"(HAS-ADJUNCT {x.kind})"
+    if isinstance(x, PathSel):
+        return f"(PATH {x.path})"
+    if isinstance(x, RoleFiller):
+        return f"(ROLE-FILLER {x.role})"
+    raise TypeError(x)
 
 
-def _fmt_sel(s: SelectorExpr) -> str:
-    if isinstance(s, PathSel):
-        return f"(PATH {s.path})"
-    if isinstance(s, RoleFiller):
-        return f"(ROLE-FILLER {s.role})"
-    if isinstance(s, Theme):
-        return "(THEME)"
-    if isinstance(s, TempAdjunct):
-        return "(TEMP-ADJUNCT)"
-    if isinstance(s, TempDuration):
-        return "(TEMP-DURATION)"
-    if isinstance(s, LocAdjunct):
-        return "(LOC-ADJUNCT)"
-    if isinstance(s, SelfSel):
-        return "(SELF)"
-    if isinstance(s, CallSel):
-        return "(SEL " + " ".join([s.name] + [_fmt_arg(a) for a in s.args]) + ")"
-    raise TypeError(s)
+_FIELDLESS = {TrueTest: "(TRUE)",
+              **{cls: f"({op})" for op, cls in _SIMPLE_SELECTORS.items()}}
 
 
 def _fmt_arg(a) -> str:
-    if is_atom(a):
-        return _fmt_atom(a)
-    return _fmt_sel(a)
+    return _fmt_atom(a) if is_atom(a) else _fmt(a)
 
 
 def _fmt_call(c: FunCall) -> str:
@@ -739,7 +712,7 @@ def _fmt_action(a: Action) -> str:
         return f"(:FUN {_fmt_call(a)})"
     if isinstance(a, RuleCall):
         op = ":OPTRULE" if a.optional else ":RULE"
-        return f"({op} {a.category} {_fmt_sel(a.selector)})"
+        return f"({op} {a.category} {_fmt(a.selector)})"
     raise TypeError(a)
 
 
@@ -786,27 +759,15 @@ class Registries:
 # ---------------------------------------------------------------------------
 # Evaluation of tests and selectors
 
-def _relative(fs: FeatureStructure, *paths: str):
-    """Look up the first present path, trying THEME.<path> as a fallback."""
-    for p in paths:
-        v = get_path(fs, p)
-        if v is not None:
-            return v
-    for p in paths:
-        v = get_path(fs, "THEME." + p)
-        if v is not None:
-            return v
-    return None
-
-
-def _args_list(fs: FeatureStructure):
-    args = _relative(fs, "ARGS")
-    return args if isinstance(args, tuple) else None
+def _relative(fs: FeatureStructure, path: str):
+    """Look up a path, trying THEME.<path> as a fallback."""
+    value = get_path(fs, path)
+    return value if value is not None else get_path(fs, "THEME." + path)
 
 
 def _role_filler(fs: FeatureStructure, role: Sym):
-    args = _args_list(fs)
-    if args is None:
+    args = _relative(fs, "ARGS")
+    if not isinstance(args, tuple):
         return None
     for item in args:
         if isinstance(item, FeatureStructure) and get_path(item, "ROLE") == role:
@@ -894,12 +855,34 @@ def eval_selector(selector: SelectorExpr, fs: FeatureStructure,
     if isinstance(selector, LocAdjunct):
         return _relative(fs, "LOC-ADJ")
     if isinstance(selector, CallSel):
-        fn = selectors.get(selector.name) if selectors else None
-        if fn is None:
-            raise TglError(f"unknown selector {selector.name!r}")
-        args = tuple(_eval_arg(a, fs, selectors) for a in selector.args)
-        return fn(fs, *args)
+        return _eval_call(selector, fs, selectors)
     raise TypeError(selector)
+
+
+def _eval_call(call: CallSel, fs: FeatureStructure, selectors):
+    """A SEL call's value, from an explicit stack, so that calls may nest
+    to any depth as arguments: each call's function is looked up before
+    its arguments are evaluated, left to right, as the call is made."""
+    stack: list = [[call, None, []]]  # per open call: it, its function, values
+    while True:
+        frame = stack[-1]
+        call, fn, values = frame
+        if fn is None:
+            fn = frame[1] = selectors.get(call.name) if selectors else None
+            if fn is None:
+                raise TglError(f"unknown selector {call.name!r}")
+        if len(values) < len(call.args):
+            arg = call.args[len(values)]
+            if isinstance(arg, CallSel):
+                stack.append([arg, None, []])
+            else:
+                values.append(_eval_arg(arg, fs, selectors))
+            continue
+        stack.pop()
+        value = fn(fs, *values)
+        if not stack:
+            return value
+        stack[-1][2].append(value)
 
 
 def _eval_arg(arg, fs, selectors):
@@ -953,11 +936,10 @@ def validate_grammar(grammar: Grammar, registries: Optional[Registries] = None,
                      rule.name, rule.line)
             if isinstance(action, FunCall):
                 _check_fun(action, rule, registries, error, side_effect=False)
-                for arg in action.args:
-                    _check_sel_names(arg, rule, registries, error)
+                _check_names(rule, registries, error, *action.args)
             if isinstance(action, RuleCall):
-                _check_sel_names(action.selector, rule, registries, error)
-        _check_test_names(rule.test, rule, registries, error)
+                _check_names(rule, registries, error, action.selector)
+        _check_names(rule, registries, error, rule.test)
         for call in rule.side_effects:
             _check_fun(call, rule, registries, error, side_effect=True)
         for eq in rule.constraints:
@@ -988,27 +970,22 @@ def _check_fun(call: FunCall, rule: Rule, registries, error, side_effect: bool):
               rule.name, rule.line)
 
 
-def _check_test_names(test: TestExpr, rule: Rule, registries, error):
-    stack = [test]  # in pre-order, so errors come left to right
-    while stack:
-        test = stack.pop()
-        if isinstance(test, CallPred):
-            if registries is not None and registries.predicates.get(test.name) is None:
-                error(f"unknown predicate {test.name!r}", rule.name, rule.line)
-            for arg in test.args:
-                _check_sel_names(arg, rule, registries, error)
-        elif isinstance(test, (And, Or)):
-            stack.extend(reversed(test.items))
-        elif isinstance(test, Not):
-            stack.append(test.item)
-
-
-def _check_sel_names(sel, rule: Rule, registries, error):
-    if isinstance(sel, CallSel):
-        if registries is not None and registries.selectors.get(sel.name) is None:
-            error(f"unknown selector {sel.name!r}", rule.name, rule.line)
-        for arg in sel.args:
-            _check_sel_names(arg, rule, registries, error)
+def _check_names(rule: Rule, registries, error, *exprs):
+    """Report the predicates and selectors that tests, selectors or
+    arguments call and ``registries`` lacks, left to right."""
+    stack = list(reversed(exprs))  # in pre-order, so errors come left to right
+    while stack and registries is not None:
+        expr = stack.pop()
+        if isinstance(expr, (CallPred, CallSel)):
+            kind, registry = ("predicate", registries.predicates) \
+                if isinstance(expr, CallPred) else ("selector", registries.selectors)
+            if registry.get(expr.name) is None:
+                error(f"unknown {kind} {expr.name!r}", rule.name, rule.line)
+            stack.extend(reversed(expr.args))
+        elif isinstance(expr, (And, Or)):
+            stack.extend(reversed(expr.items))
+        elif isinstance(expr, Not):
+            stack.append(expr.item)
 
 
 def _optional_subtree_constrained(rule: Rule, grammar: Grammar) -> bool:

@@ -428,6 +428,46 @@ def test_deeply_nested_test_parses_validates_formats_and_evaluates():
         assert eval_test(g.rules[0].test, FeatureStructure(), regs.predicates) is value
 
 
+def test_deeply_nested_selector_parses_validates_formats_and_evaluates():
+    chain = "(SEL s " * DEEP + "(SELF)" + ")" * DEEP
+    g = parse_grammar(f'(DEFPRODUCTION "t" (:PRECOND (:CAT TXT :TEST ((PRED p {chain})))'
+                      f' :ACTIONS (:TEMPLATE (:RULE X {chain}))))')
+    test = g.rules[0].test
+    assert isinstance(test, CallPred) and test.name == "p" and len(test.args) == 1
+    for sel in (test.args[0], g.rules[0].template[0].selector):
+        for _ in range(DEEP):  # == on the dataclasses would recurse
+            assert isinstance(sel, CallSel) and sel.name == "s" and len(sel.args) == 1
+            sel = sel.args[0]
+        assert sel == SelfSel()
+    text = format_grammar(g)
+    assert format_grammar(parse_grammar(text)) == text
+    assert "(PRED p (SEL s (SEL s " in text and "(:RULE X (SEL s (SEL s " in text
+    regs = Registries.standard()
+    unknown = ["unknown selector 's'"] * DEEP
+    assert [d.message for d in validate_grammar(g, regs) if d.severity is Severity.ERROR] \
+        == unknown + ["unknown predicate 'p'"] + unknown
+    fs = FeatureStructure()
+    with pytest.raises(TglError, match="unknown selector 's'"):
+        eval_selector(g.rules[0].template[0].selector, fs, regs.selectors)
+    regs.predicates.register("p", lambda fs, x: True)
+    calls = []
+    regs.selectors.register("s", lambda fs, x: calls.append(x) or x)
+    assert [d for d in validate_grammar(g, regs) if d.severity is Severity.ERROR] == []
+    assert eval_selector(g.rules[0].template[0].selector, fs, regs.selectors) is fs
+    assert len(calls) == DEEP and all(x is fs for x in calls)
+
+
+def test_selector_call_arguments_evaluate_left_to_right():
+    regs = Registries.standard()
+    seen = []
+    regs.selectors.register("s", lambda fs, *args: seen.append(args) or fs)
+    call = CallSel("s", (1, CallSel("s", ("a",)), Sym("b"),
+                         CallSel("s", (CallSel("s", ()), SelfSel()))))
+    fs = FeatureStructure()
+    assert eval_selector(call, fs, regs.selectors) is fs
+    assert seen == [("a",), (), (fs, fs), (1, fs, Sym("b"), fs)]
+
+
 def test_nested_test_arity_errors_keep_their_place():
     with pytest.raises(TglError, match="NOT wants exactly one expression"):
         parse_grammar('(DEFPRODUCTION "t" (:PRECOND (:CAT TXT :TEST ((AND (TRUE)'
