@@ -259,12 +259,10 @@ def _tokens(text: str) -> Iterator[tuple]:
                 value = int(token.strip("#="))
             except ValueError as e:
                 _SCANNER.fail(str(e), text, at)
-            if first != "#":
-                yield "int", value, at
-            elif value <= 0:
+            if first == "#" and value <= 0:
                 _SCANNER.fail("coreference tags are positive", text, at)
-            else:
-                yield ("corefdef" if token[-1] == "=" else "corefref"), value, at
+            kind = "int" if first != "#" else "corefdef" if token[-1] == "=" else "corefref"
+            yield kind, value, at
         at += len(lexeme)
     if malformed:
         _SCANNER._bad(text, end)

@@ -33,8 +33,8 @@ whether it gets the whole input or the event structure directly.
 from __future__ import annotations
 
 import enum
-from functools import partial
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NoReturn, Optional, Union
 
 from .gil import (
@@ -437,15 +437,13 @@ class _GrammarReader:
         """The test, or with ``selector`` the selector, a form reads as.
         AND, OR, NOT, PRED and SEL are built bottom-up from an explicit
         stack, so that they may nest to any depth; a leaf needs none."""
-        stack: list = []  # per open node: its maker, child forms, children
-        # read, whether those are arguments (atoms and selectors)
+        stack: list = []  # per open node: maker, child forms, read, are args
         while True:
             if form[0] != "list" or not form[1] or form[1][0][0] != "symbol":
                 self.fail("selector must be (OP ...)" if selector
                           else "test expression must be (OP ...)", form)
             op, args = form[1][0][1].upper(), form[1][1:]
-            call = "SEL" if selector else "PRED"
-            if op == call:
+            if op == ("SEL" if selector else "PRED"):
                 if not args or args[0][0] != "symbol":
                     self.fail("SEL wants a selector name" if selector
                               else "PRED wants a predicate name", form)
@@ -865,8 +863,7 @@ def _eval_call(call: CallSel, fs: FeatureStructure, selectors):
     its arguments are evaluated, left to right, as the call is made."""
     stack: list = [[call, None, []]]  # per open call: it, its function, values
     while True:
-        frame = stack[-1]
-        call, fn, values = frame
+        call, fn, values = frame = stack[-1]
         if fn is None:
             fn = frame[1] = selectors.get(call.name) if selectors else None
             if fn is None:
@@ -936,10 +933,11 @@ def validate_grammar(grammar: Grammar, registries: Optional[Registries] = None,
                      rule.name, rule.line)
             if isinstance(action, FunCall):
                 _check_fun(action, rule, registries, error, side_effect=False)
-                _check_names(rule, registries, error, *action.args)
+                for arg in action.args:
+                    _check_names(arg, rule, registries, error)
             if isinstance(action, RuleCall):
-                _check_names(rule, registries, error, action.selector)
-        _check_names(rule, registries, error, rule.test)
+                _check_names(action.selector, rule, registries, error)
+        _check_names(rule.test, rule, registries, error)
         for call in rule.side_effects:
             _check_fun(call, rule, registries, error, side_effect=True)
         for eq in rule.constraints:
@@ -970,11 +968,13 @@ def _check_fun(call: FunCall, rule: Rule, registries, error, side_effect: bool):
               rule.name, rule.line)
 
 
-def _check_names(rule: Rule, registries, error, *exprs):
-    """Report the predicates and selectors that tests, selectors or
-    arguments call and ``registries`` lacks, left to right."""
-    stack = list(reversed(exprs))  # in pre-order, so errors come left to right
-    while stack and registries is not None:
+def _check_names(expr, rule: Rule, registries, error):
+    """Report the predicates and selectors that a test, selector or
+    argument calls and ``registries`` lacks, left to right."""
+    if registries is None or not isinstance(expr, (CallPred, CallSel, And, Or, Not)):
+        return
+    stack = [expr]  # in pre-order, so errors come left to right
+    while stack:
         expr = stack.pop()
         if isinstance(expr, (CallPred, CallSel)):
             kind, registry = ("predicate", registries.predicates) \
