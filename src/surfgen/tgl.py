@@ -116,8 +116,7 @@ class CallPred:
 TestExpr = Union[TrueTest, Exists, AtomEq, RoleFillerP, HasAdjunct,
                  And, Or, Not, CallPred]
 _COMPOUND_TESTS = (And, Or, Not)
-# the makers of compound tests from their operands
-_COMPOUND_OPS = {"AND": And, "OR": Or, "NOT": lambda items: Not(*items)}
+_COMPOUND_OPS = {"AND": And, "OR": Or, "NOT": lambda items: Not(*items)}  # makers
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +165,7 @@ class CallSel:
 
 SelectorExpr = Union[PathSel, RoleFiller, Theme, TempAdjunct, TempDuration,
                      LocAdjunct, SelfSel, CallSel]
+_CALLING = frozenset((CallPred, CallSel, And, Or, Not))  # may hold calls
 
 
 # ---------------------------------------------------------------------------
@@ -971,7 +971,7 @@ def _check_fun(call: FunCall, rule: Rule, registries, error, side_effect: bool):
 def _check_names(expr, rule: Rule, registries, error):
     """Report the predicates and selectors that a test, selector or
     argument calls and ``registries`` lacks, left to right."""
-    if registries is None or not isinstance(expr, (CallPred, CallSel, And, Or, Not)):
+    if registries is None or type(expr) not in _CALLING:
         return
     stack = [expr]  # in pre-order, so errors come left to right
     while stack:
