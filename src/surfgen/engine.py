@@ -299,9 +299,10 @@ class DerivationNode:
 def match(category: str, fs: FeatureStructure, grammar: Grammar,
           registries: Optional[Registries] = None) -> list[Rule]:
     """All rules of the category whose test holds, in grammar source order."""
-    predicates = registries.predicates if registries else None
+    predicates, selectors = (registries.predicates, registries.selectors) \
+        if registries else (None, None)
     return [rule for rule in grammar.rules_for(category)
-            if eval_test(rule.test, fs, predicates)]
+            if eval_test(rule.test, fs, predicates, selectors)]
 
 
 def resolve_ref(ref, lhs_node: int, rule: Rule,

@@ -28,6 +28,14 @@ Equations:  (FEAT ref :VAL atom) introduces a value,
 Built-in role and adjunct lookups resolve against the structure a rule was
 handed, falling back to its THEME substructure, so the same rule works
 whether it gets the whole input or the event structure directly.
+
+Tests and selectors are one type, ``Expr(op, args)``.  Each leaf operator
+is one row of ``LEAF_TESTS`` or ``LEAF_SELECTORS``, which gives its
+argument kinds, its error message and its evaluator; a leaf carries its
+evaluator bound to its arguments.  AND, OR, NOT, PRED and SEL are read,
+checked, formatted and evaluated by explicit-stack loops, so they may
+nest to any depth, and the arguments of PRED and SEL calls alike are
+evaluated with the registered selectors.
 """
 
 from __future__ import annotations
@@ -64,108 +72,52 @@ class TglError(PositionedError):
 
 
 # ---------------------------------------------------------------------------
-# Test expressions
+# Test and selector expressions
 
-@dataclass(frozen=True)
-class TrueTest:
-    pass
+class Expr:
+    """A test or a selector: an operator and its arguments, ``(OP arg*)``.
 
+    A leaf's operator has a row in ``LEAF_TESTS`` or ``LEAF_SELECTORS``;
+    its arguments are paths and atoms, and ``run`` is the row's evaluator
+    bound to them, which takes the structure.  AND, OR and NOT take tests;
+    PRED and SEL take a registered function's name, as a symbol, then
+    atoms and selectors; their ``run`` is None.  An expression is not
+    changed once made, so the reader shares each argument-free leaf.
+    ``==``, ``hash`` and ``repr`` read the pre-order sequence, so they
+    take any depth.
+    """
 
-@dataclass(frozen=True)
-class Exists:
-    path: Path
+    __slots__ = ("op", "args", "run")
 
+    def __init__(self, op: str, args: tuple = ()):
+        self.op = op
+        self.args = args
+        row = _LEAVES.get(op)
+        self.run = None if row is None else partial(row[2], *args) if args else row[2]
 
-@dataclass(frozen=True)
-class AtomEq:
-    path: Path
-    atom: Atom
+    def _preorder(self) -> tuple:
+        """Each node as (op, number of arguments), then its arguments."""
+        out: list = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is Expr:
+                out.append((item.op, len(item.args)))
+                stack.extend(reversed(item.args))
+            else:
+                out.append(item)
+        return tuple(out)
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Expr:
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
 
-@dataclass(frozen=True)
-class RoleFillerP:
-    role: Sym
+    def __hash__(self) -> int:
+        return hash(self._preorder())
 
-
-@dataclass(frozen=True)
-class HasAdjunct:
-    kind: Sym  # temp | dur | loc
-
-
-@dataclass(frozen=True)
-class And:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class Or:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class Not:
-    item: object
-
-
-@dataclass(frozen=True)
-class CallPred:
-    name: str
-    args: tuple
-
-
-TestExpr = Union[TrueTest, Exists, AtomEq, RoleFillerP, HasAdjunct,
-                 And, Or, Not, CallPred]
-_COMPOUND_TESTS = (And, Or, Not)
-_COMPOUND_OPS = {"AND": And, "OR": Or, "NOT": lambda items: Not(*items)}  # makers
-
-
-# ---------------------------------------------------------------------------
-# Selector expressions
-
-@dataclass(frozen=True)
-class PathSel:
-    path: Path
-
-
-@dataclass(frozen=True)
-class RoleFiller:
-    role: Sym
-
-
-@dataclass(frozen=True)
-class Theme:
-    pass
-
-
-@dataclass(frozen=True)
-class TempAdjunct:
-    pass
-
-
-@dataclass(frozen=True)
-class TempDuration:
-    pass
-
-
-@dataclass(frozen=True)
-class LocAdjunct:
-    pass
-
-
-@dataclass(frozen=True)
-class SelfSel:
-    pass
-
-
-@dataclass(frozen=True)
-class CallSel:
-    name: str
-    args: tuple
-
-
-SelectorExpr = Union[PathSel, RoleFiller, Theme, TempAdjunct, TempDuration,
-                     LocAdjunct, SelfSel, CallSel]
-_CALLING = frozenset((CallPred, CallSel, And, Or, Not))  # may hold calls
+    def __repr__(self) -> str:
+        return f"<Expr {_fmt(self)}>"
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +126,7 @@ _CALLING = frozenset((CallPred, CallSel, And, Or, Not))  # may hold calls
 @dataclass(frozen=True)
 class RuleCall:
     category: str
-    selector: SelectorExpr
+    selector: Expr
     optional: bool = False
 
 
@@ -232,7 +184,7 @@ ConstraintEquation = Union[Assign, Equate]
 class Rule:
     name: str
     category: str
-    test: TestExpr
+    test: Expr
     template: tuple  # non-empty Actions
     side_effects: tuple = ()  # FunCalls
     constraints: tuple = ()  # ConstraintEquations
@@ -278,14 +230,12 @@ class Grammar:
 # Reader: one loop over the shared scanner's lexemes, told apart by their
 # first characters, nests lists as they open and close and makes each
 # top-level form a rule once it closes.  Every item is a triple (kind,
-# value, offset): a token, or ("list", items, offset of its '(').  Errors
+# value, offset): a token, or ("list", items, offset of its '(').  A leaf
+# test or selector is read by its operator's row.  Errors
 # keep the scanner's order: a malformed token first (a refused int() at
 # once, the malformed rest after the loop), then an unmatched or unbalanced
 # parenthesis, then the error of the first form that fails.
 
-_SIMPLE_SELECTORS = {"THEME": Theme, "TEMP-ADJUNCT": TempAdjunct,
-                     "TEMP-DURATION": TempDuration, "LOC-ADJUNCT": LocAdjunct,
-                     "SELF": SelfSel}
 _ACTION_OPS = ("RULE", "OPTRULE", "FUN")
 
 _SCANNER = Scanner(TglError, {":": "expected a keyword name after ':'"},
@@ -412,7 +362,7 @@ class _GrammarReader:
     def precond(self, form):
         items = form[1]
         category = None
-        test: TestExpr = TrueTest()
+        test = _NULLARY["TRUE"]
         for i in range(0, len(items), 2):
             item = items[i]
             kind, key, _ = item
@@ -425,19 +375,19 @@ class _GrammarReader:
                 if value is None or value[0] != "list":
                     self.fail(":TEST wants a list of test expressions", item)
                 exprs = [self.expr(e) for e in value[1]]
-                test = And(tuple(exprs)) if len(exprs) > 1 \
-                    else exprs[0] if exprs else TrueTest()
+                test = Expr("AND", tuple(exprs)) if len(exprs) > 1 \
+                    else exprs[0] if exprs else test
             else:
                 self.fail(":PRECOND allows :CAT and :TEST", item)
         if category is None:
             self.fail("rule lacks a :CAT", form)
         return category, test
 
-    def expr(self, form, selector: bool = False):
+    def expr(self, form, selector: bool = False) -> Expr:
         """The test, or with ``selector`` the selector, a form reads as.
         AND, OR, NOT, PRED and SEL are built bottom-up from an explicit
         stack, so that they may nest to any depth; a leaf needs none."""
-        stack: list = []  # per open node: maker, child forms, read, are args
+        stack: list = []  # per open node: op, argument forms, read, are call args
         while True:
             if form[0] != "list" or not form[1] or form[1][0][0] != "symbol":
                 self.fail("selector must be (OP ...)" if selector
@@ -447,24 +397,22 @@ class _GrammarReader:
                 if not args or args[0][0] != "symbol":
                     self.fail("SEL wants a selector name" if selector
                               else "PRED wants a predicate name", form)
-                stack.append((partial(CallSel if selector else CallPred, args[0][1]),
-                              args[1:], [], True))
-            elif op in _COMPOUND_OPS and not selector:
+                stack.append((op, args, [], True))  # the name reads as a symbol
+            elif not selector and (op == "AND" or op == "OR" or op == "NOT"):
                 if op == "NOT" and len(args) != 1:
                     self.fail("NOT wants exactly one expression", form)
                 if not args:
                     self.fail(f"{op} wants at least one expression", form)
-                stack.append((_COMPOUND_OPS[op], args, [], False))
+                stack.append((op, args, [], False))
             else:
-                leaf = self._leaf_selector(op, args, form) if selector \
-                    else self._leaf_test(op, args, form)
+                leaf = self.leaf(op, args, form, selector)
                 if not stack:
                     return leaf
                 stack[-1][2].append(leaf)
-            # finish the nodes whose children are all read, up to one with
-            # a child form left to read
+            # finish the nodes whose arguments are all read, up to one with
+            # an argument form left to read
             while True:
-                make, forms, read, are_args = stack[-1]
+                op, forms, read, are_args = stack[-1]
                 if are_args:
                     while len(read) < len(forms) and forms[len(read)][0] != "list":
                         read.append(self.atom(forms[len(read)]))
@@ -472,53 +420,39 @@ class _GrammarReader:
                     form, selector = forms[len(read)], are_args
                     break
                 stack.pop()
-                node = make(tuple(read))
+                node = Expr(op, tuple(read))
                 if not stack:
                     return node
                 stack[-1][2].append(node)
 
-    def _leaf_test(self, op: str, args, form) -> TestExpr:
-        if op == "TRUE":
-            return TrueTest()
-        if op == "EXISTS":
-            if len(args) != 1:
-                self.fail("EXISTS wants a path", form)
-            return Exists(self.path(args[0]))
-        if op == "EQ":
-            if len(args) != 2:
-                self.fail("EQ wants a path and an atom", form)
-            return AtomEq(self.path(args[0]), self.atom(args[1]))
-        if op == "ROLE-FILLER-P":
-            if len(args) != 1 or args[0][0] != "symbol":
-                self.fail("ROLE-FILLER-P wants a role symbol", form)
-            return RoleFillerP(Sym(args[0][1]))
-        if op == "HAS-ADJUNCT":
-            if len(args) != 1 or args[0][0] != "symbol" \
-                    or Sym(args[0][1]) not in _ADJUNCT_PATHS:
-                self.fail("HAS-ADJUNCT wants temp, dur or loc", form)
-            return HasAdjunct(Sym(args[0][1]))
-        self.fail(f"unknown test operator {op}", form)
+    def leaf(self, op: str, args, form, selector: bool) -> Expr:
+        """A leaf test or selector, read by its operator's row."""
+        row = (LEAF_SELECTORS if selector else LEAF_TESTS).get(op)
+        if row is None:
+            self.fail(f"unknown selector {op}" if selector
+                      else f"unknown test operator {op}", form)
+        kinds, message, _ = row
+        if not kinds and (not args or message is None):
+            return _NULLARY[op]
+        if len(args) != len(kinds):
+            self.fail(message, form)
+        values = []
+        for kind, item in zip(kinds, args):
+            if kind == "path":
+                values.append(self.path(item))
+            elif kind == "atom":
+                values.append(self.atom(item))
+            elif item[0] != "symbol" \
+                    or kind == "adjunct" and Sym(item[1]) not in _ADJUNCT_PATHS:
+                self.fail(message, form)
+            else:
+                values.append(Sym(item[1]))
+        return Expr(op, tuple(values))
 
     def args(self, forms) -> tuple:
         """The arguments of a call: atoms and selectors."""
         return tuple(self.atom(form) if form[0] != "list" else self.expr(form, True)
                      for form in forms)
-
-    def _leaf_selector(self, op: str, args, form) -> SelectorExpr:
-        simple = _SIMPLE_SELECTORS.get(op)
-        if simple is not None:
-            if args:
-                self.fail(f"{op} takes no arguments", form)
-            return simple()
-        if op == "PATH":
-            if len(args) != 1:
-                self.fail("PATH wants one path", form)
-            return PathSel(self.path(args[0]))
-        if op == "ROLE-FILLER":
-            if len(args) != 1 or args[0][0] != "symbol":
-                self.fail("ROLE-FILLER wants a role symbol", form)
-            return RoleFiller(Sym(args[0][1]))
-        self.fail(f"unknown selector {op}", form)
 
     def actions(self, form):
         items = form[1]
@@ -637,7 +571,8 @@ def format_rule(rule: Rule) -> str:
     return "\n".join(lines)
 
 
-def _fmt_atom(a: Atom) -> str:
+def _fmt_atom(a) -> str:
+    """An atom, or a leaf's path, as text."""
     if isinstance(a, Sym):
         return a.text
     if isinstance(a, str):
@@ -645,54 +580,24 @@ def _fmt_atom(a: Atom) -> str:
     return str(a)
 
 
-def _fmt(expr) -> str:
-    """A test or selector as text, from an explicit stack, so that it may
-    nest to any depth."""
+def _fmt(expr: Expr) -> str:
+    """A test or selector as text, every node as (OP arg*), from its
+    pre-order sequence, so that it may nest to any depth."""
     out: list[str] = []
-    stack: list = [expr]  # expressions still to format, and formatted pieces
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        if isinstance(item, Not):
-            head, parts = "(NOT", (item.item,)
-        elif isinstance(item, (And, Or)):
-            head, parts = "(AND" if isinstance(item, And) else "(OR", item.items
-        elif isinstance(item, (CallPred, CallSel)):
-            head = ("(PRED " if isinstance(item, CallPred) else "(SEL ") + item.name
-            parts = item.args
+    left: list[int] = []  # per open node: its arguments not yet begun
+    for item in expr._preorder():
+        if left:
+            out.append(" ")
+            left[-1] -= 1
+        if type(item) is tuple:
+            out.append("(" + item[0])
+            left.append(item[1])
         else:
-            out.append(_fmt_leaf(item))
-            continue
-        stack.append(")")
-        for part in reversed(parts):
-            stack += [_fmt_atom(part) if is_atom(part) else part, " "]
-        stack.append(head)
+            out.append(_fmt_atom(item))
+        while left and not left[-1]:
+            left.pop()
+            out.append(")")
     return "".join(out)
-
-
-def _fmt_leaf(x) -> str:
-    text = _FIELDLESS.get(type(x))
-    if text is not None:
-        return text
-    if isinstance(x, Exists):
-        return f"(EXISTS {x.path})"
-    if isinstance(x, AtomEq):
-        return f"(EQ {x.path} {_fmt_atom(x.atom)})"
-    if isinstance(x, RoleFillerP):
-        return f"(ROLE-FILLER-P {x.role})"
-    if isinstance(x, HasAdjunct):
-        return f"(HAS-ADJUNCT {x.kind})"
-    if isinstance(x, PathSel):
-        return f"(PATH {x.path})"
-    if isinstance(x, RoleFiller):
-        return f"(ROLE-FILLER {x.role})"
-    raise TypeError(x)
-
-
-_FIELDLESS = {TrueTest: "(TRUE)",
-              **{cls: f"({op})" for op, cls in _SIMPLE_SELECTORS.items()}}
 
 
 def _fmt_arg(a) -> str:
@@ -757,135 +662,132 @@ class Registries:
 # ---------------------------------------------------------------------------
 # Evaluation of tests and selectors
 
-def _relative(fs: FeatureStructure, path: str):
-    """Look up a path, trying THEME.<path> as a fallback."""
+_ARGS, _THEME = Path(("ARGS",)), Path(("THEME",))
+_ADJUNCT_PATHS = {Sym("temp"): Path(("TIME-ADJ",)), Sym("dur"): Path(("DUR-ADJ",)),
+                  Sym("loc"): Path(("LOC-ADJ",))}
+
+
+def _relative(path: Path, fs: FeatureStructure):
+    """Look up a path, trying it under THEME as a fallback."""
     value = get_path(fs, path)
-    return value if value is not None else get_path(fs, "THEME." + path)
+    return value if value is not None else get_path(get_path(fs, _THEME), path)
 
 
-def _role_filler(fs: FeatureStructure, role: Sym):
-    args = _relative(fs, "ARGS")
+def _role_filler(role: Sym, fs: FeatureStructure):
+    args = _relative(_ARGS, fs)
     if not isinstance(args, tuple):
         return None
     for item in args:
-        if isinstance(item, FeatureStructure) and get_path(item, "ROLE") == role:
+        if isinstance(item, FeatureStructure) and item.get("ROLE") == role:
             return item
     return None
 
 
-_ADJUNCT_PATHS = {Sym("temp"): "TIME-ADJ", Sym("dur"): "DUR-ADJ",
-                  Sym("loc"): "LOC-ADJ"}
+def _theme(fs: FeatureStructure):
+    theme = get_path(fs, _THEME)
+    return theme if theme is not None else fs
 
 
-def eval_test(test: TestExpr, fs: FeatureStructure,
-              predicates: Optional[Registry] = None) -> bool:
-    if isinstance(test, TrueTest):
-        return True
-    if isinstance(test, Exists):
-        return get_path(fs, test.path) is not None
-    if isinstance(test, AtomEq):
-        value = get_path(fs, test.path)
-        return value is not None and atoms_equal(value, test.atom)
-    if isinstance(test, RoleFillerP):
-        return _role_filler(fs, test.role) is not None
-    if isinstance(test, HasAdjunct):
-        return _relative(fs, _ADJUNCT_PATHS[test.kind]) is not None
-    if isinstance(test, _COMPOUND_TESTS):
-        return _eval_compound(test, fs, predicates)
-    if isinstance(test, CallPred):
-        fn = predicates.get(test.name) if predicates else None
-        if fn is None:
-            raise TglError(f"unknown predicate {test.name!r}")
-        args = tuple(_eval_arg(a, fs, None) for a in test.args)
-        return bool(fn(fs, *args))
-    raise TypeError(test)
+# One row per leaf operator: the kinds of its arguments ("path", "atom",
+# "symbol", or "adjunct" for temp, dur or loc), the message for arguments
+# that do not fit them, and its evaluator, which takes the arguments, then
+# the structure.  A row without a message ignores arguments: (TRUE x) reads
+# as (TRUE).
+LEAF_TESTS = {
+    "TRUE": ((), None, lambda fs: True),
+    "EXISTS": (("path",), "EXISTS wants a path",
+               lambda path, fs: get_path(fs, path) is not None),
+    "EQ": (("path", "atom"), "EQ wants a path and an atom",
+           lambda path, atom, fs: atoms_equal(get_path(fs, path), atom)),
+    "ROLE-FILLER-P": (("symbol",), "ROLE-FILLER-P wants a role symbol",
+                      lambda role, fs: _role_filler(role, fs) is not None),
+    "HAS-ADJUNCT": (("adjunct",), "HAS-ADJUNCT wants temp, dur or loc",
+                    lambda kind, fs: _relative(_ADJUNCT_PATHS[kind], fs) is not None),
+}
+LEAF_SELECTORS = {
+    "PATH": (("path",), "PATH wants one path", lambda path, fs: get_path(fs, path)),
+    "ROLE-FILLER": (("symbol",), "ROLE-FILLER wants a role symbol", _role_filler),
+    "THEME": ((), "THEME takes no arguments", _theme),
+    "TEMP-ADJUNCT": ((), "TEMP-ADJUNCT takes no arguments",
+                     partial(_relative, _ADJUNCT_PATHS[Sym("temp")])),
+    "TEMP-DURATION": ((), "TEMP-DURATION takes no arguments",
+                      partial(_relative, _ADJUNCT_PATHS[Sym("dur")])),
+    "LOC-ADJUNCT": ((), "LOC-ADJUNCT takes no arguments",
+                    partial(_relative, _ADJUNCT_PATHS[Sym("loc")])),
+    "SELF": ((), "SELF takes no arguments", lambda fs: fs),
+}
+_LEAVES = {**LEAF_TESTS, **LEAF_SELECTORS}
+_NULLARY = {op: Expr(op) for op, row in _LEAVES.items() if not row[0]}
 
 
-def _eval_compound(test, fs: FeatureStructure, predicates) -> bool:
-    """AND, OR and NOT from an explicit stack, so that a test may nest to
-    any depth: short-circuit, left to right, as all(), any() and not."""
-    stack = [[test, 0]]  # per open compound: it and its next operand
-    value = False  # the value of the operand last evaluated
-    while stack:
-        frame = stack[-1]
-        test, i = frame
-        if type(test) is Not:
-            if i:
-                value = not value
-                stack.pop()
-                continue
-            child = test.item
-        else:
-            is_or = type(test) is Or
-            if i and bool(value) is is_or:  # decided: AND met false, OR true
-                value = is_or
-                stack.pop()
-                continue
-            if i == len(test.items):
-                value = not is_or
-                stack.pop()
-                continue
-            child = test.items[i]
-        frame[1] = i + 1
-        if isinstance(child, _COMPOUND_TESTS):
-            stack.append([child, 0])
-        else:
-            value = eval_test(child, fs, predicates)
-    return value
+def eval_test(test: Expr, fs: FeatureStructure, predicates: Optional[Registry] = None,
+              selectors: Optional[Registry] = None) -> bool:
+    """Whether a test holds of a structure; the registries resolve its
+    PRED calls and the SEL calls among their arguments."""
+    run = test.run
+    if run is not None:
+        return run(fs)
+    return _evaluate(test, fs, predicates, selectors)
 
 
-def eval_selector(selector: SelectorExpr, fs: FeatureStructure,
+def eval_selector(selector: Expr, fs: FeatureStructure,
                   selectors: Optional[Registry] = None):
     """Pick the substructure an action works on; None means absent."""
-    if isinstance(selector, SelfSel):
-        return fs
-    if isinstance(selector, PathSel):
-        return get_path(fs, selector.path)
-    if isinstance(selector, RoleFiller):
-        return _role_filler(fs, selector.role)
-    if isinstance(selector, Theme):
-        theme = get_path(fs, "THEME")
-        return theme if theme is not None else fs
-    if isinstance(selector, TempAdjunct):
-        return _relative(fs, "TIME-ADJ")
-    if isinstance(selector, TempDuration):
-        return _relative(fs, "DUR-ADJ")
-    if isinstance(selector, LocAdjunct):
-        return _relative(fs, "LOC-ADJ")
-    if isinstance(selector, CallSel):
-        return _eval_call(selector, fs, selectors)
-    raise TypeError(selector)
+    run = selector.run
+    if run is not None:
+        return run(fs)
+    return _evaluate(selector, fs, None, selectors)
 
 
-def _eval_call(call: CallSel, fs: FeatureStructure, selectors):
-    """A SEL call's value, from an explicit stack, so that calls may nest
-    to any depth as arguments: each call's function is looked up before
-    its arguments are evaluated, left to right, as the call is made."""
-    stack: list = [[call, None, []]]  # per open call: it, its function, values
+def _evaluate(expr: Expr, fs: FeatureStructure, predicates, selectors):
+    """The value of an AND, OR, NOT, PRED or SEL node, from an explicit
+    stack, so that it may nest to any depth.  AND, OR and NOT short-circuit,
+    left to right, as all(), any() and not.  A call looks its function up
+    before it evaluates its arguments, left to right, as the call is made;
+    a predicate's value is made a bool."""
+    stack: list = []  # per open node: it, its next argument, function, values
+    node, value = expr, None  # a node to open; the value last evaluated
     while True:
-        call, fn, values = frame = stack[-1]
-        if fn is None:
-            fn = frame[1] = selectors.get(call.name) if selectors else None
-            if fn is None:
-                raise TglError(f"unknown selector {call.name!r}")
-        if len(values) < len(call.args):
-            arg = call.args[len(values)]
-            if isinstance(arg, CallSel):
-                stack.append([arg, None, []])
+        if node is not None:
+            fn = None
+            if node.op == "PRED" or node.op == "SEL":
+                kind, fn = _callee(node.op, node.args[0], predicates, selectors)
+                if fn is None:
+                    raise TglError(f"unknown {kind} {node.args[0].text!r}")
+            stack.append([node, 0 if fn is None else 1, fn, []])
+            node = None
+        frame = stack[-1]
+        top, i, fn, values = frame
+        op, args = top.op, top.args
+        if fn is None and i and (op == "NOT" or bool(value) is (op == "OR")):
+            value = not value if op == "NOT" else bool(value)  # decided
+        elif i == len(args):
+            value = op != "OR" if fn is None else fn(fs, *values)
+            if op == "PRED":
+                value = bool(value)
+        else:
+            frame[1] = i + 1
+            arg = args[i]
+            if type(arg) is not Expr:
+                values.append(arg)
+            elif arg.run is None:
+                node = arg
+            elif fn is None:
+                value = arg.run(fs)
             else:
-                values.append(_eval_arg(arg, fs, selectors))
+                values.append(arg.run(fs))
             continue
         stack.pop()
-        value = fn(fs, *values)
         if not stack:
             return value
-        stack[-1][2].append(value)
+        if stack[-1][2] is not None:
+            stack[-1][3].append(value)
 
 
-def _eval_arg(arg, fs, selectors):
-    if is_atom(arg):
-        return arg
-    return eval_selector(arg, fs, selectors)
+def _callee(op: str, name: Sym, predicates, selectors):
+    """The kind of a PRED or SEL call and its function, None if unregistered."""
+    kind, registry = ("predicate", predicates) if op == "PRED" else ("selector", selectors)
+    return kind, registry.get(name.text) if registry is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -971,21 +873,14 @@ def _check_fun(call: FunCall, rule: Rule, registries, error, side_effect: bool):
 def _check_names(expr, rule: Rule, registries, error):
     """Report the predicates and selectors that a test, selector or
     argument calls and ``registries`` lacks, left to right."""
-    if registries is None or type(expr) not in _CALLING:
+    if registries is None or type(expr) is not Expr or expr.run is not None:
         return
-    stack = [expr]  # in pre-order, so errors come left to right
-    while stack:
-        expr = stack.pop()
-        if isinstance(expr, (CallPred, CallSel)):
-            kind, registry = ("predicate", registries.predicates) \
-                if isinstance(expr, CallPred) else ("selector", registries.selectors)
-            if registry.get(expr.name) is None:
-                error(f"unknown {kind} {expr.name!r}", rule.name, rule.line)
-            stack.extend(reversed(expr.args))
-        elif isinstance(expr, (And, Or)):
-            stack.extend(reversed(expr.items))
-        elif isinstance(expr, Not):
-            stack.append(expr.item)
+    flat = expr._preorder()  # pre-order, so errors come left to right
+    for head, name in zip(flat, flat[1:]):
+        if type(head) is tuple and (head[0] == "PRED" or head[0] == "SEL"):
+            kind, fn = _callee(head[0], name, registries.predicates, registries.selectors)
+            if fn is None:
+                error(f"unknown {kind} {name.text!r}", rule.name, rule.line)
 
 
 def _optional_subtree_constrained(rule: Rule, grammar: Grammar) -> bool:

@@ -94,7 +94,7 @@ def oracle_solutions(grammar, input_fs, registries, start=None,
             return []
         results = []
         for rule in grammar.rules_for(category):
-            if not eval_test(rule.test, fs, predicates):
+            if not eval_test(rule.test, fs, predicates, selectors):
                 continue
             results.extend(fire(rule, fs, node, state, depth))
             if len(results) > cap:

@@ -10,33 +10,21 @@ from surfgen.gil import (
     quote,
     serialize_gil,
 )
+from surfgen.prefs import make_session
 from surfgen.tgl import (
-    And,
+    LEAF_SELECTORS,
+    LEAF_TESTS,
     Assign,
-    AtomEq,
-    CallPred,
-    CallSel,
     Equate,
-    Exists,
+    Expr,
     FunCall,
-    HasAdjunct,
     Lhs,
     Literal,
-    Not,
-    Or,
-    PathSel,
     Registries,
     Rhs,
-    RoleFiller,
-    RoleFillerP,
     RuleCall,
-    SelfSel,
     Severity,
-    TempAdjunct,
-    TempDuration,
-    TrueTest,
     TglError,
-    Theme,
     eval_selector,
     eval_test,
     format_grammar,
@@ -69,7 +57,7 @@ def test_parse_vp_rule():
     rule = g.rules[0]
     assert rule.name == "VPinf with temp/loc adjuncts"
     assert rule.category == "VP"
-    assert rule.test == RoleFillerP(Sym("patient"))
+    assert rule.test == Expr("ROLE-FILLER-P", (Sym("patient"),))
     cats = [(a.category, a.optional) for a in rule.template]
     assert cats == [("NP", False), ("PP", True), ("PPDUR", True),
                     ("PP", True), ("INF", False)]
@@ -82,7 +70,7 @@ def test_parse_one_rule_canned_text():
     assert len(g.rules) == 1
     assert g.start == "TXT"
     assert g.rules[0].template == (Literal("hello"),)
-    assert g.rules[0].test == TrueTest()
+    assert g.rules[0].test == Expr("TRUE")
 
 
 def test_duplicate_rule_name():
@@ -109,7 +97,7 @@ def test_superscript_digit_is_not_an_integer():
     assert (exc.value.message, exc.value.line, exc.value.col) == \
         ("unexpected character '\u00b2'", 1, 53)
     assert parse_grammar(_rule_with_test("(EQ A \u0663)")).rules[0].test \
-        == AtomEq(Path.parse("A"), 3)
+        == Expr("EQ", (Path.parse("A"), 3))
 
 
 @pytest.mark.parametrize("text", [
@@ -159,14 +147,15 @@ def test_literal_escapes():
 
 FULL_AST_RULE = """
 (DEFPRODUCTION "kitchen sink"
-  (:PRECOND (:CAT S :TEST ((OR (AND (EXISTS A.B) (EQ C 5) (EQ D "Prof."))
+  (:PRECOND (:CAT S :TEST ((OR (AND (TRUE) (EXISTS A.B) (EQ C 5) (EQ D "Prof."))
                                (NOT (ROLE-FILLER-P agent))
                                (HAS-ADJUNCT dur)
-                               (PRED busy now (PATH A)))))
+                               (PRED busy now (PATH A) (SEL pick (SELF))))))
    :ACTIONS (:TEMPLATE "lit\\ttab"
                        (:FUN (mark x 3 "s" (SEL pick (PATH A))))
                        (:RULE NP (ROLE-FILLER agent))
                        (:OPTRULE PP (LOC-ADJUNCT))
+                       (:OPTRULE PP (TEMP-ADJUNCT))
                        (:RULE NP (TEMP-DURATION))
              :SIDE-EFFECTS ((note one) (note (THEME)))
              :CONSTRAINTS (CASE (NP 2) :VAL akk)
@@ -182,6 +171,21 @@ def test_full_ast_roundtrip():
         test=g.rules[0].test, template=g.rules[0].template,
         side_effects=g.rules[0].side_effects,
         constraints=g.rules[0].constraints, line=again.rules[0].line)
+    # the rule holds every operator, and a PRED with a SEL argument
+    rule = g.rules[0]
+    calls = [a for a in rule.template + rule.side_effects if isinstance(a, FunCall)]
+    todo = [rule.test] + [a.selector for a in rule.template if isinstance(a, RuleCall)] \
+        + [x for call in calls for x in call.args if isinstance(x, Expr)]
+    ops, edges = set(), set()
+    while todo:
+        expr = todo.pop()
+        ops.add(expr.op)
+        for arg in expr.args:
+            if isinstance(arg, Expr):
+                edges.add((expr.op, arg.op))
+                todo.append(arg)
+    assert ops == set(LEAF_TESTS) | set(LEAF_SELECTORS) | {"AND", "OR", "NOT", "PRED", "SEL"}
+    assert ("PRED", "SEL") in edges
 
 
 def test_rule_name_with_escapes_roundtrips():
@@ -274,94 +278,103 @@ def test_validate_side_effect_needs_undoable_function():
 # --- test evaluation ---------------------------------------------------------
 
 def test_eval_role_filler_p_on_theme(theme):
-    assert eval_test(RoleFillerP(Sym("patient")), theme)
-    assert eval_test(RoleFillerP(Sym("agent")), theme)
-    assert not eval_test(RoleFillerP(Sym("beneficiary")), theme)
+    assert eval_test(Expr("ROLE-FILLER-P", (Sym("patient"),)), theme)
+    assert eval_test(Expr("ROLE-FILLER-P", (Sym("agent"),)), theme)
+    assert not eval_test(Expr("ROLE-FILLER-P", (Sym("beneficiary"),)), theme)
 
 
 def test_eval_role_filler_p_from_top_level(meeting_fs):
     # ARGS is found under THEME when absent at the current level
-    assert eval_test(RoleFillerP(Sym("patient")), meeting_fs)
+    assert eval_test(Expr("ROLE-FILLER-P", (Sym("patient"),)), meeting_fs)
 
 
 def test_eval_exists_time_adjunct(theme):
     from surfgen.gil import Path
 
-    assert eval_test(Exists(Path.parse("TIME-ADJ")), theme)
-    assert not eval_test(Exists(Path.parse("DUR-ADJ")), theme)
+    assert eval_test(Expr("EXISTS", (Path.parse("TIME-ADJ"),)), theme)
+    assert not eval_test(Expr("EXISTS", (Path.parse("DUR-ADJ"),)), theme)
 
 
 def test_eval_on_empty_structure():
     from surfgen.gil import Path
 
     empty = FeatureStructure()
-    assert not eval_test(Exists(Path.parse("X")), empty)
-    assert eval_test(Not(Exists(Path.parse("X"))), empty)
+    assert not eval_test(Expr("EXISTS", (Path.parse("X"),)), empty)
+    assert eval_test(Expr("NOT", (Expr("EXISTS", (Path.parse("X"),)),)), empty)
 
 
 def test_eval_atom_eq(theme):
     from surfgen.gil import Path
 
-    assert eval_test(AtomEq(Path.parse("PRED"), Sym("meet")), theme)
-    assert not eval_test(AtomEq(Path.parse("PRED"), Sym("request")), theme)
+    assert eval_test(Expr("EQ", (Path.parse("PRED"), Sym("meet"))), theme)
+    assert not eval_test(Expr("EQ", (Path.parse("PRED"), Sym("request"))), theme)
 
 
 def test_eval_has_adjunct(theme):
-    assert eval_test(HasAdjunct(Sym("temp")), theme)
-    assert not eval_test(HasAdjunct(Sym("dur")), theme)
-    assert not eval_test(HasAdjunct(Sym("loc")), theme)
+    assert eval_test(Expr("HAS-ADJUNCT", (Sym("temp"),)), theme)
+    assert not eval_test(Expr("HAS-ADJUNCT", (Sym("dur"),)), theme)
+    assert not eval_test(Expr("HAS-ADJUNCT", (Sym("loc"),)), theme)
+
+
+def test_pred_argument_calls_a_registered_selector():
+    g = parse_grammar(_rule_with_test("(PRED p (SEL s (SELF)))"))
+    regs = Registries.standard()
+    regs.predicates.register("p", lambda fs, x: x is fs)
+    regs.selectors.register("s", lambda fs, x: x)
+    session = make_session(g, registries=regs)
+    assert [s.text for s in session.solutions(FeatureStructure())] == ["a"]
 
 
 def test_eval_call_pred_registry(theme):
     regs = Registries.standard()
     regs.predicates.register("busy", lambda fs, *a: True)
-    assert eval_test(CallPred("busy", ()), theme, regs.predicates)
+    assert eval_test(Expr("PRED", (Sym("busy"),)), theme, regs.predicates)
     with pytest.raises(TglError, match="unknown predicate"):
-        eval_test(CallPred("nope", ()), theme, regs.predicates)
+        eval_test(Expr("PRED", (Sym("nope"),)), theme, regs.predicates)
 
 
 # --- selector evaluation -----------------------------------------------------
 
 def test_selector_role_filler_patient(theme):
-    got = eval_selector(RoleFiller(Sym("patient")), theme)
+    got = eval_selector(Expr("ROLE-FILLER", (Sym("patient"),)), theme)
     assert get_path(got, "CONTENT.QFORCE") == Sym("iota")
 
 
 def test_selector_temp_adjunct(theme):
-    got = eval_selector(TempAdjunct(), theme)
+    got = eval_selector(Expr("TEMP-ADJUNCT"), theme)
     assert get_path(got, "ROLE") == Sym("on")
 
 
 def test_selector_temp_duration_absent(theme):
-    assert eval_selector(TempDuration(), theme) is None
+    assert eval_selector(Expr("TEMP-DURATION"), theme) is None
 
 
 def test_selector_theme_and_self(meeting_fs, theme):
-    assert eval_selector(Theme(), meeting_fs) is theme
+    assert eval_selector(Expr("THEME"), meeting_fs) is theme
     # a rule handed the event structure directly keeps working
-    assert eval_selector(Theme(), theme) is theme
-    assert eval_selector(SelfSel(), theme) is theme
+    assert eval_selector(Expr("THEME"), theme) is theme
+    assert eval_selector(Expr("SELF"), theme) is theme
 
 
 def test_selector_path(meeting_fs):
     from surfgen.gil import Path
 
-    got = eval_selector(PathSel(Path.parse("THEME.TIME-ADJ.CONTENT")), meeting_fs)
+    got = eval_selector(Expr("PATH", (Path.parse("THEME.TIME-ADJ.CONTENT"),)), meeting_fs)
     assert get_path(got, "WEEKDAY") == 5
 
 
 def test_selector_call_registry(theme):
     regs = Registries.standard()
     regs.selectors.register("first-arg", lambda fs, *a: get_path(fs, "ARGS")[0])
-    got = eval_selector(CallSel("first-arg", ()), theme, regs.selectors)
+    got = eval_selector(Expr("SEL", (Sym("first-arg"),)), theme, regs.selectors)
     assert get_path(got, "ROLE") == Sym("agent")
 
 
 def test_eval_purity(meeting_fs, theme):
     before = serialize_gil(meeting_fs)
-    eval_test(RoleFillerP(Sym("patient")), theme)
-    eval_selector(RoleFiller(Sym("patient")), theme)
-    eval_selector(TempAdjunct(), theme)
+    eval_test(Expr("ROLE-FILLER-P", (Sym("patient"),)), theme)
+    eval_selector(Expr("ROLE-FILLER", (Sym("patient"),)), theme)
+    eval_selector(Expr("TEMP-ADJUNCT"), theme)
     assert serialize_gil(meeting_fs) == before
     assert fs_equal(parse_gil(before), meeting_fs)
 
@@ -370,22 +383,23 @@ def test_eval_purity(meeting_fs, theme):
 
 def ref_eval(test, fs):
     """The recursive evaluation the explicit-stack walk replaces."""
-    if isinstance(test, And):
-        return all(ref_eval(t, fs) for t in test.items)
-    if isinstance(test, Or):
-        return any(ref_eval(t, fs) for t in test.items)
-    if isinstance(test, Not):
-        return not ref_eval(test.item, fs)
+    if test.op == "AND":
+        return all(ref_eval(t, fs) for t in test.args)
+    if test.op == "OR":
+        return any(ref_eval(t, fs) for t in test.args)
+    if test.op == "NOT":
+        return not ref_eval(test.args[0], fs)
     return eval_test(test, fs)
 
 
 def random_test(rng, depth):
     if depth == 0 or rng.random() < 0.25:
-        return rng.choice((TrueTest(), Exists(Path(("A",))), Exists(Path(("B",)))))
-    kind = rng.choice((And, Or, Not))
-    if kind is Not:
-        return Not(random_test(rng, depth - 1))
-    return kind(tuple(random_test(rng, depth - 1) for _ in range(rng.randint(0, 3))))
+        return rng.choice((Expr("TRUE"), Expr("EXISTS", (Path(("A",)),)),
+                           Expr("EXISTS", (Path(("B",)),))))
+    op = rng.choice(("AND", "OR", "NOT"))
+    if op == "NOT":
+        return Expr(op, (random_test(rng, depth - 1),))
+    return Expr(op, tuple(random_test(rng, depth - 1) for _ in range(rng.randint(0, 3))))
 
 
 def test_compound_tests_evaluate_as_the_recursive_reference():
@@ -405,6 +419,19 @@ def test_compound_tests_evaluate_as_the_recursive_reference():
 DEEP = 3000
 
 
+def assert_value_semantics(g, again, leaf, other_leaf):
+    """Two reads of one deep rule are equal, hash alike and print alike;
+    the rule with its deepest leaf replaced is not equal."""
+    rule, same = g.rules[0], again.rules[0]
+    assert rule.test is not same.test
+    assert rule == same and hash(rule) == hash(same)
+    assert repr(rule) == repr(same)
+    text = format_grammar(g)
+    assert repr(rule.test).startswith("<Expr (") and repr(rule.test)[6:-1] in text
+    at = text.rindex(leaf)
+    assert parse_grammar(text[:at] + other_leaf + text[at + len(leaf):]).rules[0] != rule
+
+
 def test_deeply_nested_test_parses_validates_formats_and_evaluates():
     text = ('(DEFPRODUCTION "t" (:PRECOND (:CAT TXT :TEST ('
             + "(NOT (AND (TRUE) " * DEEP + "(PRED nope)" + "))" * DEEP
@@ -412,10 +439,11 @@ def test_deeply_nested_test_parses_validates_formats_and_evaluates():
     g = parse_grammar(text)
     test = g.rules[0].test
     for _ in range(DEEP):
-        assert isinstance(test, Not) and isinstance(test.item, And)
-        assert test.item.items[0] == TrueTest()
-        test = test.item.items[1]
-    assert test == CallPred("nope", ())
+        assert test.op == "NOT" and test.args[0].op == "AND"
+        assert test.args[0].args[0] == Expr("TRUE")
+        test = test.args[0].args[1]
+    assert test == Expr("PRED", (Sym("nope"),))
+    assert_value_semantics(g, parse_grammar(text), "(PRED nope)", "(PRED nope x)")
     assert format_grammar(parse_grammar(format_grammar(g))) == format_grammar(g)
     assert "(NOT (AND (TRUE) (NOT (AND (TRUE) " in format_grammar(g)
     diags = validate_grammar(g, Registries.standard())
@@ -433,12 +461,13 @@ def test_deeply_nested_selector_parses_validates_formats_and_evaluates():
     g = parse_grammar(f'(DEFPRODUCTION "t" (:PRECOND (:CAT TXT :TEST ((PRED p {chain})))'
                       f' :ACTIONS (:TEMPLATE (:RULE X {chain}))))')
     test = g.rules[0].test
-    assert isinstance(test, CallPred) and test.name == "p" and len(test.args) == 1
-    for sel in (test.args[0], g.rules[0].template[0].selector):
-        for _ in range(DEEP):  # == on the dataclasses would recurse
-            assert isinstance(sel, CallSel) and sel.name == "s" and len(sel.args) == 1
-            sel = sel.args[0]
-        assert sel == SelfSel()
+    assert test.op == "PRED" and test.args[0] == Sym("p") and len(test.args) == 2
+    for sel in (test.args[1], g.rules[0].template[0].selector):
+        for _ in range(DEEP):
+            assert sel.op == "SEL" and sel.args[0] == Sym("s") and len(sel.args) == 2
+            sel = sel.args[1]
+        assert sel == Expr("SELF")
+    assert_value_semantics(g, parse_grammar(format_grammar(g)), "(SELF)", "(THEME)")
     text = format_grammar(g)
     assert format_grammar(parse_grammar(text)) == text
     assert "(PRED p (SEL s (SEL s " in text and "(:RULE X (SEL s (SEL s " in text
@@ -461,8 +490,9 @@ def test_selector_call_arguments_evaluate_left_to_right():
     regs = Registries.standard()
     seen = []
     regs.selectors.register("s", lambda fs, *args: seen.append(args) or fs)
-    call = CallSel("s", (1, CallSel("s", ("a",)), Sym("b"),
-                         CallSel("s", (CallSel("s", ()), SelfSel()))))
+    s = Sym("s")
+    call = Expr("SEL", (s, 1, Expr("SEL", (s, "a")), Sym("b"),
+                        Expr("SEL", (s, Expr("SEL", (s,)), Expr("SELF")))))
     fs = FeatureStructure()
     assert eval_selector(call, fs, regs.selectors) is fs
     assert seen == [("a",), (), (fs, fs), (1, fs, Sym("b"), fs)]
