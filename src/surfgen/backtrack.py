@@ -48,19 +48,18 @@ rule, whose stale entries are keyed again only on reaching the top
 the delta looks at every point.  What a further solution still does per
 point is C-level and inherent to emitting a new solution: copying its
 assignment once, into ``Solution.assignment``, writing the run fragments
-into the odometer when it starts, and the path copy and
-string join of the root layer, whose frontier holds every point outside
-the egos.
+into the odometer when it starts, and the string join of the root layer,
+whose frontier holds every point outside the egos.
 
-Each solution is built from the previous one as a delta (``Shown``): only
-the layers of egos whose choice changed are resolved again, the resolved
-trees above them are path-copied (Driscoll, Sarnak, Sleator and Tarjan
-1989) and every other subtree is shared, and only the enclosing layers'
-strings are joined again.  Inflection calls are resolved against the
-combination's feature values, but only those of the entered layers and
-those whose agreement class an entered or left ego touches are read again,
-so agreement features flipped by a new ego re-inflect exactly the material
-that agrees with it.
+Each solution's text is built from the previous one as a delta
+(``Shown``): only the layers of egos whose choice changed are rendered
+again, and only the enclosing layers' strings are joined again.
+Inflection calls are resolved against the combination's feature values,
+but only those of the entered layers and those whose agreement class an
+entered or left ego touches are read again, so agreement features flipped
+by a new ego re-inflect exactly the material that agrees with it.  No
+derivation tree is built while emitting: the assignment fixes it, and
+``resolve`` builds it from the root layer's items when it is read.
 """
 
 from __future__ import annotations
@@ -202,23 +201,19 @@ class Layer:
     and rule ``names``, in pre-order.  ``steps`` is its fold cache (see
     ``layer_steps``), None until a walk needs it; ``Shown.unfold`` keeps it
     up to date as points gain variants.  The rest is how the layer was
-    last resolved: ``top`` (its resolved items), ``paths`` (point id ->
-    child index path in ``top``), ``parts`` (one string per frontier item;
-    a point's is its chosen ego's text) and ``text``, their join.
+    last shown: ``parts``, one string per frontier item (a literal's text;
+    a call's word form and a point's chosen ego's text once shown, "" until
+    then), and ``text``, their join.
     """
 
     __slots__ = ("items", "point", "depth", "frontier", "points", "calls",
-                 "obligations", "names", "steps", "top", "paths", "parts",
-                 "text")
+                 "obligations", "names", "steps", "parts", "text")
 
     def __init__(self, items, point: Optional[BacktrackPoint], depth: int):
         self.items = items
         self.point = point
         self.depth = depth
         self.steps: Optional[tuple] = None
-        self.top: Optional[tuple] = None
-        self.paths: Optional[dict] = None
-        self.parts: Optional[list] = None
         self.text: Optional[str] = None
 
     def __repr__(self) -> str:
@@ -231,7 +226,8 @@ def fill_post_contexts(layer: Layer, readers: dict) -> None:
     their contexts.
 
     Flattens the items into their frontier, choice points staying
-    symbolic, and gives every point in it its position there.
+    symbolic, and gives every point in it its position there; its parts
+    start as the literals' texts, "" for the calls and points.
     Points inside ego variants are handled when their own variant
     completes.  Each inflection call with hooks is entered in ``readers``
     under the node its hooks read (its rule's node), as (layer, position).
@@ -258,6 +254,8 @@ def fill_post_contexts(layer: Layer, readers: dict) -> None:
                 readers.setdefault(item.hooks[0][1], []).append((layer, len(frontier)))
         frontier.append(item)
     layer.frontier = tuple(frontier)
+    layer.parts = [item.text if isinstance(item, LiteralTok) else ""
+                   for item in frontier]
     layer.points = tuple(points)
     layer.calls = tuple(calls)
     layer.obligations = tuple(obligations)
@@ -500,10 +498,11 @@ def iter_assignments(root: Layer, fixed: dict[int, int],
 
 
 class ResolvedNode:
-    """Derivation tree of one emitted solution, choices resolved.
+    """Derivation tree of one solution, choices resolved (``resolve``).
 
     ``children`` holds ResolvedNode, LiteralTok and InflectCall items.
-    Compared by identity: unchanged subtrees are shared between solutions.
+    Compared by identity; each read of a solution's derivation builds a
+    new tree.
     """
 
     __slots__ = ("rule_name", "category", "children")
@@ -529,23 +528,13 @@ class ResolvedNode:
 _END = object()  # stack marker: the children of the innermost node are done
 
 
-def _resolve(layer: Layer, assignment: dict[int, int]) -> None:
-    """Give the layer its resolved items under assignment, whose chosen
-    layers below it are resolved already.  The first time, one walk of its
-    nodes also records the path to each point and the literal parts; after
-    that, only the points whose resolved ego differs are path-copied."""
-    if layer.top is not None:
-        top = layer.top
-        for point in layer.points:
-            ego = point.variants[assignment[point.id]].top[0]
-            top = _path_copy(top, layer.paths[point.id], ego)
-        layer.top = top
-        return
-    paths: dict[int, tuple] = {}
-    parts: list[str] = []
+def resolve(items, assignment: dict[int, int]) -> tuple:
+    """The items resolved under assignment: each node a ResolvedNode, each
+    choice point replaced by the resolved items of its chosen variant
+    layer.  Ids of points the items do not reach are ignored."""
     built: list[list] = [[]]  # resolved children of each node being walked
     entered: list[DerivationNode] = []
-    stack = list(reversed(layer.items))
+    stack = list(reversed(items))
     while stack:
         item = stack.pop()
         if item is _END:
@@ -559,35 +548,10 @@ def _resolve(layer: Layer, assignment: dict[int, int]) -> None:
             stack.extend(reversed(item.children))
         elif isinstance(item, ChoiceRef):
             point = item.point
-            paths[point.id] = tuple(map(len, built))
-            built[-1].append(point.variants[assignment[point.id]].top[0])
-            parts.append("")
+            stack.extend(reversed(point.variants[assignment[point.id]].items))
         else:
             built[-1].append(item)
-            parts.append(item.text if isinstance(item, LiteralTok) else "")
-    layer.top = tuple(built[0])
-    layer.paths = paths
-    layer.parts = parts
-
-
-def _path_copy(top: tuple, path: tuple, new) -> tuple:
-    """top with the item at path replaced by new: the nodes on the path are
-    copied, every subtree off it is shared.  top itself if new is there."""
-    nodes = []  # the nodes on the path, outermost first
-    seq = top
-    for i in path[:-1]:
-        node = seq[i]
-        nodes.append(node)
-        seq = node.children
-    if seq[path[-1]] is new:
-        return top
-    # each node holds the next one down at the next position of the path
-    for node, i in zip(reversed(nodes), reversed(path)):
-        seq = node.children
-        new = ResolvedNode(node.rule_name, node.category,
-                           seq[:i] + (new,) + seq[i + 1:])
-    i = path[0]
-    return top[:i] + (new,) + top[i + 1:]
+    return tuple(built[0])
 
 
 class Shown:
@@ -595,10 +559,10 @@ class Shown:
 
     ``chosen`` maps each point the solution reaches to the layer of its
     chosen variant (``commit`` edits it in place) and ``names`` counts its
-    fired rules.  Each shown
-    layer holds its resolved items and strings (see ``Layer``): the
-    solution's text is the root layer's ``text`` and its derivation the
-    root layer's one resolved item.
+    fired rules.  Each shown layer holds its strings (see ``Layer``): the
+    solution's text is the root layer's ``text``.  Its derivation is not
+    kept: ``resolve`` builds it from the root layer's items and the
+    solution's assignment.
     """
 
     def __init__(self, root: Layer):
@@ -676,9 +640,8 @@ def combination_frontier(shown: Shown, assignment: dict[int, int],
     ``moved`` holds at least the ids whose variant in assignment differs
     from the shown one, as ``iter_assignments`` reports them; only those
     are compared with the shown layers, so the cost grows with them, not
-    with the number of points.  Resolves the entered layers, children first; nothing shown is
-    touched, so the delta is committed (``commit``) only if the combination
-    turns out consistent.
+    with the number of points.  Nothing shown is touched, so the delta is
+    committed (``commit``) only if the combination turns out consistent.
     """
     if shown.root.text is None:
         changes = [(None, shown.root)]
@@ -705,8 +668,6 @@ def combination_frontier(shown: Shown, assignment: dict[int, int],
         layer = stack.pop()
         entered.append(layer)
         stack.extend(p.variants[assignment[p.id]] for p in reversed(layer.points))
-    for layer in reversed(entered):
-        _resolve(layer, assignment)
     left: list[Layer] = []
     stack = [shown.chosen[point.id] for point, _ in changes if point is not None]
     while stack:
@@ -760,10 +721,10 @@ def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
     """Make the combination the shown solution: the left layers leave the
     point -> layer map and the entered ones join it, the read word forms go
     into their parts, the entered layers are joined, and each changed layer
-    hands its resolved items and text to the layer around it, deepest
-    first, up to the root.  At the root, the path copy copies a tuple and
-    the join reads a list as long as the root layer's frontier: C-level
-    work that grows with the number of points outside the egos."""
+    hands its text to the layer around it, deepest first, up to the root.
+    At the root, the join reads a list as long as the root layer's
+    frontier: C-level work that grows with the number of points outside
+    the egos."""
     for (layer, pos), form in zip(calls, forms):
         layer.parts[pos] = form
     chosen = shown.chosen
@@ -782,7 +743,6 @@ def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
         point = layer.point
         if point is not None:
             outer = shown.holder(point)
-            outer.top = _path_copy(outer.top, outer.paths[point.id], layer.top[0])
             outer.parts[point.index] = layer.text
             levels.setdefault(outer.depth, {})[outer] = None
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .gil import GilError, parse_gil
@@ -26,21 +25,6 @@ from .tgl import Registries, Severity, TglError, parse_grammar, validate_grammar
 EXIT_OK = 0
 EXIT_NO_SOLUTION = 1
 EXIT_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    grammar: str
-    input: str
-    start: Optional[str] = None
-    max_solutions: int = 1  # 0 means all
-    criteria: Optional[str] = None
-    lexicon: Optional[str] = None
-    weights: bool = False
-    trace: bool = False
-    stats: bool = False
-    dedupe: bool = False
-    memo: bool = True
 
 
 class _Usage(Exception):
@@ -74,7 +58,8 @@ def _load_grammar(path: str):
         raise _Usage(f"{path}:{e}") from None
 
 
-def cmd_generate(cfg: RunConfig, out=None, err=None) -> int:
+def cmd_generate(cfg: argparse.Namespace, out=None, err=None) -> int:
+    """Run ``generate`` with the options ``build_parser`` parsed."""
     out = out or sys.stdout
     err = err or sys.stderr
     try:
@@ -192,20 +177,7 @@ def main(argv=None) -> int:
     if args.max_solutions < 0:
         print("error: --max must be >= 0", file=sys.stderr)
         return EXIT_ERROR
-    cfg = RunConfig(
-        grammar=args.grammar,
-        input=args.input,
-        start=args.start,
-        max_solutions=args.max_solutions,
-        criteria=args.criteria,
-        lexicon=args.lexicon,
-        weights=args.weights,
-        trace=args.trace,
-        stats=args.stats,
-        dedupe=args.dedupe,
-        memo=args.memo,
-    )
-    return cmd_generate(cfg)
+    return cmd_generate(args)
 
 
 if __name__ == "__main__":

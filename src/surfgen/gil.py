@@ -82,13 +82,12 @@ class FeatureStructure:
     ``fs_digest`` caches its result in ``_digest``.
     """
 
-    __slots__ = ("_names", "_values", "_index", "coref_tag", "_digest")
+    __slots__ = ("_names", "_values", "_index", "_digest")
 
-    def __init__(self, pairs=(), coref_tag: Optional[int] = None):
+    def __init__(self, pairs=()):
         self._names: list[str] = []
         self._values: list[Value] = []
         self._index: dict[str, int] = {}
-        self.coref_tag = coref_tag
         self._digest: Optional[int] = None
         for name, value in pairs:
             self._append(name, value)
@@ -346,7 +345,6 @@ def _read(tokens: Iterator[tuple], fail) -> FeatureStructure:
                 if tag in defined:
                     fail(f"coreference tag #{tag} defined twice", frame[5])
                 defined.add(tag)
-                fs.coref_tag = tag
             if not stack:
                 kind, _, at = next(tokens)
                 if kind != "eof":

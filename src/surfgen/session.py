@@ -11,11 +11,13 @@ The trail undoes feature bindings and side effects only.  A backtrack point
 needs no undoing: it joins the table once the layer holding it is
 captured, after its derivation has succeeded.
 
-Emission, too, is a delta: each solution is built from the last one
-emitted (``backtrack.Shown``).  Only the egos whose choice changed are
-resolved and rendered, only the word forms they agree with are inflected
-again, and only the strings and resolved nodes around them are rebuilt;
-the first solution is the delta from nothing.
+Emission, too, is a delta: each solution's text is built from the last
+one emitted (``backtrack.Shown``).  Only the egos whose choice changed are
+rendered, only the word forms they agree with are inflected again, and
+only the strings around them are joined again; the first solution is the
+delta from nothing.  No derivation tree is built while the stream runs: a
+solution's assignment fixes it, and ``Solution.derivation`` resolves it
+when it is read.
 
 A rule whose constraints clash with material that is *not* part of every
 solution through its position (a closed sibling alternative) is not
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -55,6 +57,7 @@ from .backtrack import (
     fill_post_contexts,
     inflections,
     iter_assignments,
+    resolve,
 )
 from .engine import (
     ROOT_OWNER,
@@ -79,10 +82,24 @@ from .tgl import FunCall, Grammar, Literal, Registries, Rule, RuleCall, eval_sel
 
 @dataclass(frozen=True)
 class Solution:
+    """One emitted solution: its text, its weight, the variant index
+    chosen at each point (``assignment``) and the root layer's ``items``.
+
+    The assignment may also hold ids of points the solution does not
+    reach, left from the odometer's earlier choices; ``resolve`` ignores
+    them.  The items keep the session's derivation nodes and points alive
+    for as long as the solution is held.
+    """
+
     text: str
     weight: Fraction
-    derivation: ResolvedNode
     assignment: dict
+    items: list = field(repr=False)
+
+    @property
+    def derivation(self) -> ResolvedNode:
+        """The derivation tree, choices resolved; built anew on each read."""
+        return resolve(self.items, self.assignment)[0]
 
 
 class DefaultStrategy:
@@ -536,4 +553,4 @@ class GenerationSession:
             text = shown.root.text
             self._trace("solution", detail=text)
             # the odometer's assignment moves on: the solution keeps a copy
-            yield Solution(text, weight, shown.root.top[0], dict(assignment))
+            yield Solution(text, weight, dict(assignment), shown.root.items)

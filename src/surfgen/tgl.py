@@ -835,8 +835,6 @@ def validate_grammar(grammar: Grammar, registries: Optional[Registries] = None,
                      rule.name, rule.line)
             if isinstance(action, FunCall):
                 _check_fun(action, rule, registries, error, side_effect=False)
-                for arg in action.args:
-                    _check_names(arg, rule, registries, error)
             if isinstance(action, RuleCall):
                 _check_names(action.selector, rule, registries, error)
         _check_names(rule.test, rule, registries, error)
@@ -857,6 +855,8 @@ def validate_grammar(grammar: Grammar, registries: Optional[Registries] = None,
 
 
 def _check_fun(call: FunCall, rule: Rule, registries, error, side_effect: bool):
+    """Report an unknown function, one used where its kind may not be, and
+    the unknown names its arguments call."""
     if registries is None:
         return
     entry = registries.functions.get(call.name)
@@ -868,6 +868,8 @@ def _check_fun(call: FunCall, rule: Rule, registries, error, side_effect: bool):
     elif not side_effect and entry.is_side_effect:
         error(f"side effect {call.name!r} cannot appear in a template",
               rule.name, rule.line)
+    for arg in call.args:
+        _check_names(arg, rule, registries, error)
 
 
 def _check_names(expr, rule: Rule, registries, error):

@@ -1,8 +1,9 @@
 import pytest
 
-from surfgen.backtrack import iter_assignments
+from surfgen.backtrack import ResolvedNode, iter_assignments
 from surfgen.engine import ChoiceRef, InflectCall, LiteralTok
 from surfgen.gil import FeatureStructure, parse_gil
+from surfgen.prefs import make_session
 from surfgen.session import GenerationSession
 from surfgen.tgl import Registries, parse_grammar
 
@@ -565,3 +566,36 @@ def test_further_solutions_inflect_only_what_changed(regs, monkeypatch):
     # a verb is inflected anew only the first time its point flips
     assert session.stats.re_realizations == len(flipped)
     stream.close()
+
+
+def test_derivation_is_resolved_only_when_read(regs, monkeypatch):
+    """Emission builds no derivation tree; a solution read after its stream
+    is exhausted resolves its own, from its assignment."""
+    built = [0]
+    init = ResolvedNode.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(ResolvedNode, "__init__", counting)
+    session = make_session(parse_grammar(flat_grammar(10)), registries=regs)
+    solutions = list(session.solutions(FeatureStructure()))
+    assert len(solutions) == 2 ** 10 and built[0] == 0
+    second = solutions[1]
+    want = list(ref_resolve_items(session._root_items, second.assignment))
+    got, stack = [], [second.derivation]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ResolvedNode):
+            got.append(("node", item.rule_name, item.category))
+            stack.extend(reversed(item.children))
+        else:
+            got.append(("leaf", item))
+    assert built[0] == sum(kind == "node" for kind, _ in want)
+    assert len(got) == len(want)
+    for (kind, item), mine in zip(want, got):
+        if kind == "node":
+            assert mine == ("node", item.rule_name, item.category)
+        else:
+            assert mine[0] == "leaf" and mine[1] is item

@@ -174,7 +174,6 @@ def test_coref_definition_binds_tighter_than_list_separator():
     items = get_path(fs, "A")
     assert len(items) == 2
     assert items[0] is items[1]
-    assert items[0].coref_tag == 1
 
 
 def test_forward_reference_resolves(meeting_text):

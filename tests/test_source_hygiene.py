@@ -1,8 +1,9 @@
 """Source hygiene of the library, by a scan of its syntax trees.
 
-Two kinds of dead code are refused in ``src/surfgen``: a module-level import
-that its module never uses (nor lists in ``__all__``), and a private
-(``_name``) function, method or class that nothing in the package refers to.
+Three kinds of dead code are refused in ``src/surfgen``: a module-level
+import that its module never uses (nor lists in ``__all__``), a private
+(``_name``) function, method or class that nothing in the package refers to,
+and a name in a ``__slots__`` that nothing in the package reads.
 """
 
 import ast
@@ -60,3 +61,35 @@ def test_no_unreferenced_private_definition():
     unreferenced = [f"{module}: {name}" for module, name in defined
                     if name not in used]
     assert not unreferenced, f"private definitions nothing uses: {unreferenced}"
+
+
+def read_attributes(tree: ast.AST) -> set:
+    """Every attribute name a tree reads: loaded, or updated in place."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            names.add(node.target.attr)
+    return names
+
+
+def test_every_slot_is_read():
+    trees = modules()
+    declared = []  # (module, class, slot name)
+    read = set()
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in stmt.targets):
+                    declared += [(name, cls.name, slot)
+                                 for slot in ast.literal_eval(stmt.value)]
+        read |= read_attributes(tree)
+    assert declared
+    unread = [f"{module}: {cls}.{slot}" for module, cls, slot in declared
+              if slot not in read]
+    assert not unread, f"slots nothing reads: {unread}"

@@ -275,6 +275,14 @@ def test_validate_side_effect_needs_undoable_function():
     assert any("undo" in d.message for d in diags)
 
 
+def test_validate_checks_side_effect_argument_names():
+    g = parse_grammar('(DEFPRODUCTION "s" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+                      ' :ACTIONS (:TEMPLATE "a" :SIDE-EFFECTS ((note (SEL nope))))))')
+    diags = validate_grammar(g, Registries.standard())
+    assert [(d.severity, d.message) for d in diags] == \
+        [(Severity.ERROR, "unknown selector 'nope'")]
+
+
 # --- test evaluation ---------------------------------------------------------
 
 def test_eval_role_filler_p_on_theme(theme):

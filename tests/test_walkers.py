@@ -22,6 +22,7 @@ from surfgen.backtrack import (
     commit,
     fill_post_contexts,
     iter_assignments,
+    resolve,
 )
 from surfgen.engine import ChoiceRef, DerivationNode, LiteralTok, join_tokens
 from surfgen.gil import FeatureStructure, Sym, fs_digest, fs_equal, parse_gil
@@ -241,9 +242,10 @@ def test_walkers_match_reference_walks(case):
             assert shown.names == Counter(node.rule_name for kind, node in events
                                           if kind == "node")
             first = list(ref_resolve_items(root[:1], assignment))
-            assert list(shown.root.top[0].rule_names()) == \
+            tree = resolve(shown.root.items, assignment)[0]
+            assert list(tree.rule_names()) == \
                 [node.rule_name for kind, node in first if kind == "node"]
-            assert same_items(resolved_leaves(shown.root.top[0]),
+            assert same_items(resolved_leaves(tree),
                               [p for kind, p in first if kind == "leaf"])
     for solution in solutions:
         assert list(solution.derivation.rule_names()) == \
@@ -397,20 +399,20 @@ def test_walkers_on_deep_chain():
     show(shown, {point.id: 0})
     words = " ".join(str(k) for k in range(1, DEPTH + 1))
     assert shown.root.text == words + " x"
-    first = shown.root.top[0]
+    first = resolve(root.items, {point.id: 0})[0]
     names = list(first.rule_names())
     assert len(names) == DEPTH + 1 and names[0] == "more" and names[-1] == "x"
     assert Counter(names) == shown.names
     leaves = resolved_leaves(first)
     assert len(leaves) == DEPTH + 1 and leaves[-1] == LiteralTok("x")
-    # a second variant: the path to it is copied, the first tree is kept
+    # a second variant: the first tree is kept
     y = DerivationNode("X", "y", point.input, 0)
     y.children.append(LiteralTok("y"))
     point.variants.append(Layer((y,), point, 1))
     fill_post_contexts(point.variants[1], readers)
     show(shown, {point.id: 1})
     assert shown.root.text == words + " y"
-    assert resolved_leaves(shown.root.top[0])[-1] == LiteralTok("y")
+    assert resolved_leaves(resolve(root.items, {point.id: 1})[0])[-1] == LiteralTok("y")
     assert resolved_leaves(first)[-1] == LiteralTok("x")
     assert shown.names["x"] == 0 and shown.names["y"] == 1
 
