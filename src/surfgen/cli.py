@@ -82,6 +82,12 @@ def cmd_generate(cfg: argparse.Namespace, out=None, err=None) -> int:
                 spec = parse_criteria(_read(cfg.criteria, "criteria"), mode=mode)
             except CriteriaError as e:
                 raise _Usage(f"{cfg.criteria}: {e}") from None
+            # a name that is not one word is most likely a line whose weight
+            # did not read; a one-word name may be meant for another grammar
+            for name in (c.rule_name for c in spec.criteria):
+                if name not in grammar.by_name and name.split() != [name]:
+                    print(f"warning: criterion '{name}' names no rule of the grammar",
+                          file=err)
         trace = (lambda event: print(event, file=err)) if cfg.trace else None
         session = make_session(grammar, spec, registries=registries,
                                use_memo=cfg.memo, trace=trace)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, NoReturn, Optional, Union
 
 
@@ -234,183 +235,238 @@ LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 _SCANNER = Scanner(GilError, {"#": "expected digits after '#'"},
                    r"[()\[\]<>,]", r"[A-Za-z][A-Za-z0-9_-]*", INT, r"#\d+=?", STRING)
-_PUNCT = {"(": "lparen", ")": "rparen", "[": "lbrack", "]": "rbrack",
-          "<": "langle", ">": "rangle", ",": "comma"}
+_KINDS = {"(": "lparen", ")": "rparen", "[": "lbrack", "]": "rbrack",
+          "<": "langle", ">": "rangle", ",": "comma", '"': "string"}
+_BLANK = " \t\r\n;"  # the first characters of blanks and comments
+_NOT_NUMBER = LETTERS + "".join(_KINDS) + _BLANK
 
 
-def _tokens(text: str) -> Iterator[tuple]:
-    """The (kind, value, offset) tokens of a GIL text, the last one ``eof``,
-    one at a time; a malformed token raises ``GilError`` at its position."""
-    lexemes, end, malformed = _SCANNER.lexemes(text)
-    at = 0
-    for lexeme in lexemes:
-        first = lexeme[0]
-        kind = _PUNCT.get(first)
-        if kind is not None:
-            yield kind, None, at
-        elif first in LETTERS:
-            yield "symbol", lexeme.rstrip(), at
-        elif first == '"':
-            yield "string", unquote(lexeme.rstrip()), at
-        elif first not in " \t\r\n;":  # '#', '-' or a digit of any script
-            token = lexeme.rstrip()
-            try:  # int() refuses more digits than its limit
-                value = int(token.strip("#="))
-            except ValueError as e:
-                _SCANNER.fail(str(e), text, at)
-            if first == "#" and value <= 0:
-                _SCANNER.fail("coreference tags are positive", text, at)
-            kind = "int" if first != "#" else "corefdef" if token[-1] == "=" else "corefref"
-            yield kind, value, at
-        at += len(lexeme)
-    if malformed:
-        _SCANNER._bad(text, end)
-    yield "eof", None, end
+def _number(lexeme: str, text: str, at: int) -> int:
+    """The integer of an int or ``#n`` lexeme at ``at``; ``GilError`` where
+    int() refuses it or a tag is not positive."""
+    try:  # int() refuses more digits than its limit
+        value = int(lexeme.strip("#= \t\r\n"))
+    except ValueError as e:
+        _SCANNER.fail(str(e), text, at)
+    if value <= 0 and lexeme[0] == "#":
+        _SCANNER.fail("coreference tags are positive", text, at)
+    return value
+
+
+def _kind(lexeme: str) -> str:
+    """The name an error message gives the token of ``lexeme``."""
+    first = lexeme[0]
+    if first in LETTERS:
+        return "symbol"
+    if first == "#":
+        return "corefdef" if lexeme.rstrip()[-1] == "=" else "corefref"
+    return _KINDS.get(first, "int")
 
 
 # ---------------------------------------------------------------------------
-# Reader
+# Reader: one loop over the scanner's lexemes, told apart by their first
+# characters.  ``expect`` says which tokens may come next, and a value read
+# waits in ``value`` for the token that ends its pair or list item.
+
+_DOC, _OPEN, _NAME, _VALUE, _CLOSE, _DEF, _SEP, _END = range(8)
+_EXPECTED = ("a GIL document starts with '['", "expected '(' or ']', found {}",
+             "expected symbol, found {}", "expected a value, found {}",
+             "attribute pair not closed with ')'",
+             "'#n=' must be followed by a structure",
+             "expected ',' or '>', found {}", "trailing {} after document")
+
 
 def parse_gil(text: str) -> FeatureStructure:
-    """Parse a GIL document into its root structure, with sharing resolved."""
-
-    tokens = _tokens(text)
-
-    def fail(message: str, at: int) -> NoReturn:
-        for _ in tokens:
-            pass
-        raise GilError(message, *locator(text)(at))
-
-    return _read(tokens, fail)
-
-
-def _read(tokens: Iterator[tuple], fail) -> FeatureStructure:
-    """Read a document with an explicit stack of open structures and lists.
+    """Parse a GIL document into its root structure, with sharing resolved.
 
     A ``#n`` reference takes the node of its tag at once, also before the
     ``#n=`` that fills that node in is read, so nothing is left to resolve.
+    Errors keep the scanner's order: a malformed token anywhere first, then
+    the first token the document refuses, then an undefined tag, then a
+    cycle.
     """
-    kind, _, at = next(tokens)
-    if kind != "lbrack":
-        fail("a GIL document starts with '['", at)
+    lexemes, end, malformed = _SCANNER.lexemes(text)
+    rest = iter(lexemes)
+    syms: dict[str, Sym] = {}  # one Sym per symbol text
     shared: dict[int, FeatureStructure] = {}  # the node each tag stands for
-    opened: set[int] = set()  # tags whose definition has begun
+    # opened tag n -> the m of each #m and #m= met in its definition but
+    # not in a definition nested in it: the edges n -> m of the tag graph
+    inside: dict[int, list[int]] = {}
     defined: set[int] = set()  # tags whose definition is complete
-    referenced = False
-    # open structures [fs, at, name, name at, tag, tag at] and lists [items, at]
-    stack: list[list] = [[FeatureStructure(), at, None, 0, None, 0]]
-    value = None  # the value just read; None when a list or structure opened
-    while True:
-        # hand the value to the innermost open list or structure, and close
-        # each one whose closing token follows
-        while True:
-            frame = stack[-1]
-            if len(frame) == 2:
+    defs: list[int] = []  # the tags of the open definitions, innermost last
+    forward = False  # whether a #n came before its definition closed
+    # open structures [fs, at, tag, tag at, name, name at, after] and lists
+    # [items, at, after]; ``after`` is what follows the value they make
+    stack: list[list] = []
+    frame: list = []  # the innermost open structure or list
+    expect, after = _DOC, _END  # what comes next; what follows a value
+    value = tag = None  # the value read; the tag of a '#n=' read
+    tag_at = 0
+    error = None  # a refused token's message and offset, if not the usual
+    at = 0
+    for lexeme in rest:
+        first = lexeme[0]
+        if expect == _VALUE:
+            if first in LETTERS:
+                token = lexeme.rstrip()
+                value = syms.get(token)
                 if value is None:
-                    break
-                frame[0].append(value)
-                kind, _, at = next(tokens)
-                if kind == "comma":
-                    break
-                if kind == "eof":
-                    fail("unbalanced '<'", frame[1])
-                if kind != "rangle":
-                    fail(f"expected ',' or '>', found {kind}", at)
+                    value = syms[token] = Sym(token)
+                expect = after
+            elif first == "[":
+                frame = [FeatureStructure(), at, None, 0, None, 0, after]
+                stack.append(frame)
+                expect, after = _OPEN, _CLOSE
+            elif first == '"':
+                value, expect = unquote(lexeme.rstrip()), after
+            elif first == "<":
+                frame = [[], at, after]
+                stack.append(frame)
+                after = _SEP
+            elif first == "#":
+                n = _number(lexeme, text, at)
+                if defs:
+                    inside[defs[-1]].append(n)
+                if lexeme.rstrip()[-1] == "=":
+                    tag, tag_at, expect = n, at, _DEF
+                else:
+                    if n not in defined:
+                        forward = True
+                    value = shared.get(n)
+                    if value is None:
+                        value = shared[n] = FeatureStructure()
+                    expect = after
+            elif first == ">" and after == _SEP and not frame[0]:  # '< >'
                 stack.pop()
-                value = tuple(frame[0])
-                continue
-            fs = frame[0]
-            if value is not None:
-                kind, _, at = next(tokens)
-                if kind != "rparen":
-                    fail("attribute pair not closed with ')'", at)
-                try:
-                    fs._append(frame[2], value)
-                except GilError as e:
-                    fail(e.message, frame[3])
-            kind, _, at = next(tokens)
-            if kind == "lparen":
-                kind, name, at = next(tokens)
-                if kind != "symbol":
-                    fail(f"expected symbol, found {kind}", at)
-                frame[2], frame[3] = name, at
+                value, expect = (), frame[2]
+                after, frame = expect, stack[-1]
+            elif first not in _NOT_NUMBER:
+                value, expect = _number(lexeme, text, at), after
+            elif first not in _BLANK:
                 break
-            if kind == "eof":
-                fail("unbalanced '['", frame[1])
-            if kind != "rbrack":
-                fail(f"expected '(' or ']', found {kind}", at)
-            stack.pop()
-            tag = frame[4]
-            if tag is not None:
-                if tag in defined:
-                    fail(f"coreference tag #{tag} defined twice", frame[5])
-                defined.add(tag)
-            if not stack:
-                kind, _, at = next(tokens)
-                if kind != "eof":
-                    fail(f"trailing {kind} after document", at)
-                if referenced:
-                    _check_references(fs, {id(node): tag for tag, node in shared.items()
-                                           if tag not in defined})
-                return fs
-            value = fs
-        kind, value, at = next(tokens)  # the first token of the next value
-        if kind == "symbol":
-            value = Sym(value)
-        elif kind == "corefref":
-            referenced = True
-            node = shared.get(value)
-            if node is None:
-                node = shared[value] = FeatureStructure()
-            value = node
-        elif kind == "langle":
-            stack.append([[], at])
-            value = None
-        elif kind == "rangle" and len(stack[-1]) == 2 and not stack[-1][0]:
-            stack.pop()  # '< >'
-            value = ()
-        elif kind == "lbrack" or kind == "corefdef":
-            fs, tag, tag_at = FeatureStructure(), None, 0
-            if kind == "corefdef":
-                tag, tag_at = value, at
-                kind, _, at = next(tokens)
-                if kind != "lbrack":
-                    fail("'#n=' must be followed by a structure", at)
-                if tag not in opened:  # a second definition fails when it closes
-                    opened.add(tag)
-                    fs = shared.setdefault(tag, fs)
-            stack.append([fs, at, None, 0, tag, tag_at])
-            value = None
-        elif kind != "string" and kind != "int":
-            fail(f"expected a value, found {kind}", at)
+        elif expect == _OPEN:
+            if first == "(":
+                expect = _NAME
+            elif first == "]":
+                stack.pop()
+                if frame[2] is not None:
+                    if frame[2] in defined:
+                        error = f"coreference tag #{frame[2]} defined twice", frame[3]
+                        break
+                    defined.add(frame[2])
+                    defs.pop()
+                value, expect = frame[0], frame[6]
+                if stack:
+                    after, frame = expect, stack[-1]
+            elif first not in _BLANK:
+                break
+        elif expect == _NAME:
+            if first in LETTERS:
+                frame[4], frame[5] = lexeme.rstrip(), at
+                expect = _VALUE
+            elif first not in _BLANK:
+                break
+        elif expect == _CLOSE:
+            if first == ")":
+                try:
+                    frame[0]._append(frame[4], value)
+                except GilError as e:
+                    error = e.message, frame[5]
+                    break
+                expect = _OPEN
+            elif first not in _BLANK:
+                break
+        elif expect == _SEP:
+            if first == ",":
+                frame[0].append(value)
+                expect = _VALUE
+            elif first == ">":
+                frame[0].append(value)
+                stack.pop()
+                value, expect = tuple(frame[0]), frame[2]
+                after, frame = expect, stack[-1]
+            elif first not in _BLANK:
+                break
+        elif expect == _DEF or expect == _DOC:
+            if first == "[":
+                fs = FeatureStructure()
+                if tag is not None:
+                    if tag not in inside:  # a second definition fails when it closes
+                        inside[tag] = []
+                        fs = shared.setdefault(tag, fs)
+                    defs.append(tag)
+                frame = [fs, at, tag, tag_at, None, 0, after]
+                stack.append(frame)
+                expect, after, tag = _OPEN, _CLOSE, None
+            elif first not in _BLANK:
+                break
+        elif first not in _BLANK:  # _END
+            break
+        at += len(lexeme)
+    else:
+        if malformed:
+            _SCANNER._bad(text, end)
+        if expect != _END:
+            if expect == _OPEN:
+                _SCANNER.fail("unbalanced '['", text, frame[1])
+            if expect == _SEP:
+                _SCANNER.fail("unbalanced '<'", text, frame[1])
+            _SCANNER.fail(_EXPECTED[expect].format("eof"), text, end)
+        if forward:  # an undefined tag or a cycle needs such a #n
+            if len(defined) < len(shared):
+                _check_references(value, {id(node): tag for tag, node in shared.items()
+                                         if tag not in defined})
+            if _cyclic(inside):
+                raise GilError("coreferences form a cycle")
+        return value  # the root, closed last
+    # a token was refused: every lexeme from it on is still converted, and
+    # a malformed rest is reported, before the refusal is
+    message, where = error or (_EXPECTED[expect].format(_kind(lexeme)), at)
+    for lexeme in chain((lexeme,), rest):
+        if lexeme[0] not in _NOT_NUMBER:
+            _number(lexeme, text, at)
+        at += len(lexeme)
+    if malformed:
+        _SCANNER._bad(text, end)
+    _SCANNER.fail(message, text, where)
+
+
+def _cyclic(inside: dict[int, list[int]]) -> bool:
+    """Whether the graph with an edge n -> m for each m in ``inside[n]`` has
+    a cycle, by Kahn's algorithm: tags that no edge from a tag still left
+    enters are taken away until none is; a cycle is what stays.  Every m
+    is a key of ``inside``."""
+    indegree = dict.fromkeys(inside, 0)
+    for targets in inside.values():
+        for m in targets:
+            indegree[m] += 1
+    ready = [n for n, count in indegree.items() if not count]
+    left = len(indegree)
+    while ready:
+        left -= 1
+        for m in inside[ready.pop()]:
+            indegree[m] -= 1
+            if not indegree[m]:
+                ready.append(m)
+    return left > 0
 
 
 def _check_references(root: FeatureStructure, undefined: dict[int, int]) -> None:
-    """Raise for the first node in ``undefined`` (id -> tag) met in a
-    depth-first walk in document order, else for a cycle."""
-    on_path: set[int] = set()
-    done: set[int] = set()
-    todo: list = [(root, False)]
+    """Raise for the first node in ``undefined`` (id -> tag) among the
+    children of the structures a depth-first walk in document order meets."""
+    seen: set[int] = set()
+    todo: list = [root]
     while todo:
-        fs, leaving = todo.pop()
-        if leaving:
-            on_path.discard(id(fs))
-            done.add(id(fs))
+        fs = todo.pop()
+        if id(fs) in seen:
             continue
-        if id(fs) in done:
-            continue
-        if id(fs) in on_path:
-            if undefined:
-                continue
-            raise GilError("coreferences form a cycle")
-        on_path.add(id(fs))
-        todo.append((fs, True))
+        seen.add(id(fs))
         children = _child_structures(fs)
         for child in children:
             if id(child) in undefined:
                 tag = undefined[id(child)]
                 raise GilError(f"coreference tag #{tag} is never defined")
-        todo.extend((child, False) for child in reversed(children))
+        todo.extend(reversed(children))
 
 
 def _child_structures(fs: FeatureStructure) -> list[FeatureStructure]:

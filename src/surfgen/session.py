@@ -101,6 +101,10 @@ class Solution:
         """The derivation tree, choices resolved; built anew on each read."""
         return resolve(self.items, self.assignment)[0]
 
+    def __hash__(self) -> int:
+        # equal solutions have equal texts and weights; the assignment is a dict
+        return hash((self.text, self.weight))
+
 
 class DefaultStrategy:
     """No criteria: source order, most recently created point first.

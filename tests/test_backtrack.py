@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from surfgen.backtrack import ResolvedNode, iter_assignments
@@ -599,3 +601,13 @@ def test_derivation_is_resolved_only_when_read(regs, monkeypatch):
             assert mine == ("node", item.rule_name, item.category)
         else:
             assert mine[0] == "leaf" and mine[1] is item
+
+
+def test_solutions_hash_and_build_a_set(regs):
+    session = make_session(parse_grammar(flat_grammar(3)), registries=regs)
+    solutions = list(session.solutions(FeatureStructure()))
+    assert len(solutions) == 8
+    assert len(set(solutions)) == 8  # distinct texts
+    again = replace(solutions[5])
+    assert again == solutions[5] and hash(again) == hash(solutions[5])
+    assert len(set(solutions) | {again}) == 8

@@ -158,6 +158,27 @@ def test_weights_prefix(paths, tmp_path):
     assert all(line.startswith("[w=") for line in lines)
 
 
+@pytest.mark.parametrize("lines, weight, warned", [
+    ("t x\n", 0, ["t x"]),
+    ('t 2x\n"t y"\n', 0, ["t 2x", "t y"]),
+    ('"t" 2\n', 2, []),
+    ("s-passive\n", 0, []),  # one word: may be meant for another grammar
+])
+def test_criterion_naming_no_rule_is_warned_about(tmp_path, lines, weight, warned):
+    grammar = tmp_path / "t.tgl"
+    grammar.write_text('(DEFPRODUCTION "t" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+                       ' :ACTIONS (:TEMPLATE "a")))\n', encoding="utf-8")
+    doc = tmp_path / "doc.gil"
+    doc.write_text("[]", encoding="utf-8")
+    crit = tmp_path / "t.criteria"
+    crit.write_text(lines, encoding="utf-8")
+    code, out, err = run(["generate", "--grammar", str(grammar), "--input", str(doc),
+                          "--criteria", str(crit), "--weights"])
+    assert (code, out) == (EXIT_OK, f"[w={weight}] a\n")
+    assert err == "".join(f"warning: criterion '{name}' names no rule of the grammar\n"
+                          for name in warned)
+
+
 def test_dedupe_flag(tmp_path):
     grammar = tmp_path / "dup.tgl"
     grammar.write_text(

@@ -182,6 +182,49 @@ def test_forward_reference_resolves(meeting_text):
     assert get_path(fs, "THEME.SMOOD.TOPIC") is get_path(fs, "THEME.ARGS")[0]
 
 
+# --- coreference corners: the cycle check runs over the graph of tags --------
+
+def test_diamond_of_references_is_accepted():
+    # two paths from the root to #3, one through #1 and one through #2
+    fs = parse_gil("[(A #1= [(L #3)]) (B #2= [(R #3)]) (C #3= [(K v)]) (D #1)]")
+    shared = get_path(fs, "C")
+    assert get_path(fs, "A.L") is shared and get_path(fs, "B.R") is shared
+    assert get_path(fs, "D") is get_path(fs, "A")
+
+
+@pytest.mark.parametrize("text", [
+    "[(A #1= [(N #2)]) (B #2= [(N #3)]) (C #3= [(N #1)])]",
+    "[(C #3= [(N #1)]) (A #1= [(N #2)]) (B #2= [(N #3)])]",
+    "[(A #1= [(N #2= [(N #3)])]) (B #3= [(N #1)])]",
+])
+def test_three_tag_cycle_through_a_forward_reference_is_rejected(text):
+    with pytest.raises(GilError, match="coreferences form a cycle"):
+        parse_gil(text)
+
+
+def test_cycle_through_a_list_in_a_nested_definition_is_rejected():
+    with pytest.raises(GilError, match="coreferences form a cycle"):
+        parse_gil("[(A #1= [(B #2= [(C < x, [(D < #1 >)] >)])])]")
+    # the same shape without the way back parses
+    fs = parse_gil("[(A #1= [(B #2= [(C < x, [(D < #3 >)] >)])]) (E #3= [])]")
+    assert get_path(fs, "A.B.C")[1].get("D")[0] is get_path(fs, "E")
+
+
+def test_long_chain_of_tags_parses_without_recursion():
+    n = 10_000  # far past the recursion limit
+    # each #i refers forward to #(i+1), so the check of the tag graph runs
+    text = "[" + " ".join(f"(T{i} #{i}= [(N #{i + 1})])" for i in range(1, n)) \
+        + f" (T{n} #{n}= [(N end)])]"
+    fs = parse_gil(text)
+    node = get_path(fs, "T1")
+    for i in range(2, n + 1):
+        node = node.get("N")
+        assert node is get_path(fs, f"T{i}")
+    assert node.get("N") == Sym("end")
+    with pytest.raises(GilError, match="coreferences form a cycle"):
+        parse_gil(text.replace("(N end)", "(N #1)"))
+
+
 # --- serialization -----------------------------------------------------------
 
 def test_serialize_empty():
