@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .gil import Atom, FeatureStructure, Sym
-from .morpho import FunctionRegistry, InflectionRequest, inflect
+from .morpho import FunctionRegistry, InflectionRequest, form_key, inflect
 from .tgl import Assign, Equate, Grammar, Lhs, Registries, Rule, eval_test
 
 
@@ -222,7 +222,9 @@ class InflectCall:
 
     ``hooks`` are (feature, node) pairs read at realization time.  Realized
     strings are cached per observed feature values, so re-realization
-    happens exactly when a hooked value changed.
+    happens exactly when a hooked value changed.  A form this call has not
+    seen is looked up in the registry's table of forms first, and only
+    computed by ``inflect`` when no session on that registry has seen it.
     """
 
     __slots__ = ("function", "args", "hooks", "_cache")
@@ -243,7 +245,12 @@ class InflectCall:
         cached = self._cache.get(bound)
         if cached is not None:
             return cached
-        text = inflect(InflectionRequest(self.function, self.args, bound), registry)
+        key = form_key(self.function, self.args, bound)
+        text = registry.forms.get(key)
+        if text is None:
+            text = inflect(InflectionRequest(self.function, self.args, bound),
+                           registry)
+            registry.keep_form(key, text)
         if stats is not None:
             stats.morpho_calls += 1
             if self._cache:

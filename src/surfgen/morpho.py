@@ -9,13 +9,19 @@ were registered before generation starts.
 Side-effect functions live in the same registry but must be registered with
 an undo callback, because every effect has to be reversible on backtracking.
 
+A registry keeps one table of the word forms computed so far, shared by
+every session built on it.  So a word-form function must be a pure function
+of its name, its exact arguments and its bound features, and a lexicon must
+not be edited once ``standard_functions`` has closed over it.
+
 Lexicon file format (UTF-8, ``#`` comments)::
 
     lemma | key=val,key=val -> form | key=val -> form | -> fallback form
 
 Cells are separated by ``|``; each cell maps a feature combination to a
 surface form; a cell without features is the fallback.  The most specific
-matching cell wins.
+matching cell wins.  Feature names and values compare case-insensitively,
+on both the lexicon's side and the request's.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ from .gil import Atom, Sym
 WEEKDAYS = ("Montag", "Dienstag", "Mittwoch", "Donnerstag",
             "Freitag", "Samstag", "Sonntag")
 
+#: A registry's table of word forms is emptied when it holds this many.
+MAX_FORMS = 8192
+
 
 class MorphoError(Exception):
     pass
@@ -39,15 +48,9 @@ FeatureKey = frozenset  # of (feature, value-text) pairs
 
 
 def _canonical(features: Mapping[str, object]) -> FeatureKey:
-    return frozenset((k.upper(), _feature_text(v)) for k, v in features.items())
-
-
-def _feature_text(v: object) -> str:
-    if isinstance(v, Sym):
-        return v.text.casefold()
-    if isinstance(v, str):
-        return v
-    return str(v)
+    """Feature names upper-cased, values as casefolded text."""
+    return frozenset([(k.upper(), (v.text if isinstance(v, Sym) else str(v)).casefold())
+                      for k, v in features.items()])
 
 
 @dataclass
@@ -121,10 +124,13 @@ def parse_lexicon(text: str) -> Lexicon:
                 continue
             features = {}
             for item in spec.split(","):
-                if "=" not in item:
-                    raise MorphoError(f"line {lineno}: bad feature {item!r}")
-                k, v = item.split("=", 1)
-                features[k.strip()] = v.strip()
+                k, eq, v = item.partition("=")
+                k, v = k.strip().upper(), v.strip()
+                if not (k and eq and v):
+                    raise MorphoError(f"line {lineno}: bad feature {item.strip()!r}")
+                if k in features:
+                    raise MorphoError(f"line {lineno}: feature {k} named twice")
+                features[k] = v
             key = _canonical(features)
             if key in entry.paradigm:
                 raise MorphoError(f"line {lineno}: duplicate paradigm cell")
@@ -173,10 +179,13 @@ class RegisteredFunction:
 
 
 class FunctionRegistry:
-    """Named inflection and side-effect functions callable from grammars."""
+    """Named inflection and side-effect functions callable from grammars,
+    and the table of word forms computed so far (``forms``, by
+    ``form_key``), which every session on the registry shares."""
 
     def __init__(self):
         self._functions: dict[str, RegisteredFunction] = {}
+        self.forms: dict[tuple, str] = {}
 
     def register_function(self, name: str, fn: Callable, *,
                           features: tuple[str, ...] = (),
@@ -207,9 +216,42 @@ class FunctionRegistry:
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self._functions.values())
 
+    def keep_form(self, key: tuple, form: str) -> None:
+        """Enter a computed word form in ``forms``, emptying a full table."""
+        if len(self.forms) >= MAX_FORMS:
+            self.forms.clear()
+        self.forms[key] = form
+
+
+def form_key(function: str, args: tuple, features: tuple) -> tuple:
+    """The exact key of a word form in a registry's ``forms``.
+
+    Requests compare symbols case-insensitively, yet ``string`` prints a
+    symbol's case, so a symbol enters the key as the ``Sym`` class followed
+    by its text.  Strings and integers enter as themselves, which keeps
+    ``'5'`` apart from ``5`` and a string apart from a symbol.  The argument
+    count parts the arguments from the (feature, value) pairs.
+    """
+    key = [function, len(args)]
+    for atom in args:
+        if isinstance(atom, Sym):
+            key += (Sym, atom.text)
+        else:
+            key.append(atom)
+    for name, atom in features:
+        if isinstance(atom, Sym):
+            key += (name, Sym, atom.text)
+        else:
+            key += (name, atom)
+    return tuple(key)
+
 
 def inflect(req: InflectionRequest, registry: FunctionRegistry) -> str:
-    """Realize one request; deterministic for equal requests."""
+    """Realize one request by calling its registered function.
+
+    The function must be pure in the request's name, exact arguments and
+    bound features: equal requests may still differ in a symbol's case.
+    """
     entry = registry.require(req.function)
     if entry.is_side_effect:
         raise MorphoError(f"{req.function!r} is a side effect, not a word form")
@@ -232,7 +274,11 @@ def _single_arg(args, what):
 
 
 def standard_functions(lexicon: Lexicon) -> FunctionRegistry:
-    """Registry with the stock functions used by the demo grammars."""
+    """Registry with the stock functions used by the demo grammars.
+
+    The functions close over ``lexicon``, whose forms the registry keeps:
+    do not edit the lexicon after this call.
+    """
     reg = FunctionRegistry()
 
     def string(args, features):

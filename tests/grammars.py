@@ -11,8 +11,9 @@ contribute is decided by the input, not by agreement interactions.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from surfgen.morpho import default_lexicon, standard_functions
+from surfgen.morpho import FunctionRegistry, default_lexicon, standard_functions
 from surfgen.tgl import Registries, Registry, parse_grammar
 
 FEATURES = ("F", "G", "H")
@@ -31,6 +32,25 @@ def build_registries() -> Registries:
 
     functions.register_function("mark", mark, features=FEATURES)
     return Registries(Registry("predicate"), Registry("selector"), functions)
+
+
+def counting_functions(base: FunctionRegistry) -> tuple[FunctionRegistry, Counter]:
+    """A registry of base's functions whose word-form functions count their
+    runs, by name, in the returned counter."""
+    functions, runs = FunctionRegistry(), Counter()
+
+    def counted(name, fn):
+        def run(args, features):
+            runs[name] += 1
+            return fn(args, features)
+        return run
+
+    for name in base.names():
+        entry = base.get(name)
+        fn = entry.fn if entry.is_side_effect else counted(name, entry.fn)
+        functions.register_function(name, fn, features=entry.features,
+                                    undo=entry.undo)
+    return functions, runs
 
 
 def random_input(rng: random.Random, depth: int = 0) -> str:

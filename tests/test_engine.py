@@ -17,8 +17,12 @@ from surfgen.engine import (
     realize,
 )
 from surfgen.gil import FeatureStructure, Sym, get_path, parse_gil
+from surfgen.prefs import load_criteria, make_session
 from surfgen.session import GenerationSession
-from surfgen.tgl import Registries, parse_grammar
+from surfgen.tgl import Registries, Registry, parse_grammar
+
+from .grammars import counting_functions
+from .test_backtrack import AGREEMENT_GRAMMAR
 
 
 
@@ -321,6 +325,38 @@ def test_realize_changed_hook_changes_form(regs):
     # repeating a seen feature set reuses the cached form
     again = realize([call], regs.functions, lambda s: Sym("akk"), stats)
     assert again == ["Sie"] and stats.re_realizations == 1
+
+
+@pytest.mark.parametrize("grammar, doc, criteria", [
+    ("appointment.tgl", "meeting.gil", None),
+    ("appointment.tgl", "meeting.gil", "passive.criteria"),
+    ("voice.tgl", "report.gil", None),
+    (AGREEMENT_GRAMMAR, "[(SUBJ [(NOUN appointment)]) (PRED fit)]", None),
+], ids=["meeting", "meeting-passive", "report", "agreement"])
+def test_a_warm_registry_computes_no_form_again(demo_dir, grammar, doc, criteria):
+    """One document twice through one Registries: the same stream and
+    counters, and on the second pass no word-form function runs."""
+    def text(name):
+        if name.endswith((".tgl", ".gil")):
+            return (demo_dir / name).read_text(encoding="utf-8")
+        return name
+
+    grammar, doc = parse_grammar(text(grammar)), parse_gil(text(doc))
+    spec = load_criteria(demo_dir / criteria) if criteria else None
+    functions, runs = counting_functions(Registries.standard().functions)
+    regs = Registries(Registry("predicate"), Registry("selector"), functions)
+
+    def one_pass():
+        session = make_session(grammar, spec, registries=regs)
+        solutions = [(s.text, s.weight, s.assignment)
+                     for s in session.solutions(doc)]
+        return solutions, session.stats.snapshot()
+
+    fresh = one_pass()
+    computed = sum(runs.values())
+    assert computed and fresh[1]["morpho-calls"] >= computed
+    assert one_pass() == fresh
+    assert sum(runs.values()) == computed
 
 
 def test_join_tokens_tabs_and_newlines():

@@ -1,7 +1,9 @@
 import pytest
 
+from surfgen.engine import InflectCall
 from surfgen.gil import Sym
 from surfgen.morpho import (
+    MAX_FORMS,
     WEEKDAYS,
     FunctionRegistry,
     InflectionRequest,
@@ -11,6 +13,8 @@ from surfgen.morpho import (
     parse_lexicon,
     standard_functions,
 )
+
+from .grammars import counting_functions
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +123,97 @@ def test_lexicon_parse_errors():
         parse_lexicon("w | a=1 form\n")
     with pytest.raises(MorphoError, match="defined twice"):
         parse_lexicon("w | -> x\nW | -> y\n")
+
+
+# ---------------------------------------------------------------------------
+# Lexicon case
+
+CASE_LEXICON = "termin | CASE=Akk -> den Termin | -> der Termin\n"
+
+
+@pytest.mark.parametrize("value", [Sym("akk"), Sym("Akk"), Sym("AKK"), "akk", "Akk"])
+def test_lexicon_feature_values_compare_case_insensitively(value):
+    lex = parse_lexicon(CASE_LEXICON)
+    assert lex.inflect("termin", {"case": value}) == "den Termin"
+    assert lex.inflect("termin", {"CASE": Sym("dat")}) == "der Termin"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("w | =akk -> x\n", r"line 1: bad feature '=akk'"),
+    ("# head\nw | case= -> x\n", r"line 2: bad feature 'case='"),
+    ("w | case -> x\n", r"line 1: bad feature 'case'"),
+    ("w | a=1, -> x\n", r"line 1: bad feature ''"),
+    ("w | case=akk,CASE=dat -> x\n", r"line 1: feature CASE named twice"),
+    ("w | case=akk -> x | CASE=AKK -> y\n", r"line 1: duplicate paradigm cell"),
+    ("w | num=sg,case=Akk -> x | CASE=akk,Num=SG -> y\n",
+     r"line 1: duplicate paradigm cell"),
+])
+def test_lexicon_rejects_malformed_and_duplicate_cells(text, message):
+    with pytest.raises(MorphoError, match=message):
+        parse_lexicon(text)
+
+
+# ---------------------------------------------------------------------------
+# The registry's table of word forms.  Each form is realized by a fresh
+# InflectCall, as a new session would, so only the shared table can answer.
+
+def _form(registry, function, args=(), **features):
+    hooks = tuple((feature, 0) for feature in features)
+    call = InflectCall(function, tuple(args), hooks)
+    return call.realize(lambda slot: features.get(slot[1]), registry)
+
+
+def test_form_table_keeps_the_case_of_symbol_arguments():
+    registry = standard_functions(default_lexicon())
+    assert _form(registry, "string", [Sym("zweig")]) == "zweig"
+    assert _form(registry, "string", [Sym("zweig")]) == "zweig"
+    assert _form(registry, "string", [Sym("Zweig")]) == "Zweig"
+    assert _form(registry, "string", ["Zweig"]) == "Zweig"
+    assert len(registry.forms) == 3
+
+
+def test_form_table_keeps_the_case_of_feature_values():
+    registry = FunctionRegistry()
+    registry.register_function(
+        "mark", lambda args, features: ",".join(
+            f"{k}={v}" for k, v in sorted(features.items())),
+        features=("CASE", "NUM"))
+    assert _form(registry, "mark", CASE=Sym("akk")) == "CASE=akk"
+    assert _form(registry, "mark", CASE=Sym("AKK")) == "CASE=AKK"
+    assert _form(registry, "mark", CASE="akk") == "CASE=akk"
+    assert _form(registry, "mark", CASE=Sym("akk"), NUM=1) == "CASE=akk,NUM=1"
+    assert _form(registry, "mark", CASE=Sym("akk"), NUM="1") == "CASE=akk,NUM=1"
+    assert len(registry.forms) == 5
+    # arguments and features stay apart
+    assert _form(registry, "mark", ["CASE", Sym("akk")]) == ""
+
+
+def test_form_table_tells_an_integer_from_a_string():
+    registry = standard_functions(default_lexicon())
+    assert _form(registry, "weekday", [5]) == "Freitag"
+    with pytest.raises(MorphoError, match="integer"):
+        _form(registry, "weekday", ["5"])
+    with pytest.raises(MorphoError, match="integer"):
+        _form(registry, "weekday", [Sym("5")])
+    assert _form(registry, "weekday", [5]) == "Freitag"
+
+
+def test_form_table_stores_no_error():
+    registry, runs = counting_functions(standard_functions(default_lexicon()))
+    for _ in range(3):
+        with pytest.raises(MorphoError, match="integer 1..7"):
+            _form(registry, "weekday", [8])
+    assert runs["weekday"] == 3
+    assert registry.forms == {}
+    assert _form(registry, "weekday", [1]) == _form(registry, "weekday", [1])
+    assert runs["weekday"] == 4
+
+
+def test_form_table_stays_within_its_bound():
+    registry, runs = counting_functions(standard_functions(default_lexicon()))
+    for n in range(MAX_FORMS + 10):
+        assert _form(registry, "string", [f"w{n}"]) == f"w{n}"
+        assert len(registry.forms) <= MAX_FORMS
+    assert len(registry.forms) == 10
+    assert _form(registry, "string", [f"w{MAX_FORMS + 9}"]) == f"w{MAX_FORMS + 9}"
+    assert runs["string"] == MAX_FORMS + 10
