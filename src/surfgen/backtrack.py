@@ -47,13 +47,16 @@ rule, whose stale entries are keyed again only on reaching the top
 (``BTTable.first_ranked``, ``prefs.choose_backtrack_point``).  So neither the choice of a point nor
 the delta looks at every point.  What a further solution still does per
 point is C-level and inherent to emitting a new solution: copying its
-assignment once, into ``Solution.assignment``, writing the run fragments
-into the odometer when it starts, and the string join of the root layer,
-whose frontier holds every point outside the egos.
+assignment once, into ``Solution.assignment``, and writing the run
+fragments into the odometer when it starts.  The root layer's frontier
+holds every point outside the egos, but its text is kept in blocks of
+``BLOCK`` parts (``Layer.join``): a further solution joins again the
+blocks it changed and then one string per block, not the whole frontier.
 
 Each solution's text is built from the previous one as a delta
 (``Shown``): only the layers of egos whose choice changed are rendered
-again, and only the enclosing layers' strings are joined again.
+again, and of the enclosing layers only the blocks that changed are
+joined again.
 Inflection calls are resolved against the combination's feature values,
 but only those of the entered layers and those whose agreement class an
 entered or left ego touches are read again, so agreement features flipped
@@ -186,6 +189,11 @@ class BTTable:
         return len(self.points)
 
 
+# Parts per block of a layer's text: a further solution joins again a
+# block of the root layer, not its whole frontier.
+BLOCK = 32
+
+
 class Layer:
     """One layer: the root's or a variant's own material, down to its points.
 
@@ -203,11 +211,16 @@ class Layer:
     up to date as points gain variants.  The rest is how the layer was
     last shown: ``parts``, one string per frontier item (a literal's text;
     a call's word form and a point's chosen ego's text once shown, "" until
-    then), and ``text``, their join.
+    then), and ``text``, their join.  A layer of more than ``BLOCK`` parts
+    also keeps ``blocks``, the join of each run of ``BLOCK`` parts, and
+    ``dirty``, the numbers of the blocks whose parts were written since
+    they were last joined (``write``, ``join``); a smaller layer has None
+    for both and joins its parts whole.
     """
 
     __slots__ = ("items", "point", "depth", "frontier", "points", "calls",
-                 "obligations", "names", "steps", "parts", "text")
+                 "obligations", "names", "steps", "parts", "text",
+                 "blocks", "dirty")
 
     def __init__(self, items, point: Optional[BacktrackPoint], depth: int):
         self.items = items
@@ -219,6 +232,31 @@ class Layer:
     def __repr__(self) -> str:
         owner = f"B{self.point.id}" if self.point else "root"
         return f"<Layer {owner} depth={self.depth}>"
+
+    def write(self, pos: int, text: str) -> None:
+        """Set part pos, marking its block dirty."""
+        self.parts[pos] = text
+        if self.dirty is not None:
+            self.dirty.add(pos // BLOCK)
+
+    def join(self, whole: bool = False) -> None:
+        """Set ``text`` to the join of the parts.
+
+        A layer in blocks joins again only its dirty blocks, or every block
+        when whole, and then joins the blocks' strings.  ``join_tokens``
+        spaces two tokens by the edges of the non-empty ones alone, and a
+        block's join has the edges of its first and last non-empty parts,
+        so the text is the same as the join of the parts.
+        """
+        blocks = self.blocks
+        if blocks is None:
+            self.text = join_tokens(self.parts)
+            return
+        parts, dirty = self.parts, self.dirty
+        for b in range(len(blocks)) if whole else dirty:
+            blocks[b] = join_tokens(parts[b * BLOCK:b * BLOCK + BLOCK])
+        dirty.clear()
+        self.text = join_tokens(blocks)
 
 
 def fill_post_contexts(layer: Layer, readers: dict) -> None:
@@ -256,6 +294,11 @@ def fill_post_contexts(layer: Layer, readers: dict) -> None:
     layer.frontier = tuple(frontier)
     layer.parts = [item.text if isinstance(item, LiteralTok) else ""
                    for item in frontier]
+    if len(frontier) > BLOCK:
+        layer.blocks = [""] * ((len(frontier) + BLOCK - 1) // BLOCK)
+        layer.dirty = set()
+    else:
+        layer.blocks = layer.dirty = None
     layer.points = tuple(points)
     layer.calls = tuple(calls)
     layer.obligations = tuple(obligations)
@@ -443,8 +486,13 @@ def iter_assignments(root: Layer, fixed: dict[int, int],
     # spawner's layer and pushes the frame for the spawner's next step.
     # Merged choices stay in the outer acc even once a later choice makes
     # them unreachable; resolving ignores them.  A frame is popped when
-    # exhausted, resuming the one below.
+    # exhausted, resuming the one below.  A resumed run's ids are held in
+    # ``stale`` and taken out of acc only when a point frame sets its next
+    # variant, the first thing after a resume that adds to an acc: so the
+    # assignments yielded and their item order are the same, and once the
+    # odometer is exhausted they are never taken out one by one.
     stack: list[list] = [[(layer_steps(root), {}, None), 0, None, 0]]
+    stale: list[tuple[dict, list]] = []  # (acc, ids) of resumed runs
     while stack:
         frame = stack[-1]
         layer, idx, choices, pos = frame
@@ -464,8 +512,7 @@ def iter_assignments(root: Layer, fixed: dict[int, int],
         step = steps[idx]
         if type(step) is Run:
             if choices is not None:  # resumed after its continuation ran
-                for pid in choices:
-                    del acc[pid]
+                stale.append((acc, choices))
                 stack.pop()
             elif fixed and not fixed.keys().isdisjoint(step.fragment.keys()):
                 frame[2] = ()
@@ -492,6 +539,11 @@ def iter_assignments(root: Layer, fixed: dict[int, int],
             continue
         k = choices[pos]
         frame[3] = pos + 1
+        if stale:
+            for held, ids in stale:
+                for pid in ids:
+                    del held[pid]
+            stale.clear()
         acc[point.id] = k
         moved.add(point.id)
         stack.append([(layer_steps(point.variants[k]), {}, (layer, idx)), 0, None, 0])
@@ -720,13 +772,14 @@ def inflections(shown: Shown, delta: Delta, graph: FeatureGraph,
 def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
     """Make the combination the shown solution: the left layers leave the
     point -> layer map and the entered ones join it, the read word forms go
-    into their parts, the entered layers are joined, and each changed layer
-    hands its text to the layer around it, deepest first, up to the root.
-    At the root, the join reads a list as long as the root layer's
-    frontier: C-level work that grows with the number of points outside
-    the egos."""
+    into their parts, the entered layers are joined whole, and each changed
+    layer hands its text to the layer around it, deepest first, up to the
+    root.  A layer that was shown before joins again only the blocks of
+    its parts written here (``Layer.join``), so at the root a further
+    solution joins the blocks it changed and the blocks' strings, not a
+    list as long as the root layer's frontier."""
     for (layer, pos), form in zip(calls, forms):
-        layer.parts[pos] = form
+        layer.write(pos, form)
     chosen = shown.chosen
     for layer in delta.left:
         del chosen[layer.point.id]
@@ -736,14 +789,14 @@ def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
     for layer in reversed(delta.entered):
         for point in layer.points:
             layer.parts[point.index] = chosen[point.id].text
-        layer.text = join_tokens(layer.parts)
+        layer.join(whole=True)
     levels: dict[int, dict] = {}  # depth -> layers whose text is stale
 
     def hand_up(layer: Layer) -> None:
         point = layer.point
         if point is not None:
             outer = shown.holder(point)
-            outer.parts[point.index] = layer.text
+            outer.write(point.index, layer.text)
             levels.setdefault(outer.depth, {})[outer] = None
 
     for point, layer in delta.changes:
@@ -753,7 +806,7 @@ def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
         levels.setdefault(layer.depth, {})[layer] = None
     while levels:
         for layer in levels.pop(max(levels)):
-            layer.text = join_tokens(layer.parts)
+            layer.join()
             hand_up(layer)
     for layer in delta.left:
         shown.names.subtract(layer.names)

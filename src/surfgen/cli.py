@@ -82,12 +82,15 @@ def cmd_generate(cfg: argparse.Namespace, out=None, err=None) -> int:
                 spec = parse_criteria(_read(cfg.criteria, "criteria"), mode=mode)
             except CriteriaError as e:
                 raise _Usage(f"{cfg.criteria}: {e}") from None
-            # a name that is not one word is most likely a line whose weight
-            # did not read; a one-word name may be meant for another grammar
-            for name in (c.rule_name for c in spec.criteria):
-                if name not in grammar.by_name and name.split() != [name]:
-                    print(f"warning: criterion '{name}' names no rule of the grammar",
-                          file=err)
+        unmatched = [c.rule_name for c in spec.criteria
+                     if c.rule_name not in grammar.by_name]
+        # a name that is not one word is most likely a line whose weight did
+        # not read; a one-word name may be meant for another grammar, so it
+        # is only counted (--stats)
+        for name in unmatched:
+            if name.split() != [name]:
+                print(f"warning: criterion '{name}' names no rule of the grammar",
+                      file=err)
         trace = (lambda event: print(event, file=err)) if cfg.trace else None
         session = make_session(grammar, spec, registries=registries,
                                use_memo=cfg.memo, trace=trace)
@@ -116,6 +119,7 @@ def cmd_generate(cfg: argparse.Namespace, out=None, err=None) -> int:
         if cfg.stats:
             for key, value in session.stats.snapshot().items():
                 print(f"{key}: {value}", file=err)
+            print(f"criteria-unmatched: {len(unmatched)}", file=err)
         return EXIT_OK if emitted else EXIT_NO_SOLUTION
     except _Usage as e:
         print(f"error: {e}", file=err)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterator, NoReturn, Optional, Union
 
@@ -49,15 +49,23 @@ class GilError(PositionedError):
 
 @dataclass(frozen=True)
 class Sym:
-    """A case-insensitive symbol atom such as ``request`` or ``pres``."""
+    """A case-insensitive symbol atom such as ``request`` or ``pres``.
+
+    ``folded`` is the text case-folded once, when the symbol is made:
+    equality and the hash compare it.
+    """
 
     text: str
+    folded: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "folded", self.text.casefold())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Sym) and self.text.casefold() == other.text.casefold()
+        return isinstance(other, Sym) and self.folded == other.folded
 
     def __hash__(self) -> int:
-        return hash(self.text.casefold())
+        return hash(self.folded)
 
     def __repr__(self) -> str:
         return f"Sym({self.text!r})"

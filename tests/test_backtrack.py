@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -485,6 +486,64 @@ def test_further_solutions_cost_the_same_at_any_width(regs, imposes):
     # the odometer's fast digits are the rightmost points: they sit on top
     # of the ego stack, whatever the number of points below them
     assert counts[128] <= 1.25 * counts[16]
+
+
+def test_further_solutions_join_a_bounded_number_of_parts(regs, monkeypatch):
+    """A further solution joins again the blocks of the root layer it
+    changed and the blocks' strings, not the root's whole frontier (2N
+    parts on a flat grammar of N points)."""
+    from surfgen import backtrack
+
+    passed = [0]
+    join = backtrack.join_tokens
+
+    def counting(tokens):
+        passed[0] += len(tokens)
+        return join(tokens)
+
+    monkeypatch.setattr(backtrack, "join_tokens", counting)
+    per_solution = {}
+    for points in (16, 512):
+        session = GenerationSession(parse_grammar(flat_grammar(points)), regs)
+        stream = session.solutions(FeatureStructure())
+        next(stream)
+        before = passed[0]
+        for _ in range(8):
+            next(stream)
+        per_solution[points] = (passed[0] - before) / 8
+        stream.close()
+    assert per_solution[16] <= 3 * backtrack.BLOCK
+    assert per_solution[512] <= 3 * backtrack.BLOCK
+
+
+def flat_text(solution) -> str:
+    """The text a flat grammar's solution must have, read off the rules of
+    its derivation: each choice's word, then its verb agreeing with it."""
+    words = []
+    for name in solution.derivation.rule_names():
+        if name.startswith("c"):
+            i, alt = name[1:].split("-")
+            words += [f"{alt}{i}", "passt" if alt == "sg" else "passen"]
+    return " ".join(words)
+
+
+@pytest.mark.parametrize("criteria", ["", "c3-pl 2\nc37-pl\n"])
+def test_blocked_root_layer_shows_every_text(regs, criteria):
+    """40 points make a root layer of 80 parts in three blocks.  Choices
+    change in the last two (and, under criteria naming c3, in the first),
+    each writing the word its ego hands up and the verb inflected again
+    outside it; every text is the join of the whole frontier."""
+    from surfgen.prefs import parse_criteria
+
+    session = make_session(parse_grammar(flat_grammar(40)),
+                           parse_criteria(criteria), registries=regs)
+    stream = session.solutions(FeatureStructure())
+    texts = set()
+    for solution in itertools.islice(stream, 300):
+        assert solution.text == flat_text(solution)
+        texts.add(solution.text)
+    assert len(texts) == 300
+    assert session._shown.root.blocks is not None
 
 
 def classes(graph):

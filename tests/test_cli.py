@@ -179,6 +179,18 @@ def test_criterion_naming_no_rule_is_warned_about(tmp_path, lines, weight, warne
                           for name in warned)
 
 
+def test_stats_count_criteria_naming_no_rule(paths, tmp_path):
+    misspelled = tmp_path / "misspelled.criteria"
+    misspelled.write_text("s-pasive\n", encoding="utf-8")
+    base = ["generate", "--grammar", paths["voice"], "--input", paths["report"]]
+    for criteria, unmatched in ((str(misspelled), 1), (paths["criteria"], 0)):
+        code, _, err = run(base + ["--criteria", criteria, "--stats"])
+        assert code == EXIT_OK
+        assert f"criteria-unmatched: {unmatched}" in err.splitlines()
+        # without --stats a one-word name draws nothing
+        assert run(base + ["--criteria", criteria])[2] == ""
+
+
 def test_dedupe_flag(tmp_path):
     grammar = tmp_path / "dup.tgl"
     grammar.write_text(

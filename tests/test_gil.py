@@ -51,6 +51,15 @@ def test_symbols_case_insensitive():
     assert get_path(a, "pred") == Sym("REQUEST")
 
 
+def test_sym_compares_and_hashes_its_text_folded_once():
+    a, b = Sym("Straße"), Sym("STRASSE")
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a.folded == "strasse"
+    assert a != Sym("strase") and a != "Straße"
+    # repr and str show the text as it was written
+    assert (repr(a), str(a)) == ("Sym('Straße')", "Straße")
+
+
 def test_strings_case_sensitive():
     a = parse_gil('[(NAME "Zweig")]')
     b = parse_gil('[(NAME "zweig")]')
