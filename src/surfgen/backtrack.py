@@ -40,18 +40,19 @@ per point that has a choice, not a step per point.  The odometer reports
 the ids its point steps set (a run sets variant 0 only, which never needs
 reporting), and the delta to the shown solution compares only those.
 
-The open points are indexed as their layers are captured (``BTTable``):
-without criteria the newest is taken directly, with criteria the first
-entry of a heap of the points with a c-rule left, keyed by the best such
-rule, whose stale entries are keyed again only on reaching the top
-(``BTTable.first_ranked``, ``prefs.choose_backtrack_point``).  So neither the choice of a point nor
-the delta looks at every point.  What a further solution still does per
-point is C-level and inherent to emitting a new solution: copying its
-assignment once, into ``Solution.assignment``, and writing the run
-fragments into the odometer when it starts.  The root layer's frontier
-holds every point outside the egos, but its text is kept in blocks of
-``BLOCK`` parts (``Layer.join``): a further solution joins again the
-blocks it changed and then one string per block, not the whole frontier.
+The open points are indexed as their layers are captured (``BTTable``),
+in one heap: those with a c-rule left first, keyed by the best such rule,
+then the others (all of them without criteria), the newest first among
+equal keys; a stale entry is keyed again only on reaching the top
+(``BTTable.first_ranked``, ``prefs.choose_backtrack_point``).  So neither
+the choice of a point nor the delta looks at every point.  What a
+further solution still does per point is C-level and inherent to emitting
+a new solution: copying its assignment once, into ``Solution.assignment``,
+and writing the run fragments into the odometer when it starts.  The root
+layer's frontier holds every point outside the egos, but its text is kept
+in blocks of ``BLOCK`` parts (``Layer.join``): a further solution joins
+again the blocks it changed and then one string per block, not the whole
+frontier.
 
 Each solution's text is built from the previous one as a delta
 (``Shown``): only the layers of egos whose choice changed are rendered
@@ -79,6 +80,10 @@ from .gil import FeatureStructure, fs_digest, fs_equal
 from .tgl import Rule
 
 
+# The key of an open point that its rank gives none: after every number.
+UNRANKED = float("inf")
+
+
 class BacktrackPoint:
     """A recorded conflict set with its surrounding context.
 
@@ -86,11 +91,13 @@ class BacktrackPoint:
     ``index`` is the point's position in the frontier of the layer holding
     it (``Shown.holder``), set when that layer completes; its pre- and
     post-context are the frontier on either side of it, through the points
-    around it.
+    around it.  ``key`` is the point's key in the table's index
+    (``BTTable``) as it was last made, and points compare in the order of
+    that index.
     """
 
     __slots__ = ("id", "category", "input", "node_id", "parent",
-                 "conflict_rules", "remainder", "variants", "index")
+                 "conflict_rules", "remainder", "variants", "index", "key")
 
     def __init__(self, id: int, category: str, input: FeatureStructure,
                  node_id: int, rules: list[Rule],
@@ -104,6 +111,12 @@ class BacktrackPoint:
         self.remainder: list[Rule] = list(rules)
         self.variants: list[Layer] = []
         self.index = 0
+        self.key = UNRANKED
+
+    def __lt__(self, other: "BacktrackPoint") -> bool:
+        if self.key == other.key:
+            return self.id > other.id
+        return self.key < other.key
 
     def __repr__(self) -> str:
         return (f"<B{self.id} {self.category} variants={len(self.variants)} "
@@ -116,23 +129,22 @@ class BTTable:
 
     ``record`` only numbers a new point: a point joins the table when the
     layer holding it is captured (``add``), so a point recorded in a
-    derivation that failed never does.  ``open`` holds the points whose
-    remainder is not empty, in creation order too: a point enters it when
-    added with rules left and leaves it when ``take`` empties its remainder.
+    derivation that failed never does.
 
-    Given a ``rank`` (point -> key, or None for a point ranked below every
-    key), ``add`` also enters each open point with a key in ``index``, a
-    heap of (key, -id, remainder length, point): the lowest key first, the
-    newest point among equal keys, and the newest open point when no point
-    has a key (``first_ranked``).  The rank must be one whose key can only
-    rise, or become None, as ``take`` shrinks the point's remainder.
+    ``index`` is a heap of the open points, those whose remainder is not
+    empty, each its own entry under its ``key``, so that indexing a point
+    makes no object for the collector to count.  ``rank`` maps a point to
+    its key, a number, or None for a point ranked below every key; without
+    a rank no point has a key.  The lowest key comes first, then the points
+    without one (keyed ``UNRANKED``), and the newest point among equal keys
+    (``first_ranked``).  The rank must be one whose key can only rise, or
+    become None, as ``take`` shrinks the point's remainder.
     """
 
     def __init__(self, rank=None):
         self.points: dict[int, BacktrackPoint] = {}
-        self.open: dict[int, BacktrackPoint] = {}
         self.rank = rank
-        self.index: list[tuple] = []
+        self.index: list[BacktrackPoint] = []
         self._next_id = 1
 
     def record(self, category: str, input: FeatureStructure, node_id: int,
@@ -142,45 +154,40 @@ class BTTable:
         self._next_id += 1
         return point
 
+    def _key(self, point: BacktrackPoint):
+        key = None if self.rank is None else self.rank(point)
+        return UNRANKED if key is None else key
+
     def add(self, point: BacktrackPoint) -> None:
         """Enter a captured point; points are added in creation order."""
         self.points[point.id] = point
         if point.remainder:
-            self.open[point.id] = point
-            key = None if self.rank is None else self.rank(point)
-            if key is not None:
-                heapq.heappush(self.index, (key, -point.id, len(point.remainder), point))
+            point.key = self._key(point)
+            heapq.heappush(self.index, point)
 
     def take(self, point: BacktrackPoint, i: int = 0) -> None:
         """Remove rule i of the point's remainder."""
         del point.remainder[i]
-        if not point.remainder:
-            self.open.pop(point.id, None)
-
-    def newest_open(self) -> Optional[BacktrackPoint]:
-        """The most recently created open point; None when none is open."""
-        return next(reversed(self.open.values()), None)
 
     def first_ranked(self) -> Optional[BacktrackPoint]:
         """The open point the index ranks first; None when none is open.
 
-        An entry whose point's remainder shrank since it was keyed is keyed
-        again only once it is on top: keys only rise as remainders shrink,
-        so the first entry that is up to date is the answer, and the other
+        An entry is keyed again, or dropped once its point is exhausted,
+        only when it is on top: keys only rise as remainders shrink, so the
+        first entry whose key is up to date is the answer, and the other
         entries are not looked at.
         """
         index = self.index
         while index:
-            _, newest, left, point = index[0]
-            now = len(point.remainder)
-            if now == left:
-                return point
-            key = self.rank(point) if now else None
-            if key is None:
+            point = index[0]
+            if not point.remainder:
                 heapq.heappop(index)
+            elif (now := self._key(point)) == point.key:
+                return point
             else:
-                heapq.heapreplace(index, (key, newest, now, point))
-        return self.newest_open()
+                point.key = now
+                heapq.heapreplace(index, point)
+        return None
 
     def __iter__(self) -> Iterator[BacktrackPoint]:
         return iter(self.points.values())

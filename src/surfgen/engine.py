@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .gil import Atom, FeatureStructure, Sym
+from .gil import Atom, FeatureStructure, atoms_equal
 from .morpho import FunctionRegistry, InflectionRequest, form_key, inflect
 from .tgl import Assign, Equate, Grammar, Lhs, Registries, Rule, eval_test
 
@@ -143,7 +143,7 @@ class FeatureGraph:
             self.binding[root] = atom
             self.owner[root] = owner
             self.trail.push(("bind", self, root))
-        elif not _atom_eq(current, atom):
+        elif not atoms_equal(current, atom):
             raise ConstraintClash(slot, current, atom, (self.owner[root],))
 
     def equate(self, slots) -> None:
@@ -165,7 +165,8 @@ class FeatureGraph:
         if self.size.get(ra, 1) > self.size.get(rb, 1):
             ra, rb = rb, ra
         bind_a, bind_b = self.binding.get(ra), self.binding.get(rb)
-        if bind_a is not None and bind_b is not None and not _atom_eq(bind_a, bind_b):
+        if bind_a is not None and bind_b is not None \
+                and not atoms_equal(bind_a, bind_b):
             raise ConstraintClash(a, bind_b, bind_a,
                                   (self.owner[ra], self.owner[rb]))
         child_binding = None
@@ -201,12 +202,6 @@ class FeatureGraph:
 
     def is_empty(self) -> bool:
         return not self.parent and not self.binding and not self.ring
-
-
-def _atom_eq(a: Atom, b: Atom) -> bool:
-    if isinstance(a, Sym) and isinstance(b, Sym):
-        return a == b
-    return type(a) is type(b) and a == b
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,7 @@ FeatureKey = frozenset  # of (feature, value-text) pairs
 
 def _canonical(features: Mapping[str, object]) -> FeatureKey:
     """Feature names upper-cased, values as casefolded text."""
-    return frozenset([(k.upper(), (v.text if isinstance(v, Sym) else str(v)).casefold())
-                      for k, v in features.items()])
+    return frozenset([(k.upper(), str(v).casefold()) for k, v in features.items()])
 
 
 @dataclass
@@ -261,12 +260,6 @@ def inflect(req: InflectionRequest, registry: FunctionRegistry) -> str:
 # ---------------------------------------------------------------------------
 # Built-in functions over a lexicon
 
-def _atom_text(a: Atom) -> str:
-    if isinstance(a, Sym):
-        return a.text
-    return str(a)
-
-
 def _single_arg(args, what):
     if len(args) != 1:
         raise MorphoError(f"{what} expects exactly one argument")
@@ -282,18 +275,18 @@ def standard_functions(lexicon: Lexicon) -> FunctionRegistry:
     reg = FunctionRegistry()
 
     def string(args, features):
-        return " ".join(_atom_text(a) for a in args)
+        return " ".join(str(a) for a in args)
 
     def verb(args, features):
-        lemma = _atom_text(_single_arg(args, "verb"))
+        lemma = str(_single_arg(args, "verb"))
         return lexicon.inflect(lemma, features)
 
     def verb_pp(args, features):
-        lemma = _atom_text(_single_arg(args, "verb-pp"))
+        lemma = str(_single_arg(args, "verb-pp"))
         return lexicon.inflect(lemma, {"VFORM": "pp"})
 
     def noun_phrase(args, features):
-        lemma = _atom_text(_single_arg(args, "noun-phrase"))
+        lemma = str(_single_arg(args, "noun-phrase"))
         return lexicon.inflect(lemma, features)
 
     def pronoun_2_formal(args, features):

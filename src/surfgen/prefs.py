@@ -173,13 +173,14 @@ def order_conflict_set(conflict_set: list[Rule], spec: CriteriaSpec) -> list[Rul
 def choose_backtrack_point(table: BTTable,
                            spec: CriteriaSpec) -> Optional[BacktrackPoint]:
     """Prefer points whose remainder still holds a c-rule (under
-    weight-ranked, the heaviest one), then the most recently created.
+    weight-ranked, the heaviest one), then the most recently created; with
+    no criteria, simply the most recently created open point.
 
     Takes the table of the session, whose index ``spec.point_rank`` keys
     (a session with ``CriteriaStrategy(spec)`` builds its table so), and
     reads the first entry of that index, not every open point; returns
     None on exhaustion.  Raises ValueError for a table ranked otherwise,
-    whose index would not hold the points this spec prefers.
+    whose index would order the open points otherwise.
     """
     if table.rank is not spec.point_rank:
         raise ValueError("the table is not indexed by the spec's point_rank")
@@ -220,7 +221,11 @@ def applied_rules(derivation: ResolvedNode) -> Counter:
 
 
 class CriteriaStrategy:
-    """Session strategy driven by a CriteriaSpec."""
+    """Session strategy driven by a CriteriaSpec: it orders conflict sets,
+    weighs solutions and chooses the open point to expand from the
+    session's table, whose index its ``rank`` keys (see ``BTTable``).  The
+    empty spec, a session's default, keeps source order, chooses the newest
+    open point and weighs every solution 0."""
 
     def __init__(self, spec: CriteriaSpec = EMPTY_SPEC):
         self.spec = spec

@@ -38,7 +38,6 @@ the egos it enters.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -106,35 +105,20 @@ class Solution:
         return hash((self.text, self.weight))
 
 
-class DefaultStrategy:
-    """No criteria: source order, most recently created point first.
-
-    A strategy orders conflict sets, weighs solutions and chooses the open
-    point to expand from the session's table, whose ``index`` its ``rank``
-    keys (see ``BTTable``); this one needs no index.
-    """
-
-    rank = None
-
-    def order_conflict_set(self, rules: list[Rule]) -> list[Rule]:
-        return list(rules)
-
-    def choose_point(self, table: BTTable) -> Optional[BacktrackPoint]:
-        return table.newest_open()
-
-    def weight(self, rule_names: Counter) -> Fraction:
-        return Fraction(0)
-
-
 class GenerationSession:
-    """Single-use generator state for one grammar and one input."""
+    """Single-use generator state for one grammar and one input, steered
+    by a strategy (``prefs.CriteriaStrategy``), by default that of no
+    criteria."""
 
     def __init__(self, grammar: Grammar, registries: Optional[Registries] = None,
                  *, strategy=None, use_memo: bool = True, trace=None,
                  max_depth: int = 64):
         self.grammar = grammar
         self.registries = registries or Registries.standard()
-        self.strategy = strategy or DefaultStrategy()
+        if strategy is None:
+            from .prefs import CriteriaStrategy  # prefs imports this module
+            strategy = CriteriaStrategy()
+        self.strategy = strategy
         self.trace = trace
         self.max_depth = max_depth
         self.trail = Trail()
@@ -189,15 +173,9 @@ class GenerationSession:
                 point = self.strategy.choose_point(self.table)
                 if point is None:
                     break
-                k = self._expand(point)
-                if k is None:
-                    continue
-                fixed = {point.id: k}
-                parent = point.parent
-                while parent is not None:
-                    fixed[parent[0].id] = parent[1]
-                    parent = parent[0].parent
-                yield from self._emit(fixed)
+                fixed = self._expand(point)
+                if fixed is not None:
+                    yield from self._emit(fixed)
         finally:
             self.trail.undo_to(base)
             if self._egos is not None:
@@ -473,11 +451,12 @@ class GenerationSession:
 
     # -- expansion ----------------------------------------------------------
 
-    def _expand(self, point: BacktrackPoint) -> Optional[int]:
+    def _expand(self, point: BacktrackPoint) -> Optional[dict[int, int]]:
         """Fire the point's next rule against its stored input.
 
-        Returns the new ego variant's index, or None when the rule failed
-        and was consumed.  Only rules inside the new ego subtree fire.
+        Returns the pins of the new ego (point id -> variant index for the
+        point and every point around it), or None when the rule failed and
+        was consumed.  Only rules inside the new ego subtree fire.
         """
         if not point.remainder:
             return None
@@ -489,10 +468,12 @@ class GenerationSession:
         self._frames = [[]]
         entry = len(self._variants)
         chain = []
+        fixed = {}
         parent = point.parent
         while parent is not None:
             outer, index = parent
             chain.append((outer, index, outer.variants[index]))
+            fixed[outer.id] = index
             parent = outer.parent
         self._variants.extend(reversed(chain))
         try:
@@ -505,11 +486,12 @@ class GenerationSession:
         if variant is None:
             self.trail.undo_to(mark)
             return None
+        fixed[point.id] = len(point.variants)
         point.variants.append(variant)
         self._shown.unfold(point)
         self._capture(variant)
         self.trail.undo_to(mark)
-        return len(point.variants) - 1
+        return fixed
 
     def _replay_chain(self) -> None:
         """Re-assert the egos on the ancestor stack of the expanded point;

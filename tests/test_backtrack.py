@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from surfgen.backtrack import ResolvedNode, iter_assignments
+from surfgen.backtrack import BTTable, ResolvedNode, iter_assignments
 from surfgen.engine import ChoiceRef, InflectCall, LiteralTok
 from surfgen.gil import FeatureStructure, parse_gil
 from surfgen.prefs import make_session
@@ -204,7 +204,7 @@ def test_point_of_a_failed_rule_never_joins_the_table(regs):
     # only A's point was captured; B's, with b2 untried, went with a-bad
     assert len(session.table) == 1
     assert [p.category for p in session.table] == ["A"]
-    assert session.table.newest_open() is None
+    assert session.table.first_ranked() is None
 
 
 def test_conflict_of_three_leaves_remainder_of_two(regs):
@@ -219,6 +219,83 @@ def test_conflict_of_three_leaves_remainder_of_two(regs):
     point = next(iter(session.table))
     assert len(point.remainder) == 2
     assert [s.text for s in stream] == ["w1", "w2"]
+
+
+# --- the index of open points -------------------------------------------------
+
+def toy_rank(point):
+    """The lowest n of the remainder's rules named "cn"; None without one.
+    Shrinking the remainder from the front only raises it, or makes it None."""
+    keys = [int(rule[1:]) for rule in point.remainder if rule.startswith("c")]
+    return min(keys, default=None)
+
+
+def indexed(rank, *remainders):
+    """A table holding one real point per remainder (rule names stand in
+    for rules), created and added in that order."""
+    table = BTTable(rank)
+    points = [table.record("X", FeatureStructure(), 0, rules, None)
+              for rules in remainders]
+    for point in points:
+        table.add(point)
+    return table, points
+
+
+def drain(table):
+    """The points first_ranked returns as each, once chosen, loses one rule."""
+    order = []
+    while (point := table.first_ranked()) is not None:
+        order.append(point)
+        table.take(point)
+    return order
+
+
+def test_index_puts_the_lowest_key_first_and_the_newest_among_equals():
+    table, (p1, p2, p3) = indexed(toy_rank, ["c2"], ["c1"], ["c1"])
+    assert drain(table) == [p3, p2, p1]
+
+
+def test_index_puts_unranked_points_after_every_ranked_one_newest_first():
+    table, (p1, p2, p3, p4) = indexed(toy_rank, ["x"], ["c7"], ["y"], ["c9"])
+    assert drain(table) == [p2, p4, p3, p1]
+
+
+def test_index_keys_a_shrunk_remainder_again():
+    table, (p1, p2) = indexed(toy_rank, ["c1", "c5"], ["c3"])
+    assert table.first_ranked() is p1
+    table.take(p1)  # now keyed 5, behind p2
+    assert table.first_ranked() is p2
+    assert drain(table) == [p2, p1]
+    # a key that became None falls behind the ranked points
+    table, (p1, p2) = indexed(toy_rank, ["c0", "x"], ["c9"])
+    assert table.first_ranked() is p1
+    table.take(p1)
+    assert drain(table) == [p2, p1]
+
+
+def test_index_never_returns_an_exhausted_point():
+    table, (p1, p2) = indexed(toy_rank, ["c1"], ["c1", "x"])
+    table.take(p2, 1)
+    table.take(p2)  # exhausted before its entry reaches the top
+    assert table.first_ranked() is p1
+    table.take(p1)
+    assert table.first_ranked() is None
+    assert not table.index
+    # a point added exhausted never enters the index
+    empty = table.record("X", FeatureStructure(), 0, [], None)
+    table.add(empty)
+    assert table.first_ranked() is None and empty in list(table)
+
+
+def test_index_without_rank_gives_the_newest_open_point():
+    table, (p1, p2, p3) = indexed(None, ["c1", "a"], ["c2"], ["b"])
+    assert table.first_ranked() is p3
+    assert drain(table) == [p3, p2, p1, p1]
+
+
+def test_empty_index_gives_none():
+    assert BTTable().first_ranked() is None
+    assert BTTable(toy_rank).first_ranked() is None
 
 
 # --- memoization --------------------------------------------------------------

@@ -81,20 +81,18 @@ def test_order_is_stable_partition():
 
 # --- backtrack-point choice ----------------------------------------------------
 
-class _FakePoint:
-    def __init__(self, id, names):
-        self.id = id
-        self.remainder = _rules(names)
+def _add_point(table, names):
+    """Record and add a point whose remainder holds rules of these names."""
+    point = table.record("X", FeatureStructure(), 0, _rules(names), None)
+    table.add(point)
+    return point
 
 
 def _table(spec, *remainders):
     """A table indexed as spec's sessions index theirs, holding one point
     per remainder, created in that order (the last is the newest)."""
     table = BTTable(spec.point_rank)
-    points = [_FakePoint(i, names) for i, names in enumerate(remainders, start=1)]
-    for point in points:
-        table.add(point)
-    return table, points
+    return table, [_add_point(table, names) for names in remainders]
 
 
 def test_choose_prefers_c_rule_remainder():
@@ -123,8 +121,8 @@ def test_choose_rejects_a_table_ranked_otherwise():
     handing out its newest point."""
     spec = CriteriaSpec((Criterion("crule"),))
     table = BTTable()
-    table.add(_FakePoint(1, ["crule"]))
-    table.add(_FakePoint(2, ["plain"]))
+    _add_point(table, ["crule"])
+    _add_point(table, ["plain"])
     with pytest.raises(ValueError):
         choose_backtrack_point(table, spec)
     ranked, _ = _table(spec, ["crule"])

@@ -3,7 +3,9 @@
 Three kinds of dead code are refused in ``src/surfgen``: a module-level
 import that its module never uses (nor lists in ``__all__``), a private
 (``_name``) function, method or class that nothing in the package refers to,
-and a name in a ``__slots__`` that nothing in the package reads.
+and a name in a ``__slots__`` that nothing in the package reads.  So are two
+classes that define the same set of two or more public methods: a second
+implementation of one protocol.
 """
 
 import ast
@@ -93,3 +95,19 @@ def test_every_slot_is_read():
     unread = [f"{module}: {cls}.{slot}" for module, cls, slot in declared
               if slot not in read]
     assert not unread, f"slots nothing reads: {unread}"
+
+
+def test_no_two_classes_implement_the_same_protocol():
+    by_methods = {}  # frozenset of public method names -> classes defining it
+    for name, tree in modules().items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = frozenset(
+                stmt.name for stmt in cls.body
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not stmt.name.startswith("_"))
+            if len(methods) >= 2:
+                by_methods.setdefault(methods, []).append(f"{name}: {cls.name}")
+    twins = [sorted(classes) for classes in by_methods.values() if len(classes) > 1]
+    assert not twins, f"classes with the same public methods: {twins}"
