@@ -18,7 +18,8 @@ additionally memoized by (category, input) and spliced instead of being
 re-derived when they recur.
 
 A *layer* is the root's or one ego variant's own material, down to but not
-into its choice points; a point's variants are its variant layers.  The
+into its choice points; a point's variants are its variant layers, and its
+parent is the layer holding it.  The
 walk that flattens a completed layer (its capture) also reads off its
 points, the obligations its rules asserted and its rule names, once, and
 only then do its points join the table: a point recorded in a derivation
@@ -87,9 +88,10 @@ UNRANKED = float("inf")
 class BacktrackPoint:
     """A recorded conflict set with its surrounding context.
 
-    ``variants`` are the layers of its egos, one per rule that fired there.
-    ``index`` is the point's position in the frontier of the layer holding
-    it (``Shown.holder``), set when that layer completes; its pre- and
+    ``parent`` is the layer holding it: the root layer, or a variant layer
+    of the point around it.  ``variants`` are the layers of its egos, one
+    per rule that fired there.  ``index`` is the point's position in the
+    frontier of its parent, set when that layer completes; its pre- and
     post-context are the frontier on either side of it, through the points
     around it.  ``key`` is the point's key in the table's index
     (``BTTable``) as it was last made, and points compare in the order of
@@ -101,7 +103,7 @@ class BacktrackPoint:
 
     def __init__(self, id: int, category: str, input: FeatureStructure,
                  node_id: int, rules: list[Rule],
-                 parent: Optional[tuple["BacktrackPoint", int]]):
+                 parent: Optional["Layer"]):
         self.id = id
         self.category = category
         self.input = input
@@ -204,16 +206,19 @@ BLOCK = 32
 class Layer:
     """One layer: the root's or a variant's own material, down to its points.
 
-    A point's variants are its variant layers.  A variant layer is made
-    when its rule starts firing, and while the rule fires it is the
-    ownership tag of the feature bindings asserted, compared by identity;
-    once the rule has fired, ``items`` is (its node,).  ``point`` is the
-    point it is a variant of (None for the root, whose ``items`` are the
-    root's items) and ``depth`` the number of points around it.  What the
-    walk that completes it (``fill_post_contexts``) reads off stays fixed:
-    its ``frontier`` (choice points symbolic), its ``points``, the frontier
-    positions of its inflection ``calls``, and its nodes' ``obligations``
-    and rule ``names``, in pre-order.  ``steps`` is its fold cache (see
+    A point's variants are its variant layers, and its parent is the layer
+    holding it.  The root layer is made with the session, and its
+    ``items`` are the list the first derivation fills.  A variant layer is
+    made when its rule starts firing, and once the rule has fired,
+    ``items`` is (its node,).  While a layer's rules fire it owns the
+    feature bindings they assert, compared by identity.  ``point`` is the
+    point it is a variant of (None for the root), ``index`` its position
+    in ``point.variants``, which it joins next (0 for the root), and
+    ``depth`` the number of points around it.  What the walk that completes
+    it (``fill_post_contexts``) reads off stays fixed: its ``frontier``
+    (choice points symbolic), its ``points``, the frontier positions of its
+    inflection ``calls``, and its nodes' ``obligations`` and rule
+    ``names``, in pre-order.  ``steps`` is its fold cache (see
     ``layer_steps``), None until a walk needs it; ``Shown.unfold`` keeps it
     up to date as points gain variants.  The rest is how the layer was
     last shown: ``parts``, one string per frontier item (a literal's text;
@@ -225,13 +230,14 @@ class Layer:
     for both and joins its parts whole.
     """
 
-    __slots__ = ("items", "point", "depth", "frontier", "points", "calls",
-                 "obligations", "names", "steps", "parts", "text",
+    __slots__ = ("items", "point", "index", "depth", "frontier", "points",
+                 "calls", "obligations", "names", "steps", "parts", "text",
                  "blocks", "dirty")
 
     def __init__(self, items, point: Optional[BacktrackPoint], depth: int):
         self.items = items
         self.point = point
+        self.index = 0 if point is None else len(point.variants)
         self.depth = depth
         self.steps: Optional[tuple] = None
         self.text: Optional[str] = None
@@ -619,7 +625,8 @@ class Shown:
     ``chosen`` maps each point the solution reaches to the layer of its
     chosen variant (``commit`` edits it in place) and ``names`` counts its
     fired rules.  Each shown layer holds its strings (see ``Layer``): the
-    solution's text is the root layer's ``text``.  Its derivation is not
+    solution's text is the root layer's ``text``, and a changed layer hands
+    its text up to its point's ``parent``.  Its derivation is not
     kept: ``resolve`` builds it from the root layer's items and the
     solution's assignment.
     """
@@ -628,13 +635,6 @@ class Shown:
         self.root = root
         self.chosen: dict[int, Layer] = {}
         self.names: Counter = Counter()
-
-    def holder(self, point: BacktrackPoint) -> Layer:
-        """The layer holding point."""
-        if point.parent is None:
-            return self.root
-        outer, k = point.parent
-        return outer.variants[k]
 
     def unfold(self, point: BacktrackPoint) -> None:
         """Bring the fold caches up to date once point has a new variant.
@@ -648,7 +648,7 @@ class Shown:
         """
         if len(point.variants) != 2:
             return
-        layer = self.holder(point)
+        layer = point.parent
         # a layer without a cache folds nothing, nor does any around it
         while layer.steps is not None:
             whole = _whole_fragment(layer) is not None
@@ -656,7 +656,7 @@ class Shown:
             if not whole or layer.point is None:
                 return
             point = layer.point
-            layer = self.holder(point)
+            layer = point.parent
 
 
 @dataclass
@@ -687,7 +687,7 @@ def _position(change) -> list:
     path = []
     while point is not None:
         path.append(point.index)
-        point = point.parent[0] if point.parent else None
+        point = point.parent.point
     path.reverse()
     return path
 
@@ -714,10 +714,11 @@ def combination_frontier(shown: Shown, assignment: dict[int, int],
             point = layer.point
             if k is None or point.variants[k] is layer:
                 continue
-            parent = point.parent
-            while parent is not None and assignment.get(parent[0].id) == parent[1]:
-                parent = parent[0].parent
-            if parent is None:
+            outer = point.parent  # a change if the points around keep theirs
+            while outer.point is not None \
+                    and assignment.get(outer.point.id) == outer.index:
+                outer = outer.point.parent
+            if outer.point is None:
                 changes.append((point, point.variants[k]))
         if len(changes) > 1:
             changes.sort(key=_position)
@@ -802,7 +803,7 @@ def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
     def hand_up(layer: Layer) -> None:
         point = layer.point
         if point is not None:
-            outer = shown.holder(point)
+            outer = point.parent
             outer.write(point.index, layer.text)
             levels.setdefault(outer.depth, {})[outer] = None
 

@@ -28,9 +28,6 @@ class EngineError(Exception):
     pass
 
 
-#: Owner tag for feature bindings asserted outside any alternative.
-ROOT_OWNER = "root"
-
 Slot = tuple  # (node_id, FEATURE)
 
 
@@ -48,9 +45,9 @@ class Obligation(NamedTuple):
 class ConstraintClash(Exception):
     """A feature class would receive two different atoms.
 
-    ``owners`` names who asserted the existing binding(s); the caller uses
-    this to tell pruning failures (conflict with material present in every
-    solution through this point) from combination-dependent ones.
+    ``owners`` owned the existing binding(s): in a session, the layers whose
+    rules asserted them.  A clash whose owners are all open around the
+    firing rule prunes it; one with any other layer may be retried.
     """
 
     def __init__(self, slot: Slot, existing: Atom, incoming: Atom, owners: tuple):
@@ -136,7 +133,7 @@ class FeatureGraph:
     def value(self, slot: Slot) -> Optional[Atom]:
         return self.binding.get(self.find(slot))
 
-    def bind(self, slot: Slot, atom: Atom, owner: object = ROOT_OWNER) -> None:
+    def bind(self, slot: Slot, atom: Atom, owner: object = None) -> None:
         root = self.find(slot)
         current = self.binding.get(root)
         if current is None:
@@ -151,7 +148,7 @@ class FeatureGraph:
         for other in slots[1:]:
             self._union(first, other)
 
-    def impose(self, ob: Obligation, owner: object = ROOT_OWNER) -> None:
+    def impose(self, ob: Obligation, owner: object = None) -> None:
         slots, atom = ob
         if atom is None:
             self.equate(slots)
@@ -272,21 +269,18 @@ class ChoiceRef:
 
 
 class DerivationNode:
-    """One fired rule: its category, covered input, feature node, children.
+    """One fired rule: its category, rule name, feature node, children.
 
     Children appear in template order and are preterminals, nested nodes,
     or choice placeholders.  ``obligations`` records the rule's constraint
     actions with constituent references resolved to feature-node slots.
     """
 
-    __slots__ = ("category", "rule_name", "input", "node_id", "children",
-                 "obligations")
+    __slots__ = ("category", "rule_name", "node_id", "children", "obligations")
 
-    def __init__(self, category: str, rule_name: str, input: FeatureStructure,
-                 node_id: int):
+    def __init__(self, category: str, rule_name: str, node_id: int):
         self.category = category
         self.rule_name = rule_name
-        self.input = input
         self.node_id = node_id
         self.children: list = []
         self.obligations: list[Obligation] = []
@@ -320,7 +314,7 @@ def resolve_ref(ref, lhs_node: int, rule: Rule,
 
 
 def apply_constraints(rule: Rule, lhs_node: int, position_nodes: dict[int, int],
-                      graph: FeatureGraph, owner: object = ROOT_OWNER) -> list[Obligation]:
+                      graph: FeatureGraph, owner: object = None) -> list[Obligation]:
     """Assert the rule's equations; returns them in slot-resolved form.
 
     Raises ConstraintClash when a class would be overwritten with a

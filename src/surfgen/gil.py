@@ -112,9 +112,6 @@ class FeatureStructure:
     def pairs(self) -> Iterator[tuple[str, Value]]:
         return zip(self._names, self._values)
 
-    def attributes(self) -> tuple[str, ...]:
-        return tuple(self._names)
-
     def get(self, name: str):
         i = self._index.get(name.upper())
         return None if i is None else self._values[i]

@@ -188,17 +188,10 @@ class FunctionRegistry:
 
     def register_function(self, name: str, fn: Callable, *,
                           features: tuple[str, ...] = (),
-                          undoable: bool = False,
                           undo: Optional[Callable] = None) -> None:
         key = name.casefold()
         if key in self._functions:
             raise MorphoError(f"function {name!r} registered twice")
-        if undoable and undo is None:
-            raise MorphoError(
-                f"side-effect function {name!r} needs an undo callback"
-            )
-        if undo is not None and not undoable:
-            undoable = True
         self._functions[key] = RegisteredFunction(
             name, fn, tuple(f.upper() for f in features), undo
         )
@@ -326,5 +319,5 @@ def standard_functions(lexicon: Lexicon) -> FunctionRegistry:
     def unnote(memory, args, saved):
         memory["notes"].pop()
 
-    reg.register_function("note", note, undoable=True, undo=unnote)
+    reg.register_function("note", note, undo=unnote)
     return reg

@@ -7,6 +7,10 @@ produced on demand by picking an unexhausted backtrack point, firing its
 next rule against the stored input substructure, and combining the new ego
 with the already-known contexts.  Only the new ego's subtree fires rules.
 
+The layer (``backtrack.Layer``) is the one derivation context: the open
+layers are a stack, whose top owns the bindings asserted and holds the
+points recorded.  A clash with a layer off the stack may be retried.
+
 The trail undoes feature bindings and side effects only.  A backtrack point
 needs no undoing: it joins the table once the layer holding it is
 captured, after its derivation has succeeded.
@@ -59,7 +63,6 @@ from .backtrack import (
     resolve,
 )
 from .engine import (
-    ROOT_OWNER,
     ChoiceRef,
     ConstraintClash,
     DerivationNode,
@@ -108,7 +111,8 @@ class Solution:
 class GenerationSession:
     """Single-use generator state for one grammar and one input, steered
     by a strategy (``prefs.CriteriaStrategy``), by default that of no
-    criteria."""
+    criteria.  ``_layers`` holds the root layer, made here, then each ego
+    being built or replayed, outermost first."""
 
     def __init__(self, grammar: Grammar, registries: Optional[Registries] = None,
                  *, strategy=None, use_memo: bool = True, trace=None,
@@ -128,7 +132,7 @@ class GenerationSession:
         self.memory: dict = {}
         self.stats = Stats()
         self._node_ids = itertools.count(1)
-        self._root_items: list = []
+        self._layers: list[Layer] = [Layer([], None, 0)]
         self._shown: Optional[Shown] = None  # set once the first derivation exists
         # the shown solution's egos on a copy of the root layer's graph
         self._egos: Optional[EgoStack] = None
@@ -137,12 +141,6 @@ class GenerationSession:
         self._readers: dict[int, list] = {}
         # ids the odometer moved since the shown solution was committed
         self._moved: set[int] = set()
-        # the children list each level of the derivation appends to; its
-        # length less one is the derivation depth
-        self._frames: list[list] = [self._root_items]
-        # (point, variant index, variant layer) of every ego being built or
-        # replayed, outermost first
-        self._variants: list[tuple[BacktrackPoint, int, Layer]] = []
         self._started = False
 
     # -- public API ---------------------------------------------------------
@@ -155,18 +153,18 @@ class GenerationSession:
         self._started = True
         start_cat = (start or self.grammar.start).upper()
         base = self.trail.mark()
+        root = self._layers[0]
         try:
-            ok = self._generate(start_cat, input_fs, self._new_node())
-            if not ok:
+            if not self._generate(start_cat, input_fs, self._new_node(),
+                                  root.items, 0):
                 self.trail.undo_to(base)
                 return
-            root = Layer(self._root_items, None, 0)
             self._capture(root)
             self._shown = Shown(root)
             self.trail.undo_to(base)
             # in every solution: imposed once, undone with the stream
             for ob in root.obligations:
-                self.graph.impose(ob, ROOT_OWNER)
+                self.graph.impose(ob, root)
             self._egos = EgoStack(self.graph.copy(Trail()))
             yield from self._emit({})
             while True:
@@ -190,36 +188,26 @@ class GenerationSession:
     def _new_node(self) -> int:
         return next(self._node_ids)
 
-    def _trace(self, kind: str, category: str = "", rule: str = "",
+    def _trace(self, kind: str, depth: int, category: str = "", rule: str = "",
                detail: str = "") -> None:
         if self.trace is not None:
-            self.trace(TraceEvent(kind, category, rule, detail, len(self._frames) - 1))
+            self.trace(TraceEvent(kind, category, rule, detail, depth))
 
-    @property
-    def _current_owner(self):
-        return self._variants[-1][2] if self._variants else ROOT_OWNER
-
-    @property
-    def _current_parent(self):
-        return self._variants[-1][:2] if self._variants else None
-
-    def _is_permanent(self, owner) -> bool:
-        return owner is ROOT_OWNER or any(owner is v for _, _, v in self._variants)
-
-    def _generate(self, category: str, fs: FeatureStructure, node_id: int) -> bool:
-        """Derive one category over fs into the current frame."""
-        if len(self._frames) - 1 > self.max_depth:
+    def _generate(self, category: str, fs: FeatureStructure, node_id: int,
+                  sink: list, depth: int) -> bool:
+        """Derive one category over fs at the given depth into sink."""
+        if depth > self.max_depth:
             self.stats.depth_cutoffs += 1
-            self._trace("depth-cutoff", category, detail=f"max_depth={self.max_depth}")
+            self._trace("depth-cutoff", depth, category,
+                        detail=f"max_depth={self.max_depth}")
             return False
-        sink = self._frames[-1]
         mark = self.trail.mark()
         effects_before = self.stats.side_effects_run
         if self.memo is not None:
             stored = self.memo.lookup(category, fs)
-            if stored is not None and self._splice(stored, node_id):
+            if stored is not None and self._splice(stored, node_id, sink):
                 self.stats.memo_hits += 1
-                self._trace("memo-hit", category)
+                self._trace("memo-hit", depth, category)
                 return True
         conflict_set = match(category, fs, self.grammar, self.registries)
         conflict_set = self.strategy.order_conflict_set(conflict_set)
@@ -227,22 +215,23 @@ class GenerationSession:
             return False
         if len(conflict_set) == 1:
             rule = conflict_set[0]
-            node, retryable = self._fire(rule, fs, node_id)
+            node, retryable = self._fire(rule, fs, node_id, depth)
             if node is not None:
                 sink.append(node)
                 self._memo_store(category, fs, node, effects_before)
                 return True
             if retryable:
                 # keep the rule for a retry under the always-present context
-                point = self._record_point(category, fs, node_id, conflict_set)
+                point = self._record_point(category, fs, node_id, conflict_set,
+                                           depth)
                 sink.append(ChoiceRef(point))
                 return True
             return False
-        point = self._record_point(category, fs, node_id, conflict_set)
+        point = self._record_point(category, fs, node_id, conflict_set, depth)
         i = 0
         while i < len(point.remainder):
             rule = point.remainder[i]
-            variant, retryable = self._try_variant(point, rule)
+            variant, retryable = self._try_variant(point, rule, depth)
             if variant is not None:
                 self.table.take(point, i)
                 point.variants.append(variant)
@@ -261,52 +250,48 @@ class GenerationSession:
         self.trail.undo_to(mark)
         return False
 
-    def _record_point(self, category, fs, node_id, rules) -> BacktrackPoint:
+    def _record_point(self, category, fs, node_id, rules, depth) -> BacktrackPoint:
         point = self.table.record(category, fs, node_id, list(rules),
-                                  self._current_parent)
+                                  self._layers[-1])
         self.stats.bt_points_created += 1
-        self._trace("bt-created", category,
+        self._trace("bt-created", depth, category,
                     detail=f"B{point.id} conflict={len(rules)}")
         return point
 
-    def _try_variant(self, point: BacktrackPoint,
-                     rule: Rule) -> tuple[Optional[Layer], bool]:
+    def _try_variant(self, point: BacktrackPoint, rule: Rule,
+                     depth: int) -> tuple[Optional[Layer], bool]:
         """The new variant layer, or None and whether the rule may be retried."""
-        layer = Layer(None, point, len(self._variants) + 1)
-        self._variants.append((point, len(point.variants), layer))
+        layer = Layer(None, point, len(self._layers))
+        self._layers.append(layer)
         try:
-            node, retryable = self._fire(rule, point.input, point.node_id)
+            node, retryable = self._fire(rule, point.input, point.node_id, depth)
         finally:
-            self._variants.pop()
+            self._layers.pop()
         if node is None:
             return None, retryable
         layer.items = (node,)
         return layer, False
 
-    def _fire(self, rule: Rule, fs: FeatureStructure,
-              lhs_node: int) -> tuple[Optional[DerivationNode], bool]:
+    def _fire(self, rule: Rule, fs: FeatureStructure, lhs_node: int,
+              depth: int) -> tuple[Optional[DerivationNode], bool]:
         """The rule's node, or None and whether the rule may be retried."""
         self.stats.count_fire(rule.name)
-        self._trace("rule-firing", rule.category, rule.name)
+        self._trace("rule-firing", depth, rule.category, rule.name)
         mark = self.trail.mark()
-        node = DerivationNode(rule.category, rule.name, fs, lhs_node)
-        self._frames.append(node.children)
-        try:
-            failure = self._fire_body(rule, fs, node)
-        finally:
-            self._frames.pop()
+        node = DerivationNode(rule.category, rule.name, lhs_node)
+        failure = self._fire_body(rule, fs, node, depth + 1)
         if failure is None:
             self.stats.rules_succeeded += 1
-            self._trace("rule-fired", rule.category, rule.name)
+            self._trace("rule-fired", depth, rule.category, rule.name)
             return node, False
         self.trail.undo_to(mark)
         reason, retryable = failure
-        self._trace("rule-failed", rule.category, rule.name, reason)
+        self._trace("rule-failed", depth, rule.category, rule.name, reason)
         return None, retryable
 
-    def _fire_body(self, rule: Rule, fs: FeatureStructure,
-                   node: DerivationNode) -> Optional[tuple[str, bool]]:
-        """None on success, else (reason, retryable)."""
+    def _fire_body(self, rule: Rule, fs: FeatureStructure, node: DerivationNode,
+                   depth: int) -> Optional[tuple[str, bool]]:
+        """None on success, else (reason, retryable); depth is the children's."""
         for call in rule.side_effects:
             entry = self.registries.functions.require(call.name)
             if not entry.is_side_effect:
@@ -326,11 +311,11 @@ class GenerationSession:
         try:
             node.obligations = apply_constraints(rule, node.node_id,
                                                  position_nodes, self.graph,
-                                                 self._current_owner)
+                                                 self._layers[-1])
         except ConstraintClash as clash:
             self.stats.constraint_clashes += 1
-            return str(clash), any(not self._is_permanent(o) for o in clash.owners)
-        sink = self._frames[-1]
+            return str(clash), any(o not in self._layers for o in clash.owners)
+        sink = node.children
         for i, action in enumerate(rule.template):
             if isinstance(action, Literal):
                 sink.append(LiteralTok(action.text))
@@ -345,7 +330,8 @@ class GenerationSession:
                     if action.optional:
                         continue
                     return f"selector for {action.category} is absent", False
-                if not self._generate(action.category, sub, position_nodes[i]):
+                if not self._generate(action.category, sub, position_nodes[i],
+                                      sink, depth):
                     if action.optional:
                         continue
                     return f"no {action.category} derivation", False
@@ -381,7 +367,7 @@ class GenerationSession:
 
     # -- memo splicing ------------------------------------------------------
 
-    def _splice(self, stored, node_id: int) -> bool:
+    def _splice(self, stored, node_id: int, sink: list) -> bool:
         """Copy a memoized result here: fresh nodes, re-recorded choices."""
         mark = self.trail.mark()
         root_node = stored.node_id if isinstance(stored, DerivationNode) \
@@ -393,7 +379,7 @@ class GenerationSession:
             self.stats.constraint_clashes += 1
             self.trail.undo_to(mark)
             return False
-        self._frames[-1].append(copied)
+        sink.append(copied)
         return True
 
     def _copy_item(self, item, node_map: dict[int, int], replay: bool):
@@ -413,13 +399,12 @@ class GenerationSession:
                 node_map[n] = self._new_node()
             return node_map[n]
 
-        new = DerivationNode(node.category, node.rule_name, node.input,
-                             mapped(node.node_id))
+        new = DerivationNode(node.category, node.rule_name, mapped(node.node_id))
         for ob in node.obligations:
             new_ob = Obligation(tuple((mapped(n), f) for n, f in ob.slots), ob.atom)
             new.obligations.append(new_ob)
             if replay:
-                self.graph.impose(new_ob, self._current_owner)
+                self.graph.impose(new_ob, self._layers[-1])
         for child in node.children:
             new.children.append(self._copy_item(child, node_map, replay))
         return new
@@ -435,17 +420,17 @@ class GenerationSession:
         succeeded = {v.items[0].rule_name for v in old.variants}
         untried = [r for r in old.conflict_rules if r.name not in succeeded]
         point = self.table.record(old.category, old.input, mapped(old.node_id),
-                                  untried, self._current_parent)
+                                  untried, self._layers[-1])
         point.conflict_rules = old.conflict_rules
         self.stats.bt_points_created += 1
-        for index, variant in enumerate(old.variants):
-            layer = Layer(None, point, len(self._variants) + 1)
-            self._variants.append((point, index, layer))
+        for variant in old.variants:
+            layer = Layer(None, point, len(self._layers))
+            self._layers.append(layer)
             try:
                 layer.items = (self._copy_node(variant.items[0], node_map,
-                                               replay and index == 0),)
+                                               replay and layer.index == 0),)
             finally:
-                self._variants.pop()
+                self._layers.pop()
             point.variants.append(layer)
         return point
 
@@ -462,43 +447,35 @@ class GenerationSession:
             return None
         rule = point.remainder[0]
         self.stats.bt_expansions += 1
-        self._trace("expand", point.category, rule.name, f"B{point.id}")
+        self._trace("expand", 0, point.category, rule.name, f"B{point.id}")
         mark = self.trail.mark()
-        saved_frames = self._frames
-        self._frames = [[]]
-        entry = len(self._variants)
         chain = []
         fixed = {}
-        parent = point.parent
-        while parent is not None:
-            outer, index = parent
-            chain.append((outer, index, outer.variants[index]))
-            fixed[outer.id] = index
-            parent = outer.parent
-        self._variants.extend(reversed(chain))
+        layer = point.parent
+        while layer.point is not None:
+            chain.append(layer)
+            fixed[layer.point.id] = layer.index
+            layer = layer.point.parent
+        layers = self._layers  # the root alone, whose bindings are in force
         try:
-            self._replay_chain()
-            variant, _ = self._try_variant(point, rule)
+            # re-assert the egos around the point, outermost first
+            for layer in reversed(chain):
+                layers.append(layer)
+                for ob in layer.obligations:
+                    self.graph.impose(ob, layer)
+            variant, _ = self._try_variant(point, rule, 0)
         finally:
-            self._frames = saved_frames
-            del self._variants[entry:]
+            del layers[1:]
         self.table.take(point)
         if variant is None:
             self.trail.undo_to(mark)
             return None
-        fixed[point.id] = len(point.variants)
+        fixed[point.id] = variant.index
         point.variants.append(variant)
         self._shown.unfold(point)
         self._capture(variant)
         self.trail.undo_to(mark)
         return fixed
-
-    def _replay_chain(self) -> None:
-        """Re-assert the egos on the ancestor stack of the expanded point;
-        the root layer is on the graph already."""
-        for _, _, layer in self._variants:
-            for ob in layer.obligations:
-                self.graph.impose(ob, layer)
 
     def _capture(self, top: Layer) -> None:
         """Freeze a completed layer and the layers of its points' variants,
@@ -537,6 +514,6 @@ class GenerationSession:
             weight = self.strategy.weight(shown.names)
             self.stats.solutions_emitted += 1
             text = shown.root.text
-            self._trace("solution", detail=text)
+            self._trace("solution", 0, detail=text)
             # the odometer's assignment moves on: the solution keeps a copy
             yield Solution(text, weight, dict(assignment), shown.root.items)

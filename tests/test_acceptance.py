@@ -90,7 +90,7 @@ def test_criterion_3_table_combinatorics(regs):
     points = {p.id: p for p in session.table}
     assert len(points[1].variants) == 2
     assert len(points[2].variants) == 1
-    assert points[3].parent == (points[2], 0)
+    assert points[3].parent is points[2].variants[0]
     assert len(points[3].variants) == 2
     print("\nPASS criterion 3: nested-table shape yields exactly 4 solutions "
           "in the worked order")

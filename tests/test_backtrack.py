@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from surfgen.backtrack import BTTable, ResolvedNode, iter_assignments
+from surfgen.backtrack import BTTable, Layer, ResolvedNode, iter_assignments
 from surfgen.engine import ChoiceRef, InflectCall, LiteralTok
 from surfgen.gil import FeatureStructure, parse_gil
 from surfgen.prefs import make_session
@@ -67,10 +67,10 @@ def _contexts(shown, point):
     of it in the layer holding it, through the points around it."""
     pre, post = [], []
     while point is not None:
-        frontier = shown.holder(point).frontier
+        frontier = point.parent.frontier
         pre[:0] = frontier[:point.index]
         post.extend(frontier[point.index + 1:])
-        point = point.parent[0] if point.parent else None
+        point = point.parent.point
     return pre, post
 
 
@@ -120,8 +120,51 @@ def test_table_shape(regs):
     assert not b2.remainder
 
     # nesting is recorded: B3 sits inside the first ego of B2
-    assert b3.parent == (b2, 0)
-    assert b1.parent is None
+    assert b3.parent is b2.variants[0]
+    assert b1.parent is session._layers[0]
+
+
+# One two-way choice under a rule with a root-level :VAL constraint; each
+# alternative binds a feature of its own.
+ONE_CHOICE_GRAMMAR = """
+(DEFPRODUCTION "s"
+  (:PRECOND (:CAT TXT :TEST ((TRUE)))
+   :ACTIONS (:TEMPLATE (:RULE C (SELF)) "v" :CONSTRAINTS (TENSE LHS :VAL pres))))
+(DEFPRODUCTION "c-sg"
+  (:PRECOND (:CAT C :TEST ((TRUE)))
+   :ACTIONS (:TEMPLATE "a" :CONSTRAINTS (NUM LHS :VAL sg))))
+(DEFPRODUCTION "c-pl"
+  (:PRECOND (:CAT C :TEST ((TRUE)))
+   :ACTIONS (:TEMPLATE "b" :CONSTRAINTS (NUM LHS :VAL pl))))
+"""
+
+
+def test_layers_are_the_one_derivation_context(regs):
+    """Every binding on the session's graph is owned by a layer, the root
+    layer owning the root-level ones, and a top-level point's parent is
+    the root layer."""
+    owners = []
+
+    def watch(event):
+        if event.kind == "rule-fired":
+            owners.append(list(session.graph.owner.values()))
+
+    session = GenerationSession(parse_grammar(ONE_CHOICE_GRAMMAR), regs,
+                                trace=watch)
+    stream = session.solutions(FeatureStructure())
+    assert next(stream).text == "a v"
+    owners.append(list(session.graph.owner.values()))
+    assert [s.text for s in stream] == ["b v"]
+    root = session._shown.root
+    assert len(owners) == 4  # c-sg and s, the first solution, then c-pl
+    for seen in owners:
+        assert seen and all(isinstance(owner, Layer) for owner in seen)
+        assert any(owner is root for owner in seen)
+    assert root is session._layers[0] and root.point is None
+    assert root.points and all(point.parent is root for point in root.points)
+    assert all(variant.point.parent is root and variant.index == k
+               for point in root.points
+               for k, variant in enumerate(point.variants))
 
 
 def _leaves(items, assignment):
@@ -139,7 +182,7 @@ def test_solutions_decompose_into_contexts_and_ego(make_case, memo):
         grammar, fs = make_case(seed)
         session = GenerationSession(grammar, build_registries(), use_memo=memo)
         solutions = list(session.solutions(fs))
-        root = session._root_items
+        root = session._layers[0].items
         for solution in solutions:
             assignment = solution.assignment
             frontier = _leaves(root, assignment)
@@ -431,7 +474,7 @@ def test_first_solution_fills_every_post_context_once(regs):
     # its contexts are known
     for point in session.table:
         assert len(point.variants) == 1
-        assert session._shown.holder(point).frontier[point.index].point is point
+        assert point.parent.frontier[point.index].point is point
     stream.close()
 
 
@@ -508,12 +551,12 @@ FLAT_GRAMMAR = "\n".join(
 @pytest.fixture()
 def imposes(monkeypatch):
     """Counts FeatureGraph.impose calls, on every graph."""
-    from surfgen.engine import ROOT_OWNER, FeatureGraph
+    from surfgen.engine import FeatureGraph
 
     calls = [0]
     impose = FeatureGraph.impose
 
-    def counting(self, ob, owner=ROOT_OWNER):
+    def counting(self, ob, owner=None):
         calls[0] += 1
         return impose(self, ob, owner)
 
@@ -721,7 +764,7 @@ def test_derivation_is_resolved_only_when_read(regs, monkeypatch):
     solutions = list(session.solutions(FeatureStructure()))
     assert len(solutions) == 2 ** 10 and built[0] == 0
     second = solutions[1]
-    want = list(ref_resolve_items(session._root_items, second.assignment))
+    want = list(ref_resolve_items(session._layers[0].items, second.assignment))
     got, stack = [], [second.derivation]
     while stack:
         item = stack.pop()

@@ -107,12 +107,6 @@ def test_duplicate_registration():
         reg.register_function("F", lambda a, f: "y")
 
 
-def test_side_effect_requires_undo():
-    reg = FunctionRegistry()
-    with pytest.raises(MorphoError, match="undo"):
-        reg.register_function("boom", lambda m, a: None, undoable=True)
-
-
 def test_side_effect_not_usable_as_word_form(registry):
     with pytest.raises(MorphoError, match="side effect"):
         inflect(_req("note", []), registry)

@@ -1,9 +1,10 @@
 """Source hygiene of the library, by a scan of its syntax trees.
 
-Three kinds of dead code are refused in ``src/surfgen``: a module-level
+Four kinds of dead code are refused in ``src/surfgen``: a module-level
 import that its module never uses (nor lists in ``__all__``), a private
 (``_name``) function, method or class that nothing in the package refers to,
-and a name in a ``__slots__`` that nothing in the package reads.  So are two
+a public method that nothing in the package, its tests or its benchmark
+names, and a name in a ``__slots__`` that nothing in the package reads.  So are two
 classes that define the same set of two or more public methods: a second
 implementation of one protocol.
 """
@@ -11,7 +12,8 @@ implementation of one protocol.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "surfgen"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "surfgen"
 
 
 def modules() -> dict:
@@ -63,6 +65,23 @@ def test_no_unreferenced_private_definition():
     unreferenced = [f"{module}: {name}" for module, name in defined
                     if name not in used]
     assert not unreferenced, f"private definitions nothing uses: {unreferenced}"
+
+
+def test_every_public_method_is_named_somewhere():
+    referred = set()  # names read as a bare name or an attribute
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            referred |= {node.id if isinstance(node, ast.Name) else node.attr
+                         for node in ast.walk(tree)
+                         if isinstance(node, (ast.Name, ast.Attribute))}
+    unnamed = [f"{name}: {cls.name}.{stmt.name}"
+               for name, tree in modules().items()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for stmt in cls.body
+               if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not stmt.name.startswith("_") and stmt.name not in referred]
+    assert not unnamed, f"public methods nothing names: {unnamed}"
 
 
 def read_attributes(tree: ast.AST) -> set:

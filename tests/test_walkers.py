@@ -206,7 +206,7 @@ def test_walkers_match_reference_walks(case):
     if session._shown is None:  # no derivation: nothing was captured
         assert not solutions
         return
-    root = session._root_items
+    root = session._layers[0].items
     points = list(session.table)
     # the table holds exactly the points the captured layers hold
     reached, stack = [], [session._shown.root]
@@ -220,7 +220,7 @@ def test_walkers_match_reference_walks(case):
         frontier, refs = ref_fill_post_contexts(layer.items)
         assert layer.frontier == frontier
         assert [(p, p.index) for p in layer.points] == refs
-        assert all(session._shown.holder(p) is layer for p in layer.points)
+        assert all(p.parent is layer for p in layer.points)
         nodes = list(ref_layer_nodes(layer.items))
         assert same_items(layer.obligations,
                           [ob for n in nodes for ob in n.obligations])
@@ -279,7 +279,7 @@ def test_odometer_matches_reference_while_variants_arrive(case):
         for fixed in pins_for(points):
             got = iter_assignments(session._shown.root, fixed, set())
             assert ordered(got) == \
-                ordered(ref_iter_assignments(session._root_items, fixed))
+                ordered(ref_iter_assignments(session._layers[0].items, fixed))
         checks[0] += 1
 
     expand = session._expand
@@ -372,12 +372,12 @@ def deep_chain():
     """A DEPTH-level right-branching derivation ending in one choice point."""
     fs = FeatureStructure()
     point = BacktrackPoint(1, "X", fs, 0, [], None)
-    x = DerivationNode("X", "x", fs, 0)
+    x = DerivationNode("X", "x", 0)
     x.children.append(LiteralTok("x"))
     point.variants.append(Layer((x,), point, 1))
     tail: list = [ChoiceRef(point)]
     for k in range(DEPTH, 0, -1):
-        node = DerivationNode("L", "more", fs, k)
+        node = DerivationNode("L", "more", k)
         node.children.extend([LiteralTok(str(k))] + tail)
         tail = [node]
     return tail, point
@@ -388,11 +388,12 @@ def test_walkers_on_deep_chain():
     readers: dict = {}
     fill_post_contexts(point.variants[0], readers)
     root = Layer(items, None, 0)
+    point.parent = root
     fill_post_contexts(root, readers)
     assert root.points == (point,)
     assert len(root.frontier) == DEPTH + 1 and root.frontier[-1] == ChoiceRef(point)
     shown = Shown(root)
-    assert shown.holder(point) is root and point.index == DEPTH
+    assert point.index == DEPTH
     assert root.frontier[point.index + 1:] == ()
     assert root.obligations == () and len(root.names) == DEPTH
     assert [dict(a) for a in iter_assignments(root, {}, set())] == [{point.id: 0}]
@@ -406,7 +407,7 @@ def test_walkers_on_deep_chain():
     leaves = resolved_leaves(first)
     assert len(leaves) == DEPTH + 1 and leaves[-1] == LiteralTok("x")
     # a second variant: the first tree is kept
-    y = DerivationNode("X", "y", point.input, 0)
+    y = DerivationNode("X", "y", 0)
     y.children.append(LiteralTok("y"))
     point.variants.append(Layer((y,), point, 1))
     fill_post_contexts(point.variants[1], readers)
