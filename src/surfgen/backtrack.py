@@ -3,7 +3,7 @@
 A backtrack point is recorded wherever a conflict set held more than one
 rule.  Its *ego* collects one preterminal sequence per rule that succeeded
 there; the *pre-context* and the *post-context* hold the surrounding
-material, with nested points appearing symbolically.  Both are the frontier
+material, each nested point standing for its choice.  Both are the frontier
 of the layer holding the point, flattened once when the layer completes, on
 either side of the point's position, and the contexts of the enclosing
 points around that.  Producing another solution never
@@ -75,7 +75,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .engine import (ChoiceRef, ConstraintClash, DerivationNode, FeatureGraph,
+from .engine import (ConstraintClash, DerivationNode, FeatureGraph,
                      InflectCall, LiteralTok, join_tokens)
 from .gil import FeatureStructure, fs_digest, fs_equal
 from .tgl import Rule
@@ -90,12 +90,12 @@ class BacktrackPoint:
 
     ``parent`` is the layer holding it: the root layer, or a variant layer
     of the point around it.  ``variants`` are the layers of its egos, one
-    per rule that fired there.  ``index`` is the point's position in the
-    frontier of its parent, set when that layer completes; its pre- and
-    post-context are the frontier on either side of it, through the points
-    around it.  ``key`` is the point's key in the table's index
-    (``BTTable``) as it was last made, and points compare in the order of
-    that index.
+    per rule that fired there.  The point itself stands for the choice in
+    its parent's items and frontier; ``index`` is its position in that
+    frontier, set when that layer completes.  Its pre- and post-context are
+    the frontier on either side of it, through the points around it.
+    ``key`` is the point's key in the table's index (``BTTable``) as it was
+    last made, and points compare in the order of that index.
     """
 
     __slots__ = ("id", "category", "input", "node_id", "parent",
@@ -140,7 +140,7 @@ class BTTable:
     a rank no point has a key.  The lowest key comes first, then the points
     without one (keyed ``UNRANKED``), and the newest point among equal keys
     (``first_ranked``).  The rank must be one whose key can only rise, or
-    become None, as ``take`` shrinks the point's remainder.
+    become None, as the point's remainder shrinks.
     """
 
     def __init__(self, rank=None):
@@ -166,10 +166,6 @@ class BTTable:
         if point.remainder:
             point.key = self._key(point)
             heapq.heappush(self.index, point)
-
-    def take(self, point: BacktrackPoint, i: int = 0) -> None:
-        """Remove rule i of the point's remainder."""
-        del point.remainder[i]
 
     def first_ranked(self) -> Optional[BacktrackPoint]:
         """The open point the index ranks first; None when none is open.
@@ -216,9 +212,9 @@ class Layer:
     in ``point.variants``, which it joins next (0 for the root), and
     ``depth`` the number of points around it.  What the walk that completes
     it (``fill_post_contexts``) reads off stays fixed: its ``frontier``
-    (choice points symbolic), its ``points``, the frontier positions of its
-    inflection ``calls``, and its nodes' ``obligations`` and rule
-    ``names``, in pre-order.  ``steps`` is its fold cache (see
+    (each point standing for its choice), its ``points``, the frontier
+    positions of its inflection ``calls``, and its nodes' ``obligations``
+    and rule ``names``, in pre-order.  ``steps`` is its fold cache (see
     ``layer_steps``), None until a walk needs it; ``Shown.unfold`` keeps it
     up to date as points gain variants.  The rest is how the layer was
     last shown: ``parts``, one string per frontier item (a literal's text;
@@ -276,8 +272,8 @@ def fill_post_contexts(layer: Layer, readers: dict) -> None:
     """Read off a (now complete) layer in one walk, and give its points
     their contexts.
 
-    Flattens the items into their frontier, choice points staying
-    symbolic, and gives every point in it its position there; its parts
+    Flattens the items into their frontier, each point standing for its
+    choice, and gives every point in it its position there; its parts
     start as the literals' texts, "" for the calls and points.
     Points inside ego variants are handled when their own variant
     completes.  Each inflection call with hooks is entered in ``readers``
@@ -296,9 +292,9 @@ def fill_post_contexts(layer: Layer, readers: dict) -> None:
             names.append(item.rule_name)
             stack.extend(reversed(item.children))
             continue
-        if isinstance(item, ChoiceRef):
-            item.point.index = len(frontier)
-            points.append(item.point)
+        if isinstance(item, BacktrackPoint):
+            item.index = len(frontier)
+            points.append(item)
         elif isinstance(item, InflectCall):
             calls.append(len(frontier))
             if item.hooks:
@@ -611,9 +607,8 @@ def resolve(items, assignment: dict[int, int]) -> tuple:
             built.append([])
             stack.append(_END)
             stack.extend(reversed(item.children))
-        elif isinstance(item, ChoiceRef):
-            point = item.point
-            stack.extend(reversed(point.variants[assignment[point.id]].items))
+        elif isinstance(item, BacktrackPoint):
+            stack.extend(reversed(item.variants[assignment[item.id]].items))
         else:
             built[-1].append(item)
     return tuple(built[0])

@@ -258,22 +258,13 @@ class InflectCall:
         return f"InflectCall({self.function}, {self.args})"
 
 
-@dataclass(frozen=True)
-class ChoiceRef:
-    """Placeholder in a frontier for a recorded backtrack point."""
-
-    point: object
-
-    def __repr__(self) -> str:
-        return f"ChoiceRef(B{self.point.id})"
-
-
 class DerivationNode:
     """One fired rule: its category, rule name, feature node, children.
 
     Children appear in template order and are preterminals, nested nodes,
-    or choice placeholders.  ``obligations`` records the rule's constraint
-    actions with constituent references resolved to feature-node slots.
+    or backtrack points, each standing for the choice it records.
+    ``obligations`` records the rule's constraint actions with constituent
+    references resolved to feature-node slots.
     """
 
     __slots__ = ("category", "rule_name", "node_id", "children", "obligations")

@@ -177,10 +177,10 @@ def choose_backtrack_point(table: BTTable,
     no criteria, simply the most recently created open point.
 
     Takes the table of the session, whose index ``spec.point_rank`` keys
-    (a session with ``CriteriaStrategy(spec)`` builds its table so), and
-    reads the first entry of that index, not every open point; returns
-    None on exhaustion.  Raises ValueError for a table ranked otherwise,
-    whose index would order the open points otherwise.
+    (a session steered by spec builds its table so), and reads the first
+    entry of that index, not every open point; returns None on exhaustion.
+    Raises ValueError for a table ranked otherwise, whose index would order
+    the open points otherwise.
     """
     if table.rank is not spec.point_rank:
         raise ValueError("the table is not indexed by the spec's point_rank")
@@ -220,35 +220,13 @@ def applied_rules(derivation: ResolvedNode) -> Counter:
     return Counter(derivation.rule_names())
 
 
-class CriteriaStrategy:
-    """Session strategy driven by a CriteriaSpec: it orders conflict sets,
-    weighs solutions and chooses the open point to expand from the
-    session's table, whose index its ``rank`` keys (see ``BTTable``).  The
-    empty spec, a session's default, keeps source order, chooses the newest
-    open point and weighs every solution 0."""
-
-    def __init__(self, spec: CriteriaSpec = EMPTY_SPEC):
-        self.spec = spec
-        self.rank = spec.point_rank
-
-    def order_conflict_set(self, rules: list[Rule]) -> list[Rule]:
-        return order_conflict_set(rules, self.spec)
-
-    def choose_point(self, table: BTTable) -> Optional[BacktrackPoint]:
-        return choose_backtrack_point(table, self.spec)
-
-    def weight(self, rule_names: Counter) -> Fraction:
-        return solution_weight(rule_names, self.spec)
-
-
 # ---------------------------------------------------------------------------
 # Stream drivers
 
 def make_session(grammar: Grammar, spec: Optional[CriteriaSpec] = None,
                  *, registries: Optional[Registries] = None,
                  use_memo: bool = True, trace=None) -> GenerationSession:
-    return GenerationSession(grammar, registries,
-                             strategy=CriteriaStrategy(spec or EMPTY_SPEC),
+    return GenerationSession(grammar, registries, spec=spec,
                              use_memo=use_memo, trace=trace)
 
 

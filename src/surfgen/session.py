@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from . import prefs
 from .backtrack import (
     BacktrackPoint,
     BTTable,
@@ -63,7 +64,6 @@ from .backtrack import (
     resolve,
 )
 from .engine import (
-    ChoiceRef,
     ConstraintClash,
     DerivationNode,
     EngineError,
@@ -110,24 +110,22 @@ class Solution:
 
 class GenerationSession:
     """Single-use generator state for one grammar and one input, steered
-    by a strategy (``prefs.CriteriaStrategy``), by default that of no
-    criteria.  ``_layers`` holds the root layer, made here, then each ego
+    by a ``prefs.CriteriaSpec``, by default the empty one: the spec orders
+    each conflict set, ranks the open points in the table and weighs each
+    solution.  ``_layers`` holds the root layer, made here, then each ego
     being built or replayed, outermost first."""
 
     def __init__(self, grammar: Grammar, registries: Optional[Registries] = None,
-                 *, strategy=None, use_memo: bool = True, trace=None,
-                 max_depth: int = 64):
+                 *, spec: Optional[prefs.CriteriaSpec] = None,
+                 use_memo: bool = True, trace=None, max_depth: int = 64):
         self.grammar = grammar
         self.registries = registries or Registries.standard()
-        if strategy is None:
-            from .prefs import CriteriaStrategy  # prefs imports this module
-            strategy = CriteriaStrategy()
-        self.strategy = strategy
+        self.spec = spec or prefs.EMPTY_SPEC
         self.trace = trace
         self.max_depth = max_depth
         self.trail = Trail()
         self.graph = FeatureGraph(self.trail)
-        self.table = BTTable(self.strategy.rank)
+        self.table = BTTable(self.spec.point_rank)
         self.memo: Optional[MemoCache] = MemoCache() if use_memo else None
         self.memory: dict = {}
         self.stats = Stats()
@@ -168,7 +166,7 @@ class GenerationSession:
             self._egos = EgoStack(self.graph.copy(Trail()))
             yield from self._emit({})
             while True:
-                point = self.strategy.choose_point(self.table)
+                point = prefs.choose_backtrack_point(self.table, self.spec)
                 if point is None:
                     break
                 fixed = self._expand(point)
@@ -210,7 +208,7 @@ class GenerationSession:
                 self._trace("memo-hit", depth, category)
                 return True
         conflict_set = match(category, fs, self.grammar, self.registries)
-        conflict_set = self.strategy.order_conflict_set(conflict_set)
+        conflict_set = prefs.order_conflict_set(conflict_set, self.spec)
         if not conflict_set:
             return False
         if len(conflict_set) == 1:
@@ -224,7 +222,7 @@ class GenerationSession:
                 # keep the rule for a retry under the always-present context
                 point = self._record_point(category, fs, node_id, conflict_set,
                                            depth)
-                sink.append(ChoiceRef(point))
+                sink.append(point)
                 return True
             return False
         point = self._record_point(category, fs, node_id, conflict_set, depth)
@@ -233,19 +231,18 @@ class GenerationSession:
             rule = point.remainder[i]
             variant, retryable = self._try_variant(point, rule, depth)
             if variant is not None:
-                self.table.take(point, i)
+                del point.remainder[i]
                 point.variants.append(variant)
-                ref = ChoiceRef(point)
-                sink.append(ref)
-                self._memo_store(category, fs, ref, effects_before)
+                sink.append(point)
+                self._memo_store(category, fs, point, effects_before)
                 return True
             if retryable:
                 i += 1
             else:
-                self.table.take(point, i)
+                del point.remainder[i]
         if point.remainder:
             # nothing derivable right here, but alternatives stay open
-            sink.append(ChoiceRef(point))
+            sink.append(point)
             return True
         self.trail.undo_to(mark)
         return False
@@ -344,8 +341,7 @@ class GenerationSession:
             raise EngineError(f"side effect {call.name!r} in a template slot")
         args = []
         for arg in call.args:
-            value = arg if is_atom(arg) else \
-                eval_selector(arg, fs, self.registries.selectors)
+            value = self._effect_arg(arg, fs)
             if value is None or not is_atom(value):
                 return None
             args.append(value)
@@ -370,9 +366,7 @@ class GenerationSession:
     def _splice(self, stored, node_id: int, sink: list) -> bool:
         """Copy a memoized result here: fresh nodes, re-recorded choices."""
         mark = self.trail.mark()
-        root_node = stored.node_id if isinstance(stored, DerivationNode) \
-            else stored.point.node_id
-        node_map = {root_node: node_id}
+        node_map = {stored.node_id: node_id}
         try:
             copied = self._copy_item(stored, node_map, replay=True)
         except ConstraintClash:
@@ -389,8 +383,8 @@ class GenerationSession:
             return item.copy(node_map)
         if isinstance(item, DerivationNode):
             return self._copy_node(item, node_map, replay)
-        if isinstance(item, ChoiceRef):
-            return ChoiceRef(self._copy_point(item.point, node_map, replay))
+        if isinstance(item, BacktrackPoint):
+            return self._copy_point(item, node_map, replay)
         raise EngineError(f"cannot copy {item!r}")
 
     def _copy_node(self, node: DerivationNode, node_map, replay: bool):
@@ -466,7 +460,7 @@ class GenerationSession:
             variant, _ = self._try_variant(point, rule, 0)
         finally:
             del layers[1:]
-        self.table.take(point)
+        del point.remainder[0]
         if variant is None:
             self.trail.undo_to(mark)
             return None
@@ -511,7 +505,7 @@ class GenerationSession:
                             self.registries.functions, state.value, self.stats)
             commit(shown, delta, calls, forms)
             moved.clear()
-            weight = self.strategy.weight(shown.names)
+            weight = prefs.solution_weight(shown.names, self.spec)
             self.stats.solutions_emitted += 1
             text = shown.root.text
             self._trace("solution", 0, detail=text)

@@ -1,12 +1,14 @@
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from surfgen.backtrack import BTTable, Layer, ResolvedNode, iter_assignments
-from surfgen.engine import ChoiceRef, InflectCall, LiteralTok
+from surfgen.backtrack import (BacktrackPoint, BTTable, Layer, ResolvedNode,
+                               iter_assignments)
+from surfgen.engine import InflectCall, LiteralTok
 from surfgen.gil import FeatureStructure, parse_gil
-from surfgen.prefs import make_session
+from surfgen.prefs import CriteriaSpec, Criterion, make_session
 from surfgen.session import GenerationSession
 from surfgen.tgl import Registries, parse_grammar
 
@@ -55,8 +57,8 @@ def _ctx(segments):
     for seg in segments:
         if isinstance(seg, LiteralTok):
             out.append(seg.text)
-        elif isinstance(seg, ChoiceRef):
-            out.append(f"B{seg.point.id}")
+        elif isinstance(seg, BacktrackPoint):
+            out.append(f"B{seg.id}")
         elif isinstance(seg, InflectCall):
             out.append(f"<{seg.function}>")
     return out
@@ -186,10 +188,10 @@ def test_solutions_decompose_into_contexts_and_ego(make_case, memo):
         for solution in solutions:
             assignment = solution.assignment
             frontier = _leaves(root, assignment)
-            reached = [item.point for item in root if isinstance(item, ChoiceRef)]
-            reached += [child.point for kind, node in ref_resolve_items(root, assignment)
+            reached = [item for item in root if isinstance(item, BacktrackPoint)]
+            reached += [child for kind, node in ref_resolve_items(root, assignment)
                         if kind == "node" for child in node.children
-                        if isinstance(child, ChoiceRef)]
+                        if isinstance(child, BacktrackPoint)]
             for point in reached:
                 ego = point.variants[assignment[point.id]].items[0]
                 pre, post = _contexts(session._shown, point)
@@ -289,7 +291,7 @@ def drain(table):
     order = []
     while (point := table.first_ranked()) is not None:
         order.append(point)
-        table.take(point)
+        del point.remainder[0]
     return order
 
 
@@ -306,22 +308,22 @@ def test_index_puts_unranked_points_after_every_ranked_one_newest_first():
 def test_index_keys_a_shrunk_remainder_again():
     table, (p1, p2) = indexed(toy_rank, ["c1", "c5"], ["c3"])
     assert table.first_ranked() is p1
-    table.take(p1)  # now keyed 5, behind p2
+    del p1.remainder[0]  # now keyed 5, behind p2
     assert table.first_ranked() is p2
     assert drain(table) == [p2, p1]
     # a key that became None falls behind the ranked points
     table, (p1, p2) = indexed(toy_rank, ["c0", "x"], ["c9"])
     assert table.first_ranked() is p1
-    table.take(p1)
+    del p1.remainder[0]
     assert drain(table) == [p2, p1]
 
 
 def test_index_never_returns_an_exhausted_point():
     table, (p1, p2) = indexed(toy_rank, ["c1"], ["c1", "x"])
-    table.take(p2, 1)
-    table.take(p2)  # exhausted before its entry reaches the top
+    del p2.remainder[1]
+    del p2.remainder[0]  # exhausted before its entry reaches the top
     assert table.first_ranked() is p1
-    table.take(p1)
+    del p1.remainder[0]
     assert table.first_ranked() is None
     assert not table.index
     # a point added exhausted never enters the index
@@ -464,6 +466,49 @@ def test_literals_are_reused_verbatim(regs):
     assert lit_first and all(a is b for a, b in zip(lit_first, lit_second))
 
 
+# A nested choice (B inside a1's ego) whose enclosing choice recurs over the
+# same input: the second A is spliced from the memo, points included.
+SPLICED_CHOICE_GRAMMAR = """
+(DEFPRODUCTION "top"
+  (:PRECOND (:CAT TXT :TEST ((TRUE)))
+   :ACTIONS (:TEMPLATE (:RULE A (SELF)) (:FUN (verb fit)) "and" (:RULE A (SELF))
+             :CONSTRAINTS (TENSE LHS :VAL pres) (PERSON LHS :VAL 3)
+             (NUM LHS :VAL sg))))
+
+(DEFPRODUCTION "a1"
+  (:PRECOND (:CAT A :TEST ((TRUE))) :ACTIONS (:TEMPLATE "x" (:RULE B (SELF)))))
+(DEFPRODUCTION "a2" (:PRECOND (:CAT A :TEST ((TRUE))) :ACTIONS (:TEMPLATE "y")))
+
+(DEFPRODUCTION "b1" (:PRECOND (:CAT B :TEST ((TRUE))) :ACTIONS (:TEMPLATE "p")))
+(DEFPRODUCTION "b2" (:PRECOND (:CAT B :TEST ((TRUE))) :ACTIONS (:TEMPLATE "q")))
+"""
+
+
+@pytest.mark.parametrize("mode", ["first-solution-bias", "weight-ranked"])
+def test_session_steered_by_spec_keeps_points_in_its_frontiers(mode):
+    """A session given its spec streams what make_session's does, and every
+    captured frontier holds preterminals and the points themselves, each
+    at its own index in the layer holding it."""
+    grammar = parse_grammar(SPLICED_CHOICE_GRAMMAR)
+    spec = CriteriaSpec((Criterion("a2", Fraction(2)), Criterion("b2")), mode)
+    regs = build_registries()
+    session = GenerationSession(grammar, regs, spec=spec)
+    got = [(s.text, s.weight) for s in session.solutions(FeatureStructure())]
+    want = [(s.text, s.weight) for s in make_session(
+        grammar, spec, registries=regs).solutions(FeatureStructure())]
+    assert got == want and len(got) == 9
+    assert session.spec is spec and session.stats.memo_hits > 0
+    layers, points = [session._layers[0]], []
+    while layers:
+        layer = layers.pop()
+        assert all(isinstance(item, (LiteralTok, InflectCall, BacktrackPoint))
+                   for item in layer.frontier)
+        points.extend(layer.points)
+        layers.extend(v for point in layer.points for v in point.variants)
+    assert len(points) == 4 and {p.id for p in points} == set(session.table.points)
+    assert all(point.parent.frontier[point.index] is point for point in points)
+
+
 def test_first_solution_fills_every_post_context_once(regs):
     g = parse_grammar(TABLE_GRAMMAR)
     session = GenerationSession(g, regs)
@@ -474,7 +519,7 @@ def test_first_solution_fills_every_post_context_once(regs):
     # its contexts are known
     for point in session.table:
         assert len(point.variants) == 1
-        assert point.parent.frontier[point.index].point is point
+        assert point.parent.frontier[point.index] is point
     stream.close()
 
 

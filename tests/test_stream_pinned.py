@@ -1,7 +1,7 @@
 """The solution stream, pinned by digest.
 
 For every randomized case (``random_case`` and ``hard_case`` seeds 0-99),
-memo on and off, under three strategies, one short SHA-256 covers what a
+memo on and off, under three criteria specs, one short SHA-256 covers what a
 session shows: texts, weights, assignments, the derivations, the counters,
 the trace and the empty trail and graph after exhaustion.  Three long
 streams follow, in which many choices change at once between two emitted
@@ -25,7 +25,7 @@ from fractions import Fraction
 from surfgen.backtrack import ResolvedNode
 from surfgen.engine import InflectCall, LiteralTok
 from surfgen.gil import FeatureStructure
-from surfgen.prefs import CriteriaSpec, Criterion, CriteriaStrategy
+from surfgen.prefs import CriteriaSpec, Criterion
 from surfgen.session import GenerationSession
 
 from surfgen.tgl import parse_grammar
@@ -35,22 +35,21 @@ from .grammars import (FILTERED_GRAMMAR, NESTED_GRAMMAR, build_registries,
 
 DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "stream_digests.json"
 SEEDS = range(100)
-STRATEGIES = ("default", "per-occurrence", "ranked-per-distinct")
+SPECS = ("default", "per-occurrence", "ranked-per-distinct")
 LONG = {"flat10": flat_grammar(10), "nested": NESTED_GRAMMAR,
         "filtered": FILTERED_GRAMMAR}
 
 
-def criteria(grammar, key: str, formula: str, mode: str) -> CriteriaStrategy:
+def criteria(grammar, key: str, formula: str, mode: str) -> CriteriaSpec:
     rng = random.Random(key)
     names = [rule.name for rule in grammar.rules]
     chosen = rng.sample(names, min(3, len(names)))
     weights = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3))
-    spec = CriteriaSpec(tuple(Criterion(n, rng.choice(weights)) for n in chosen),
+    return CriteriaSpec(tuple(Criterion(n, rng.choice(weights)) for n in chosen),
                         mode, formula)
-    return CriteriaStrategy(spec)
 
 
-def strategy_for(name: str, grammar, key: str):
+def spec_for(name: str, grammar, key: str):
     if name == "default":
         return None
     if name == "per-occurrence":
@@ -79,9 +78,9 @@ def derivation_sequence(node: ResolvedNode) -> list:
     return out
 
 
-def session_record(grammar, fs, use_memo: bool, strategy) -> dict:
+def session_record(grammar, fs, use_memo: bool, spec) -> dict:
     events = []
-    session = GenerationSession(grammar, build_registries(), strategy=strategy,
+    session = GenerationSession(grammar, build_registries(), spec=spec,
                                 use_memo=use_memo, trace=events.append)
     solutions = list(session.solutions(fs))
     return {
@@ -109,18 +108,18 @@ def compute_digests() -> dict:
         for seed in SEEDS:
             grammar, fs = make(seed)
             for use_memo in (True, False):
-                for name in STRATEGIES:
+                for name in SPECS:
                     key = f"{kind}-{seed}-{'memo' if use_memo else 'nomemo'}-{name}"
-                    strategy = strategy_for(name, grammar, key)
-                    out[key] = digest(session_record(grammar, fs, use_memo, strategy))
+                    spec = spec_for(name, grammar, key)
+                    out[key] = digest(session_record(grammar, fs, use_memo, spec))
     for kind, text in LONG.items():
         grammar = parse_grammar(text)
         for use_memo in (True, False):
-            for name in STRATEGIES:
+            for name in SPECS:
                 key = f"{kind}-{'memo' if use_memo else 'nomemo'}-{name}"
-                strategy = strategy_for(name, grammar, key)
+                spec = spec_for(name, grammar, key)
                 out[key] = digest(session_record(grammar, FeatureStructure(),
-                                                 use_memo, strategy))
+                                                 use_memo, spec))
     return out
 
 

@@ -24,8 +24,9 @@ from surfgen.backtrack import (
     iter_assignments,
     resolve,
 )
-from surfgen.engine import ChoiceRef, DerivationNode, LiteralTok, join_tokens
+from surfgen.engine import DerivationNode, LiteralTok, join_tokens
 from surfgen.gil import FeatureStructure, Sym, fs_digest, fs_equal, parse_gil
+from surfgen.prefs import choose_backtrack_point
 from surfgen.session import GenerationSession
 
 from .grammars import build_registries, hard_case, random_case
@@ -74,8 +75,8 @@ def test_digest_of_deep_structure_is_computed_once():
 def ref_layer_points(items, out=None):
     out = [] if out is None else out
     for item in items:
-        if isinstance(item, ChoiceRef):
-            out.append(item.point)
+        if isinstance(item, BacktrackPoint):
+            out.append(item)
         elif isinstance(item, DerivationNode):
             ref_layer_points(item.children, out)
     return out
@@ -110,8 +111,8 @@ def ref_resolve_items(items, assignment):
         if isinstance(item, DerivationNode):
             yield ("node", item)
             yield from ref_resolve_items(item.children, assignment)
-        elif isinstance(item, ChoiceRef):
-            node = item.point.variants[assignment[item.point.id]].items[0]
+        elif isinstance(item, BacktrackPoint):
+            node = item.variants[assignment[item.id]].items[0]
             yield from ref_resolve_items([node], assignment)
         else:
             yield ("leaf", item)
@@ -124,8 +125,8 @@ def ref_ego_obligations(items, assignment, inside=False):
             if inside:
                 yield from item.obligations
             yield from ref_ego_obligations(item.children, assignment, inside)
-        elif isinstance(item, ChoiceRef):
-            node = item.point.variants[assignment[item.point.id]].items[0]
+        elif isinstance(item, BacktrackPoint):
+            node = item.variants[assignment[item.id]].items[0]
             yield from ref_ego_obligations([node], assignment, True)
 
 
@@ -138,8 +139,8 @@ def ref_fill_post_contexts(items):
             if isinstance(item, DerivationNode):
                 walk(item.children)
             else:
-                if isinstance(item, ChoiceRef):
-                    refs.append((item.point, len(segs)))
+                if isinstance(item, BacktrackPoint):
+                    refs.append((item, len(segs)))
                 segs.append(item)
 
     walk(items)
@@ -272,7 +273,7 @@ def test_odometer_matches_reference_while_variants_arrive(case):
         points = list(session.table)
         open_points = [p for p in points if p.remainder]
         assert set(open_points) <= set(session.table.index)
-        assert session.strategy.choose_point(session.table) is \
+        assert choose_backtrack_point(session.table, session.spec) is \
             (open_points[-1] if open_points else None)
         if session._shown is None:
             return
@@ -375,7 +376,7 @@ def deep_chain():
     x = DerivationNode("X", "x", 0)
     x.children.append(LiteralTok("x"))
     point.variants.append(Layer((x,), point, 1))
-    tail: list = [ChoiceRef(point)]
+    tail: list = [point]
     for k in range(DEPTH, 0, -1):
         node = DerivationNode("L", "more", k)
         node.children.extend([LiteralTok(str(k))] + tail)
@@ -391,7 +392,7 @@ def test_walkers_on_deep_chain():
     point.parent = root
     fill_post_contexts(root, readers)
     assert root.points == (point,)
-    assert len(root.frontier) == DEPTH + 1 and root.frontier[-1] == ChoiceRef(point)
+    assert len(root.frontier) == DEPTH + 1 and root.frontier[-1] is point
     shown = Shown(root)
     assert point.index == DEPTH
     assert root.frontier[point.index + 1:] == ()
