@@ -6,66 +6,25 @@ best-first under user criteria, with generated substrings reused across
 alternatives through a table of backtrack points.
 """
 
-from .backtrack import BacktrackPoint, BTTable, MemoCache
-from .engine import (
-    ConstraintClash,
-    DerivationNode,
-    EngineError,
-    FeatureGraph,
-    InflectCall,
-    LiteralTok,
-    Stats,
-    TraceEvent,
-    Trail,
-    apply_constraints,
-    match,
-    realize,
-)
-from .gil import (
-    FeatureStructure,
-    GilError,
-    Path,
-    Sym,
-    fs_equal,
-    get_path,
-    parse_gil,
-    serialize_gil,
-)
-from .morpho import (
-    FunctionRegistry,
-    InflectionRequest,
-    Lexicon,
-    MorphoError,
-    default_lexicon,
-    inflect,
-    load_lexicon,
-    parse_lexicon,
-    standard_functions,
-)
+from .engine import EngineError, Stats
+from .gil import FeatureStructure, GilError, parse_gil
+from .morpho import Lexicon, MorphoError, load_lexicon
 from .prefs import (
+    CriteriaError,
     CriteriaSpec,
     Criterion,
-    DerivationHistory,
     best_first_stream,
-    choose_backtrack_point,
     load_criteria,
-    make_session,
-    order_conflict_set,
     parse_criteria,
     rank_solutions,
-    record_history,
-    solution_weight,
 )
 from .session import GenerationSession, ResolvedNode, Solution
 from .tgl import (
     Diagnostic,
     Grammar,
     Registries,
-    Rule,
     Severity,
     TglError,
-    eval_selector,
-    eval_test,
     format_grammar,
     parse_grammar,
     validate_grammar,
@@ -74,18 +33,13 @@ from .tgl import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BTTable", "BacktrackPoint", "ConstraintClash", "CriteriaSpec",
-    "Criterion", "DerivationHistory", "DerivationNode", "Diagnostic",
-    "EngineError", "FeatureGraph", "FeatureStructure", "FunctionRegistry",
-    "GenerationSession", "GilError", "Grammar", "InflectCall",
-    "InflectionRequest", "Lexicon", "LiteralTok", "MemoCache", "MorphoError",
-    "Path", "Registries", "ResolvedNode", "Rule", "Severity", "Solution",
-    "Stats", "Sym", "TglError", "TraceEvent", "Trail", "apply_constraints",
-    "best_first_stream", "choose_backtrack_point", "default_lexicon",
-    "eval_selector", "eval_test", "format_grammar", "fs_equal", "get_path",
-    "inflect", "load_criteria", "load_lexicon", "make_session", "match",
-    "order_conflict_set", "parse_criteria", "parse_gil", "parse_grammar",
-    "parse_lexicon", "rank_solutions", "realize", "record_history",
-    "serialize_gil", "solution_weight", "standard_functions",
-    "validate_grammar",
+    # entry points
+    "parse_gil", "parse_grammar", "validate_grammar", "format_grammar",
+    "parse_criteria", "load_criteria", "load_lexicon", "best_first_stream",
+    "rank_solutions", "GenerationSession", "Registries",
+    # the types they return
+    "CriteriaSpec", "Criterion", "Solution", "ResolvedNode", "Stats",
+    "FeatureStructure", "Grammar", "Lexicon", "Diagnostic", "Severity",
+    # the errors they raise
+    "GilError", "TglError", "MorphoError", "CriteriaError", "EngineError",
 ]

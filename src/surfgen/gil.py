@@ -24,7 +24,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterator, NoReturn, Optional, Union
+from typing import Callable, NoReturn, Optional, Union
 
 
 class PositionedError(Exception):
@@ -108,9 +108,6 @@ class FeatureStructure:
         self._index[key] = len(self._names)
         self._names.append(name)
         self._values.append(value)
-
-    def pairs(self) -> Iterator[tuple[str, Value]]:
-        return zip(self._names, self._values)
 
     def get(self, name: str):
         i = self._index.get(name.upper())

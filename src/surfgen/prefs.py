@@ -12,7 +12,9 @@ exhausted stream is offered separately.
 A solution's weight sums, over the distinct c-rules it applies, the rule's
 weight: each of the n occurrences of a c-rule contributes weight/n.  The
 alternative reading (a c-rule applied n times contributes weight/n in
-total) is available as ``weight_formula="per-distinct"``.
+total) is available as ``weight_formula="per-distinct"``.  Either is
+computed from the ``Counter`` of rule names that the session keeps for
+each solution it shows.
 
 Criteria file format (UTF-8, ``#`` comments): one criterion per line,
 ``<rule-name> [weight]``; names containing spaces are double-quoted;
@@ -23,14 +25,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .backtrack import BacktrackPoint, BTTable
 from .gil import FeatureStructure
-from .session import GenerationSession, ResolvedNode, Solution
+from .session import GenerationSession, Solution
 from .tgl import Grammar, Registries, Rule
 
 MODES = ("first-solution-bias", "weight-ranked")
@@ -187,17 +189,9 @@ def choose_backtrack_point(table: BTTable,
     return table.first_ranked()
 
 
-def solution_weight(applied: ResolvedNode | Iterable[str],
-                    spec: CriteriaSpec) -> Fraction:
-    """Aggregate the weights of the c-rules a solution applied.  applied is
-    the solution's derivation, a Counter of its fired rules' names, or the
-    names themselves, one per application."""
-    if isinstance(applied, ResolvedNode):
-        counts = applied_rules(applied)
-    elif isinstance(applied, Counter):
-        counts = applied
-    else:
-        counts = Counter(applied)
+def solution_weight(counts: Counter, spec: CriteriaSpec) -> Fraction:
+    """Aggregate the weights of the c-rules a solution applied.  counts maps
+    each fired rule's name to its number of applications."""
     if spec.weight_formula == "per-occurrence":
         # n occurrences of weight/n each: one Fraction over the common
         # denominator
@@ -214,10 +208,6 @@ def solution_weight(applied: ResolvedNode | Iterable[str],
         if n != 0:
             total += criterion.weight / n
     return total
-
-
-def applied_rules(derivation: ResolvedNode) -> Counter:
-    return Counter(derivation.rule_names())
 
 
 # ---------------------------------------------------------------------------
@@ -244,61 +234,3 @@ def best_first_stream(grammar: Grammar, input_fs: FeatureStructure,
 def rank_solutions(solutions: Iterable[Solution]) -> list[Solution]:
     """Exact post-hoc ranking by weight, stable within equal weights."""
     return sorted(solutions, key=lambda s: -s.weight)
-
-
-# ---------------------------------------------------------------------------
-# Derivational history for offline statistics
-
-@dataclass
-class DerivationHistory:
-    """Per applied rule, the c-rules applied later in its subtree.
-
-    Collected from generated solutions so that the filtering effect of rule
-    tests is reflected; merged additively across a corpus.
-    """
-
-    per_rule: dict = field(default_factory=dict)  # rule -> Counter of c-rules
-    c_rule_totals: Counter = field(default_factory=Counter)
-    solutions: int = 0
-
-    def merge(self, other: "DerivationHistory") -> "DerivationHistory":
-        for rule, counter in other.per_rule.items():
-            self.per_rule.setdefault(rule, Counter()).update(counter)
-        self.c_rule_totals.update(other.c_rule_totals)
-        self.solutions += other.solutions
-        return self
-
-    def report(self) -> str:
-        lines = [f"solutions: {self.solutions}"]
-        for name, count in sorted(self.c_rule_totals.items()):
-            lines.append(f"c-rule {name!r}: applied {count} time(s)")
-        for rule in sorted(self.per_rule):
-            below = self.per_rule[rule]
-            if below:
-                inner = ", ".join(f"{n}:{c}" for n, c in sorted(below.items()))
-                lines.append(f"after {rule!r}: {inner}")
-        return "\n".join(lines)
-
-
-def record_history(derivation: ResolvedNode,
-                   spec: CriteriaSpec) -> DerivationHistory:
-    """History of one solution: c-rules per subtree, plus global counts."""
-    history = DerivationHistory(solutions=1)
-    found = [Counter()]  # c-rules below each open node, outermost first
-    stack: list = [derivation]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, ResolvedNode):
-            found.append(Counter())
-            stack.append((item,))  # visited again once its children are done
-            stack.extend(c for c in reversed(item.children)
-                         if isinstance(c, ResolvedNode))
-            continue
-        node, = item
-        below = found.pop()
-        history.per_rule.setdefault(node.rule_name, Counter()).update(below)
-        if spec.is_c_rule(node.rule_name):
-            below[node.rule_name] += 1
-        found[-1].update(below)
-    history.c_rule_totals.update(found[0])
-    return history

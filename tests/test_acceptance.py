@@ -15,7 +15,7 @@ import pytest
 from surfgen.cli import EXIT_OK, main
 from surfgen.engine import ConstraintClash, FeatureGraph, LiteralTok, Obligation, Trail
 from surfgen.gil import FeatureStructure, Sym, parse_gil
-from surfgen.prefs import CriteriaSpec, Criterion, applied_rules, best_first_stream
+from surfgen.prefs import CriteriaSpec, Criterion, best_first_stream
 from surfgen.session import GenerationSession
 from surfgen.tgl import Registries, parse_grammar
 
@@ -213,7 +213,7 @@ def test_criterion_7_best_first_ordering(demo_dir, regs):
 
     spec = CriteriaSpec((Criterion("s-passive"),))
     sols = list(best_first_stream(grammar, fs, spec, registries=regs))
-    fulfilled = ["s-passive" in applied_rules(s.derivation) for s in sols]
+    fulfilled = ["s-passive" in s.derivation.rule_names() for s in sols]
     assert fulfilled == [True] * 4 + [False] * 4
 
     weighted = CriteriaSpec((Criterion("s-passive", Fraction(2)),

@@ -11,15 +11,12 @@ from surfgen.prefs import (
     CriteriaError,
     CriteriaSpec,
     Criterion,
-    DerivationHistory,
-    applied_rules,
     best_first_stream,
     choose_backtrack_point,
     make_session,
     order_conflict_set,
     parse_criteria,
     rank_solutions,
-    record_history,
     solution_weight,
 )
 from surfgen.session import GenerationSession, ResolvedNode
@@ -283,7 +280,7 @@ def _derivation(*names):
 
 def test_weight_single_application():
     spec = CriteriaSpec((Criterion("c", Fraction(1)),))
-    assert solution_weight(_derivation("c"), spec) == 1
+    assert solution_weight(Counter(_derivation("c").rule_names()), spec) == 1
 
 
 def test_weight_repeated_application_counts_once():
@@ -291,7 +288,7 @@ def test_weight_repeated_application_counts_once():
     spec = CriteriaSpec((Criterion("c", Fraction(2)),))
     deriv = ResolvedNode("top", "T",
                          (_derivation("c"), _derivation("c")))
-    assert solution_weight(deriv, spec) == 2
+    assert solution_weight(Counter(deriv.rule_names()), spec) == 2
 
 
 def test_weight_mixed_hand_computed():
@@ -299,7 +296,7 @@ def test_weight_mixed_hand_computed():
     spec = CriteriaSpec((Criterion("a", Fraction(2)), Criterion("b", Fraction(3))))
     deriv = ResolvedNode("top", "T", (
         _derivation("a"), _derivation("b"), _derivation("b"), _derivation("b")))
-    assert solution_weight(deriv, spec) == 5
+    assert solution_weight(Counter(deriv.rule_names()), spec) == 5
 
 
 def test_weight_alternative_formula():
@@ -307,7 +304,8 @@ def test_weight_alternative_formula():
                         weight_formula="per-distinct")
     deriv = ResolvedNode("top", "T", (
         _derivation("a"), _derivation("b"), _derivation("b"), _derivation("b")))
-    assert solution_weight(deriv, spec) == Fraction(2) + Fraction(3, 3)
+    assert solution_weight(Counter(deriv.rule_names()), spec) \
+        == Fraction(2) + Fraction(3, 3)
 
 
 def test_weight_per_occurrence_matches_fraction_sum():
@@ -329,11 +327,8 @@ def test_weight_from_derivation_names_or_counts():
                         weight_formula="per-distinct")
     deriv = ResolvedNode("top", "T", (
         _derivation("a"), _derivation("b"), _derivation("b"), _derivation("b")))
-    names = list(deriv.rule_names())
     want = Fraction(2) + Fraction(3, 3)
-    assert solution_weight(deriv, spec) == want
-    assert solution_weight(names, spec) == want
-    assert solution_weight(Counter(names), spec) == want
+    assert solution_weight(Counter(deriv.rule_names()), spec) == want
 
 
 def test_weight_scaling_invariance(voice, report_fs, regs):
@@ -356,7 +351,7 @@ def test_weight_scaling_invariance(voice, report_fs, regs):
 def test_passive_criterion_orders_stream(voice, report_fs, regs):
     spec = CriteriaSpec((Criterion("s-passive"),))
     sols = list(best_first_stream(voice, report_fs, spec, registries=regs))
-    applied = ["s-passive" in applied_rules(s.derivation) for s in sols]
+    applied = ["s-passive" in s.derivation.rule_names() for s in sols]
     assert len(sols) == 8
     assert applied == [True] * 4 + [False] * 4
     assert sols[0].text.startswith("Der Bericht wird")
@@ -382,7 +377,7 @@ def test_stream_set_unchanged_by_criteria(voice, report_fs, regs):
 def test_first_solution_prefers_c_rules_at_every_conflict(voice, report_fs, regs):
     spec = CriteriaSpec((Criterion("s-passive"), Criterion("np-demonstrative")))
     first = next(best_first_stream(voice, report_fs, spec, registries=regs))
-    counts = applied_rules(first.derivation)
+    counts = Counter(first.derivation.rule_names())
     assert counts["s-passive"] == 1
     assert counts["np-demonstrative"] == 2
     assert first.weight == 2  # both criteria fulfilled at default weight 1
@@ -422,89 +417,3 @@ def test_parse_criteria_errors():
         parse_criteria("dup 1\ndup 2\n")
     with pytest.raises(CriteriaError):
         CriteriaSpec((Criterion("x", Fraction(-1)),))
-
-
-# --- derivational history ----------------------------------------------------------
-
-def test_history_single_leaf_c_rule():
-    spec = CriteriaSpec((Criterion("leaf"),))
-    deriv = ResolvedNode("top", "T", (ResolvedNode("mid", "M", (
-        ResolvedNode("leaf", "L", ()),)),))
-    history = record_history(deriv, spec)
-    assert history.per_rule["top"]["leaf"] == 1
-    assert history.per_rule["mid"]["leaf"] == 1
-    assert history.per_rule["leaf"] == {}
-    assert history.c_rule_totals == {"leaf": 1}
-
-
-def test_history_without_c_rules_is_empty():
-    deriv = _derivation("a", "b", "c")
-    history = record_history(deriv, CriteriaSpec())
-    assert all(not v for v in history.per_rule.values())
-    assert history.c_rule_totals == {}
-
-
-def test_history_merge_adds_counts():
-    spec = CriteriaSpec((Criterion("c"),))
-    deriv = ResolvedNode("top", "T", (_derivation("c"),))
-    merged = DerivationHistory()
-    merged.merge(record_history(deriv, spec))
-    merged.merge(record_history(deriv, spec))
-    assert merged.per_rule["top"]["c"] == 2
-    assert merged.solutions == 2
-    assert "c-rule 'c': applied 2 time(s)" in merged.report()
-
-
-def test_history_over_generated_corpus(voice, report_fs, regs):
-    spec = CriteriaSpec((Criterion("s-passive"), Criterion("np-demonstrative")))
-    corpus = DerivationHistory()
-    for sol in best_first_stream(voice, report_fs, spec, registries=regs):
-        corpus.merge(record_history(sol.derivation, spec))
-    assert corpus.solutions == 8
-    # demonstrative NPs occur twice in 1 solution per voice, once in 2 more
-    assert corpus.c_rule_totals["np-demonstrative"] == 8
-    assert corpus.c_rule_totals["s-passive"] == 4
-    assert corpus.per_rule["report text"]["s-passive"] == 4
-
-
-def _ref_record_history(derivation, spec):
-    """The recursive reference: one call per level."""
-    history = DerivationHistory(solutions=1)
-
-    def walk(node):
-        below = Counter()
-        for child in node.children:
-            if isinstance(child, ResolvedNode):
-                below.update(walk(child))
-        history.per_rule.setdefault(node.rule_name, Counter()).update(below)
-        if spec.is_c_rule(node.rule_name):
-            below = below + Counter({node.rule_name: 1})
-        return below
-
-    history.c_rule_totals.update(walk(derivation))
-    return history
-
-
-def test_history_matches_recursive_reference(voice, report_fs, regs):
-    spec = CriteriaSpec((Criterion("s-passive"), Criterion("np-demonstrative")))
-    sols = list(best_first_stream(voice, report_fs, spec, registries=regs))
-    assert len(sols) == 8
-    for sol in sols:
-        got = record_history(sol.derivation, spec)
-        want = _ref_record_history(sol.derivation, spec)
-        assert got == want
-        assert list(got.per_rule) == list(want.per_rule)
-
-
-def test_history_on_deep_chain():
-    depth = 2000
-    spec = CriteriaSpec((Criterion("more", Fraction(2)),))
-    node = ResolvedNode("last", "L", ())
-    for _ in range(depth):
-        node = ResolvedNode("more", "L", (node,))
-    assert solution_weight(node, spec) == 2
-    history = record_history(node, spec)
-    assert history.c_rule_totals == {"more": depth}
-    # the k-th "more" from the bottom has k - 1 below it
-    assert history.per_rule["more"]["more"] == depth * (depth - 1) // 2
-    assert history.per_rule["last"] == {}

@@ -1,16 +1,24 @@
 """Source hygiene of the library, by a scan of its syntax trees.
 
-Four kinds of dead code are refused in ``src/surfgen``: a module-level
+Five kinds of dead code are refused in ``src/surfgen``: a module-level
 import that its module never uses (nor lists in ``__all__``), a private
 (``_name``) function, method or class that nothing in the package refers to,
 a public method that nothing in the package, its tests or its benchmark
-names, and a name in a ``__slots__`` that nothing in the package reads.  So are two
-classes that define the same set of two or more public methods: a second
-implementation of one protocol.
+reads as an attribute, a public module-level function, class or constant
+that nothing in the package or its benchmark reads and ``surfgen.__all__``
+does not export, and a name in a ``__slots__`` that nothing in the package
+reads.  So are two classes that define the same set of two or more public
+methods: a second implementation of one protocol.  Every name that
+``surfgen.__all__`` exports is shown in the README's code.
 """
 
 import ast
 import pathlib
+import re
+
+import pytest
+
+import surfgen
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "surfgen"
@@ -22,17 +30,18 @@ def modules() -> dict:
 
 
 def used_names(tree: ast.AST) -> set:
-    """Every name a tree reads, as a bare name or an attribute, and every
-    name in a string annotation."""
+    """Every name a tree reads, as a loaded bare name or attribute, and
+    every string that is an identifier: a name in a string annotation, in
+    ``__all__``, or one the benchmark wraps."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            names.add(node.value)  # "Name" in an annotation, or in __all__
+            names.add(node.value)
     return names
 
 
@@ -67,23 +76,6 @@ def test_no_unreferenced_private_definition():
     assert not unreferenced, f"private definitions nothing uses: {unreferenced}"
 
 
-def test_every_public_method_is_named_somewhere():
-    referred = set()  # names read as a bare name or an attribute
-    for top in ("src", "tests", "perfbench"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-            referred |= {node.id if isinstance(node, ast.Name) else node.attr
-                         for node in ast.walk(tree)
-                         if isinstance(node, (ast.Name, ast.Attribute))}
-    unnamed = [f"{name}: {cls.name}.{stmt.name}"
-               for name, tree in modules().items()
-               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-               for stmt in cls.body
-               if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and not stmt.name.startswith("_") and stmt.name not in referred]
-    assert not unnamed, f"public methods nothing names: {unnamed}"
-
-
 def read_attributes(tree: ast.AST) -> set:
     """Every attribute name a tree reads: loaded, or updated in place."""
     names = set()
@@ -93,6 +85,64 @@ def read_attributes(tree: ast.AST) -> set:
         elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
             names.add(node.target.attr)
     return names
+
+
+def test_every_public_method_is_named_somewhere():
+    read = set()  # attribute names the package, its tests or its benchmark read
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            read |= read_attributes(
+                ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    unread = [f"{name}: {cls.name}.{stmt.name}"
+              for name, tree in modules().items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for stmt in cls.body
+              if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not stmt.name.startswith("_") and stmt.name not in read]
+    assert not unread, f"public methods nothing reads: {unread}"
+
+
+def bound_names(stmt: ast.stmt) -> list:
+    """The names a module-level function, class or assignment defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    return []
+
+
+def test_every_public_module_level_name_is_read_or_exported():
+    defined = []  # (module, name, index of the defining statement)
+    reads = []    # ((module, statement index), names read); -1: a whole file
+    for name, tree in modules().items():
+        if name == "__init__.py":
+            continue
+        for i, stmt in enumerate(tree.body):
+            defined += [(name, bound, i) for bound in bound_names(stmt)
+                        if not bound.startswith("_")]
+            reads.append(((name, i), used_names(stmt)))
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        reads.append(((path.name, -1), used_names(tree)))
+    unread = [f"{module}: {name}" for module, name, i in defined
+              if name not in surfgen.__all__
+              and not any(name in names for where, names in reads
+                          if where != (module, i))]
+    assert not unread, f"public names nothing but tests reads: {unread}"
+
+
+def test_every_exported_name_is_shown_in_the_readme():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    fenced = re.findall(r"```.*?```", text, re.S)
+    spans = re.findall(r"`[^`\n]+`", re.sub(r"```.*?```", "", text, flags=re.S))
+    shown = set(re.findall(r"\w+", " ".join(fenced + spans)))
+    missing = sorted(set(surfgen.__all__) - shown)
+    assert not missing, f"exported names the README does not show: {missing}"
+
+
+def test_criteria_error_is_exported():
+    with pytest.raises(surfgen.CriteriaError):
+        surfgen.parse_criteria("dup\ndup\n")
 
 
 def test_every_slot_is_read():
