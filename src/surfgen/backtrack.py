@@ -35,11 +35,12 @@ next combination undoes and imposes little more than the egos it changes.
 Assignments are enumerated by an odometer over the layers' points
 (``iter_assignments``).  A run of points that each have one variant, whose
 layer folds whole in turn, is one step of it (``Run``): the run's
-assignment is a fragment set at once.  The folds are cached on the layers
-and split as points gain variants, so starting the odometer costs a step
-per point that has a choice, not a step per point.  The odometer reports
-the ids its point steps set (a run sets variant 0 only, which never needs
-reporting), and the delta to the shown solution compares only those.
+assignment is a fragment set at once.  A layer's folds are made when it
+is captured, kept on it and split as points gain variants, so starting
+the odometer costs a step per point that has a choice, not a step per
+point.  The odometer reports the ids its point steps set (a run sets
+variant 0 only, which never needs reporting), and the delta to the shown
+solution compares only those.
 
 The open points are indexed as their layers are captured (``BTTable``),
 in one heap: those with a c-rule left first, keyed by the best such rule,
@@ -126,8 +127,7 @@ class BacktrackPoint:
 
 
 class BTTable:
-    """The captured backtrack points of one generation session, in creation
-    order.
+    """The open backtrack points of one generation session.
 
     ``record`` only numbers a new point: a point joins the table when the
     layer holding it is captured (``add``), so a point recorded in a
@@ -144,7 +144,6 @@ class BTTable:
     """
 
     def __init__(self, rank=None):
-        self.points: dict[int, BacktrackPoint] = {}
         self.rank = rank
         self.index: list[BacktrackPoint] = []
         self._next_id = 1
@@ -161,8 +160,8 @@ class BTTable:
         return UNRANKED if key is None else key
 
     def add(self, point: BacktrackPoint) -> None:
-        """Enter a captured point; points are added in creation order."""
-        self.points[point.id] = point
+        """Enter a captured point.  Points compare in a total order, so the
+        order they are added in never changes what ``first_ranked`` gives."""
         if point.remainder:
             point.key = self._key(point)
             heapq.heappush(self.index, point)
@@ -187,12 +186,6 @@ class BTTable:
                 heapq.heapreplace(index, point)
         return None
 
-    def __iter__(self) -> Iterator[BacktrackPoint]:
-        return iter(self.points.values())
-
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 # Parts per block of a layer's text: a further solution joins again a
 # block of the root layer, not its whole frontier.
@@ -215,11 +208,12 @@ class Layer:
     (each point standing for its choice), its ``points``, the frontier
     positions of its inflection ``calls``, and its nodes' ``obligations``
     and rule ``names``, in pre-order.  ``steps`` is its fold cache (see
-    ``layer_steps``), None until a walk needs it; ``Shown.unfold`` keeps it
-    up to date as points gain variants.  The rest is how the layer was
-    last shown: ``parts``, one string per frontier item (a literal's text;
-    a call's word form and a point's chosen ego's text once shown, "" until
-    then), and ``text``, their join.  A layer of more than ``BLOCK`` parts
+    ``layer_steps``), made when it is captured, after those of its variant
+    layers; ``Shown.unfold`` keeps it up to date as points gain variants.
+    The rest is how the layer was last shown: ``parts``, one string per
+    frontier item (a literal's text; a call's word form and a point's
+    chosen ego's text once shown, "" until then), and ``text``, their
+    join.  A layer of more than ``BLOCK`` parts
     also keeps ``blocks``, the join of each run of ``BLOCK`` parts, and
     ``dirty``, the numbers of the blocks whose parts were written since
     they were last joined (``write``, ``join``); a smaller layer has None
@@ -235,7 +229,6 @@ class Layer:
         self.point = point
         self.index = 0 if point is None else len(point.variants)
         self.depth = depth
-        self.steps: Optional[tuple] = None
         self.text: Optional[str] = None
 
     def __repr__(self) -> str:
@@ -357,17 +350,15 @@ class Run:
 
     ``fragment`` is their assignment, {id: 0} for each of them and each
     point below it, in pre-order; ``ids`` are the ids of the run's own
-    points and ``points`` the points, walked one by one when a pin falls
-    inside the run.
+    points.  Every id in the fragment is that of a point with one variant,
+    so a pin that falls inside the run pins what the fragment sets.
     """
 
-    __slots__ = ("fragment", "ids", "points")
+    __slots__ = ("fragment", "ids")
 
-    def __init__(self, fragment: dict[int, int], ids: list[int],
-                 points: list[BacktrackPoint]):
+    def __init__(self, fragment: dict[int, int], ids: list[int]):
         self.fragment = fragment
         self.ids = ids
-        self.points = points
 
 
 def _whole_fragment(layer: Layer) -> Optional[dict]:
@@ -381,45 +372,29 @@ def _whole_fragment(layer: Layer) -> Optional[dict]:
 
 
 def layer_steps(layer: Layer) -> tuple:
-    """The layer's points, each run of foldable ones as one ``Run``.
+    """The layer's points, each run of foldable ones as one ``Run``: the
+    layer's fold cache.
 
     A point is foldable when it has one variant and that variant's layer
-    is folded whole (it has no points, or one run).  The result is cached
-    on the layer, and the caches of the variant layers it reads are built
-    first, innermost first.
+    is folded whole (it has no points, or one run), so the caches of the
+    variant layers must be made first.
     """
-    if layer.steps is not None:
-        return layer.steps
-    if not layer.points:
-        layer.steps = ()
-        return layer.steps
-    stack = [layer]
-    while stack:
-        top = stack[-1]
-        missing = [p.variants[0] for p in top.points
-                   if len(p.variants) == 1 and p.variants[0].steps is None]
-        if missing:
-            stack.extend(missing)
+    steps: list = []
+    run = None
+    for point in layer.points:
+        inner = _whole_fragment(point.variants[0]) \
+            if len(point.variants) == 1 else None
+        if inner is None:
+            steps.append(point)
+            run = None
             continue
-        stack.pop()
-        steps: list = []
-        run = None
-        for point in top.points:
-            inner = _whole_fragment(point.variants[0]) \
-                if len(point.variants) == 1 else None
-            if inner is None:
-                steps.append(point)
-                run = None
-                continue
-            if run is None:
-                run = Run({}, [], [])
-                steps.append(run)
-            run.fragment[point.id] = 0
-            run.fragment.update(inner)
-            run.ids.append(point.id)
-            run.points.append(point)
-        top.steps = tuple(steps)
-    return layer.steps
+        if run is None:
+            run = Run({}, [])
+            steps.append(run)
+        run.fragment[point.id] = 0
+        run.fragment.update(inner)
+        run.ids.append(point.id)
+    return tuple(steps)
 
 
 def _split(steps: tuple, point: BacktrackPoint) -> tuple:
@@ -431,11 +406,10 @@ def _split(steps: tuple, point: BacktrackPoint) -> tuple:
     point of a run, the one the choice of points favours, is local.
 
     The run is changed in place, and a paused odometer holds a run's
-    ``ids`` as a frame's choices and its ``points`` as the steps of a
-    pinned walk: so no ``iter_assignments`` generator may be live when a
-    split runs.  The session keeps to that, because it expands a point
-    (and so unfolds) only after the ``_emit`` before has run its odometer
-    to the end.
+    ``ids`` as a frame's choices: so no ``iter_assignments`` generator may
+    be live when a split runs.  The session keeps to that, because it
+    expands a point (and so unfolds) only after the ``_emit`` before has
+    run its odometer to the end.
     """
     for i, run in enumerate(steps):
         if type(run) is Run and point.id in run.fragment:
@@ -456,9 +430,9 @@ def _split(steps: tuple, point: BacktrackPoint) -> tuple:
     if j + 1 < len(ids):
         popped.reverse()  # the point's own part, then the later points'
         after = popped[popped.index(ids[j + 1]):]
-        parts.append(Run(dict.fromkeys(after, 0), ids[j + 1:], run.points[j + 1:]))
+        parts.append(Run(dict.fromkeys(after, 0), ids[j + 1:]))
     if j > 0:
-        del ids[j:], run.points[j:]
+        del ids[j:]
         parts.insert(0, run)
     return steps[:i] + tuple(parts) + steps[i + 1:]
 
@@ -467,9 +441,11 @@ def iter_assignments(root: Layer, fixed: dict[int, int],
                      moved: set) -> Iterator[dict[int, int]]:
     """All choice assignments below the layer, leftmost point slowest.
 
-    ``fixed`` pins given point ids to a variant index; every other
-    reachable point ranges over its current variants.  A reachable point
-    without variants yields no assignments at all.
+    ``fixed`` pins given point ids to a variant index, each less than its
+    point's number of variants; every other reachable point ranges over
+    its current variants.  A pin inside a run can only pin variant 0,
+    which the run's fragment sets.  A reachable point without variants
+    yields no assignments at all.
 
     What the odometer moved is reported in ``moved``: before each yield it
     holds, besides what the caller left there, the id of every point whose
@@ -483,16 +459,15 @@ def iter_assignments(root: Layer, fixed: dict[int, int],
     it, C-level work and the only work here that grows with the number of
     points rather than with the steps.
     """
-    # A layer is (steps, acc, spawner): its steps (``layer_steps``), its
-    # choices so far, and the (layer, idx) of the step whose variant holds
-    # it.  A frame [layer, idx, choices, pos] steps the point at idx through
-    # its choices; for each it pushes the chosen variant's inner layer.  A run
-    # step sets its fragment in acc and pushes the frame for the next step;
-    # resumed, it pops its own ids, as its points' frames would.  A run
-    # with a pin inside is walked point by point instead, as a layer of its
-    # points sharing acc.  A frame at idx == len(steps) has completed its
-    # layer: the outermost yields acc, an inner one merges acc into its
-    # spawner's layer and pushes the frame for the spawner's next step.
+    # A layer is (steps, acc, spawner): its fold cache (``Layer.steps``),
+    # its choices so far, and the (layer, idx) of the step whose variant
+    # holds it.  A frame [layer, idx, choices, pos] steps the point at idx
+    # through its choices; for each it pushes the chosen variant's inner
+    # layer.  A run step sets its fragment in acc and pushes the frame for
+    # the next step; resumed, it pops its own ids, as its points' frames
+    # would.  A frame at idx == len(steps) has completed its layer: the
+    # outermost yields acc, an inner one merges acc into its spawner's
+    # layer and pushes the frame for the spawner's next step.
     # Merged choices stay in the outer acc even once a later choice makes
     # them unreachable; resolving ignores them.  A frame is popped when
     # exhausted, resuming the one below.  A resumed run's ids are held in
@@ -500,7 +475,7 @@ def iter_assignments(root: Layer, fixed: dict[int, int],
     # variant, the first thing after a resume that adds to an acc: so the
     # assignments yielded and their item order are the same, and once the
     # odometer is exhausted they are never taken out one by one.
-    stack: list[list] = [[(layer_steps(root), {}, None), 0, None, 0]]
+    stack: list[list] = [[(root.steps, {}, None), 0, None, 0]]
     stale: list[tuple[dict, list]] = []  # (acc, ids) of resumed runs
     while stack:
         frame = stack[-1]
@@ -523,9 +498,6 @@ def iter_assignments(root: Layer, fixed: dict[int, int],
             if choices is not None:  # resumed after its continuation ran
                 stale.append((acc, choices))
                 stack.pop()
-            elif fixed and not fixed.keys().isdisjoint(step.fragment.keys()):
-                frame[2] = ()
-                stack.append([(step.points, acc, (layer, idx)), 0, None, 0])
             else:
                 acc.update(step.fragment)
                 frame[2] = step.ids
@@ -534,13 +506,7 @@ def iter_assignments(root: Layer, fixed: dict[int, int],
         point = step
         if choices is None:
             k = fixed.get(point.id)
-            if k is None:
-                choices = range(len(point.variants))
-            elif k < len(point.variants):
-                choices = (k,)
-            else:
-                stack.pop()
-                continue
+            choices = range(len(point.variants)) if k is None else (k,)
             frame[2] = choices
         if pos == len(choices):
             acc.pop(point.id, None)
@@ -555,7 +521,7 @@ def iter_assignments(root: Layer, fixed: dict[int, int],
             stale.clear()
         acc[point.id] = k
         moved.add(point.id)
-        stack.append([(layer_steps(point.variants[k]), {}, (layer, idx)), 0, None, 0])
+        stack.append([(point.variants[k].steps, {}, (layer, idx)), 0, None, 0])
 
 
 class ResolvedNode:
@@ -638,14 +604,14 @@ class Shown:
         its run, and a layer that was folded whole no longer is, so its own
         point is split out in the layer around it, and so on.  A point that
         gains its first variant stays a step of its own where a cache has
-        it so; the walk takes such a step as it takes any point.  The runs
+        it so; the walk takes such a step as it takes any point.  Every
+        layer around point is captured, so each has its cache.  The runs
         are split in place: no odometer may be live (see ``_split``).
         """
         if len(point.variants) != 2:
             return
         layer = point.parent
-        # a layer without a cache folds nothing, nor does any around it
-        while layer.steps is not None:
+        while True:
             whole = _whole_fragment(layer) is not None
             layer.steps = _split(layer.steps, point)
             if not whole or layer.point is None:

@@ -347,20 +347,11 @@ def join_tokens(tokens) -> str:
     return "".join(out)
 
 
-def realize(items, registry: FunctionRegistry,
-            values: Callable[[Slot], Optional[Atom]] = lambda slot: None,
+def realize(calls, registry: FunctionRegistry,
+            values: Callable[[Slot], Optional[Atom]],
             stats: Optional["Stats"] = None) -> list[str]:
-    """The strings of preterminals: literal texts, and the word forms of
-    inflection calls under the given feature values."""
-    out = []
-    for item in items:
-        if isinstance(item, InflectCall):
-            out.append(item.realize(values, registry, stats))
-        elif isinstance(item, LiteralTok):
-            out.append(item.text)
-        else:
-            raise EngineError(f"frontier holds a non-preterminal: {item!r}")
-    return out
+    """The word forms of inflection calls under the given feature values."""
+    return [call.realize(values, registry, stats) for call in calls]
 
 
 # ---------------------------------------------------------------------------

@@ -87,34 +87,33 @@ def is_atom(v: object) -> bool:
 class FeatureStructure:
     """An ordered attribute-value map with unique, case-insensitive keys.
 
-    A structure is not changed once ``parse_gil`` has returned it, so
+    ``_values`` maps each upper-cased name to its value, in order, and
+    ``_names`` keeps the names as they were spelled, for serializing.  A
+    structure is not changed once ``parse_gil`` has returned it, so
     ``fs_digest`` caches its result in ``_digest``.
     """
 
-    __slots__ = ("_names", "_values", "_index", "_digest")
+    __slots__ = ("_names", "_values", "_digest")
 
     def __init__(self, pairs=()):
         self._names: list[str] = []
-        self._values: list[Value] = []
-        self._index: dict[str, int] = {}
+        self._values: dict[str, Value] = {}
         self._digest: Optional[int] = None
         for name, value in pairs:
             self._append(name, value)
 
     def _append(self, name: str, value: Value) -> None:
         key = name.upper()
-        if key in self._index:
+        if key in self._values:
             raise GilError(f"duplicate attribute {name!r}")
-        self._index[key] = len(self._names)
         self._names.append(name)
-        self._values.append(value)
+        self._values[key] = value
 
     def get(self, name: str):
-        i = self._index.get(name.upper())
-        return None if i is None else self._values[i]
+        return self._values.get(name.upper())
 
     def has(self, name: str) -> bool:
-        return name.upper() in self._index
+        return name.upper() in self._values
 
     def __len__(self) -> int:
         return len(self._names)
@@ -473,7 +472,7 @@ def _check_references(root: FeatureStructure, undefined: dict[int, int]) -> None
 
 def _child_structures(fs: FeatureStructure) -> list[FeatureStructure]:
     """The structures among ``fs``'s values, lists flattened, in order."""
-    out, todo = [], fs._values[::-1]
+    out, todo = [], list(reversed(fs._values.values()))
     while todo:
         v = todo.pop()
         if isinstance(v, FeatureStructure):
@@ -504,7 +503,7 @@ def serialize_gil(fs: FeatureStructure, pretty: bool = False) -> str:
             counts[id(v)] = counts.get(id(v), 0) + 1
             if counts[id(v)] == 1:
                 order.append(v)
-                todo.extend(reversed(v._values))
+                todo.extend(reversed(v._values.values()))
         elif isinstance(v, tuple):
             todo.extend(reversed(v))
     tags = {id(node): i + 1
@@ -549,8 +548,8 @@ def serialize_gil(fs: FeatureStructure, pretty: bool = False) -> str:
             if pretty and len(v._names) > 1:
                 sep = "\n" + " " * (indent + 1)
             todo.append(")]")
-            for i in range(len(v._names) - 1, -1, -1):
-                todo.append((v._values[i], indent + 1))
+            for i, value in reversed(list(enumerate(v._values.values()))):
+                todo.append((value, indent + 1))
                 todo.append(("[(" if i == 0 else ")" + sep + "(")
                             + v._names[i] + " ")
         else:
@@ -590,10 +589,9 @@ def fs_equal(a: FeatureStructure, b: FeatureStructure) -> bool:
         a, b = todo.pop()
         if isinstance(a, FeatureStructure) and isinstance(b, FeatureStructure):
             if a is not b:
-                if a._index.keys() != b._index.keys():
+                if a._values.keys() != b._values.keys():
                     return False
-                todo.extend((v, b._values[b._index[key]])
-                            for key, v in zip(a._index, a._values))
+                todo.extend((v, b._values[key]) for key, v in a._values.items())
         elif isinstance(a, tuple) and isinstance(b, tuple):
             if len(a) != len(b):
                 return False
@@ -630,14 +628,14 @@ def fs_digest(fs: FeatureStructure) -> int:
             if v is None:
                 done.append(hash(("list",) + tuple(parts)))
             else:
-                v._digest = hash(frozenset(zip(v._index, parts)))
+                v._digest = hash(frozenset(zip(v._values, parts)))
                 done.append(v._digest)
         elif isinstance(v, FeatureStructure):
             if v._digest is not None:
                 done.append(v._digest)
             else:
                 todo.append((v, len(v._values)))
-                todo.extend((c, None) for c in reversed(v._values))
+                todo.extend((c, None) for c in reversed(v._values.values()))
         elif isinstance(v, tuple):
             todo.append((None, len(v)))
             todo.extend((c, None) for c in reversed(v))

@@ -61,6 +61,7 @@ from .backtrack import (
     fill_post_contexts,
     inflections,
     iter_assignments,
+    layer_steps,
     resolve,
 )
 from .engine import (
@@ -472,23 +473,22 @@ class GenerationSession:
         return fixed
 
     def _capture(self, top: Layer) -> None:
-        """Freeze a completed layer and the layers of its points' variants,
-        each read off once, and enter their points in the table in
-        creation order."""
-        readers = self._readers
+        """Freeze a completed layer and the layers of its points' variants:
+        read each off once and enter its points in the table as the walk
+        meets them, then make their fold caches, inner layers first."""
+        readers, add = self._readers, self.table.add
         fill_post_contexts(top, readers)
-        points = []
+        layers = [top]  # each after the layer holding its point
         stack = [top]
         while stack:
-            layer = stack.pop()
-            points.extend(layer.points)
-            for inner in layer.points:
-                for v in inner.variants:
+            for point in stack.pop().points:
+                add(point)
+                for v in point.variants:
                     fill_post_contexts(v, readers)
                     stack.append(v)
-        points.sort(key=lambda p: p.id)
-        for point in points:
-            self.table.add(point)
+                    layers.append(v)
+        for layer in reversed(layers):
+            layer.steps = layer_steps(layer)
 
     # -- emission -----------------------------------------------------------
 

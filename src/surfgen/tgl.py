@@ -189,16 +189,22 @@ class Rule:
     side_effects: tuple = ()  # FunCalls
     constraints: tuple = ()  # ConstraintEquations
     line: int = 0
+    # constituent_positions, made on the first call: every fire reads it,
+    # and a rule whose constraints name no constituent never makes it
+    _positions: Optional[dict] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def constituent_positions(self) -> dict[tuple[str, int], int]:
         """Map (category, k) to the template index of its k-th call."""
-        seen: dict[str, int] = {}
-        out: dict[tuple[str, int], int] = {}
-        for i, action in enumerate(self.template):
-            if isinstance(action, RuleCall):
-                seen[action.category] = seen.get(action.category, 0) + 1
-                out[(action.category, seen[action.category])] = i
-        return out
+        if self._positions is None:
+            seen: dict[str, int] = {}
+            out: dict[tuple[str, int], int] = {}
+            for i, action in enumerate(self.template):
+                if isinstance(action, RuleCall):
+                    seen[action.category] = seen.get(action.category, 0) + 1
+                    out[(action.category, seen[action.category])] = i
+            object.__setattr__(self, "_positions", out)
+        return self._positions
 
 
 @dataclass
@@ -828,7 +834,6 @@ def validate_grammar(grammar: Grammar, registries: Optional[Registries] = None,
         error(f"start category {start} has no rules")
 
     for rule in grammar.rules:
-        positions = rule.constituent_positions()
         for action in rule.template:
             if isinstance(action, RuleCall) and not grammar.rules_for(action.category):
                 warn(f"no rule produces category {action.category}",
@@ -843,7 +848,8 @@ def validate_grammar(grammar: Grammar, registries: Optional[Registries] = None,
         for eq in rule.constraints:
             refs = [eq.at] if isinstance(eq, Assign) else list(eq.at)
             for ref in refs:
-                if isinstance(ref, Rhs) and (ref.category, ref.occurrence) not in positions:
+                if isinstance(ref, Rhs) and (ref.category, ref.occurrence) \
+                        not in rule.constituent_positions():
                     error(f"constraint names constituent {ref} "
                           f"but the template has no such call",
                           rule.name, rule.line)

@@ -22,6 +22,7 @@ from surfgen.tgl import Registries, parse_grammar
 from .grammars import build_registries, random_case
 from .oracle import oracle_solutions
 from .test_backtrack import AGREEMENT_GRAMMAR, TABLE_GRAMMAR
+from .test_walkers import captured_points
 
 
 def run_cli(argv):
@@ -87,7 +88,7 @@ def test_criterion_3_table_combinatorics(regs):
         "s1 s22 s3 s51 s61 s71 s8",
         "s1 s22 s3 s51 s62 s71 s8",
     ])
-    points = {p.id: p for p in session.table}
+    points = {p.id: p for p in captured_points(session)}
     assert len(points[1].variants) == 2
     assert len(points[2].variants) == 1
     assert points[3].parent is points[2].variants[0]

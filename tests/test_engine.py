@@ -7,7 +7,6 @@ from surfgen.engine import (
     EngineError,
     FeatureGraph,
     InflectCall,
-    LiteralTok,
     Obligation,
     Stats,
     Trail,
@@ -300,17 +299,16 @@ def test_ring_lists_each_class_through_unions_and_undo():
 # --- realization -------------------------------------------------------------
 
 def test_realize_example_frontier(regs):
-    frontier = [
-        LiteralTok("Sie"),
+    calls = [
         InflectCall("weekday-pp", (5,), ()),
         InflectCall("verb", (Sym("meet"),), ((("VFORM"), 1),)),
     ]
     values = lambda slot: Sym("inf") if slot == (1, "VFORM") else None
-    assert realize(frontier, regs.functions, values) == ["Sie", "am Freitag", "treffen"]
+    assert realize(calls, regs.functions, values) == ["am Freitag", "treffen"]
 
 
 def test_realize_empty_frontier(regs):
-    assert realize([], regs.functions) == []
+    assert realize([], regs.functions, lambda slot: None) == []
 
 
 def test_realize_changed_hook_changes_form(regs):

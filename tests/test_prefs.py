@@ -23,6 +23,7 @@ from surfgen.session import GenerationSession, ResolvedNode
 from surfgen.tgl import Registries, parse_grammar
 
 from .grammars import build_registries, hard_case, random_case
+from .test_walkers import captured_points
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +161,9 @@ def ref_choose(open_points, spec):
     return open_points[0]
 
 
-def _open_points(table):
-    return [p for p in reversed(list(table)) if p.remainder]
+def _open_points(points):
+    """The open points of a creation-ordered list, newest first."""
+    return [p for p in reversed(points) if p.remainder]
 
 
 @pytest.mark.parametrize("mode", ["first-solution-bias", "weight-ranked"])
@@ -179,10 +181,10 @@ def test_choose_matches_reference_ties_included(mode):
                                        for _ in range(rng.randint(0, 6))))
         while True:
             got = choose_backtrack_point(table, spec)
-            assert got is ref_choose(_open_points(table), spec)
+            assert got is ref_choose(_open_points(points), spec)
             if got is None:
                 break
-            shrunk = rng.choice(_open_points(table))
+            shrunk = rng.choice(_open_points(points))
             del shrunk.remainder[rng.randrange(len(shrunk.remainder))]
 
 
@@ -200,7 +202,7 @@ def test_indexed_choice_matches_reference_in_sessions(mode, monkeypatch):
     def checked(table, spec):
         nonlocal chosen
         got = choose_backtrack_point(table, spec)
-        assert got is ref_choose(_open_points(table), spec)
+        assert got is ref_choose(_open_points(captured_points(session)), spec)
         chosen += 1
         return got
 
@@ -216,10 +218,10 @@ def test_indexed_choice_matches_reference_in_sessions(mode, monkeypatch):
         stream = session.solutions(fs)
         if next(stream, None) is None:
             continue
-        before = len(session.table)
+        before = len(captured_points(session))
         for _ in stream:
             pass
-        gained += len(session.table) > before
+        gained += len(captured_points(session)) > before
     assert chosen > 300 and gained > 8
 
 

@@ -22,6 +22,7 @@ from surfgen.backtrack import (
     commit,
     fill_post_contexts,
     iter_assignments,
+    layer_steps,
     resolve,
 )
 from surfgen.engine import DerivationNode, LiteralTok, join_tokens
@@ -92,8 +93,6 @@ def ref_iter_assignments(items, fixed):
         point = points[idx]
         if point.id in fixed:
             choices = (fixed[point.id],)
-            if not point.variants or fixed[point.id] >= len(point.variants):
-                return
         else:
             choices = tuple(range(len(point.variants)))
         for k in choices:
@@ -104,6 +103,19 @@ def ref_iter_assignments(items, fixed):
         acc.pop(point.id, None)
 
     yield from rec(0, {})
+
+
+def captured_points(session):
+    """The points of the session's captured layers in creation order, by a
+    walk of the root layer through points and variants."""
+    if session._shown is None:  # no derivation: nothing was captured
+        return []
+    points, stack = [], [session._layers[0]]
+    while stack:
+        layer = stack.pop()
+        points.extend(layer.points)
+        stack.extend(v for p in layer.points for v in p.variants)
+    return sorted(points, key=lambda p: p.id)
 
 
 def ref_resolve_items(items, assignment):
@@ -208,14 +220,11 @@ def test_walkers_match_reference_walks(case):
         assert not solutions
         return
     root = session._layers[0].items
-    points = list(session.table)
-    # the table holds exactly the points the captured layers hold
-    reached, stack = [], [session._shown.root]
-    while stack:
-        layer = stack.pop()
-        reached.extend(layer.points)
-        stack.extend(v for p in layer.points for v in p.variants)
-    assert points == sorted(reached, key=lambda p: p.id)
+    points = captured_points(session)
+    # the index holds captured points only, and every open one
+    assert set(session.table.index) <= set(points)
+    assert {p for p in points if p.remainder} == \
+        {p for p in session.table.index if p.remainder}
     layers = [session._shown.root] + [v for p in points for v in p.variants]
     for layer in layers:
         frontier, refs = ref_fill_post_contexts(layer.items)
@@ -254,8 +263,8 @@ def test_walkers_match_reference_walks(case):
 
 
 def pins_for(points):
-    """No pin, then each point pinned to each variant and one past them."""
-    return [{}] + [{p.id: k} for p in points for k in range(len(p.variants) + 1)]
+    """No pin, then each point pinned to each of its variants."""
+    return [{}] + [{p.id: k} for p in points for k in range(len(p.variants))]
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))
@@ -270,7 +279,7 @@ def test_odometer_matches_reference_while_variants_arrive(case):
     checks = [0]
 
     def check():
-        points = list(session.table)
+        points = captured_points(session)
         open_points = [p for p in points if p.remainder]
         assert set(open_points) <= set(session.table.index)
         assert choose_backtrack_point(session.table, session.spec) is \
@@ -311,8 +320,8 @@ def test_odometer_reports_every_id_it_moved(case):
     def check():
         if session._shown is None:
             return
-        points = session.table.points
-        for fixed in pins_for(list(session.table)):
+        points = {p.id: p for p in captured_points(session)}
+        for fixed in pins_for(list(points.values())):
             moved: set = set()
             last = None
             for assignment in iter_assignments(session._shown.root, fixed, moved):
@@ -335,7 +344,7 @@ def test_odometer_reports_every_id_it_moved(case):
     session._expand = expand_and_check
     for _ in session.solutions(fs):
         check()
-    assert moves[0] > 0 or all(len(p.variants) < 2 for p in session.table)
+    assert moves[0] > 0 or all(len(p.variants) < 2 for p in captured_points(session))
 
 
 def test_no_odometer_is_live_when_runs_split(monkeypatch):
@@ -364,6 +373,66 @@ def test_no_odometer_is_live_when_runs_split(monkeypatch):
     assert splits[0] > 0 and live[0] == 0
 
 
+def test_sessions_pin_the_expanded_chain_in_range(monkeypatch):
+    """The odometer takes every run whole and every pin as in range: a
+    session pins only the expanded point, to its new variant, and each
+    point around it, to the variant holding it, and none of these is
+    inside a run.  Every layer a capture freezes has its fold cache."""
+    expanded, checked, chained, folded = [], [0], [0], [0]
+
+    def run_ids():
+        """The ids in the fragments of every captured layer's runs."""
+        stack, ids = [session._layers[0]], set()
+        while stack:
+            layer = stack.pop()
+            ids.update(pid for step in layer.steps
+                       if type(step) is backtrack.Run for pid in step.fragment)
+            stack.extend(v for p in layer.points for v in p.variants)
+        return ids
+
+    def pinned(root, fixed, moved):
+        want = {}
+        if expanded:
+            point = expanded[-1]
+            want[point.id] = len(point.variants) - 1
+            layer = point.parent
+            while layer.point is not None:
+                want[layer.point.id] = layer.index
+                layer = layer.point.parent
+        assert fixed == want
+        points = {p.id: p for p in captured_points(session)}
+        assert all(k < len(points[pid].variants) for pid, k in fixed.items())
+        assert run_ids().isdisjoint(fixed)
+        checked[0] += len(fixed)
+        chained[0] += len(fixed) > 1
+        yield from iter_assignments(root, fixed, moved)
+
+    monkeypatch.setattr(session_module, "iter_assignments", pinned)
+    for grammar, fs in CASES:
+        expanded.clear()
+        session = GenerationSession(grammar, build_registries())
+        expand, capture = session._expand, session._capture
+
+        def expand_and_note(point):
+            expanded.append(point)
+            return expand(point)
+
+        def capture_and_check(top):
+            capture(top)
+            stack = [top]
+            while stack:
+                layer = stack.pop()
+                assert isinstance(layer.steps, tuple)
+                folded[0] += 1
+                stack.extend(v for p in layer.points for v in p.variants)
+
+        session._expand = expand_and_note
+        session._capture = capture_and_check
+        for _ in session.solutions(fs):
+            pass
+    assert checked[0] > 50 and chained[0] > 5 and folded[0] > 100
+
+
 # --- depth beyond the recursion limit ------------------------------------------
 
 DEPTH = 5000
@@ -388,9 +457,11 @@ def test_walkers_on_deep_chain():
     items, point = deep_chain()
     readers: dict = {}
     fill_post_contexts(point.variants[0], readers)
+    point.variants[0].steps = layer_steps(point.variants[0])
     root = Layer(items, None, 0)
     point.parent = root
     fill_post_contexts(root, readers)
+    root.steps = layer_steps(root)
     assert root.points == (point,)
     assert len(root.frontier) == DEPTH + 1 and root.frontier[-1] is point
     shown = Shown(root)
@@ -412,6 +483,10 @@ def test_walkers_on_deep_chain():
     y.children.append(LiteralTok("y"))
     point.variants.append(Layer((y,), point, 1))
     fill_post_contexts(point.variants[1], readers)
+    point.variants[1].steps = layer_steps(point.variants[1])
+    shown.unfold(point)
+    assert [dict(a) for a in iter_assignments(root, {}, set())] == \
+        [{point.id: 0}, {point.id: 1}]
     show(shown, {point.id: 1})
     assert shown.root.text == words + " y"
     assert resolved_leaves(resolve(root.items, {point.id: 1})[0])[-1] == LiteralTok("y")
