@@ -90,10 +90,11 @@ class BacktrackPoint:
     """A recorded conflict set with its surrounding context.
 
     ``parent`` is the layer holding it: the root layer, or a variant layer
-    of the point around it.  ``variants`` are the layers of its egos, one
-    per rule that fired there.  The point itself stands for the choice in
-    its parent's items and frontier; ``index`` is its position in that
-    frontier, set when that layer completes.  Its pre- and post-context are
+    of the point around it (None once its session is gone, see ``unlink``).
+    ``variants`` are the layers of its egos, one per rule that fired there.
+    The point itself stands for the choice in its parent's items and
+    frontier; ``index`` is its position in that frontier, set when that
+    layer completes.  Its pre- and post-context are
     the frontier on either side of it, through the points around it.
     ``key`` is the point's key in the table's index (``BTTable``) as it was
     last made, and points compare in the order of that index.
@@ -201,8 +202,9 @@ class Layer:
     made when its rule starts firing, and once the rule has fired,
     ``items`` is (its node,).  While a layer's rules fire it owns the
     feature bindings they assert, compared by identity.  ``point`` is the
-    point it is a variant of (None for the root), ``index`` its position
-    in ``point.variants``, which it joins next (0 for the root), and
+    point it is a variant of (None for the root, and once its session is
+    gone), ``index`` its position in ``point.variants``, which it joins
+    next (0 for the root), and
     ``depth`` the number of points around it.  What the walk that completes
     it (``fill_post_contexts``) reads off stays fixed: its ``frontier``
     (each point standing for its choice), its ``points``, the frontier
@@ -269,8 +271,8 @@ def fill_post_contexts(layer: Layer, readers: dict) -> None:
     choice, and gives every point in it its position there; its parts
     start as the literals' texts, "" for the calls and points.
     Points inside ego variants are handled when their own variant
-    completes.  Each inflection call with hooks is entered in ``readers``
-    under the node its hooks read (its rule's node), as (layer, position).
+    completes.  Each inflection call that reads features is entered in
+    ``readers`` under its rule's node, as (layer, position).
     """
     frontier: list = []
     points: list[BacktrackPoint] = []
@@ -290,8 +292,8 @@ def fill_post_contexts(layer: Layer, readers: dict) -> None:
             points.append(item)
         elif isinstance(item, InflectCall):
             calls.append(len(frontier))
-            if item.hooks:
-                readers.setdefault(item.hooks[0][1], []).append((layer, len(frontier)))
+            if item.entry.features:
+                readers.setdefault(item.node, []).append((layer, len(frontier)))
         frontier.append(item)
     layer.frontier = tuple(frontier)
     layer.parts = [item.text if isinstance(item, LiteralTok) else ""
@@ -305,6 +307,20 @@ def fill_post_contexts(layer: Layer, readers: dict) -> None:
     layer.calls = tuple(calls)
     layer.obligations = tuple(obligations)
     layer.names = tuple(names)
+
+
+def unlink(root: Layer) -> None:
+    """Cut the up-links below a captured root layer (each point's ``parent``,
+    each variant layer's ``point``) when its session goes, so that reference
+    counting frees the derivation, not a full collection wherever it lands.
+    ``resolve`` reads only down-links: a held ``Solution`` still resolves."""
+    stack = [root]
+    while stack:
+        for point in stack.pop().points:
+            point.parent = None
+            for v in point.variants:
+                v.point = None
+                stack.append(v)
 
 
 # ---------------------------------------------------------------------------
@@ -702,12 +718,12 @@ def inflections(shown: Shown, delta: Delta, graph: FeatureGraph,
                 readers: dict) -> list:
     """The (layer, position) of every inflection call the combination must
     read, graph holding the combination: each call of an entered layer, and
-    each call of a layer shown before and after that has a hook slot in
-    the class of a slot named by an entered or left layer's obligation (a
-    hooked class that holds no such slot now held none before either, so
-    its value is unchanged).  A layer is shown before and after when it is
-    the root, or shown and not left: an entered layer was not shown.
-    readers is the index ``fill_post_contexts`` builds."""
+    each call of a layer shown before and after that reads (its entry's
+    features on its node) a slot in the class of a slot named by an entered
+    or left layer's obligation (a read class that holds no such slot now
+    held none before either, so its value is unchanged).  A layer is shown
+    before and after when it is the root, or shown and not left: an entered
+    layer was not shown.  readers is the index ``fill_post_contexts`` builds."""
     calls = [(layer, pos) for layer in delta.entered for pos in layer.calls]
     if delta.changes and delta.changes[0][0] is None:  # the first: all entered
         return calls
@@ -729,7 +745,7 @@ def inflections(shown: Shown, delta: Delta, graph: FeatureGraph,
                         if (owner.point is None
                                 or (chosen.get(owner.point.id) is owner
                                     and owner not in left)) \
-                                and (member[1], member[0]) in owner.frontier[pos].hooks:
+                                and member[1] in owner.frontier[pos].entry.features:
                             again[owner, pos] = None
                     member = ring.get(member, member)
                     if member == slot:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .gil import Atom, FeatureStructure, atoms_equal
-from .morpho import FunctionRegistry, InflectionRequest, form_key, inflect
+from .morpho import FunctionRegistry, RegisteredFunction, form_key, inflect
 from .tgl import Assign, Equate, Grammar, Lhs, Registries, Rule, eval_test
 
 
@@ -54,9 +54,6 @@ class ConstraintClash(Exception):
         super().__init__(
             f"feature {slot[1]} already {existing!r}, cannot become {incoming!r}"
         )
-        self.slot = slot
-        self.existing = existing
-        self.incoming = incoming
         self.owners = owners
 
 
@@ -210,52 +207,52 @@ class LiteralTok:
 
 
 class InflectCall:
-    """A deferred word form: function name, arguments, feature hooks.
+    """A deferred word form: its function's registry entry, its arguments,
+    and its rule's feature node, on which it reads the entry's features.
 
-    ``hooks`` are (feature, node) pairs read at realization time.  Realized
-    strings are cached per observed feature values, so re-realization
-    happens exactly when a hooked value changed.  A form this call has not
-    seen is looked up in the registry's table of forms first, and only
-    computed by ``inflect`` when no session on that registry has seen it.
+    Realized strings are cached per observed feature values, so
+    re-realization happens exactly when a read value changed.  A form this
+    call has not seen is looked up in the registry's table of forms first,
+    and only computed by ``inflect`` when no session on that registry has
+    seen it.
     """
 
-    __slots__ = ("function", "args", "hooks", "_cache")
+    __slots__ = ("entry", "args", "node", "_cache")
 
-    def __init__(self, function: str, args: tuple, hooks: tuple):
-        self.function = function
+    def __init__(self, entry: RegisteredFunction, args: tuple, node: int):
+        self.entry = entry
         self.args = args
-        self.hooks = hooks
+        self.node = node
         self._cache: dict[tuple, str] = {}
 
     def realize(self, values: Callable[[Slot], Optional[Atom]],
-                registry: FunctionRegistry, stats: Optional["Stats"] = None) -> str:
+                registry: FunctionRegistry, stats: "Stats") -> str:
+        node = self.node
         bound = tuple(
             (feature, v)
-            for feature, node in self.hooks
+            for feature in self.entry.features
             if (v := values((node, feature))) is not None
         )
         cached = self._cache.get(bound)
         if cached is not None:
             return cached
-        key = form_key(self.function, self.args, bound)
+        key = form_key(self.entry.name, self.args, bound)
         text = registry.forms.get(key)
         if text is None:
-            text = inflect(InflectionRequest(self.function, self.args, bound),
-                           registry)
+            text = inflect(self.entry, self.args, bound)
             registry.keep_form(key, text)
-        if stats is not None:
-            stats.morpho_calls += 1
-            if self._cache:
-                stats.re_realizations += 1
+        stats.morpho_calls += 1
+        if self._cache:
+            stats.re_realizations += 1
         self._cache[bound] = text
         return text
 
     def copy(self, node_map: dict[int, int]) -> "InflectCall":
-        hooks = tuple((f, node_map.get(n, n)) for f, n in self.hooks)
-        return InflectCall(self.function, self.args, hooks)
+        return InflectCall(self.entry, self.args,
+                           node_map.get(self.node, self.node))
 
     def __repr__(self) -> str:
-        return f"InflectCall({self.function}, {self.args})"
+        return f"InflectCall({self.entry.name}, {self.args})"
 
 
 class DerivationNode:
@@ -284,10 +281,9 @@ class DerivationNode:
 # Matching and constraint application
 
 def match(category: str, fs: FeatureStructure, grammar: Grammar,
-          registries: Optional[Registries] = None) -> list[Rule]:
+          registries: Registries) -> list[Rule]:
     """All rules of the category whose test holds, in grammar source order."""
-    predicates, selectors = (registries.predicates, registries.selectors) \
-        if registries else (None, None)
+    predicates, selectors = registries.predicates, registries.selectors
     return [rule for rule in grammar.rules_for(category)
             if eval_test(rule.test, fs, predicates, selectors)]
 
@@ -349,7 +345,7 @@ def join_tokens(tokens) -> str:
 
 def realize(calls, registry: FunctionRegistry,
             values: Callable[[Slot], Optional[Atom]],
-            stats: Optional["Stats"] = None) -> list[str]:
+            stats: "Stats") -> list[str]:
     """The word forms of inflection calls under the given feature values."""
     return [call.realize(values, registry, stats) for call in calls]
 

@@ -30,7 +30,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
-from .gil import Atom, Sym
+from .gil import Sym
 
 #: Weekday names for integers 1..7 (1 = Montag, 5 = Freitag).
 WEEKDAYS = ("Montag", "Dienstag", "Mittwoch", "Donnerstag",
@@ -147,23 +147,7 @@ def default_lexicon() -> Lexicon:
 
 
 # ---------------------------------------------------------------------------
-# Inflection requests and the function registry
-
-@dataclass(frozen=True)
-class InflectionRequest:
-    """One deferred word-form computation: function, arguments, features.
-
-    ``features`` holds only the features actually bound at realization
-    time; unbound hooks are simply absent.
-    """
-
-    function: str
-    args: tuple[Atom, ...]
-    features: tuple[tuple[str, Atom], ...]
-
-    def feature_map(self) -> dict[str, Atom]:
-        return dict(self.features)
-
+# The function registry and word-form calls
 
 @dataclass(frozen=True)
 class RegisteredFunction:
@@ -218,7 +202,7 @@ class FunctionRegistry:
 def form_key(function: str, args: tuple, features: tuple) -> tuple:
     """The exact key of a word form in a registry's ``forms``.
 
-    Requests compare symbols case-insensitively, yet ``string`` prints a
+    Calls compare symbols case-insensitively, yet ``string`` prints a
     symbol's case, so a symbol enters the key as the ``Sym`` class followed
     by its text.  Strings and integers enter as themselves, which keeps
     ``'5'`` apart from ``5`` and a string apart from a symbol.  The argument
@@ -238,16 +222,14 @@ def form_key(function: str, args: tuple, features: tuple) -> tuple:
     return tuple(key)
 
 
-def inflect(req: InflectionRequest, registry: FunctionRegistry) -> str:
-    """Realize one request by calling its registered function.
+def inflect(entry: RegisteredFunction, args: tuple, features: tuple) -> str:
+    """One word form: the registered word-form function ``entry`` called on
+    its exact arguments and its bound (feature, value) pairs.
 
-    The function must be pure in the request's name, exact arguments and
-    bound features: equal requests may still differ in a symbol's case.
+    The function must be pure in its name, exact arguments and bound
+    features: equal calls may still differ in a symbol's case.
     """
-    entry = registry.require(req.function)
-    if entry.is_side_effect:
-        raise MorphoError(f"{req.function!r} is a side effect, not a word form")
-    return entry.fn(req.args, req.feature_map())
+    return entry.fn(args, dict(features))
 
 
 # ---------------------------------------------------------------------------

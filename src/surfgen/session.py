@@ -63,6 +63,7 @@ from .backtrack import (
     iter_assignments,
     layer_steps,
     resolve,
+    unlink,
 )
 from .engine import (
     ConstraintClash,
@@ -135,8 +136,8 @@ class GenerationSession:
         self._shown: Optional[Shown] = None  # set once the first derivation exists
         # the shown solution's egos on a copy of the root layer's graph
         self._egos: Optional[EgoStack] = None
-        # node id -> (layer, frontier position) of each inflection call whose
-        # hooks read that node, over every captured layer
+        # node id -> (layer, frontier position) of each inflection call that
+        # reads features on that node, over every captured layer
         self._readers: dict[int, list] = {}
         # ids the odometer moved since the shown solution was committed
         self._moved: set[int] = set()
@@ -177,6 +178,12 @@ class GenerationSession:
             self.trail.undo_to(base)
             if self._egos is not None:
                 self._egos.close()
+
+    def __del__(self):
+        # a captured layer's points and variants hold their up-links, so cut
+        # them once the session goes and reference counting frees the rest
+        if getattr(self, "_shown", None) is not None:
+            unlink(self._shown.root)
 
     def first(self, input_fs: FeatureStructure,
               start: Optional[str] = None) -> Optional[Solution]:
@@ -346,8 +353,7 @@ class GenerationSession:
             if value is None or not is_atom(value):
                 return None
             args.append(value)
-        hooks = tuple((feature, lhs_node) for feature in entry.features)
-        return InflectCall(entry.name, tuple(args), hooks)
+        return InflectCall(entry, tuple(args), lhs_node)
 
     def _effect_arg(self, arg, fs: FeatureStructure):
         return arg if is_atom(arg) else \

@@ -817,7 +817,7 @@ class Diagnostic:
         return f"{self.severity.value}: {where}{loc}: {self.message}"
 
 
-def validate_grammar(grammar: Grammar, registries: Optional[Registries] = None,
+def validate_grammar(grammar: Grammar, registries: Registries,
                      start: Optional[str] = None) -> list[Diagnostic]:
     """Static checks; an empty result means the grammar is clean.  start is
     the start category generation will use (default: the grammar's)."""
@@ -863,8 +863,6 @@ def validate_grammar(grammar: Grammar, registries: Optional[Registries] = None,
 def _check_fun(call: FunCall, rule: Rule, registries, error, side_effect: bool):
     """Report an unknown function, one used where its kind may not be, and
     the unknown names its arguments call."""
-    if registries is None:
-        return
     entry = registries.functions.get(call.name)
     if entry is None:
         error(f"unknown function {call.name!r}", rule.name, rule.line)
@@ -881,7 +879,7 @@ def _check_fun(call: FunCall, rule: Rule, registries, error, side_effect: bool):
 def _check_names(expr, rule: Rule, registries, error):
     """Report the predicates and selectors that a test, selector or
     argument calls and ``registries`` lacks, left to right."""
-    if registries is None or type(expr) is not Expr or expr.run is not None:
+    if type(expr) is not Expr or expr.run is not None:
         return
     flat = expr._preorder()  # pre-order, so errors come left to right
     for head, name in zip(flat, flat[1:]):

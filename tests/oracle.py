@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from surfgen.gil import FeatureStructure, Sym, is_atom
-from surfgen.morpho import InflectionRequest, inflect
+from surfgen.morpho import inflect
 from surfgen.tgl import FunCall, Literal, RuleCall, eval_selector, eval_test
 
 
@@ -139,8 +139,7 @@ def oracle_solutions(grammar, input_fs, registries, start=None,
                     if value is None or not is_atom(value):
                         return []
                     args.append(value)
-                token = ("infl", entry, tuple(args),
-                         tuple((f, lhs) for f in entry.features))
+                token = ("infl", entry, tuple(args), lhs)
                 branches = [(toks + [token], s) for toks, s in branches]
             else:
                 sub = eval_selector(action.selector, fs, selectors)
@@ -170,12 +169,11 @@ def oracle_solutions(grammar, input_fs, registries, start=None,
             if token[0] == "lit":
                 texts.append(token[1])
             else:
-                _, entry, args, hooks = token
+                _, entry, args, node = token
                 features = tuple(
-                    (f, v) for f, n in hooks
-                    if (v := state.value((n, f))) is not None
+                    (f, v) for f in entry.features
+                    if (v := state.value((node, f))) is not None
                 )
-                texts.append(inflect(
-                    InflectionRequest(entry.name, args, features), functions))
+                texts.append(inflect(entry, args, features))
         solutions.append(_join(texts))
     return solutions

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -60,7 +61,7 @@ def _ctx(segments):
         elif isinstance(seg, BacktrackPoint):
             out.append(f"B{seg.id}")
         elif isinstance(seg, InflectCall):
-            out.append(f"<{seg.function}>")
+            out.append(f"<{seg.entry.name}>")
     return out
 
 
@@ -564,6 +565,33 @@ def test_abandoned_stream_restores_state(regs):
     stream.close()  # caller stops early; cleanup must still run
     assert len(session.trail) == 0
     assert session.graph.is_empty()
+
+
+@pytest.mark.parametrize("taken", [1, 3, None])
+def test_dropped_session_leaves_no_cyclic_garbage(regs, taken):
+    """Points link up to the layer holding them and variant layers up to
+    their point; once the session goes, reference counting alone frees
+    them, whether its stream ran out or was closed early."""
+    g = parse_grammar(TABLE_GRAMMAR)
+    gc.collect()
+    gc.disable()
+    try:
+        session = GenerationSession(g, regs)
+        stream = session.solutions(FeatureStructure())
+        texts = [s.text for s in itertools.islice(stream, taken)]
+        del session, stream
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(texts) == (taken or 4)
+
+
+def test_solution_resolves_after_its_session_is_dropped(regs):
+    session = GenerationSession(parse_grammar(TABLE_GRAMMAR), regs)
+    solutions = list(session.solutions(FeatureStructure()))
+    want = [list(s.derivation.rule_names()) for s in solutions]
+    del session
+    assert [list(s.derivation.rule_names()) for s in solutions] == want
 
 
 # --- assignment enumeration ----------------------------------------------------

@@ -153,6 +153,20 @@ def test_side_effects_run_first_and_undo(regs):
     assert session.stats.side_effects_run == 1
 
 
+@pytest.mark.parametrize("actions, name", [
+    ('(:TEMPLATE "x" (:FUN (note)))', "note"),
+    ('(:TEMPLATE "x" :SIDE-EFFECTS ((weekday 1)))', "weekday"),
+], ids=["side-effect-in-template", "no-undo-under-side-effects"])
+def test_unvalidated_session_refuses_a_function_of_the_wrong_kind(
+        regs, actions, name):
+    """Without validation, the session itself refuses a side effect in a
+    template slot and a function without undo under :SIDE-EFFECTS."""
+    g = parse_grammar('(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+                      f' :ACTIONS {actions}))')
+    with pytest.raises(EngineError, match=f"'{name}'"):
+        list(GenerationSession(g, regs).solutions(FeatureStructure()))
+
+
 # --- constraints -------------------------------------------------------------
 
 def _rule_with_constraints(text):
@@ -299,20 +313,21 @@ def test_ring_lists_each_class_through_unions_and_undo():
 # --- realization -------------------------------------------------------------
 
 def test_realize_example_frontier(regs):
+    functions = regs.functions
     calls = [
-        InflectCall("weekday-pp", (5,), ()),
-        InflectCall("verb", (Sym("meet"),), ((("VFORM"), 1),)),
+        InflectCall(functions.require("weekday-pp"), (5,), 1),
+        InflectCall(functions.require("verb"), (Sym("meet"),), 1),
     ]
     values = lambda slot: Sym("inf") if slot == (1, "VFORM") else None
-    assert realize(calls, regs.functions, values) == ["am Freitag", "treffen"]
+    assert realize(calls, functions, values, Stats()) == ["am Freitag", "treffen"]
 
 
 def test_realize_empty_frontier(regs):
-    assert realize([], regs.functions, lambda slot: None) == []
+    assert realize([], regs.functions, lambda slot: None, Stats()) == []
 
 
 def test_realize_changed_hook_changes_form(regs):
-    call = InflectCall("pronoun-2-formal", (), (("CASE", 1),))
+    call = InflectCall(regs.functions.require("pronoun-2-formal"), (), 1)
     stats = Stats()
     akk = realize([call], regs.functions,
                   lambda s: Sym("akk"), stats)

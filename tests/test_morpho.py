@@ -1,12 +1,11 @@
 import pytest
 
-from surfgen.engine import InflectCall
+from surfgen.engine import InflectCall, Stats
 from surfgen.gil import Sym
 from surfgen.morpho import (
     MAX_FORMS,
     WEEKDAYS,
     FunctionRegistry,
-    InflectionRequest,
     MorphoError,
     default_lexicon,
     inflect,
@@ -27,46 +26,47 @@ def registry(lexicon):
     return standard_functions(lexicon)
 
 
-def _req(fn, args=(), **features):
-    return InflectionRequest(fn, tuple(args), tuple(features.items()))
+def _req(registry, fn, args=(), **features):
+    """The arguments of ``inflect`` for one call of fn."""
+    return registry.require(fn), tuple(args), tuple(features.items())
 
 
 def test_infinitive_verb(registry):
-    assert inflect(_req("verb", [Sym("meet")], VFORM=Sym("inf")), registry) == "treffen"
+    assert inflect(*_req(registry, "verb", [Sym("meet")], VFORM=Sym("inf"))) == "treffen"
 
 
 def test_finite_verb(registry):
-    req = _req("verb", [Sym("meet")],
+    req = _req(registry, "verb", [Sym("meet")],
                TENSE=Sym("pres"), NUM=Sym("sg"), PERSON=3)
-    assert inflect(req, registry) == "trifft"
+    assert inflect(*req) == "trifft"
 
 
 def test_weekday_pp(registry):
-    assert inflect(_req("weekday-pp", [5]), registry) == "am Freitag"
+    assert inflect(*_req(registry, "weekday-pp", [5])) == "am Freitag"
 
 
 def test_weekday_mapping(registry):
     assert WEEKDAYS == ("Montag", "Dienstag", "Mittwoch", "Donnerstag",
                         "Freitag", "Samstag", "Sonntag")
     for n, name in enumerate(WEEKDAYS, start=1):
-        assert inflect(_req("weekday", [n]), registry) == name
+        assert inflect(*_req(registry, "weekday", [n])) == name
     with pytest.raises(MorphoError):
-        inflect(_req("weekday", [8]), registry)
+        inflect(*_req(registry, "weekday", [8]))
 
 
 def test_unknown_lemma(registry):
     with pytest.raises(MorphoError, match="unknown lemma"):
-        inflect(_req("verb", [Sym("xyzzy")], VFORM=Sym("inf")), registry)
+        inflect(*_req(registry, "verb", [Sym("xyzzy")], VFORM=Sym("inf")))
 
 
 def test_unknown_function(registry):
     with pytest.raises(MorphoError, match="unknown function"):
-        inflect(_req("frobnicate", []), registry)
+        inflect(*_req(registry, "frobnicate", []))
 
 
 def test_fallback_form(registry):
     # sie-formal has a fallback for feature sets matching no cell
-    assert inflect(_req("pronoun-2-formal", []), registry) == "Sie"
+    assert inflect(*_req(registry, "pronoun-2-formal", [])) == "Sie"
 
 
 def test_most_specific_cell_wins():
@@ -88,16 +88,18 @@ def test_no_matching_cell_without_fallback():
 
 
 def test_feature_sensitivity(registry):
-    sg = _req("verb", [Sym("fit")], TENSE=Sym("pres"), NUM=Sym("sg"), PERSON=3)
-    pl = _req("verb", [Sym("fit")], TENSE=Sym("pres"), NUM=Sym("pl"), PERSON=3)
-    assert inflect(sg, registry) == "passt"
-    assert inflect(pl, registry) == "passen"
+    sg = _req(registry, "verb", [Sym("fit")],
+              TENSE=Sym("pres"), NUM=Sym("sg"), PERSON=3)
+    pl = _req(registry, "verb", [Sym("fit")],
+              TENSE=Sym("pres"), NUM=Sym("pl"), PERSON=3)
+    assert inflect(*sg) == "passt"
+    assert inflect(*pl) == "passen"
 
 
 def test_determinism(registry):
-    req = _req("noun-phrase", [Sym("document")],
+    req = _req(registry, "noun-phrase", [Sym("document")],
                DET=Sym("def"), CASE=Sym("akk"), NUM=Sym("sg"))
-    assert inflect(req, registry) == inflect(req, registry) == "den Bericht"
+    assert inflect(*req) == inflect(*req) == "den Bericht"
 
 
 def test_duplicate_registration():
@@ -105,11 +107,6 @@ def test_duplicate_registration():
     reg.register_function("f", lambda a, f: "x")
     with pytest.raises(MorphoError, match="twice"):
         reg.register_function("F", lambda a, f: "y")
-
-
-def test_side_effect_not_usable_as_word_form(registry):
-    with pytest.raises(MorphoError, match="side effect"):
-        inflect(_req("note", []), registry)
 
 
 def test_lexicon_parse_errors():
@@ -152,9 +149,8 @@ def test_lexicon_rejects_malformed_and_duplicate_cells(text, message):
 # InflectCall, as a new session would, so only the shared table can answer.
 
 def _form(registry, function, args=(), **features):
-    hooks = tuple((feature, 0) for feature in features)
-    call = InflectCall(function, tuple(args), hooks)
-    return call.realize(lambda slot: features.get(slot[1]), registry)
+    call = InflectCall(registry.require(function), tuple(args), 0)
+    return call.realize(lambda slot: features.get(slot[1]), registry, Stats())
 
 
 def test_form_table_keeps_the_case_of_symbol_arguments():

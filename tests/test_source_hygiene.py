@@ -1,15 +1,16 @@
 """Source hygiene of the library, by a scan of its syntax trees.
 
-Five kinds of dead code are refused in ``src/surfgen``: a module-level
+Six kinds of dead code are refused in ``src/surfgen``: a module-level
 import that its module never uses (nor lists in ``__all__``), a private
 (``_name``) function, method or class that nothing in the package refers to,
 a public method that nothing in the package, its tests or its benchmark
 reads as an attribute, a public module-level function, class or constant
 that nothing in the package or its benchmark reads and ``surfgen.__all__``
-does not export, and a name in a ``__slots__`` that nothing in the package
-reads.  So are two classes that define the same set of two or more public
-methods: a second implementation of one protocol.  Every name that
-``surfgen.__all__`` exports is shown in the README's code.
+does not export, a name in a ``__slots__`` that nothing in the package
+reads, and an attribute assigned on ``self`` that nothing in the package or
+its benchmark reads.  So are two classes that define the same set of two or
+more public methods: a second implementation of one protocol.  Every name
+that ``surfgen.__all__`` exports is shown in the README's code.
 """
 
 import ast
@@ -87,12 +88,19 @@ def read_attributes(tree: ast.AST) -> set:
     return names
 
 
-def test_every_public_method_is_named_somewhere():
-    read = set()  # attribute names the package, its tests or its benchmark read
-    for top in ("src", "tests", "perfbench"):
+def attributes_read(*tops: str) -> set:
+    """Every attribute name the Python files under the given top-level
+    directories read."""
+    read = set()
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             read |= read_attributes(
                 ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    return read
+
+
+def test_every_public_method_is_named_somewhere():
+    read = attributes_read("src", "tests", "perfbench")
     unread = [f"{name}: {cls.name}.{stmt.name}"
               for name, tree in modules().items()
               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
@@ -164,6 +172,35 @@ def test_every_slot_is_read():
     unread = [f"{module}: {cls}.{slot}" for module, cls, slot in declared
               if slot not in read]
     assert not unread, f"slots nothing reads: {unread}"
+
+
+def self_attributes_assigned(tree: ast.AST) -> set:
+    """Every attribute name a tree assigns on ``self``, plainly or by
+    unpacking."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+            elif isinstance(target, ast.Attribute) \
+                    and isinstance(target.value, ast.Name) and target.value.id == "self":
+                names.add(target.attr)
+    return names
+
+
+def test_every_attribute_set_on_self_is_read():
+    read = attributes_read("src", "perfbench")
+    unread = [f"{name}: {', '.join(sorted(attrs - read))}"
+              for name, tree in modules().items()
+              if (attrs := self_attributes_assigned(tree)) - read]
+    assert not unread, f"attributes set on self that nothing reads: {unread}"
 
 
 def test_no_two_classes_implement_the_same_protocol():

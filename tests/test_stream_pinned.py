@@ -61,8 +61,8 @@ def leaf(item) -> list:
     if isinstance(item, LiteralTok):
         return ["lit", item.text]
     assert isinstance(item, InflectCall)
-    return ["call", item.function, [repr(a) for a in item.args],
-            [[f, n] for f, n in item.hooks]]
+    return ["call", item.entry.name, [repr(a) for a in item.args],
+            [[f, item.node] for f in item.entry.features]]
 
 
 def derivation_sequence(node: ResolvedNode) -> list:

@@ -196,7 +196,7 @@ def ordered(assignments):
 
 def form(item) -> str:
     """A stand-in word form: the delta checks below need no feature values."""
-    return item.text if isinstance(item, LiteralTok) else f"<{item.function}>"
+    return item.text if isinstance(item, LiteralTok) else f"<{item.entry.name}>"
 
 
 def show(shown, assignment):
