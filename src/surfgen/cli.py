@@ -58,10 +58,8 @@ def _load_grammar(path: str):
         raise _Usage(f"{path}:{e}") from None
 
 
-def cmd_generate(cfg: argparse.Namespace, out=None, err=None) -> int:
+def cmd_generate(cfg: argparse.Namespace) -> int:
     """Run ``generate`` with the options ``build_parser`` parsed."""
-    out = out or sys.stdout
-    err = err or sys.stderr
     try:
         grammar = _load_grammar(cfg.grammar)
         registries = _registries(cfg.lexicon)
@@ -72,7 +70,7 @@ def cmd_generate(cfg: argparse.Namespace, out=None, err=None) -> int:
         diagnostics = validate_grammar(grammar, registries, cfg.start)
         errors = [d for d in diagnostics if d.severity is Severity.ERROR]
         for diag in diagnostics:
-            print(f"{cfg.grammar}: {diag}", file=err)
+            print(f"{cfg.grammar}: {diag}", file=sys.stderr)
         if errors:
             return EXIT_ERROR
         spec = CriteriaSpec()
@@ -90,8 +88,8 @@ def cmd_generate(cfg: argparse.Namespace, out=None, err=None) -> int:
         for name in unmatched:
             if name.split() != [name]:
                 print(f"warning: criterion '{name}' names no rule of the grammar",
-                      file=err)
-        trace = (lambda event: print(event, file=err)) if cfg.trace else None
+                      file=sys.stderr)
+        trace = (lambda event: print(event, file=sys.stderr)) if cfg.trace else None
         session = make_session(grammar, spec, registries=registries,
                                use_memo=cfg.memo, trace=trace)
         emitted = 0
@@ -105,43 +103,40 @@ def cmd_generate(cfg: argparse.Namespace, out=None, err=None) -> int:
                 line = solution.text
                 if cfg.weights:
                     line = f"[w={solution.weight}] {line}"
-                print(line, file=out)
+                print(line)
                 emitted += 1
                 if cfg.max_solutions and emitted >= cfg.max_solutions:
                     break
         except MorphoError as e:
-            print(f"error: {e}", file=err)
+            print(f"error: {e}", file=sys.stderr)
             return EXIT_ERROR
         cutoffs = session.stats.depth_cutoffs
         if not emitted and cutoffs:
             print(f"note: no solution within max_depth {session.max_depth}; "
-                  f"derivation was cut off {cutoffs} time(s)", file=err)
+                  f"derivation was cut off {cutoffs} time(s)", file=sys.stderr)
         if cfg.stats:
             for key, value in session.stats.snapshot().items():
-                print(f"{key}: {value}", file=err)
-            print(f"criteria-unmatched: {len(unmatched)}", file=err)
+                print(f"{key}: {value}", file=sys.stderr)
+            print(f"criteria-unmatched: {len(unmatched)}", file=sys.stderr)
         return EXIT_OK if emitted else EXIT_NO_SOLUTION
     except _Usage as e:
-        print(f"error: {e}", file=err)
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 
 
-def cmd_validate(grammar_path: str, lexicon_path: Optional[str] = None,
-                 out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_validate(grammar_path: str, lexicon_path: Optional[str] = None) -> int:
     try:
         grammar = _load_grammar(grammar_path)
         registries = _registries(lexicon_path)
     except _Usage as e:
-        print(f"error: {e}", file=err)
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     diagnostics = validate_grammar(grammar, registries)
     for diag in diagnostics:
-        print(f"{grammar_path}: {diag}", file=err)
+        print(f"{grammar_path}: {diag}", file=sys.stderr)
     if any(d.severity is Severity.ERROR for d in diagnostics):
         return EXIT_ERROR
-    print("OK", file=out)
+    print("OK")
     return EXIT_OK
 
 

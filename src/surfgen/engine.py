@@ -1,8 +1,8 @@
 """Interpreter primitives: feature graph, trail, and derivation trees.
 
 Generation fires rules top-down, depth-first, actions left to right.  Every
-fired rule owns a feature node; constraint equations bind values on those
-nodes (``Assign``) or merge them into shared agreement classes (``Equate``),
+fired rule owns a feature node; a constraint equation (``Equation``) binds
+a value on one of those nodes or merges them into a shared agreement class,
 PATR style.  All mutations go through the trail so a failed rule can be
 undone completely.
 
@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .gil import Atom, FeatureStructure, atoms_equal
 from .morpho import FunctionRegistry, RegisteredFunction, form_key, inflect
-from .tgl import Assign, Equate, Grammar, Lhs, Registries, Rule, eval_test
+from .tgl import Grammar, Registries, Rule, eval_test
 
 
 class EngineError(Exception):
@@ -97,11 +97,9 @@ class Trail:
                     if not parent_was_bound:
                         del graph.binding[parent]
                         del graph.owner[parent]
-            elif kind == "effect":
+            else:  # "effect"
                 _, undo, memory, args, saved = event
                 undo(memory, args, saved)
-            else:  # pragma: no cover
-                raise EngineError(f"unknown trail event {kind}")
 
 
 class FeatureGraph:
@@ -288,37 +286,24 @@ def match(category: str, fs: FeatureStructure, grammar: Grammar,
             if eval_test(rule.test, fs, predicates, selectors)]
 
 
-def resolve_ref(ref, lhs_node: int, rule: Rule,
-                position_nodes: dict[int, int]) -> int:
-    if isinstance(ref, Lhs):
-        return lhs_node
-    positions = rule.constituent_positions()
-    index = positions.get((ref.category, ref.occurrence))
-    if index is None or index not in position_nodes:
-        raise EngineError(f"rule {rule.name!r}: constraint names {ref} "
-                          f"but the template has no such constituent")
-    return position_nodes[index]
-
-
-def apply_constraints(rule: Rule, lhs_node: int, position_nodes: dict[int, int],
+def apply_constraints(rule: Rule, lhs_node: int, nodes: tuple,
                       graph: FeatureGraph, owner: object = None) -> list[Obligation]:
-    """Assert the rule's equations; returns them in slot-resolved form.
+    """Assert the rule's equations, given the node ids of its constituents
+    in call order; returns them in slot-resolved form.
 
     Raises ConstraintClash when a class would be overwritten with a
     different atom; the caller treats that as failure of the rule.
     """
     obligations: list[Obligation] = []
-    for eq in rule.constraints:
-        if isinstance(eq, Assign):
-            node = resolve_ref(eq.at, lhs_node, rule, position_nodes)
-            ob = Obligation(((node, eq.feature),), eq.value)
-        elif isinstance(eq, Equate):
-            ob = Obligation(tuple(
-                (resolve_ref(ref, lhs_node, rule, position_nodes), eq.feature)
-                for ref in eq.at
-            ))
-        else:  # pragma: no cover
-            raise EngineError(f"unknown equation {eq!r}")
+    for refs, atom in rule.constituents().equations:
+        slots = []
+        for k, feature in refs:
+            if k is None:
+                raise EngineError(f"rule {rule.name!r}: constraint names "
+                                  f"{rule.missing_refs()[0]} but the template "
+                                  f"has no such constituent")
+            slots.append((lhs_node if k < 0 else nodes[k], feature))
+        ob = Obligation(tuple(slots), atom)
         graph.impose(ob, owner)
         obligations.append(ob)
     return obligations

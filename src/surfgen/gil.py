@@ -485,7 +485,7 @@ def _child_structures(fs: FeatureStructure) -> list[FeatureStructure]:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def serialize_gil(fs: FeatureStructure, pretty: bool = False) -> str:
+def serialize_gil(fs: FeatureStructure) -> str:
     """Emit the concrete syntax; shared structures become ``#n=`` / ``#n``.
 
     The output re-parses to a structure equal to the input.  Both passes
@@ -510,15 +510,15 @@ def serialize_gil(fs: FeatureStructure, pretty: bool = False) -> str:
             for i, node in enumerate(n for n in order if counts[id(n)] > 1)}
     emitted: set[int] = set()
     # second pass, in the same order: a str on the stack is output as it
-    # is, a (value, indent) pair is emitted
+    # is, a value in a 1-tuple is emitted
     out: list[str] = []
-    todo = [(fs, 0)]
+    todo = [(fs,)]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        v, indent = item
+        v = item[0]
         if isinstance(v, Sym):
             out.append(v.text)
         elif isinstance(v, str):
@@ -531,7 +531,7 @@ def serialize_gil(fs: FeatureStructure, pretty: bool = False) -> str:
                 continue
             todo.append(" >")
             for i in range(len(v) - 1, -1, -1):
-                todo.append((v[i], indent))
+                todo.append((v[i],))
                 todo.append(", " if i else "< ")
         elif isinstance(v, FeatureStructure):
             tag = tags.get(id(v))
@@ -544,14 +544,10 @@ def serialize_gil(fs: FeatureStructure, pretty: bool = False) -> str:
             if not v._names:
                 out.append("[]")
                 continue
-            sep = " "
-            if pretty and len(v._names) > 1:
-                sep = "\n" + " " * (indent + 1)
             todo.append(")]")
             for i, value in reversed(list(enumerate(v._values.values()))):
-                todo.append((value, indent + 1))
-                todo.append(("[(" if i == 0 else ")" + sep + "(")
-                            + v._names[i] + " ")
+                todo.append((value,))
+                todo.append(("[(" if i == 0 else ") (") + v._names[i] + " ")
         else:
             raise GilError(f"cannot serialize value of type {type(v).__name__}")
     return "".join(out)

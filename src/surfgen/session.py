@@ -41,7 +41,6 @@ the egos it enters.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -81,7 +80,7 @@ from .engine import (
     realize,
 )
 from .gil import FeatureStructure, is_atom
-from .tgl import FunCall, Grammar, Literal, Registries, Rule, RuleCall, eval_selector
+from .tgl import FunCall, Grammar, Literal, Registries, Rule, eval_selector
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ class GenerationSession:
         self.memo: Optional[MemoCache] = MemoCache() if use_memo else None
         self.memory: dict = {}
         self.stats = Stats()
-        self._node_ids = itertools.count(1)
+        self._next_id = 1  # the next feature node id to hand out
         self._layers: list[Layer] = [Layer([], None, 0)]
         self._shown: Optional[Shown] = None  # set once the first derivation exists
         # the shown solution's egos on a copy of the root layer's graph
@@ -192,7 +191,9 @@ class GenerationSession:
     # -- construction -------------------------------------------------------
 
     def _new_node(self) -> int:
-        return next(self._node_ids)
+        node_id = self._next_id
+        self._next_id += 1
+        return node_id
 
     def _trace(self, kind: str, depth: int, category: str = "", rule: str = "",
                detail: str = "") -> None:
@@ -308,20 +309,18 @@ class GenerationSession:
             self.stats.side_effects_run += 1
             if self.memo is not None:
                 self.memo.flush()
-        position_nodes = {
-            i: self._new_node()
-            for i, action in enumerate(rule.template)
-            if isinstance(action, RuleCall)
-        }
+        first = self._next_id  # the constituents' ids, in call order
+        self._next_id += rule.constituents().calls
+        nodes = tuple(range(first, self._next_id))
         try:
-            node.obligations = apply_constraints(rule, node.node_id,
-                                                 position_nodes, self.graph,
-                                                 self._layers[-1])
+            node.obligations = apply_constraints(rule, node.node_id, nodes,
+                                                 self.graph, self._layers[-1])
         except ConstraintClash as clash:
             self.stats.constraint_clashes += 1
             return str(clash), any(o not in self._layers for o in clash.owners)
         sink = node.children
-        for i, action in enumerate(rule.template):
+        k = 0
+        for action in rule.template:
             if isinstance(action, Literal):
                 sink.append(LiteralTok(action.text))
             elif isinstance(action, FunCall):
@@ -330,13 +329,14 @@ class GenerationSession:
                     return f"argument of {action.name!r} is absent", False
                 sink.append(segment)
             else:
+                node_id = nodes[k]
+                k += 1
                 sub = eval_selector(action.selector, fs, self.registries.selectors)
                 if not isinstance(sub, FeatureStructure):
                     if action.optional:
                         continue
                     return f"selector for {action.category} is absent", False
-                if not self._generate(action.category, sub, position_nodes[i],
-                                      sink, depth):
+                if not self._generate(action.category, sub, node_id, sink, depth):
                     if action.optional:
                         continue
                     return f"no {action.category} derivation", False
@@ -444,8 +444,6 @@ class GenerationSession:
         point and every point around it), or None when the rule failed and
         was consumed.  Only rules inside the new ego subtree fire.
         """
-        if not point.remainder:
-            return None
         rule = point.remainder[0]
         self.stats.bt_expansions += 1
         self._trace("expand", 0, point.category, rule.name, f"B{point.id}")

@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NoReturn, Optional, Union
+from typing import Callable, NamedTuple, NoReturn, Optional, Union
 
 from .gil import (
     INT,
@@ -165,19 +165,26 @@ ConstituentRef = Union[Lhs, Rhs]
 
 
 @dataclass(frozen=True)
-class Assign:
+class Equation:
+    """``(FEAT ref :VAL atom)``, one ref bound to ``value``, or
+    ``(FEAT ref ref+)``, two or more distinct refs equated, ``value`` None."""
+
     feature: str
-    at: ConstituentRef
-    value: Atom
+    refs: tuple  # ConstituentRefs
+    value: Optional[Atom] = None
 
 
-@dataclass(frozen=True)
-class Equate:
-    feature: str
-    at: tuple  # >= 2 distinct ConstituentRefs
+class Constituents(NamedTuple):
+    """A rule's constraint references resolved against its template.
 
+    ``calls`` is the number of the template's :RULE and :OPTRULE calls;
+    ``equations`` holds each equation as (((k, feature), ...), value),
+    where k is -1 for LHS, the 0-based number of the call a ref names, or
+    None when the template has no such call.
+    """
 
-ConstraintEquation = Union[Assign, Equate]
+    calls: int
+    equations: tuple
 
 
 @dataclass(frozen=True)
@@ -187,24 +194,40 @@ class Rule:
     test: Expr
     template: tuple  # non-empty Actions
     side_effects: tuple = ()  # FunCalls
-    constraints: tuple = ()  # ConstraintEquations
+    constraints: tuple = ()  # Equations
     line: int = 0
-    # constituent_positions, made on the first call: every fire reads it,
-    # and a rule whose constraints name no constituent never makes it
-    _positions: Optional[dict] = field(default=None, init=False, repr=False,
-                                       compare=False)
+    # constituents(), made on the first call.  A field, not a cached_property:
+    # writing the instance __dict__ makes every attribute read of the rule
+    # about three times slower
+    _constituents: Optional[Constituents] = field(default=None, init=False,
+                                                  repr=False, compare=False)
 
-    def constituent_positions(self) -> dict[tuple[str, int], int]:
-        """Map (category, k) to the template index of its k-th call."""
-        if self._positions is None:
-            seen: dict[str, int] = {}
-            out: dict[tuple[str, int], int] = {}
-            for i, action in enumerate(self.template):
-                if isinstance(action, RuleCall):
-                    seen[action.category] = seen.get(action.category, 0) + 1
-                    out[(action.category, seen[action.category])] = i
-            object.__setattr__(self, "_positions", out)
-        return self._positions
+    def constituents(self) -> Constituents:
+        """The rule's constraint references resolved against its template."""
+        if self._constituents is not None:
+            return self._constituents
+        numbers: dict[tuple[str, int], int] = {}  # (category, k) -> call number
+        seen: dict[str, int] = {}
+        for action in self.template:
+            if type(action) is RuleCall:
+                k = seen[action.category] = seen.get(action.category, 0) + 1
+                numbers[action.category, k] = len(numbers)
+        equations = []
+        for eq in self.constraints:
+            slots = []
+            for ref in eq.refs:
+                slots.append((-1 if type(ref) is Lhs else
+                              numbers.get((ref.category, ref.occurrence)), eq.feature))
+            equations.append((tuple(slots), eq.value))
+        object.__setattr__(self, "_constituents",
+                           Constituents(len(numbers), tuple(equations)))
+        return self._constituents
+
+    def missing_refs(self) -> list:
+        """The constituent references no template call answers, in order."""
+        return [ref for eq, (slots, _) in zip(self.constraints,
+                                              self.constituents().equations)
+                for ref, (k, _) in zip(eq.refs, slots) if k is None]
 
 
 @dataclass
@@ -464,7 +487,7 @@ class _GrammarReader:
         items = form[1]
         template: list[Action] = []
         side_effects: list[FunCall] = []
-        constraints: list[ConstraintEquation] = []
+        constraints: list[Equation] = []
         if not items or items[0][0] != "keyword" or items[0][1] != "TEMPLATE":
             self.fail(":ACTIONS must start with :TEMPLATE", form)
         i = 1
@@ -515,7 +538,7 @@ class _GrammarReader:
         return RuleCall(args[0][1].upper(), self.expr(args[1], True),
                         optional=(op == "OPTRULE"))
 
-    def equation(self, form) -> ConstraintEquation:
+    def equation(self, form) -> Equation:
         items = form[1]
         if not items or items[0][0] != "symbol":
             self.fail("equation wants a feature name", form)
@@ -530,12 +553,12 @@ class _GrammarReader:
                 self.fail(":VAL wants exactly one atom", form)
             if len(refs) != 1:
                 self.fail("value assignment wants exactly one constituent", form)
-            return Assign(feature, refs[0], self.atom(items[i + 1]))
+            return Equation(feature, tuple(refs), self.atom(items[i + 1]))
         if len(refs) < 2:
             self.fail("equation needs :VAL or at least two constituents", form)
         if len(set(map(str, refs))) != len(refs):
             self.fail("equated constituents must be distinct", form)
-        return Equate(feature, tuple(refs))
+        return Equation(feature, tuple(refs))
 
     def ref(self, form) -> ConstituentRef:
         kind, value, _ = form
@@ -625,10 +648,11 @@ def _fmt_action(a: Action) -> str:
     raise TypeError(a)
 
 
-def _fmt_equation(e: ConstraintEquation) -> str:
-    if isinstance(e, Assign):
-        return f"({e.feature} {e.at} :VAL {_fmt_atom(e.value)})"
-    return "(" + " ".join([e.feature] + [str(r) for r in e.at]) + ")"
+def _fmt_equation(e: Equation) -> str:
+    words = [e.feature] + [str(r) for r in e.refs]
+    if e.value is not None:
+        words += [":VAL", _fmt_atom(e.value)]
+    return "(" + " ".join(words) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -845,14 +869,11 @@ def validate_grammar(grammar: Grammar, registries: Registries,
         _check_names(rule.test, rule, registries, error)
         for call in rule.side_effects:
             _check_fun(call, rule, registries, error, side_effect=True)
-        for eq in rule.constraints:
-            refs = [eq.at] if isinstance(eq, Assign) else list(eq.at)
-            for ref in refs:
-                if isinstance(ref, Rhs) and (ref.category, ref.occurrence) \
-                        not in rule.constituent_positions():
-                    error(f"constraint names constituent {ref} "
-                          f"but the template has no such call",
-                          rule.name, rule.line)
+        if any(isinstance(ref, Rhs) for eq in rule.constraints for ref in eq.refs):
+            for ref in rule.missing_refs():
+                error(f"constraint names constituent {ref} "
+                      f"but the template has no such call",
+                      rule.name, rule.line)
         if _optional_subtree_constrained(rule, grammar):
             warn("optional constituent leads to rules with constraints; "
                  "their inclusion follows the first derivation's context",

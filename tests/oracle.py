@@ -12,7 +12,7 @@ import itertools
 
 from surfgen.gil import FeatureStructure, Sym, is_atom
 from surfgen.morpho import inflect
-from surfgen.tgl import FunCall, Literal, RuleCall, eval_selector, eval_test
+from surfgen.tgl import FunCall, Lhs, Literal, Rhs, RuleCall, eval_selector, eval_test
 
 
 class OracleOverflow(Exception):
@@ -108,22 +108,21 @@ def oracle_solutions(grammar, input_fs, registries, start=None,
             for i, action in enumerate(rule.template)
             if isinstance(action, RuleCall)
         }
-        index = rule.constituent_positions()
-
-        def node_of(ref):
-            if ref.__class__.__name__ == "Lhs":
-                return lhs
-            return positions[index[(ref.category, ref.occurrence)]]
+        named = {Lhs(): lhs}  # a constituent reference -> its node
+        seen = {}  # category -> calls of it so far
+        for i, node in positions.items():
+            category = rule.template[i].category
+            seen[category] = seen.get(category, 0) + 1
+            named[Rhs(category, seen[category])] = node
 
         for eq in rule.constraints:
-            if hasattr(eq, "value"):  # Assign
-                if not st.bind((node_of(eq.at), eq.feature), eq.value):
+            slots = [(named[ref], eq.feature) for ref in eq.refs]
+            if eq.value is not None:
+                if not st.bind(slots[0], eq.value):
                     return []
-            else:
-                slots = [(node_of(r), eq.feature) for r in eq.at]
-                for other in slots[1:]:
-                    if not st.union(slots[0], other):
-                        return []
+            for other in slots[1:]:
+                if not st.union(slots[0], other):
+                    return []
 
         branches = [([], st)]
         for i, action in enumerate(rule.template):

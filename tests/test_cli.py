@@ -285,6 +285,39 @@ def test_custom_lexicon_flag(paths, tmp_path):
     assert out == "Prof. Zweig will Sie am Freitag sehen\n"
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--lexicon", "meet | vform=inf sehen\n",
+     "line 1: cell 'vform=inf sehen' lacks '->'"),
+    ("--criteria", "dup\ndup\n", "criteria name a rule more than once"),
+])
+def test_malformed_lexicon_or_criteria_file_is_an_input_error(
+        paths, tmp_path, flag, text, message):
+    bad = tmp_path / "bad"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(["generate", "--grammar", paths["appointment"],
+                          "--input", paths["meeting"], flag, str(bad)])
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {bad}: {message}\n")
+
+
+def test_negative_max_is_a_usage_error(paths):
+    code, out, err = run(["generate", "--grammar", paths["appointment"],
+                          "--input", paths["meeting"], "--max", "-1"])
+    assert (code, out, err) == (EXIT_ERROR, "", "error: --max must be >= 0\n")
+
+
+def test_word_form_error_while_generating_exits_two(tmp_path):
+    grammar = tmp_path / "g.tgl"
+    grammar.write_text('(DEFPRODUCTION "day" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+                       ' :ACTIONS (:TEMPLATE (:FUN (weekday 9)))))',
+                       encoding="utf-8")
+    doc = tmp_path / "doc.gil"
+    doc.write_text("[]", encoding="utf-8")
+    code, out, err = run(["generate", "--grammar", str(grammar),
+                          "--input", str(doc)])
+    assert (code, out, err) == \
+        (EXIT_ERROR, "", "error: weekday wants an integer 1..7, got 9\n")
+
+
 def test_deeply_nested_input_follows_the_exit_code_contract(paths, tmp_path):
     # the GIL reader has no recursion ceiling: 100,000 levels parse, and the
     # demo grammar finds no solution in them

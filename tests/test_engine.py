@@ -21,6 +21,7 @@ from surfgen.session import GenerationSession
 from surfgen.tgl import Registries, Registry, parse_grammar
 
 from .grammars import counting_functions
+from .oracle import oracle_solutions
 from .test_backtrack import AGREEMENT_GRAMMAR
 
 
@@ -179,7 +180,7 @@ def test_apply_constraints_assign():
         ' :ACTIONS (:TEMPLATE (:RULE NP (SELF)) :CONSTRAINTS (CASE (NP) :VAL akk))))'
     )
     graph = FeatureGraph(Trail())
-    obligations = apply_constraints(rule, lhs_node=1, position_nodes={0: 2},
+    obligations = apply_constraints(rule, lhs_node=1, nodes=(2,),
                                     graph=graph)
     assert graph.value((2, "CASE")) == Sym("akk")
     assert obligations == [Obligation(((2, "CASE"),), Sym("akk"))]
@@ -192,7 +193,7 @@ def test_equate_then_assign_percolates():
         ' :CONSTRAINTS (NUM LHS (NP)) (NUM LHS :VAL sg))))'
     )
     graph = FeatureGraph(Trail())
-    apply_constraints(rule, lhs_node=1, position_nodes={0: 2}, graph=graph)
+    apply_constraints(rule, lhs_node=1, nodes=(2,), graph=graph)
     assert graph.value((2, "NUM")) == Sym("sg")
 
 
@@ -204,7 +205,7 @@ def test_assign_conflict_is_a_clash():
     )
     graph = FeatureGraph(Trail())
     with pytest.raises(ConstraintClash):
-        apply_constraints(rule, lhs_node=1, position_nodes={0: 2}, graph=graph)
+        apply_constraints(rule, lhs_node=1, nodes=(2,), graph=graph)
 
 
 def test_same_value_reassignment_is_fine():
@@ -226,6 +227,36 @@ def test_overwrite_fails_rule_in_generation(regs):
     )
     sols = [s.text for s in GenerationSession(g, regs).solutions(FeatureStructure())]
     assert sols == ["good"]
+
+
+def test_a_point_whose_every_rule_clashes_with_a_closed_sibling_stays_open(regs):
+    """Both B rules clash with a1's binding, a closed sibling's: B's point
+    joins the derivation with no variant, and both its rules wait for a
+    retry under the always-present context."""
+    rules = "".join(
+        f'(DEFPRODUCTION "{name}" (:PRECOND (:CAT {name[0]} :TEST ((TRUE)))'
+        f' :ACTIONS (:TEMPLATE "{name}" :CONSTRAINTS (F LHS :VAL {value}))))\n'
+        for name, value in (("a1", "x"), ("a2", "y"), ("b1", "y"), ("b2", "z")))
+    g = parse_grammar(
+        '(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+        ' :ACTIONS (:TEMPLATE (:RULE A (SELF)) (:RULE B (SELF))'
+        ' :CONSTRAINTS (F (A) (B)))))\n' + rules)
+    session = GenerationSession(g, regs)
+    texts = [s.text for s in session.solutions(FeatureStructure())]
+    assert texts == ["a2 b1"] == oracle_solutions(g, FeatureStructure(), regs)
+    assert session.stats.constraint_clashes == 2
+
+
+def test_unvalidated_constraint_naming_no_constituent_is_an_engine_error(regs):
+    g = parse_grammar('(DEFPRODUCTION "c" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+                      ' :ACTIONS (:TEMPLATE (:RULE NP (SELF))'
+                      ' :CONSTRAINTS (F (NP 2) :VAL x))))\n'
+                      '(DEFPRODUCTION "np" (:PRECOND (:CAT NP :TEST ((TRUE)))'
+                      ' :ACTIONS (:TEMPLATE "np")))')
+    with pytest.raises(EngineError) as raised:
+        list(GenerationSession(g, regs).solutions(FeatureStructure()))
+    assert str(raised.value) == ("rule 'c': constraint names (NP 2) but the "
+                                 "template has no such constituent")
 
 
 # --- trail -------------------------------------------------------------------

@@ -276,11 +276,10 @@ def test_serialize_roundtrips_generated_documents(make):
     for seed in range(200):
         rng = random.Random(seed)
         fs = parse_gil(random_input(rng) if make == "random" else hard_input(rng))
-        for pretty in (False, True):
-            text = serialize_gil(fs, pretty)
-            again = parse_gil(text)
-            assert fs_equal(again, fs), text
-            assert serialize_gil(again, pretty) == text
+        text = serialize_gil(fs)
+        again = parse_gil(text)
+        assert fs_equal(again, fs), text
+        assert serialize_gil(again) == text
         shared += "#1=" in text
     assert shared > 0 or make == "random"
 
@@ -359,13 +358,6 @@ def _random_structure(rng: random.Random, depth: int) -> FeatureStructure:
             value = _random_structure(rng, depth + 1)
         pairs.append((name, value))
     return FeatureStructure(pairs)
-
-
-def test_pretty_serialization_roundtrips(meeting_text):
-    fs = parse_gil(meeting_text)
-    pretty = serialize_gil(fs, pretty=True)
-    assert "\n" in pretty
-    assert fs_equal(parse_gil(pretty), fs)
 
 
 def test_get_path_through_shared_node(meeting_fs):

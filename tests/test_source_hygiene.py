@@ -1,14 +1,15 @@
 """Source hygiene of the library, by a scan of its syntax trees.
 
-Six kinds of dead code are refused in ``src/surfgen``: a module-level
+Seven kinds of dead code are refused in ``src/surfgen``: a module-level
 import that its module never uses (nor lists in ``__all__``), a private
 (``_name``) function, method or class that nothing in the package refers to,
 a public method that nothing in the package, its tests or its benchmark
 reads as an attribute, a public module-level function, class or constant
 that nothing in the package or its benchmark reads and ``surfgen.__all__``
 does not export, a name in a ``__slots__`` that nothing in the package
-reads, and an attribute assigned on ``self`` that nothing in the package or
-its benchmark reads.  So are two classes that define the same set of two or
+reads, an attribute assigned on ``self`` that nothing in the package or
+its benchmark reads, and a defaulted parameter that no call in the package
+or its benchmark passes.  So are two classes that define the same set of two or
 more public methods: a second implementation of one protocol.  Every name
 that ``surfgen.__all__`` exports is shown in the README's code.
 """
@@ -217,3 +218,73 @@ def test_no_two_classes_implement_the_same_protocol():
                 by_methods.setdefault(methods, []).append(f"{name}: {cls.name}")
     twins = [sorted(classes) for classes in by_methods.values() if len(classes) > 1]
     assert not twins, f"classes with the same public methods: {twins}"
+
+
+def calls_made(*tops: str) -> dict:
+    """Per called name, as a bare name or an attribute, the calls the
+    Python files under the given top-level directories make to it: each as
+    (positional arguments, keywords), where a starred argument counts as
+    any number and ``**`` as any keyword."""
+    calls: dict = {}
+    for top in tops:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                           str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else \
+                    callee.attr if isinstance(callee, ast.Attribute) else None
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (float("inf") if starred else len(node.args),
+                     {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A defaulted parameter that no call in the package or its benchmark
+    passes is an option nothing uses.  Calls are matched by name; a call
+    to a class, or to a class derived from it, is a call to its
+    ``__init__``.  What ``surfgen.__all__`` exports and the methods of the
+    classes it exports are exempt: they are the library's interface."""
+    calls = calls_made("src", "perfbench")
+    trees = modules()
+    bases = {cls.name: {b.id for b in cls.bases if isinstance(b, ast.Name)}
+             for tree in trees.values()
+             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)}
+
+    def derived(name: str) -> set:
+        out = {name}
+        while grown := {c for c, b in bases.items() if b & out} - out:
+            out |= grown
+        return out
+
+    unpassed = []
+    for module, tree in trees.items():
+        owner = {id(stmt): cls.name
+                 for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for stmt in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(fn))
+            if fn.name in surfgen.__all__ or cls in surfgen.__all__:
+                continue
+            names = derived(cls) if fn.name == "__init__" else {fn.name}
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            offset = 1 if cls and not static else 0
+            args = fn.args.posonlyargs + fn.args.args
+            params = [(arg.arg, i - offset)
+                      for i, arg in enumerate(args)
+                      if i >= len(args) - len(fn.args.defaults)]
+            params += [(arg.arg, None) for arg, default
+                       in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                       if default is not None]
+            made = [call for name in names for call in calls.get(name, ())]
+            unpassed += [f"{module}: {fn.name}({param}=)" for param, i in params
+                         if not any(param in kws or None in kws
+                                    or i is not None and positional > i
+                                    for positional, kws in made)]
+    assert not unpassed, f"defaulted parameters no call passes: {unpassed}"

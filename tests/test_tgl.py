@@ -14,8 +14,7 @@ from surfgen.prefs import make_session
 from surfgen.tgl import (
     LEAF_SELECTORS,
     LEAF_TESTS,
-    Assign,
-    Equate,
+    Equation,
     Expr,
     FunCall,
     Lhs,
@@ -61,7 +60,7 @@ def test_parse_vp_rule():
     cats = [(a.category, a.optional) for a in rule.template]
     assert cats == [("NP", False), ("PP", True), ("PPDUR", True),
                     ("PP", True), ("INF", False)]
-    assert rule.constraints == (Assign("CASE", Rhs("NP", 1), Sym("akk")),)
+    assert rule.constraints == (Equation("CASE", (Rhs("NP", 1),), Sym("akk")),)
 
 
 def test_parse_one_rule_canned_text():
@@ -122,7 +121,7 @@ def test_constraint_keyword_spellings():
     for kw in (":CONSTRAINT", ":CONSTRAINTS"):
         g = parse_grammar(f'(DEFPRODUCTION "k" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
                           f' :ACTIONS (:TEMPLATE "a" {kw} (F LHS :VAL v))))')
-        assert g.rules[0].constraints == (Assign("F", Lhs(), Sym("v")),)
+        assert g.rules[0].constraints == (Equation("F", (Lhs(),), Sym("v")),)
 
 
 def test_equate_parse():
@@ -130,7 +129,7 @@ def test_equate_parse():
                       ' :ACTIONS (:TEMPLATE (:RULE NP (SELF))'
                       ' :CONSTRAINTS (NUM LHS (NP)))))')
     eq = g.rules[0].constraints[0]
-    assert eq == Equate("NUM", (Lhs(), Rhs("NP", 1)))
+    assert eq == Equation("NUM", (Lhs(), Rhs("NP", 1)))
 
 
 def test_side_effects_parse():
@@ -281,6 +280,28 @@ def test_validate_checks_side_effect_argument_names():
     diags = validate_grammar(g, Registries.standard())
     assert [(d.severity, d.message) for d in diags] == \
         [(Severity.ERROR, "unknown selector 'nope'")]
+
+
+def test_validate_side_effect_in_a_template_is_an_error():
+    g = parse_grammar('(DEFPRODUCTION "s" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+                      ' :ACTIONS (:TEMPLATE (:FUN (note done)))))')
+    diags = validate_grammar(g, Registries.standard())
+    assert [(d.severity, d.message) for d in diags] == \
+        [(Severity.ERROR, "side effect 'note' cannot appear in a template")]
+
+
+def test_validate_warns_when_an_optional_constituent_reaches_constraints():
+    g = parse_grammar('(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+                      ' :ACTIONS (:TEMPLATE (:OPTRULE A (SELF)))))\n'
+                      '(DEFPRODUCTION "a" (:PRECOND (:CAT A :TEST ((TRUE)))'
+                      ' :ACTIONS (:TEMPLATE (:RULE B (SELF)))))\n'
+                      '(DEFPRODUCTION "b" (:PRECOND (:CAT B :TEST ((TRUE)))'
+                      ' :ACTIONS (:TEMPLATE "b" :CONSTRAINTS (F LHS :VAL x))))')
+    diags = validate_grammar(g, Registries.standard())
+    assert [(d.severity, d.rule, d.message) for d in diags] == [(
+        Severity.WARNING, "top",
+        "optional constituent leads to rules with constraints; their "
+        "inclusion follows the first derivation's context")]
 
 
 # --- test evaluation ---------------------------------------------------------
