@@ -178,6 +178,10 @@ def locator(text: str) -> Callable[[int], tuple[int, int]]:
     return where
 
 
+class _Located(str):
+    """A lexeme that knows its offset in the text, ``at``."""
+
+
 class Scanner:
     """A language's lexemes, read by one ``findall`` of one plain pattern.
 
@@ -192,13 +196,15 @@ class Scanner:
     lexeme before it, and a reader reports a syntax error only once all
     lexemes are read, so a malformed token anywhere in the text is the
     error reported.  ``hints`` gives the message for a character that
-    starts no token.
+    starts no token.  ``bare_lexemes`` reads the same alternatives, at the
+    same offsets, without the blanks that follow them.
     """
 
     def __init__(self, error: type, hints: dict, *tokens: str):
-        self.token = re.compile(
-            "(?:" + "|".join(tokens) + r"|;[^\n]*|[ \t\r\n])[ \t\r\n]*")
-        self.pattern = re.compile(self.token.pattern + r"|[\s\S]+")
+        self.tokens = "|".join(tokens)
+        self.token = re.compile("(?:" + self.tokens + r"|;[^\n]*|[ \t\r\n])[ \t\r\n]*")
+        # each compiled on its first use: a reader reads one of the two forms
+        self.pattern = self.bare = None
         self.error = error
         self.hints = hints
 
@@ -209,6 +215,8 @@ class Scanner:
         Reading ends at the end of the text, or at the start of a last
         comment that no newline ends, which then stays a lexeme.
         """
+        if self.pattern is None:
+            self.pattern = re.compile(self.token.pattern + r"|[\s\S]+")
         lexemes = self.pattern.findall(text)
         last = lexemes[-1] if lexemes else ""
         at = len(text) - len(last)
@@ -216,6 +224,34 @@ class Scanner:
             lexemes.pop()
             return lexemes, at, True
         return lexemes, at if last[:1] == ";" and "\n" not in last else len(text), False
+
+    def bare_lexemes(self, text: str, located: bool = False) -> tuple[list, Optional[int]]:
+        """The lexemes of ``text`` bare, and the offset of a malformed rest,
+        taken off them, or None.
+
+        A bare lexeme is a token or a ``;`` comment without the blanks that
+        follow it, the blanks from a newline on up to the next lexeme, or a
+        blank that starts the text, so a reader can count lines but knows
+        no offsets.  With ``located`` each lexeme is a ``str`` that knows
+        its offset, ``at``: that is for reading a text again to place its
+        error.
+        """
+        if self.bare is None:  # the blanks after a lexeme fall outside the group
+            self.bare = re.compile("(" + self.tokens + r"|;[^\n]*|\n[ \t\r\n]*|[ \t\r]"
+                                   r"|[\s\S]+)[ \t\r]*")
+        if located:
+            lexemes = []
+            for match in self.bare.finditer(text):
+                lexeme = _Located(match[1])
+                lexeme.at = match.start()
+                lexemes.append(lexeme)
+        else:
+            lexemes = self.bare.findall(text)
+        last = lexemes[-1] if lexemes else ""
+        if last and not self.token.fullmatch(last):
+            lexemes.pop()
+            return lexemes, len(text) - len(last)
+        return lexemes, None
 
     def fail(self, message: str, text: str, at: int) -> NoReturn:
         raise self.error(message, *locator(text)(at))

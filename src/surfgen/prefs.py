@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .backtrack import BacktrackPoint, BTTable
@@ -56,9 +55,19 @@ class Criterion:
 
 @dataclass(frozen=True)
 class CriteriaSpec:
+    """Criteria and how they order solutions.  ``weights``, ``scaled`` and
+    ``point_rank`` are made with the spec.  They are fields, not cached
+    properties: writing the instance ``__dict__`` after the spec is made
+    slows every later attribute read of it."""
+
     criteria: tuple = ()
     mode: str = "first-solution-bias"
     weight_formula: str = "per-occurrence"
+    weights: dict = field(init=False, repr=False, compare=False)  # rule name -> weight
+    # the weights over their least common denominator: ((rule name,
+    # numerator), ...) in criteria order, and the denominator
+    scaled: tuple = field(init=False, repr=False, compare=False)
+    point_rank: object = field(init=False, repr=False, compare=False)  # see _point_rank
 
     def __post_init__(self):
         names = [c.rule_name for c in self.criteria]
@@ -68,52 +77,46 @@ class CriteriaSpec:
             raise CriteriaError(f"unknown mode {self.mode!r}")
         if self.weight_formula not in FORMULAS:
             raise CriteriaError(f"unknown weight formula {self.weight_formula!r}")
-
-    @cached_property
-    def weights(self) -> dict[str, Fraction]:
-        return {c.rule_name: c.weight for c in self.criteria}
-
-    @cached_property
-    def scaled(self) -> tuple[tuple[tuple[str, int], ...], int]:
-        """The weights over their least common denominator: ((rule name,
-        numerator), ...) in criteria order, and the denominator."""
+        weights = {c.rule_name: c.weight for c in self.criteria}
         denominator = math.lcm(*(c.weight.denominator for c in self.criteria))
-        return (tuple((c.rule_name,
-                       c.weight.numerator * (denominator // c.weight.denominator))
-                      for c in self.criteria), denominator)
-
-    @cached_property
-    def point_rank(self):
-        """The key by which a table indexes open backtrack points for
-        ``choose_backtrack_point``, lowest first; None without criteria.
-        Only points whose remainder holds a c-rule have a key: under
-        weight-ranked the heaviest such rule's weight, negated, and 0 for
-        all of them otherwise.  A key can only rise, or become None, as the
-        remainder shrinks."""
-        weights = self.weights
-        if not weights:
-            return None
-        if self.mode == "first-solution-bias":
-            def rank(point):
-                for rule in point.remainder:
-                    if rule.name in weights:
-                        return 0
-                return None
-        else:
-            def rank(point):
-                top = None
-                for rule in point.remainder:
-                    weight = weights.get(rule.name)
-                    if weight is not None and (top is None or weight > top):
-                        top = weight
-                return None if top is None else -top
-        return rank
+        scaled = (tuple((c.rule_name,
+                         c.weight.numerator * (denominator // c.weight.denominator))
+                        for c in self.criteria), denominator)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "point_rank", _point_rank(weights, self.mode))
 
     def is_c_rule(self, rule_name: str) -> bool:
         return rule_name in self.weights
 
     def weight_of(self, rule_name: str) -> Optional[Fraction]:
         return self.weights.get(rule_name)
+
+
+def _point_rank(weights: dict, mode: str):
+    """The key by which a table indexes open backtrack points for
+    ``choose_backtrack_point``, lowest first; None without criteria.
+    Only points whose remainder holds a c-rule have a key: under
+    weight-ranked the heaviest such rule's weight, negated, and 0 for
+    all of them otherwise.  A key can only rise, or become None, as the
+    remainder shrinks."""
+    if not weights:
+        return None
+    if mode == "first-solution-bias":
+        def rank(point):
+            for rule in point.remainder:
+                if rule.name in weights:
+                    return 0
+            return None
+    else:
+        def rank(point):
+            top = None
+            for rule in point.remainder:
+                weight = weights.get(rule.name)
+                if weight is not None and (top is None or weight > top):
+                    top = weight
+            return None if top is None else -top
+    return rank
 
 
 EMPTY_SPEC = CriteriaSpec()

@@ -224,10 +224,16 @@ class Rule:
         return self._constituents
 
     def missing_refs(self) -> list:
-        """The constituent references no template call answers, in order."""
-        return [ref for eq, (slots, _) in zip(self.constraints,
-                                              self.constituents().equations)
-                for ref, (k, _) in zip(eq.refs, slots) if k is None]
+        """The constituent references no template call answers, in order.
+        They are read off the template, so ``constituents()`` is not made."""
+        refs = [ref for eq in self.constraints for ref in eq.refs if type(ref) is Rhs]
+        if not refs:
+            return refs
+        calls: dict[str, int] = {}  # category -> its :RULE and :OPTRULE calls
+        for action in self.template:
+            if type(action) is RuleCall:
+                calls[action.category] = calls.get(action.category, 0) + 1
+        return [ref for ref in refs if not 1 <= ref.occurrence <= calls.get(ref.category, 0)]
 
 
 @dataclass
@@ -256,156 +262,203 @@ class Grammar:
 
 
 # ---------------------------------------------------------------------------
-# Reader: one loop over the shared scanner's lexemes, told apart by their
-# first characters, nests lists as they open and close and makes each
-# top-level form a rule once it closes.  Every item is a triple (kind,
-# value, offset): a token, or ("list", items, offset of its '(').  A leaf
-# test or selector is read by its operator's row.  Errors
-# keep the scanner's order: a malformed token first (a refused int() at
-# once, the malformed rest after the loop), then an unmatched or unbalanced
-# parenthesis, then the error of the first form that fails.
+# Reader: one loop over the shared scanner's bare lexemes, told apart by
+# their first characters, nests lists as they open and close and makes each
+# top-level form a rule once it closes.  An item is a token's text, or a
+# list whose first element is the '(' that opens it and whose others are
+# its items; no kind, value or offset is kept beside them.  A token's kind
+# is read off its first character where the token is used: a letter starts
+# a symbol, ':' a keyword, '"' a string, and anything else an integer, which
+# the loop has checked.  A leaf test or selector is read by its operator's
+# row.  A run of ')' is one lexeme, which closes as many lists.  The loop
+# counts lines from the lexemes that are blanks from a newline on, which
+# gives each rule its line.  An error is placed only when it is raised: the
+# first read raises _Unplaced, and parse_grammar reads the text again with
+# lexemes that know their offsets, which fails at the same item and gives
+# its line and column.  Errors keep the scanner's order: a malformed token
+# first (a refused int() at once, the malformed rest after the loop), then
+# an unmatched or unbalanced parenthesis, then the error of the first form
+# that fails.
 
-_ACTION_OPS = ("RULE", "OPTRULE", "FUN")
+_TOKEN_STARTS = LETTERS + ':"'
+_LHS = Lhs()
 
 _SCANNER = Scanner(TglError, {":": "expected a keyword name after ':'"},
-                   r"[()]", r"[A-Za-z][A-Za-z0-9_.-]*", r":[A-Za-z0-9_.-]+", STRING, INT)
+                   r"\(|\)+", r"[A-Za-z][A-Za-z0-9_.-]*", r":[A-Za-z0-9_.-]+", STRING, INT)
+
+
+class _Unplaced(TglError):
+    """An error of a read whose lexemes do not know their offsets."""
+
+
+def _symbol(item) -> bool:
+    return type(item) is not list and item is not None and item[0] in LETTERS
+
+
+def _upper(item) -> Optional[str]:
+    """A token's text upper-cased, so a keyword keeps its ':'; None for a
+    list."""
+    return None if type(item) is list else item.upper()
 
 
 class _GrammarReader:
-    def __init__(self, text: str):
+    def __init__(self, text: str, located: bool):
         self.text = text
-        self.where = locator(text)
+        self.located = located
+        self.symbols: dict[str, Sym] = {}  # one symbol per spelling
 
-    def fail(self, message: str, item) -> NoReturn:
-        raise TglError(message, *self.where(item[2]))
+    def fail(self, message: str, item, skip: int = 0) -> NoReturn:
+        """Raise for an item, or for the character ``skip`` places into a
+        token."""
+        if not self.located:
+            raise _Unplaced(message)
+        at = (item[0] if type(item) is list else item).at + skip
+        raise TglError(message, *locator(self.text)(at))
 
     def parse(self) -> Grammar:
-        """The grammar of the text; only one form's items are held at a
-        time."""
-        text = self.text
-        lexemes, end, malformed = _SCANNER.lexemes(text)
+        """The grammar of the text.  Only one form's items are held at a
+        time: bare token texts, and lists headed by their '('."""
+        lexemes, malformed = _SCANNER.bare_lexemes(self.text, self.located)
         grammar = Grammar()
         error = None  # the first error in a form, raised once all are read
         forms: list = []  # top-level items not yet made rules
         items = forms  # the innermost open list's items
         outer: list = []  # the items of the lists around it
-        unmatched = None  # offset of the first ')' that closes nothing
-        at = 0
+        unmatched = None  # the first run of ')' with one that closes nothing
+        line = form_line = 1  # the line of the lexeme; of the open form
         for lexeme in lexemes:
-            first = lexeme[0]
-            if first == "(":
-                inner: list = []
-                items.append(("list", inner, at))
+            if lexeme == "(":
+                if not outer:
+                    form_line = line
+                inner = [lexeme]
+                items.append(inner)
                 outer.append(items)
                 items = inner
-            elif first == ")":
-                if outer:
-                    items = outer.pop()
-                    if not outer and error is None:
-                        error = self.add_rules(forms, grammar)
-                elif unmatched is None:
-                    unmatched = at
-            elif first in LETTERS:
-                items.append(("symbol", lexeme.rstrip(), at))
-            elif first == ":":
-                items.append(("keyword", lexeme[1:].rstrip().upper(), at))
-            elif first == '"':
-                items.append(("string", unquote(lexeme.rstrip()), at))
-            elif first not in " \t\r\n;":  # '-' or a digit of any script
+            elif lexeme[0] in _TOKEN_STARTS:
+                items.append(lexeme)
+            elif lexeme[0] == ")":  # a run of them, each closing the innermost list
+                depth = len(outer) - len(lexeme)
+                if depth > 0:
+                    items = outer[depth]
+                    del outer[depth:]
+                else:
+                    if outer:
+                        items = forms
+                        if error is None:
+                            error = self.add_rules(forms, grammar, form_line)
+                    if depth < 0 and unmatched is None:
+                        unmatched = lexeme, len(outer)
+                    outer.clear()
+            elif lexeme[0] == "\n":
+                line += lexeme.count("\n")
+            elif lexeme[0] not in " \t\r;":  # '-' or a digit of any script
                 try:  # int() refuses more digits than its limit
-                    items.append(("int", int(lexeme), at))
+                    int(lexeme)
                 except ValueError as e:
-                    _SCANNER.fail(str(e), text, at)
-            at += len(lexeme)
-        if malformed:
-            _SCANNER._bad(text, end)
+                    self.fail(str(e), lexeme)
+                items.append(lexeme)
+        if malformed is not None:
+            _SCANNER._bad(self.text, malformed)
         if unmatched is not None:
-            _SCANNER.fail("unmatched ')'", text, unmatched)
+            self.fail("unmatched ')'", *unmatched)
         if outer:
-            self.fail("unbalanced '('", outer[-1][-1])
-        error = error or self.add_rules(forms, grammar)
+            self.fail("unbalanced '('", items)
+        error = error or self.add_rules(forms, grammar, line)
         if error:
             raise error
         return grammar
 
-    def add_rules(self, forms: list, grammar: Grammar) -> Optional[TglError]:
-        """Add the rules of the top-level forms, then forget the forms;
-        the error of the first that fails is returned, not raised."""
+    def add_rules(self, forms: list, grammar: Grammar, line: int) -> Optional[TglError]:
+        """Add the rules of the top-level forms, the last of which opens on
+        ``line``, then forget the forms; the error of the first that fails
+        is returned, not raised."""
         try:
             for form in forms:
-                grammar.add(self.production(form))
+                grammar.add(self.production(form, line))
         except TglError as e:
             return e
         forms.clear()
         return None
 
     def atom(self, item) -> Atom:
-        kind, value, _ = item
-        if kind == "symbol":
-            return Sym(value)
-        if kind == "string" or kind == "int":
-            return value
-        self.fail(f"expected an atom, found {kind}", item)
+        if type(item) is list:
+            self.fail("expected an atom, found list", item)
+        first = item[0]
+        if first in LETTERS:
+            return self.symbol(item)
+        if first == '"':
+            return unquote(item)
+        if first == ":":
+            self.fail("expected an atom, found keyword", item)
+        return int(item)
+
+    def symbol(self, token: str) -> Sym:
+        sym = self.symbols.get(token)
+        if sym is None:
+            sym = self.symbols[token] = Sym(token)
+        return sym
 
     def path(self, item) -> Path:
-        if item[0] != "symbol":
+        if not _symbol(item):
             self.fail("expected an attribute path", item)
         try:
-            return Path.parse(item[1])
+            return Path.parse(item)
         except ValueError as e:
             self.fail(str(e), item)
 
-    def production(self, form) -> Rule:
-        if form[0] != "list":
+    def production(self, form, line: int) -> Rule:
+        if type(form) is not list:
             self.fail("top level expects (DEFPRODUCTION ...)", form)
-        items = form[1]
-        if not items or items[0][0] != "symbol" or items[0][1].upper() != "DEFPRODUCTION":
+        if len(form) < 2 or not _symbol(form[1]) or form[1].upper() != "DEFPRODUCTION":
             self.fail("expected (DEFPRODUCTION ...)", form)
-        if len(items) != 3:
+        if len(form) != 4:
             self.fail("DEFPRODUCTION wants a name and a rule body", form)
-        name, body = items[1], items[2]
-        if name[0] != "string":
+        name, body = form[2], form[3]
+        if type(name) is list or name[0] != '"':
             self.fail("rule name must be a quoted string", name)
-        if body[0] != "list":
+        if type(body) is not list:
             self.fail("rule body must be a list", body)
 
-        found = {}
-        parts = body[1]
-        for i in range(0, len(parts), 2):
-            kind, key, _ = parts[i]
-            if kind != "keyword" or key != "PRECOND" and key != "ACTIONS":
-                self.fail("rule body allows :PRECOND and :ACTIONS", parts[i])
-            found[key] = parts[i + 1] if i + 1 < len(parts) else None
-        precond, actions = found.get("PRECOND"), found.get("ACTIONS")
-        if precond is None or precond[0] != "list":
+        precond = actions = None
+        parts = iter(body)
+        next(parts)  # its '('
+        for item in parts:
+            key = _upper(item)
+            if key == ":PRECOND":
+                precond = next(parts, None)
+            elif key == ":ACTIONS":
+                actions = next(parts, None)
+            else:
+                self.fail("rule body allows :PRECOND and :ACTIONS", item)
+        if type(precond) is not list:
             self.fail("missing (:PRECOND ...)", body)
-        if actions is None or actions[0] != "list":
+        if type(actions) is not list:
             self.fail("missing (:ACTIONS ...)", body)
 
         category, test = self.precond(precond)
         template, side_effects, constraints = self.actions(actions)
-        return Rule(name=name[1], category=category, test=test,
-                    template=template, side_effects=side_effects,
-                    constraints=constraints, line=self.where(form[2])[0])
+        return Rule(unquote(name), category, test, template, side_effects,
+                    constraints, line)
 
     def precond(self, form):
-        items = form[1]
         category = None
         test = _NULLARY["TRUE"]
-        for i in range(0, len(items), 2):
-            item = items[i]
-            kind, key, _ = item
-            value = items[i + 1] if i + 1 < len(items) else None
-            if kind == "keyword" and key == "CAT":
-                if value is None or value[0] != "symbol":
+        parts = iter(form)
+        next(parts)  # its '('
+        for item in parts:
+            key = _upper(item)
+            value = next(parts, None)
+            if key == ":CAT":
+                if not _symbol(value):
                     self.fail(":CAT wants a category symbol", item)
-                category = value[1].upper()
-            elif kind == "keyword" and key == "TEST":
-                if value is None or value[0] != "list":
+                category = value.upper()
+            elif key == ":TEST":
+                if type(value) is not list:
                     self.fail(":TEST wants a list of test expressions", item)
-                exprs = [self.expr(e) for e in value[1]]
-                test = Expr("AND", tuple(exprs)) if len(exprs) > 1 \
-                    else exprs[0] if exprs else test
+                if len(value) == 2:
+                    test = self.expr(value[1])
+                elif len(value) > 2:
+                    test = Expr("AND", tuple([self.expr(e) for e in value[1:]]))
             else:
                 self.fail(":PRECOND allows :CAT and :TEST", item)
         if category is None:
@@ -418,32 +471,39 @@ class _GrammarReader:
         stack, so that they may nest to any depth; a leaf needs none."""
         stack: list = []  # per open node: op, argument forms, read, are call args
         while True:
-            if form[0] != "list" or not form[1] or form[1][0][0] != "symbol":
+            if type(form) is not list or len(form) < 2 or type(form[1]) is list \
+                    or form[1][0] not in LETTERS:
                 self.fail("selector must be (OP ...)" if selector
                           else "test expression must be (OP ...)", form)
-            op, args = form[1][0][1].upper(), form[1][1:]
-            if op == ("SEL" if selector else "PRED"):
-                if not args or args[0][0] != "symbol":
-                    self.fail("SEL wants a selector name" if selector
-                              else "PRED wants a predicate name", form)
-                stack.append((op, args, [], True))  # the name reads as a symbol
-            elif not selector and (op == "AND" or op == "OR" or op == "NOT"):
-                if op == "NOT" and len(args) != 1:
-                    self.fail("NOT wants exactly one expression", form)
-                if not args:
-                    self.fail(f"{op} wants at least one expression", form)
-                stack.append((op, args, [], False))
-            else:
-                leaf = self.leaf(op, args, form, selector)
+            op = form[1].upper()
+            row = (LEAF_SELECTORS if selector else LEAF_TESTS).get(op)
+            if row is not None:
+                # a row without a message ignores arguments: (TRUE x) reads as (TRUE)
+                leaf = _NULLARY[op] if not row[0] and (len(form) == 2 or row[1] is None) \
+                    else self.leaf(op, row, form)
                 if not stack:
                     return leaf
                 stack[-1][2].append(leaf)
+            elif op == ("SEL" if selector else "PRED"):
+                if len(form) < 3 or not _symbol(form[2]):
+                    self.fail("SEL wants a selector name" if selector
+                              else "PRED wants a predicate name", form)
+                stack.append((op, form[2:], [], True))  # the name reads as a symbol
+            elif not selector and (op == "AND" or op == "OR" or op == "NOT"):
+                if op == "NOT" and len(form) != 3:
+                    self.fail("NOT wants exactly one expression", form)
+                if len(form) == 2:
+                    self.fail(f"{op} wants at least one expression", form)
+                stack.append((op, form[2:], [], False))
+            else:
+                self.fail(f"unknown selector {op}" if selector
+                          else f"unknown test operator {op}", form)
             # finish the nodes whose arguments are all read, up to one with
             # an argument form left to read
             while True:
                 op, forms, read, are_args = stack[-1]
                 if are_args:
-                    while len(read) < len(forms) and forms[len(read)][0] != "list":
+                    while len(read) < len(forms) and type(forms[len(read)]) is not list:
                         read.append(self.atom(forms[len(read)]))
                 if len(read) < len(forms):
                     form, selector = forms[len(read)], are_args
@@ -454,128 +514,127 @@ class _GrammarReader:
                     return node
                 stack[-1][2].append(node)
 
-    def leaf(self, op: str, args, form, selector: bool) -> Expr:
-        """A leaf test or selector, read by its operator's row."""
-        row = (LEAF_SELECTORS if selector else LEAF_TESTS).get(op)
-        if row is None:
-            self.fail(f"unknown selector {op}" if selector
-                      else f"unknown test operator {op}", form)
+    def leaf(self, op: str, row: tuple, form) -> Expr:
+        """A leaf test or selector with arguments, read by its operator's row."""
         kinds, message, _ = row
-        if not kinds and (not args or message is None):
-            return _NULLARY[op]
-        if len(args) != len(kinds):
+        if len(form) != 2 + len(kinds):
             self.fail(message, form)
         values = []
-        for kind, item in zip(kinds, args):
+        for kind, item in zip(kinds, form[2:]):
             if kind == "path":
                 values.append(self.path(item))
             elif kind == "atom":
                 values.append(self.atom(item))
-            elif item[0] != "symbol" \
-                    or kind == "adjunct" and Sym(item[1]) not in _ADJUNCT_PATHS:
+            elif not _symbol(item) or kind == "adjunct" and Sym(item) not in _ADJUNCT_PATHS:
                 self.fail(message, form)
             else:
-                values.append(Sym(item[1]))
+                values.append(self.symbol(item))
         return Expr(op, tuple(values))
 
     def args(self, forms) -> tuple:
         """The arguments of a call: atoms and selectors."""
-        return tuple(self.atom(form) if form[0] != "list" else self.expr(form, True)
-                     for form in forms)
+        return tuple([self.atom(form) if type(form) is not list else self.expr(form, True)
+                      for form in forms])
 
     def actions(self, form):
-        items = form[1]
         template: list[Action] = []
         side_effects: list[FunCall] = []
         constraints: list[Equation] = []
-        if not items or items[0][0] != "keyword" or items[0][1] != "TEMPLATE":
+        if len(form) < 2 or _upper(form[1]) != ":TEMPLATE":
             self.fail(":ACTIONS must start with :TEMPLATE", form)
-        i = 1
-        while i < len(items):
-            item = items[i]
-            kind, value, _ = item
-            if kind == "string" or kind == "list" and value \
-                    and value[0][0] == "keyword" and value[0][1] in _ACTION_OPS:
-                template.append(Literal(value) if kind == "string" else self.action(item))
-                i += 1
-            elif kind == "keyword" and value == "SIDE-EFFECTS":
-                block = items[i + 1] if i + 1 < len(items) else None
-                if block is None or block[0] != "list":
-                    self.fail(":SIDE-EFFECTS wants (fun-call+)", item)
-                for call in block[1]:
-                    if call[0] != "list" or not call[1] or call[1][0][0] != "symbol":
-                        self.fail("side effects must be function calls", call)
-                    side_effects.append(FunCall(call[1][0][1], self.args(call[1][1:])))
-                i += 2
-            elif kind == "keyword" and (value == "CONSTRAINTS" or value == "CONSTRAINT"):
-                i += 1
-                count = 0
-                while i < len(items) and items[i][0] == "list":
-                    constraints.append(self.equation(items[i]))
-                    count += 1
-                    i += 1
-                if count == 0:
-                    self.fail(":CONSTRAINTS wants at least one equation", item)
+        i, end = 2, len(form)
+        while i < end:
+            item = form[i]
+            i += 1
+            if type(item) is list:
+                template.append(self.action(item))
+            elif item[0] == '"':
+                template.append(Literal(unquote(item)))
             else:
-                self.fail("unexpected item in :ACTIONS", item)
+                key = _upper(item)
+                if key == ":SIDE-EFFECTS":
+                    block = form[i] if i < end else None
+                    if type(block) is not list:
+                        self.fail(":SIDE-EFFECTS wants (fun-call+)", item)
+                    for call in block[1:]:
+                        if type(call) is not list or len(call) < 2 or not _symbol(call[1]):
+                            self.fail("side effects must be function calls", call)
+                        side_effects.append(FunCall(call[1], self.args(call[2:])))
+                    i += 1
+                elif key == ":CONSTRAINTS" or key == ":CONSTRAINT":
+                    start = i
+                    while i < end and type(form[i]) is list:
+                        constraints.append(self.equation(form[i]))
+                        i += 1
+                    if i == start:
+                        self.fail(":CONSTRAINTS wants at least one equation", item)
+                else:
+                    self.fail("unexpected item in :ACTIONS", item)
         if not template:
             self.fail(":TEMPLATE must hold at least one action", form)
         return tuple(template), tuple(side_effects), tuple(constraints)
 
     def action(self, form) -> Action:
-        """A template action (:RULE, :OPTRULE or :FUN ...)."""
-        op = form[1][0][1]
-        args = form[1][1:]
-        if op == "FUN":
-            if len(args) != 1 or args[0][0] != "list":
-                self.fail(":FUN wants one (name arg*) call", form)
-            call = args[0]
-            if not call[1] or call[1][0][0] != "symbol":
-                self.fail("function call wants a name", call)
-            return FunCall(call[1][0][1], self.args(call[1][1:]))
-        if len(args) != 2 or args[0][0] != "symbol":
-            self.fail(f":{op} wants a category and a selector", form)
-        return RuleCall(args[0][1].upper(), self.expr(args[1], True),
-                        optional=(op == "OPTRULE"))
+        """A template action: (:RULE cat selector), (:OPTRULE cat selector)
+        or (:FUN (name arg*))."""
+        op = _upper(form[1]) if len(form) > 1 else None
+        if op == ":RULE" or op == ":OPTRULE":
+            if len(form) != 4 or type(form[2]) is list or form[2][0] not in LETTERS:
+                self.fail(f"{op} wants a category and a selector", form)
+            return RuleCall(form[2].upper(), self.expr(form[3], True), op == ":OPTRULE")
+        if op != ":FUN":
+            self.fail("unexpected item in :ACTIONS", form)
+        if len(form) != 3 or type(form[2]) is not list:
+            self.fail(":FUN wants one (name arg*) call", form)
+        call = form[2]
+        if len(call) < 2 or not _symbol(call[1]):
+            self.fail("function call wants a name", call)
+        return FunCall(call[1], self.args(call[2:]))
 
     def equation(self, form) -> Equation:
-        items = form[1]
-        if not items or items[0][0] != "symbol":
+        if len(form) < 2 or type(form[1]) is list or form[1][0] not in LETTERS:
             self.fail("equation wants a feature name", form)
-        feature = items[0][1].upper()
+        feature = form[1].upper()
         refs: list[ConstituentRef] = []
-        i = 1
-        while i < len(items) and (items[i][0] != "keyword" or items[i][1] != "VAL"):
-            refs.append(self.ref(items[i]))
+        i, end = 2, len(form)
+        while i < end:  # constituent references up to a :VAL
+            item = form[i]
+            if type(item) is list:
+                refs.append(self.rhs(item))
+            elif item[0] in LETTERS and item.upper() == "LHS":
+                refs.append(_LHS)
+            elif item[0] == ":" and item.upper() == ":VAL":
+                if end != i + 2:
+                    self.fail(":VAL wants exactly one atom", form)
+                if len(refs) != 1:
+                    self.fail("value assignment wants exactly one constituent", form)
+                return Equation(feature, tuple(refs), self.atom(form[i + 1]))
+            else:
+                self.fail("constituent reference is LHS, (CAT) or (CAT k)", item)
             i += 1
-        if i < len(items):  # :VAL form
-            if len(items) != i + 2:
-                self.fail(":VAL wants exactly one atom", form)
-            if len(refs) != 1:
-                self.fail("value assignment wants exactly one constituent", form)
-            return Equation(feature, tuple(refs), self.atom(items[i + 1]))
         if len(refs) < 2:
             self.fail("equation needs :VAL or at least two constituents", form)
-        if len(set(map(str, refs))) != len(refs):
+        if len(set(refs)) != len(refs):
             self.fail("equated constituents must be distinct", form)
         return Equation(feature, tuple(refs))
 
-    def ref(self, form) -> ConstituentRef:
-        kind, value, _ = form
-        if kind == "symbol" and value.upper() == "LHS":
-            return Lhs()
-        if kind == "list" and value and value[0][0] == "symbol":
-            cat = value[0][1].upper()
-            if len(value) == 1:
-                return Rhs(cat, 1)
-            if len(value) == 2 and value[1][0] == "int":
-                return Rhs(cat, value[1][1])
+    def rhs(self, form) -> Rhs:
+        """A constituent reference (CAT) or (CAT k)."""
+        if len(form) > 1 and _symbol(form[1]):
+            if len(form) == 2:
+                return Rhs(form[1].upper())
+            if len(form) == 3 and type(form[2]) is not list \
+                    and form[2][0] not in _TOKEN_STARTS:
+                return Rhs(form[1].upper(), int(form[2]))
         self.fail("constituent reference is LHS, (CAT) or (CAT k)", form)
 
 
 def parse_grammar(text: str) -> Grammar:
     """Read rules in source order; no name/registry checks beyond syntax."""
-    return _GrammarReader(text).parse()
+    try:
+        return _GrammarReader(text, False).parse()
+    except _Unplaced:  # the second read fails where the first did, placed
+        return _GrammarReader(text, True).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -869,11 +928,10 @@ def validate_grammar(grammar: Grammar, registries: Registries,
         _check_names(rule.test, rule, registries, error)
         for call in rule.side_effects:
             _check_fun(call, rule, registries, error, side_effect=True)
-        if any(isinstance(ref, Rhs) for eq in rule.constraints for ref in eq.refs):
-            for ref in rule.missing_refs():
-                error(f"constraint names constituent {ref} "
-                      f"but the template has no such call",
-                      rule.name, rule.line)
+        for ref in rule.missing_refs():
+            error(f"constraint names constituent {ref} "
+                  f"but the template has no such call",
+                  rule.name, rule.line)
         if _optional_subtree_constrained(rule, grammar):
             warn("optional constituent leads to rules with constraints; "
                  "their inclusion follows the first derivation's context",

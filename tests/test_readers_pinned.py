@@ -9,7 +9,8 @@ whole text, with up to 8 insertions, deletions and replacements drawn from
 the demo texts' characters), plus hand-written cases for the corners:
 forward references, which of several undefined tags is reported, cycles,
 a tag defined twice beside another error, a syntax error before a
-malformed token, comments ending the text, and bad escapes.  After them
+malformed token, comments ending the text, bad escapes, and each refusal
+of the TGL reader that no other case reaches.  After them
 come texts at scale (a generated wide-shaped grammar of a few hundred
 rules, the benchmark's grammars read from disk, a 60-item right-recursive
 list) and corners of telling a lexeme's kind by its first character.  The
@@ -129,6 +130,35 @@ HAND = {
         "crlf-tab-position": '(DEFPRODUCTION "x"\r\n\t[)',
         "constraints": RULE.format(test="", body='(:RULE NP (SELF)) (:RULE NP (SELF))'
                                    " :CONSTRAINTS (CASE (NP 2) :VAL akk) (NUM LHS (NP))"),
+        # one refusal of the reader each, from the conversion of a token to
+        # the checks of an equation
+        "int-past-limit": RULE.format(test="(EQ A " + "9" * 5000 + ")", body='"a"'),
+        "path-not-symbol": RULE.format(test='(EXISTS "A")', body='"a"'),
+        "path-empty-segment": RULE.format(test="(EXISTS A..B)", body='"a"'),
+        "rule-name-not-string": '(DEFPRODUCTION r (:PRECOND (:CAT TXT)'
+        ' :ACTIONS (:TEMPLATE "a")))',
+        "rule-body-not-list": '(DEFPRODUCTION "r"\n  body)',
+        "precond-missing": '(DEFPRODUCTION "r" (:ACTIONS (:TEMPLATE "a")))',
+        "actions-missing": '(DEFPRODUCTION "r" (:PRECOND (:CAT TXT)))',
+        "cat-not-symbol": RULE.format(test="", body='"a"').replace(":CAT TXT", ':CAT "TXT"'),
+        "test-not-list": RULE.format(test="", body='"a"').replace(":TEST ()", ":TEST TRUE"),
+        "cat-missing": RULE.format(test="", body='"a"').replace(":CAT TXT ", ""),
+        "sel-without-name": RULE.format(test="", body='(:RULE NP (SEL "f"))'),
+        "leaf-arity": RULE.format(test="(EQ A)", body='"a"'),
+        "leaf-adjunct-unknown": RULE.format(test="(HAS-ADJUNCT place)", body='"a"'),
+        "side-effects-not-list": RULE.format(test="", body='"a" :SIDE-EFFECTS f'),
+        "side-effect-not-call": RULE.format(test="", body='"a"\n\t:SIDE-EFFECTS ("f")'),
+        "constraints-empty": RULE.format(test="", body='"a" :CONSTRAINTS'),
+        "template-empty": RULE.format(test="", body=""),
+        "fun-without-name": RULE.format(test="", body='(:FUN ("f"))'),
+        "val-two-refs": RULE.format(test="", body='(:RULE NP (SELF))'
+                                    "\n  :CONSTRAINTS (CASE LHS (NP) :VAL akk)"),
+        "equation-one-ref": RULE.format(test="", body='(:RULE NP (SELF))'
+                                        "\n  :CONSTRAINTS (CASE (NP))"),
+        "equation-refs-repeated": RULE.format(test="", body='(:RULE NP (SELF))'
+                                              "\n  :CONSTRAINTS (CASE (NP) (NP 1))"),
+        # the fourth of four ')' closes nothing
+        "unmatched-in-run": RULE.format(test="", body='"a"') + ")",
     },
 }
 

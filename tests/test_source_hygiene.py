@@ -11,7 +11,8 @@ reads, an attribute assigned on ``self`` that nothing in the package or
 its benchmark reads, and a defaulted parameter that no call in the package
 or its benchmark passes.  So are two classes that define the same set of two or
 more public methods: a second implementation of one protocol.  Every name
-that ``surfgen.__all__`` exports is shown in the README's code.
+that ``surfgen.__all__`` exports is shown in the README's code, and
+``functools.cached_property`` is not used.
 """
 
 import ast
@@ -60,6 +61,20 @@ def test_no_unused_module_level_import():
                     if bound not in used:
                         unused.append(f"{name}: {bound}")
     assert not unused, f"unused imports: {unused}"
+
+
+def test_no_cached_property():
+    """A cached property's first read writes the instance ``__dict__``; on
+    CPython 3.11 that write slows every later attribute read of the
+    instance, by 2x on a ``CriteriaSpec`` and 3.7x on a ``Rule``.  A value
+    made once is a field, set in ``__post_init__`` or on first use with
+    ``object.__setattr__``."""
+    uses = [f"{name}:{node.lineno}" for name, tree in modules().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "cached_property"
+            or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+            or isinstance(node, ast.alias) and node.name == "cached_property"]
+    assert not uses, f"cached_property used at {uses}"
 
 
 def test_no_unreferenced_private_definition():

@@ -260,6 +260,32 @@ def test_validate_unruled_category_is_warning():
     assert [d.severity for d in diags if "NOPE" in d.message] == [Severity.WARNING]
 
 
+def test_validate_reads_missing_references_off_the_template():
+    """validate_grammar finds the constraint references that no template
+    call answers without making any rule's constituents() record, and what
+    it reports is what that record says."""
+    g = parse_grammar(
+        '(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+        ' :ACTIONS (:TEMPLATE (:RULE NP (SELF)) (:OPTRULE PP (SELF)) (:RULE NP (SELF))'
+        ' :CONSTRAINTS (CASE (NP 2) :VAL akk) (NUM LHS (NP 3) (PP) (VP))'
+        ' (F (np 0) (PP 2)) (G (NP -1) LHS))))\n'
+        '(DEFPRODUCTION "np" (:PRECOND (:CAT NP :TEST ((TRUE)))'
+        ' :ACTIONS (:TEMPLATE "n" :CONSTRAINTS (NUM LHS :VAL sg))))\n'
+        '(DEFPRODUCTION "pp" (:PRECOND (:CAT PP :TEST ((TRUE)))'
+        ' :ACTIONS (:TEMPLATE (:RULE NP (SELF)) :CONSTRAINTS (CASE (NP) :VAL dat))))')
+    diags = validate_grammar(g, Registries.standard())
+    assert all(rule._constituents is None for rule in g.rules)
+    assert [str(d) for d in diags if "no such call" in d.message] == [
+        f"error: rule 'top' (line 1): constraint names constituent {ref} "
+        f"but the template has no such call"
+        for ref in ("(NP 3)", "(VP)", "(NP 0)", "(PP 2)", "(NP -1)")]
+    for rule in g.rules:
+        record = rule.constituents()
+        assert rule.missing_refs() == [
+            ref for eq, (slots, _) in zip(rule.constraints, record.equations)
+            for ref, (k, _) in zip(eq.refs, slots) if k is None]
+
+
 def test_validate_missing_start_category():
     g = parse_grammar('(DEFPRODUCTION "s" (:PRECOND (:CAT S :TEST ((TRUE)))'
                       ' :ACTIONS (:TEMPLATE "x")))')
