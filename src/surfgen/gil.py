@@ -24,18 +24,18 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, NoReturn, Optional, Union
+from typing import Callable, NoReturn, Optional, TypeVar, Union
 
 
 class PositionedError(Exception):
     """A reader's error; carries a 1-based line/column position, 0 when
-    there is none."""
+    there is none.  ``Scanner.fail`` places one at a lexeme."""
 
-    def __init__(self, message: str, line: int = 0, col: int = 0):
+    def __init__(self, message: str, line: int = 0):
         super().__init__(message)
         self.message = message
         self.line = line
-        self.col = col
+        self.col = 0
 
     def __str__(self) -> str:
         if self.line:
@@ -178,93 +178,99 @@ def locator(text: str) -> Callable[[int], tuple[int, int]]:
     return where
 
 
+_T = TypeVar("_T")
+
+
 class _Located(str):
-    """A lexeme that knows its offset in the text, ``at``."""
+    """A lexeme that knows the (line, column) where it starts, ``at``."""
+
+
+class _Unplaced(Exception):
+    """What ``Scanner.fail`` raises for an item that knows no position."""
 
 
 class Scanner:
     """A language's lexemes, read by one ``findall`` of one plain pattern.
 
-    A lexeme is a token of the language or a ``;`` comment, each with the
-    blanks that follow it, or the blanks that start the text; where none
-    of these fits, the last alternative takes the rest of the text.  So
-    the lexemes cover the text end to end, a lexeme's offset is the sum of
-    the lengths before it, and only the last lexeme can be that malformed
-    rest.  A reader tells a lexeme's kind by its first character and
-    converts tokens in text order, raising at once for one whose
-    conversion fails; the rest is raised through ``_bad`` after every
-    lexeme before it, and a reader reports a syntax error only once all
+    A lexeme is a token of the language or a ``;`` comment, without the
+    blanks that follow it, the blanks from a newline on up to the next
+    lexeme, or a blank that starts the text; so a reader can count lines
+    but knows no offsets.  Where none of these fits, the last alternative
+    takes the rest of the text, which is taken off the lexemes: the
+    malformed rest.  A reader tells a lexeme's kind by its first character
+    and converts tokens in text order, raising at once for one whose
+    conversion fails; it raises for a malformed rest through ``_bad`` after
+    every lexeme before it, and reports a syntax error only once all
     lexemes are read, so a malformed token anywhere in the text is the
     error reported.  ``hints`` gives the message for a character that
-    starts no token.  ``bare_lexemes`` reads the same alternatives, at the
-    same offsets, without the blanks that follow them.
+    starts no token.
+
+    A reader raises through ``fail``, which places the error at an item.
+    ``read`` runs a reader over bare lexemes, which know no positions;
+    only where that read fails through ``fail`` does it read the text
+    again, with lexemes that know their positions, and that read fails at
+    the same item, placed.
     """
 
     def __init__(self, error: type, hints: dict, *tokens: str):
-        self.tokens = "|".join(tokens)
-        self.token = re.compile("(?:" + self.tokens + r"|;[^\n]*|[ \t\r\n])[ \t\r\n]*")
-        # each compiled on its first use: a reader reads one of the two forms
-        self.pattern = self.bare = None
+        lexeme = "|".join(tokens) + r"|;[^\n]*|\n[ \t\r\n]*|[ \t\r]"
+        self.token = re.compile(lexeme)  # what a lexeme that is not the rest fullmatches
+        # the blanks after a lexeme fall outside the group
+        self.bare = re.compile("(" + lexeme + r"|[\s\S]+)[ \t\r]*")
         self.error = error
         self.hints = hints
 
-    def lexemes(self, text: str) -> tuple[list, int, bool]:
-        """The lexemes of ``text``, the offset where reading ends (``eof``),
-        and whether a malformed rest starts there, taken off the lexemes.
+    def read(self, text: str, reader: Callable[[list, str], _T]) -> _T:
+        """What ``reader`` makes of the lexemes of ``text`` and its rest."""
+        try:
+            return reader(*self.bare_lexemes(text, False))
+        except _Unplaced:  # the second read fails where the first did, placed
+            return reader(*self.bare_lexemes(text, True))
 
-        Reading ends at the end of the text, or at the start of a last
-        comment that no newline ends, which then stays a lexeme.
+    def bare_lexemes(self, text: str, located: bool) -> tuple[list, str]:
+        """The lexemes of ``text``, and its malformed rest, taken off them,
+        or the empty rest at the end of the text.
+
+        With ``located`` each lexeme, and the rest, is a ``_Located``.
         """
-        if self.pattern is None:
-            self.pattern = re.compile(self.token.pattern + r"|[\s\S]+")
-        lexemes = self.pattern.findall(text)
-        last = lexemes[-1] if lexemes else ""
-        at = len(text) - len(last)
-        if last and not self.token.fullmatch(last):
-            lexemes.pop()
-            return lexemes, at, True
-        return lexemes, at if last[:1] == ";" and "\n" not in last else len(text), False
-
-    def bare_lexemes(self, text: str, located: bool = False) -> tuple[list, Optional[int]]:
-        """The lexemes of ``text`` bare, and the offset of a malformed rest,
-        taken off them, or None.
-
-        A bare lexeme is a token or a ``;`` comment without the blanks that
-        follow it, the blanks from a newline on up to the next lexeme, or a
-        blank that starts the text, so a reader can count lines but knows
-        no offsets.  With ``located`` each lexeme is a ``str`` that knows
-        its offset, ``at``: that is for reading a text again to place its
-        error.
-        """
-        if self.bare is None:  # the blanks after a lexeme fall outside the group
-            self.bare = re.compile("(" + self.tokens + r"|;[^\n]*|\n[ \t\r\n]*|[ \t\r]"
-                                   r"|[\s\S]+)[ \t\r]*")
         if located:
+            where = locator(text)
             lexemes = []
             for match in self.bare.finditer(text):
                 lexeme = _Located(match[1])
-                lexeme.at = match.start()
+                lexeme.at = where(match.start())
                 lexemes.append(lexeme)
+            rest = _Located()
+            rest.at = where(len(text))
         else:
             lexemes = self.bare.findall(text)
-        last = lexemes[-1] if lexemes else ""
-        if last and not self.token.fullmatch(last):
-            lexemes.pop()
-            return lexemes, len(text) - len(last)
-        return lexemes, None
+            rest = ""
+        if lexemes and not self.token.fullmatch(lexemes[-1]):
+            return lexemes, lexemes.pop()
+        return lexemes, rest
 
-    def fail(self, message: str, text: str, at: int) -> NoReturn:
-        raise self.error(message, *locator(text)(at))
+    def fail(self, message: str, item, skip: int = 0) -> NoReturn:
+        """Raise ``message`` at ``item`` (a lexeme, a rest, or a list headed
+        by the lexeme that opens it), or at the character ``skip`` places
+        into a lexeme."""
+        if type(item) is list:
+            item = item[0]
+        if type(item) is not _Located:
+            raise _Unplaced
+        line, col = item.at
+        error = self.error(message)
+        error.line, error.col = line, col + skip
+        raise error
 
-    def _bad(self, text: str, at: int) -> NoReturn:
-        """Raise for the malformed rest of ``text`` from ``at``."""
-        first = text[at]
-        end = _STRING_START.match(text, at).end() if first == '"' else at
-        self.fail(self.hints.get(first, f"unexpected character {first!r}") if end == at
-                  else "unterminated string" if end == len(text)
-                  else "newline in string literal" if text[end] == "\n"
-                  else "unterminated escape" if end + 1 == len(text)
-                  else f"unknown escape \\{text[end + 1]}", text, at)
+    def _bad(self, rest: str) -> NoReturn:
+        """Raise for the malformed rest of a text."""
+        first = rest[0]
+        end = _STRING_START.match(rest).end() if first == '"' else 0
+        self.fail(self.hints.get(first, f"unexpected character {first!r}") if not end
+                  else "unterminated string" if end == len(rest)
+                  else "newline in string literal" if rest[end] == "\n"
+                  else "unterminated escape" if end + 1 == len(rest)
+                  else f"unknown escape \\{rest[end + 1]}", rest)
 
 
 INT = r"-?\d+"
@@ -278,15 +284,15 @@ _BLANK = " \t\r\n;"  # the first characters of blanks and comments
 _NOT_NUMBER = LETTERS + "".join(_KINDS) + _BLANK
 
 
-def _number(lexeme: str, text: str, at: int) -> int:
-    """The integer of an int or ``#n`` lexeme at ``at``; ``GilError`` where
-    int() refuses it or a tag is not positive."""
+def _number(lexeme: str) -> int:
+    """The integer of an int or ``#n`` lexeme; ``GilError`` where int()
+    refuses it or a tag is not positive."""
     try:  # int() refuses more digits than its limit
-        value = int(lexeme.strip("#= \t\r\n"))
+        value = int(lexeme.strip("#="))
     except ValueError as e:
-        _SCANNER.fail(str(e), text, at)
+        _SCANNER.fail(str(e), lexeme)
     if value <= 0 and lexeme[0] == "#":
-        _SCANNER.fail("coreference tags are positive", text, at)
+        _SCANNER.fail("coreference tags are positive", lexeme)
     return value
 
 
@@ -296,14 +302,17 @@ def _kind(lexeme: str) -> str:
     if first in LETTERS:
         return "symbol"
     if first == "#":
-        return "corefdef" if lexeme.rstrip()[-1] == "=" else "corefref"
+        return "corefdef" if lexeme[-1] == "=" else "corefref"
     return _KINDS.get(first, "int")
 
 
 # ---------------------------------------------------------------------------
-# Reader: one loop over the scanner's lexemes, told apart by their first
-# characters.  ``expect`` says which tokens may come next, and a value read
-# waits in ``value`` for the token that ends its pair or list item.
+# Reader: one loop over the scanner's bare lexemes, told apart by their
+# first characters.  ``expect`` says which tokens may come next, and a value
+# read waits in ``value`` for the token that ends its pair or list item.  An
+# open structure or list keeps the '[' or '<' lexeme that opens it, and a
+# structure its '#n=' lexeme and its attribute's name, so an error names
+# these lexemes and the scanner places it.
 
 _DOC, _OPEN, _NAME, _VALUE, _CLOSE, _DEF, _SEP, _END = range(8)
 _EXPECTED = ("a GIL document starts with '['", "expected '(' or ']', found {}",
@@ -322,8 +331,11 @@ def parse_gil(text: str) -> FeatureStructure:
     the first token the document refuses, then an undefined tag, then a
     cycle.
     """
-    lexemes, end, malformed = _SCANNER.lexemes(text)
-    rest = iter(lexemes)
+    return _SCANNER.read(text, _read_document)
+
+
+def _read_document(lexemes: list, rest: str) -> FeatureStructure:
+    tokens = iter(lexemes)
     syms: dict[str, Sym] = {}  # one Sym per symbol text
     shared: dict[int, FeatureStructure] = {}  # the node each tag stands for
     # opened tag n -> the m of each #m and #m= met in its definition but
@@ -332,40 +344,37 @@ def parse_gil(text: str) -> FeatureStructure:
     defined: set[int] = set()  # tags whose definition is complete
     defs: list[int] = []  # the tags of the open definitions, innermost last
     forward = False  # whether a #n came before its definition closed
-    # open structures [fs, at, tag, tag at, name, name at, after] and lists
-    # [items, at, after]; ``after`` is what follows the value they make
+    # open structures [fs, '[', '#n=', name, after] and lists [items, '<',
+    # after]; ``after`` is what follows the value they make
     stack: list[list] = []
     frame: list = []  # the innermost open structure or list
     expect, after = _DOC, _END  # what comes next; what follows a value
-    value = tag = None  # the value read; the tag of a '#n=' read
-    tag_at = 0
-    error = None  # a refused token's message and offset, if not the usual
-    at = 0
-    for lexeme in rest:
+    value = tag = None  # the value read; the '#n=' lexeme read
+    error = None  # a refused token's message and lexeme, if not the usual
+    for lexeme in tokens:
         first = lexeme[0]
         if expect == _VALUE:
             if first in LETTERS:
-                token = lexeme.rstrip()
-                value = syms.get(token)
+                value = syms.get(lexeme)
                 if value is None:
-                    value = syms[token] = Sym(token)
+                    value = syms[lexeme] = Sym(lexeme)
                 expect = after
             elif first == "[":
-                frame = [FeatureStructure(), at, None, 0, None, 0, after]
+                frame = [FeatureStructure(), lexeme, None, None, after]
                 stack.append(frame)
                 expect, after = _OPEN, _CLOSE
             elif first == '"':
-                value, expect = unquote(lexeme.rstrip()), after
+                value, expect = unquote(lexeme), after
             elif first == "<":
-                frame = [[], at, after]
+                frame = [[], lexeme, after]
                 stack.append(frame)
                 after = _SEP
             elif first == "#":
-                n = _number(lexeme, text, at)
+                n = _number(lexeme)
                 if defs:
                     inside[defs[-1]].append(n)
-                if lexeme.rstrip()[-1] == "=":
-                    tag, tag_at, expect = n, at, _DEF
+                if lexeme[-1] == "=":
+                    tag, expect = lexeme, _DEF
                 else:
                     if n not in defined:
                         forward = True
@@ -378,7 +387,7 @@ def parse_gil(text: str) -> FeatureStructure:
                 value, expect = (), frame[2]
                 after, frame = expect, stack[-1]
             elif first not in _NOT_NUMBER:
-                value, expect = _number(lexeme, text, at), after
+                value, expect = _number(lexeme), after
             elif first not in _BLANK:
                 break
         elif expect == _OPEN:
@@ -387,28 +396,29 @@ def parse_gil(text: str) -> FeatureStructure:
             elif first == "]":
                 stack.pop()
                 if frame[2] is not None:
-                    if frame[2] in defined:
-                        error = f"coreference tag #{frame[2]} defined twice", frame[3]
+                    n = int(frame[2][1:-1])
+                    if n in defined:
+                        error = f"coreference tag #{n} defined twice", frame[2]
                         break
-                    defined.add(frame[2])
+                    defined.add(n)
                     defs.pop()
-                value, expect = frame[0], frame[6]
+                value, expect = frame[0], frame[4]
                 if stack:
                     after, frame = expect, stack[-1]
             elif first not in _BLANK:
                 break
         elif expect == _NAME:
             if first in LETTERS:
-                frame[4], frame[5] = lexeme.rstrip(), at
+                frame[3] = lexeme
                 expect = _VALUE
             elif first not in _BLANK:
                 break
         elif expect == _CLOSE:
             if first == ")":
                 try:
-                    frame[0]._append(frame[4], value)
+                    frame[0]._append(frame[3], value)
                 except GilError as e:
-                    error = e.message, frame[5]
+                    error = e.message, frame[3]
                     break
                 expect = _OPEN
             elif first not in _BLANK:
@@ -428,27 +438,29 @@ def parse_gil(text: str) -> FeatureStructure:
             if first == "[":
                 fs = FeatureStructure()
                 if tag is not None:
-                    if tag not in inside:  # a second definition fails when it closes
-                        inside[tag] = []
-                        fs = shared.setdefault(tag, fs)
-                    defs.append(tag)
-                frame = [fs, at, tag, tag_at, None, 0, after]
+                    n = int(tag[1:-1])
+                    if n not in inside:  # a second definition fails when it closes
+                        inside[n] = []
+                        fs = shared.setdefault(n, fs)
+                    defs.append(n)
+                frame = [fs, lexeme, tag, None, after]
                 stack.append(frame)
                 expect, after, tag = _OPEN, _CLOSE, None
             elif first not in _BLANK:
                 break
         elif first not in _BLANK:  # _END
             break
-        at += len(lexeme)
     else:
-        if malformed:
-            _SCANNER._bad(text, end)
+        if rest:
+            _SCANNER._bad(rest)
         if expect != _END:
             if expect == _OPEN:
-                _SCANNER.fail("unbalanced '['", text, frame[1])
+                _SCANNER.fail("unbalanced '['", frame[1])
             if expect == _SEP:
-                _SCANNER.fail("unbalanced '<'", text, frame[1])
-            _SCANNER.fail(_EXPECTED[expect].format("eof"), text, end)
+                _SCANNER.fail("unbalanced '<'", frame[1])
+            # reading ends at the end of the text, or at a comment that ends it
+            end = lexemes[-1] if lexemes and lexemes[-1][0] == ";" else rest
+            _SCANNER.fail(_EXPECTED[expect].format("eof"), end)
         if forward:  # an undefined tag or a cycle needs such a #n
             if len(defined) < len(shared):
                 _check_references(value, {id(node): tag for tag, node in shared.items()
@@ -458,14 +470,13 @@ def parse_gil(text: str) -> FeatureStructure:
         return value  # the root, closed last
     # a token was refused: every lexeme from it on is still converted, and
     # a malformed rest is reported, before the refusal is
-    message, where = error or (_EXPECTED[expect].format(_kind(lexeme)), at)
-    for lexeme in chain((lexeme,), rest):
+    message, where = error or (_EXPECTED[expect].format(_kind(lexeme)), lexeme)
+    for lexeme in chain((lexeme,), tokens):
         if lexeme[0] not in _NOT_NUMBER:
-            _number(lexeme, text, at)
-        at += len(lexeme)
-    if malformed:
-        _SCANNER._bad(text, end)
-    _SCANNER.fail(message, text, where)
+            _number(lexeme)
+    if rest:
+        _SCANNER._bad(rest)
+    _SCANNER.fail(message, where)
 
 
 def _cyclic(inside: dict[int, list[int]]) -> bool:

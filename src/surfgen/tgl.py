@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple, NoReturn, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .gil import (
     INT,
@@ -58,7 +58,6 @@ from .gil import (
     atoms_equal,
     get_path,
     is_atom,
-    locator,
     quote,
     unquote,
 )
@@ -272,23 +271,16 @@ class Grammar:
 # the loop has checked.  A leaf test or selector is read by its operator's
 # row.  A run of ')' is one lexeme, which closes as many lists.  The loop
 # counts lines from the lexemes that are blanks from a newline on, which
-# gives each rule its line.  An error is placed only when it is raised: the
-# first read raises _Unplaced, and parse_grammar reads the text again with
-# lexemes that know their offsets, which fails at the same item and gives
-# its line and column.  Errors keep the scanner's order: a malformed token
-# first (a refused int() at once, the malformed rest after the loop), then
-# an unmatched or unbalanced parenthesis, then the error of the first form
-# that fails.
+# gives each rule its line.  An error names its item, and the scanner places
+# it.  Errors keep the scanner's order: a malformed token first (a refused
+# int() at once, the malformed rest after the loop), then an unmatched or
+# unbalanced parenthesis, then the error of the first form that fails.
 
 _TOKEN_STARTS = LETTERS + ':"'
 _LHS = Lhs()
 
 _SCANNER = Scanner(TglError, {":": "expected a keyword name after ':'"},
                    r"\(|\)+", r"[A-Za-z][A-Za-z0-9_.-]*", r":[A-Za-z0-9_.-]+", STRING, INT)
-
-
-class _Unplaced(TglError):
-    """An error of a read whose lexemes do not know their offsets."""
 
 
 def _symbol(item) -> bool:
@@ -302,23 +294,12 @@ def _upper(item) -> Optional[str]:
 
 
 class _GrammarReader:
-    def __init__(self, text: str, located: bool):
-        self.text = text
-        self.located = located
+    def __init__(self):
         self.symbols: dict[str, Sym] = {}  # one symbol per spelling
 
-    def fail(self, message: str, item, skip: int = 0) -> NoReturn:
-        """Raise for an item, or for the character ``skip`` places into a
-        token."""
-        if not self.located:
-            raise _Unplaced(message)
-        at = (item[0] if type(item) is list else item).at + skip
-        raise TglError(message, *locator(self.text)(at))
-
-    def parse(self) -> Grammar:
-        """The grammar of the text.  Only one form's items are held at a
-        time: bare token texts, and lists headed by their '('."""
-        lexemes, malformed = _SCANNER.bare_lexemes(self.text, self.located)
+    def parse(self, lexemes: list, rest: str) -> Grammar:
+        """The grammar of a text's lexemes.  Only one form's items are held
+        at a time: bare token texts, and lists headed by their '('."""
         grammar = Grammar()
         error = None  # the first error in a form, raised once all are read
         forms: list = []  # top-level items not yet made rules
@@ -355,14 +336,14 @@ class _GrammarReader:
                 try:  # int() refuses more digits than its limit
                     int(lexeme)
                 except ValueError as e:
-                    self.fail(str(e), lexeme)
+                    _SCANNER.fail(str(e), lexeme)
                 items.append(lexeme)
-        if malformed is not None:
-            _SCANNER._bad(self.text, malformed)
+        if rest:
+            _SCANNER._bad(rest)
         if unmatched is not None:
-            self.fail("unmatched ')'", *unmatched)
+            _SCANNER.fail("unmatched ')'", *unmatched)
         if outer:
-            self.fail("unbalanced '('", items)
+            _SCANNER.fail("unbalanced '('", items)
         error = error or self.add_rules(forms, grammar, line)
         if error:
             raise error
@@ -382,14 +363,14 @@ class _GrammarReader:
 
     def atom(self, item) -> Atom:
         if type(item) is list:
-            self.fail("expected an atom, found list", item)
+            _SCANNER.fail("expected an atom, found list", item)
         first = item[0]
         if first in LETTERS:
             return self.symbol(item)
         if first == '"':
             return unquote(item)
         if first == ":":
-            self.fail("expected an atom, found keyword", item)
+            _SCANNER.fail("expected an atom, found keyword", item)
         return int(item)
 
     def symbol(self, token: str) -> Sym:
@@ -400,24 +381,24 @@ class _GrammarReader:
 
     def path(self, item) -> Path:
         if not _symbol(item):
-            self.fail("expected an attribute path", item)
+            _SCANNER.fail("expected an attribute path", item)
         try:
             return Path.parse(item)
         except ValueError as e:
-            self.fail(str(e), item)
+            _SCANNER.fail(str(e), item)
 
     def production(self, form, line: int) -> Rule:
         if type(form) is not list:
-            self.fail("top level expects (DEFPRODUCTION ...)", form)
+            _SCANNER.fail("top level expects (DEFPRODUCTION ...)", form)
         if len(form) < 2 or not _symbol(form[1]) or form[1].upper() != "DEFPRODUCTION":
-            self.fail("expected (DEFPRODUCTION ...)", form)
+            _SCANNER.fail("expected (DEFPRODUCTION ...)", form)
         if len(form) != 4:
-            self.fail("DEFPRODUCTION wants a name and a rule body", form)
+            _SCANNER.fail("DEFPRODUCTION wants a name and a rule body", form)
         name, body = form[2], form[3]
         if type(name) is list or name[0] != '"':
-            self.fail("rule name must be a quoted string", name)
+            _SCANNER.fail("rule name must be a quoted string", name)
         if type(body) is not list:
-            self.fail("rule body must be a list", body)
+            _SCANNER.fail("rule body must be a list", body)
 
         precond = actions = None
         parts = iter(body)
@@ -429,11 +410,11 @@ class _GrammarReader:
             elif key == ":ACTIONS":
                 actions = next(parts, None)
             else:
-                self.fail("rule body allows :PRECOND and :ACTIONS", item)
+                _SCANNER.fail("rule body allows :PRECOND and :ACTIONS", item)
         if type(precond) is not list:
-            self.fail("missing (:PRECOND ...)", body)
+            _SCANNER.fail("missing (:PRECOND ...)", body)
         if type(actions) is not list:
-            self.fail("missing (:ACTIONS ...)", body)
+            _SCANNER.fail("missing (:ACTIONS ...)", body)
 
         category, test = self.precond(precond)
         template, side_effects, constraints = self.actions(actions)
@@ -450,19 +431,19 @@ class _GrammarReader:
             value = next(parts, None)
             if key == ":CAT":
                 if not _symbol(value):
-                    self.fail(":CAT wants a category symbol", item)
+                    _SCANNER.fail(":CAT wants a category symbol", item)
                 category = value.upper()
             elif key == ":TEST":
                 if type(value) is not list:
-                    self.fail(":TEST wants a list of test expressions", item)
+                    _SCANNER.fail(":TEST wants a list of test expressions", item)
                 if len(value) == 2:
                     test = self.expr(value[1])
                 elif len(value) > 2:
                     test = Expr("AND", tuple([self.expr(e) for e in value[1:]]))
             else:
-                self.fail(":PRECOND allows :CAT and :TEST", item)
+                _SCANNER.fail(":PRECOND allows :CAT and :TEST", item)
         if category is None:
-            self.fail("rule lacks a :CAT", form)
+            _SCANNER.fail("rule lacks a :CAT", form)
         return category, test
 
     def expr(self, form, selector: bool = False) -> Expr:
@@ -473,8 +454,8 @@ class _GrammarReader:
         while True:
             if type(form) is not list or len(form) < 2 or type(form[1]) is list \
                     or form[1][0] not in LETTERS:
-                self.fail("selector must be (OP ...)" if selector
-                          else "test expression must be (OP ...)", form)
+                _SCANNER.fail("selector must be (OP ...)" if selector
+                              else "test expression must be (OP ...)", form)
             op = form[1].upper()
             row = (LEAF_SELECTORS if selector else LEAF_TESTS).get(op)
             if row is not None:
@@ -486,18 +467,18 @@ class _GrammarReader:
                 stack[-1][2].append(leaf)
             elif op == ("SEL" if selector else "PRED"):
                 if len(form) < 3 or not _symbol(form[2]):
-                    self.fail("SEL wants a selector name" if selector
-                              else "PRED wants a predicate name", form)
+                    _SCANNER.fail("SEL wants a selector name" if selector
+                                  else "PRED wants a predicate name", form)
                 stack.append((op, form[2:], [], True))  # the name reads as a symbol
             elif not selector and (op == "AND" or op == "OR" or op == "NOT"):
                 if op == "NOT" and len(form) != 3:
-                    self.fail("NOT wants exactly one expression", form)
+                    _SCANNER.fail("NOT wants exactly one expression", form)
                 if len(form) == 2:
-                    self.fail(f"{op} wants at least one expression", form)
+                    _SCANNER.fail(f"{op} wants at least one expression", form)
                 stack.append((op, form[2:], [], False))
             else:
-                self.fail(f"unknown selector {op}" if selector
-                          else f"unknown test operator {op}", form)
+                _SCANNER.fail(f"unknown selector {op}" if selector
+                              else f"unknown test operator {op}", form)
             # finish the nodes whose arguments are all read, up to one with
             # an argument form left to read
             while True:
@@ -518,7 +499,7 @@ class _GrammarReader:
         """A leaf test or selector with arguments, read by its operator's row."""
         kinds, message, _ = row
         if len(form) != 2 + len(kinds):
-            self.fail(message, form)
+            _SCANNER.fail(message, form)
         values = []
         for kind, item in zip(kinds, form[2:]):
             if kind == "path":
@@ -526,7 +507,7 @@ class _GrammarReader:
             elif kind == "atom":
                 values.append(self.atom(item))
             elif not _symbol(item) or kind == "adjunct" and Sym(item) not in _ADJUNCT_PATHS:
-                self.fail(message, form)
+                _SCANNER.fail(message, form)
             else:
                 values.append(self.symbol(item))
         return Expr(op, tuple(values))
@@ -541,7 +522,7 @@ class _GrammarReader:
         side_effects: list[FunCall] = []
         constraints: list[Equation] = []
         if len(form) < 2 or _upper(form[1]) != ":TEMPLATE":
-            self.fail(":ACTIONS must start with :TEMPLATE", form)
+            _SCANNER.fail(":ACTIONS must start with :TEMPLATE", form)
         i, end = 2, len(form)
         while i < end:
             item = form[i]
@@ -555,10 +536,10 @@ class _GrammarReader:
                 if key == ":SIDE-EFFECTS":
                     block = form[i] if i < end else None
                     if type(block) is not list:
-                        self.fail(":SIDE-EFFECTS wants (fun-call+)", item)
+                        _SCANNER.fail(":SIDE-EFFECTS wants (fun-call+)", item)
                     for call in block[1:]:
                         if type(call) is not list or len(call) < 2 or not _symbol(call[1]):
-                            self.fail("side effects must be function calls", call)
+                            _SCANNER.fail("side effects must be function calls", call)
                         side_effects.append(FunCall(call[1], self.args(call[2:])))
                     i += 1
                 elif key == ":CONSTRAINTS" or key == ":CONSTRAINT":
@@ -567,11 +548,11 @@ class _GrammarReader:
                         constraints.append(self.equation(form[i]))
                         i += 1
                     if i == start:
-                        self.fail(":CONSTRAINTS wants at least one equation", item)
+                        _SCANNER.fail(":CONSTRAINTS wants at least one equation", item)
                 else:
-                    self.fail("unexpected item in :ACTIONS", item)
+                    _SCANNER.fail("unexpected item in :ACTIONS", item)
         if not template:
-            self.fail(":TEMPLATE must hold at least one action", form)
+            _SCANNER.fail(":TEMPLATE must hold at least one action", form)
         return tuple(template), tuple(side_effects), tuple(constraints)
 
     def action(self, form) -> Action:
@@ -580,20 +561,20 @@ class _GrammarReader:
         op = _upper(form[1]) if len(form) > 1 else None
         if op == ":RULE" or op == ":OPTRULE":
             if len(form) != 4 or type(form[2]) is list or form[2][0] not in LETTERS:
-                self.fail(f"{op} wants a category and a selector", form)
+                _SCANNER.fail(f"{op} wants a category and a selector", form)
             return RuleCall(form[2].upper(), self.expr(form[3], True), op == ":OPTRULE")
         if op != ":FUN":
-            self.fail("unexpected item in :ACTIONS", form)
+            _SCANNER.fail("unexpected item in :ACTIONS", form)
         if len(form) != 3 or type(form[2]) is not list:
-            self.fail(":FUN wants one (name arg*) call", form)
+            _SCANNER.fail(":FUN wants one (name arg*) call", form)
         call = form[2]
         if len(call) < 2 or not _symbol(call[1]):
-            self.fail("function call wants a name", call)
+            _SCANNER.fail("function call wants a name", call)
         return FunCall(call[1], self.args(call[2:]))
 
     def equation(self, form) -> Equation:
         if len(form) < 2 or type(form[1]) is list or form[1][0] not in LETTERS:
-            self.fail("equation wants a feature name", form)
+            _SCANNER.fail("equation wants a feature name", form)
         feature = form[1].upper()
         refs: list[ConstituentRef] = []
         i, end = 2, len(form)
@@ -605,17 +586,17 @@ class _GrammarReader:
                 refs.append(_LHS)
             elif item[0] == ":" and item.upper() == ":VAL":
                 if end != i + 2:
-                    self.fail(":VAL wants exactly one atom", form)
+                    _SCANNER.fail(":VAL wants exactly one atom", form)
                 if len(refs) != 1:
-                    self.fail("value assignment wants exactly one constituent", form)
+                    _SCANNER.fail("value assignment wants exactly one constituent", form)
                 return Equation(feature, tuple(refs), self.atom(form[i + 1]))
             else:
-                self.fail("constituent reference is LHS, (CAT) or (CAT k)", item)
+                _SCANNER.fail("constituent reference is LHS, (CAT) or (CAT k)", item)
             i += 1
         if len(refs) < 2:
-            self.fail("equation needs :VAL or at least two constituents", form)
+            _SCANNER.fail("equation needs :VAL or at least two constituents", form)
         if len(set(refs)) != len(refs):
-            self.fail("equated constituents must be distinct", form)
+            _SCANNER.fail("equated constituents must be distinct", form)
         return Equation(feature, tuple(refs))
 
     def rhs(self, form) -> Rhs:
@@ -626,15 +607,12 @@ class _GrammarReader:
             if len(form) == 3 and type(form[2]) is not list \
                     and form[2][0] not in _TOKEN_STARTS:
                 return Rhs(form[1].upper(), int(form[2]))
-        self.fail("constituent reference is LHS, (CAT) or (CAT k)", form)
+        _SCANNER.fail("constituent reference is LHS, (CAT) or (CAT k)", form)
 
 
 def parse_grammar(text: str) -> Grammar:
     """Read rules in source order; no name/registry checks beyond syntax."""
-    try:
-        return _GrammarReader(text, False).parse()
-    except _Unplaced:  # the second read fails where the first did, placed
-        return _GrammarReader(text, True).parse()
+    return _SCANNER.read(text, _GrammarReader().parse)
 
 
 # ---------------------------------------------------------------------------

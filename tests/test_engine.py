@@ -141,6 +141,23 @@ def test_required_rule_fails_on_absent_selector(regs):
     assert list(GenerationSession(g, regs).solutions(FeatureStructure())) == []
 
 
+@pytest.mark.parametrize("text", ["[(X 1)]", "[(DAY [(K 5)])]"])
+def test_word_form_call_without_an_atom_argument_fails_its_rule(regs, text):
+    g = parse_grammar(
+        '(DEFPRODUCTION "holed" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+        ' :ACTIONS (:TEMPLATE "am" (:FUN (weekday (PATH DAY))))))\n'
+        '(DEFPRODUCTION "plain" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+        ' :ACTIONS (:TEMPLATE "some day")))\n'
+    )
+    events = []
+    session = GenerationSession(g, regs, trace=events.append)
+    assert [s.text for s in session.solutions(parse_gil(text))] == ["some day"]
+    assert [str(e) for e in events if e.kind == "rule-failed"] == \
+        ["rule-failed  TXT 'holed' argument of 'weekday' is absent"]
+    day = GenerationSession(g, regs).solutions(parse_gil("[(DAY 5)]"))
+    assert [s.text for s in day] == ["am Freitag", "some day"]
+
+
 def test_side_effects_run_first_and_undo(regs):
     g = parse_grammar(
         '(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'

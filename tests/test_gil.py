@@ -330,6 +330,19 @@ def test_fs_equal_list_order_matters():
     assert not fs_equal(parse_gil("[(L < 1, 2 >)]"), parse_gil("[(L < 2, 1 >)]"))
 
 
+def test_fs_equal_tells_apart_attribute_sets_and_list_lengths():
+    assert not fs_equal(parse_gil("[(A 1)]"), parse_gil("[(B 1)]"))
+    assert not fs_equal(parse_gil("[(A 1)]"), parse_gil("[(A 1) (B 2)]"))
+    assert not fs_equal(parse_gil("[(L < 1 >)]"), parse_gil("[(L < 1, 2 >)]"))
+    assert not fs_equal(parse_gil("[(L < >)]"), parse_gil("[(L < [] >)]"))
+
+
+def test_structure_is_not_equal_to_another_type():
+    fs = parse_gil("[(A 1)]")
+    assert fs.__eq__("[(A 1)]") is NotImplemented
+    assert fs != "[(A 1)]" and fs != 1 and fs != ()
+
+
 def test_tag_numbering_is_invisible():
     a = parse_gil("[(X #1= [(K v)]) (Y #1)]")
     b = parse_gil("[(X #7= [(K v)]) (Y #7)]")

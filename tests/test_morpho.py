@@ -54,6 +54,21 @@ def test_weekday_mapping(registry):
         inflect(*_req(registry, "weekday", [8]))
 
 
+def test_duration_pp(registry):
+    assert inflect(*_req(registry, "duration-pp", [1])) == "für eine Stunde"
+    assert inflect(*_req(registry, "duration-pp", [3])) == "für 3 Stunden"
+    for bad in (0, Sym("3"), "3"):
+        with pytest.raises(MorphoError, match="duration-pp wants a positive integer"):
+            inflect(*_req(registry, "duration-pp", [bad]))
+
+
+@pytest.mark.parametrize("fn", ["verb", "verb-pp", "noun-phrase", "weekday", "duration-pp"])
+@pytest.mark.parametrize("args", [[], [1, 2]])
+def test_single_argument_functions_refuse_another_arity(registry, fn, args):
+    with pytest.raises(MorphoError, match=f"^{fn} expects exactly one argument$"):
+        inflect(*_req(registry, fn, args))
+
+
 def test_unknown_lemma(registry):
     with pytest.raises(MorphoError, match="unknown lemma"):
         inflect(*_req(registry, "verb", [Sym("xyzzy")], VFORM=Sym("inf")))

@@ -102,6 +102,10 @@ HAND = {
         "lists-nested-empty": "[(A < < >, < > >)]",
         "list-open-at-end": "[(A <",
         "list-comma-first": "[(A < , 1 >)]",
+        "list-unbalanced-at-end": "[(A < 1",
+        "int-past-limit": "[(A " + "9" * 5000 + ")]",
+        # the refused ']' is read before the number int() refuses
+        "int-past-limit-after-refusal": "[(A ] " + "9" * 5000,
     },
     "tgl": {
         "appointment": TEXTS["appointment.tgl"],

@@ -471,6 +471,13 @@ def test_compound_tests_evaluate_as_the_recursive_reference():
     assert values == {True, False}
 
 
+def test_expr_is_not_equal_to_another_type():
+    test = Expr("TRUE")
+    assert test.__eq__(("TRUE", 0)) is NotImplemented
+    assert test != ("TRUE", 0) and test != "TRUE" and test != test._preorder()
+    assert test == Expr("TRUE")
+
+
 DEEP = 3000
 
 
