@@ -47,13 +47,14 @@ in one heap: those with a c-rule left first, keyed by the best such rule,
 then the others (all of them without criteria), the newest first among
 equal keys; a stale entry is keyed again only on reaching the top
 (``BTTable.first_ranked``, ``prefs.choose_backtrack_point``).  So neither
-the choice of a point nor the delta looks at every point.  What a
-further solution still does per point is C-level and inherent to emitting
-a new solution: copying its assignment once, into ``Solution.assignment``,
-and writing the run fragments into the odometer when it starts.  The root
-layer's frontier holds every point outside the egos, but its text is kept
-in blocks of ``BLOCK`` parts (``Layer.join``): a further solution joins
-again the blocks it changed and then one string per block, not the whole
+the choice of a point nor the delta looks at every point.  Besides its
+ego, a further solution makes a fixed number of Python-level calls, as
+many on a long list as on a short one (a test counts them); per point it
+only copies its assignment into ``Solution.assignment`` and writes run
+fragments into the odometer as it starts, both C-level.  The root layer's
+frontier holds every point outside the egos, but its text is kept in
+blocks of ``BLOCK`` parts (``Layer.join``): a further solution joins again
+the blocks it changed and then one string per block, not the whole
 frontier.
 
 Each solution's text is built from the previous one as a delta
@@ -73,8 +74,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .engine import (ConstraintClash, DerivationNode, FeatureGraph,
                      InflectCall, LiteralTok, join_tokens)
@@ -424,8 +424,8 @@ def _split(steps: tuple, point: BacktrackPoint) -> tuple:
     The run is changed in place, and a paused odometer holds a run's
     ``ids`` as a frame's choices: so no ``iter_assignments`` generator may
     be live when a split runs.  The session keeps to that, because it
-    expands a point (and so unfolds) only after the ``_emit`` before has
-    run its odometer to the end.
+    expands a point (and so unfolds) only after it has run the odometer
+    before to the end.
     """
     for i, run in enumerate(steps):
         if type(run) is Run and point.id in run.fragment:
@@ -479,11 +479,12 @@ def iter_assignments(root: Layer, fixed: dict[int, int],
     # its choices so far, and the (layer, idx) of the step whose variant
     # holds it.  A frame [layer, idx, choices, pos] steps the point at idx
     # through its choices; for each it pushes the chosen variant's inner
-    # layer.  A run step sets its fragment in acc and pushes the frame for
-    # the next step; resumed, it pops its own ids, as its points' frames
-    # would.  A frame at idx == len(steps) has completed its layer: the
-    # outermost yields acc, an inner one merges acc into its spawner's
-    # layer and pushes the frame for the spawner's next step.
+    # layer, or, if that has no steps, the frame for its own next step.  A
+    # run step sets its fragment in acc and pushes the frame for the next
+    # step; resumed, it pops its own ids, as its points' frames would.  A
+    # frame at idx == len(steps) has completed its layer: the outermost
+    # yields acc, an inner one merges acc into its spawner's layer and
+    # pushes the frame for the spawner's next step.
     # Merged choices stay in the outer acc even once a later choice makes
     # them unreachable; resolving ignores them.  A frame is popped when
     # exhausted, resuming the one below.  A resumed run's ids are held in
@@ -537,7 +538,9 @@ def iter_assignments(root: Layer, fixed: dict[int, int],
             stale.clear()
         acc[point.id] = k
         moved.add(point.id)
-        stack.append([(point.variants[k].steps, {}, (layer, idx)), 0, None, 0])
+        inner = point.variants[k].steps
+        stack.append([(inner, {}, (layer, idx)), 0, None, 0] if inner
+                     else [layer, idx + 1, None, 0])
 
 
 class ResolvedNode:
@@ -600,12 +603,12 @@ class Shown:
     """The last emitted solution, layer by layer: the base of the next one.
 
     ``chosen`` maps each point the solution reaches to the layer of its
-    chosen variant (``commit`` edits it in place) and ``names`` counts its
-    fired rules.  Each shown layer holds its strings (see ``Layer``): the
-    solution's text is the root layer's ``text``, and a changed layer hands
-    its text up to its point's ``parent``.  Its derivation is not
-    kept: ``resolve`` builds it from the root layer's items and the
-    solution's assignment.
+    chosen variant and ``names`` counts its fired rules (0 for a rule it no
+    longer fires); ``commit`` edits both in place.  Each shown layer holds
+    its strings (see ``Layer``): the solution's text is the root layer's
+    ``text``, and a changed layer hands its text up to its point's
+    ``parent``.  Its derivation is not kept: ``resolve`` builds it from the
+    root layer's items and the solution's assignment.
     """
 
     def __init__(self, root: Layer):
@@ -636,8 +639,7 @@ class Shown:
             layer = point.parent
 
 
-@dataclass
-class Delta:
+class Delta(NamedTuple):
     """How a combination differs from the shown solution.
 
     ``changes`` holds, per point reached through unchanged choices whose
@@ -646,15 +648,15 @@ class Delta:
     the changes and the layers chosen within them, parents first, and
     ``left`` the layers shown under a changed point.  ``changes`` and
     ``entered`` are in document order.  The combination's point -> layer
-    map is the shown one without ``left`` and with ``entered``.  ``again``
-    lists the (layer, position) of the calls of layers shown before and
-    after that ``inflections`` found must be read again.
+    map is the shown one without ``left`` and with ``entered``.  ``again``,
+    which ``inflections`` fills, lists the (layer, position) of the calls
+    of layers shown before and after that must be read again.
     """
 
     changes: list
     entered: list
     left: list
-    again: list = field(default_factory=list)
+    again: list
 
 
 def _position(change) -> list:
@@ -700,18 +702,23 @@ def combination_frontier(shown: Shown, assignment: dict[int, int],
         if len(changes) > 1:
             changes.sort(key=_position)
     entered: list[Layer] = []  # in pre-order
-    stack = [layer for _, layer in reversed(changes)]
-    while stack:
-        layer = stack.pop()
-        entered.append(layer)
-        stack.extend(p.variants[assignment[p.id]] for p in reversed(layer.points))
+    for _, layer in changes:
+        stack = [layer]
+        while stack:
+            layer = stack.pop()
+            entered.append(layer)
+            for p in reversed(layer.points):
+                stack.append(p.variants[assignment[p.id]])
     left: list[Layer] = []
-    stack = [shown.chosen[point.id] for point, _ in changes if point is not None]
-    while stack:
-        layer = stack.pop()
-        left.append(layer)
-        stack.extend(shown.chosen[p.id] for p in layer.points)
-    return Delta(changes, entered, left)
+    chosen = shown.chosen
+    for point, _ in reversed(changes):
+        stack = [chosen[point.id]] if point is not None else []
+        while stack:
+            layer = stack.pop()
+            left.append(layer)
+            for p in layer.points:
+                stack.append(chosen[p.id])
+    return tuple.__new__(Delta, (changes, entered, left, []))  # C-level
 
 
 def inflections(shown: Shown, delta: Delta, graph: FeatureGraph,
@@ -730,73 +737,68 @@ def inflections(shown: Shown, delta: Delta, graph: FeatureGraph,
     left = set(delta.left)
     chosen = shown.chosen
     ring = graph.ring
-    seen: set = set()
+    seen: set = set()  # the slots of each class walked
     again: dict = {}
     for layer in itertools.chain(delta.entered, delta.left):
         for slots, _ in layer.obligations:
             for slot in slots:
-                root = graph.find(slot)
-                if root in seen:
+                if slot in seen:
                     continue
-                seen.add(root)
                 member = slot
                 while True:
+                    seen.add(member)
                     for owner, pos in readers.get(member[0], ()):
-                        if (owner.point is None
-                                or (chosen.get(owner.point.id) is owner
-                                    and owner not in left)) \
+                        if owner not in left \
+                                and (owner.point is None
+                                     or chosen.get(owner.point.id) is owner) \
                                 and member[1] in owner.frontier[pos].entry.features:
                             again[owner, pos] = None
                     member = ring.get(member, member)
                     if member == slot:
                         break
-    delta.again = list(again)
+    delta.again.extend(again)
     return calls + delta.again
 
 
 def commit(shown: Shown, delta: Delta, calls: list, forms: list) -> None:
-    """Make the combination the shown solution: the left layers leave the
-    point -> layer map and the entered ones join it, the read word forms go
-    into their parts, the entered layers are joined whole, and each changed
-    layer hands its text to the layer around it, deepest first, up to the
-    root.  A layer that was shown before joins again only the blocks of
-    its parts written here (``Layer.join``), so at the root a further
-    solution joins the blocks it changed and the blocks' strings, not a
-    list as long as the root layer's frontier."""
+    """Make the combination the shown solution: the read word forms go into
+    their parts, the left layers leave the point -> layer map and the name
+    counts and the entered ones join them, the entered layers are joined
+    whole, and each changed layer hands its text to the layer around it,
+    a depth at a time, up to the root.  A layer shown before joins again
+    only the blocks of its parts written here (``Layer.join``), so at the
+    root a further solution joins the blocks it changed and the blocks'
+    strings, not a list as long as the root layer's frontier."""
     for (layer, pos), form in zip(calls, forms):
         layer.write(pos, form)
-    chosen = shown.chosen
+    chosen, names = shown.chosen, shown.names
     for layer in delta.left:
         del chosen[layer.point.id]
+        for name in layer.names:
+            names[name] -= 1
     for layer in delta.entered:
         if layer.point is not None:
             chosen[layer.point.id] = layer
+        for name in layer.names:
+            names[name] = names.get(name, 0) + 1
     for layer in reversed(delta.entered):
         for point in layer.points:
             layer.parts[point.index] = chosen[point.id].text
         layer.join(whole=True)
     levels: dict[int, dict] = {}  # depth -> layers whose text is stale
-
-    def hand_up(layer: Layer) -> None:
-        point = layer.point
-        if point is not None:
-            outer = point.parent
-            outer.write(point.index, layer.text)
-            levels.setdefault(outer.depth, {})[outer] = None
-
-    for point, layer in delta.changes:
-        if point is not None:
-            hand_up(layer)
     for layer, _ in delta.again:
         levels.setdefault(layer.depth, {})[layer] = None
-    while levels:
-        for layer in levels.pop(max(levels)):
+    handed = [layer for _, layer in delta.changes]  # empty only if again is
+    while handed:
+        for layer in handed:  # each hands its text to the layer around it
+            point = layer.point
+            if point is not None:
+                outer = point.parent
+                outer.write(point.index, layer.text)
+                levels.setdefault(outer.depth, {})[outer] = None
+        handed = levels.pop(max(levels)) if levels else ()
+        for layer in handed:
             layer.join()
-            hand_up(layer)
-    for layer in delta.left:
-        shown.names.subtract(layer.names)
-    shown.names.update(itertools.chain.from_iterable(
-        layer.names for layer in delta.entered))
 
 
 class EgoStack:

@@ -64,9 +64,7 @@ class Trail:
     def __init__(self):
         self.events: list[tuple] = []
         self.push = self.events.append
-
-    def mark(self) -> int:
-        return len(self.events)
+        self.mark = self.events.__len__  # a mark is the number of events
 
     def __len__(self) -> int:
         return len(self.events)
@@ -75,7 +73,7 @@ class Trail:
         events = self.events
         if mark < 0 or mark > len(events):
             raise EngineError(f"unknown trail mark {mark}")
-        while len(events) > mark:
+        for _ in range(len(events) - mark):
             event = events.pop()
             kind = event[0]
             if kind == "bind":
@@ -126,29 +124,27 @@ class FeatureGraph:
         return slot
 
     def value(self, slot: Slot) -> Optional[Atom]:
-        return self.binding.get(self.find(slot))
+        parent = self.parent  # find, inlined: a word form reads a value per feature
+        while slot in parent:
+            slot = parent[slot]
+        return self.binding.get(slot)
 
-    def bind(self, slot: Slot, atom: Atom, owner: object = None) -> None:
-        root = self.find(slot)
+    def impose(self, ob: Obligation, owner: object = None) -> None:
+        slots, atom = ob
+        if atom is None:
+            for other in slots[1:]:
+                self._union(slots[0], other)
+            return
+        root, parent = slots[0], self.parent  # find, inlined
+        while root in parent:
+            root = parent[root]
         current = self.binding.get(root)
         if current is None:
             self.binding[root] = atom
             self.owner[root] = owner
             self.trail.push(("bind", self, root))
         elif not atoms_equal(current, atom):
-            raise ConstraintClash(slot, current, atom, (self.owner[root],))
-
-    def equate(self, slots) -> None:
-        first = slots[0]
-        for other in slots[1:]:
-            self._union(first, other)
-
-    def impose(self, ob: Obligation, owner: object = None) -> None:
-        slots, atom = ob
-        if atom is None:
-            self.equate(slots)
-        else:
-            self.bind(slots[0], atom, owner)
+            raise ConstraintClash(slots[0], current, atom, (self.owner[root],))
 
     def _union(self, a: Slot, b: Slot) -> None:
         ra, rb = self.find(a), self.find(b)
@@ -226,12 +222,13 @@ class InflectCall:
     def realize(self, values: Callable[[Slot], Optional[Atom]],
                 registry: FunctionRegistry, stats: "Stats") -> str:
         node = self.node
-        bound = tuple(
-            (feature, v)
-            for feature in self.entry.features
-            if (v := values((node, feature))) is not None
-        )
-        cached = self._cache.get(bound)
+        bound = []
+        for feature in self.entry.features:
+            v = values((node, feature))
+            if v is not None:
+                bound.append((feature, v))
+        bound = tuple(bound)
+        cached = self._cache.get(bound) if self._cache else None  # a new call has none
         if cached is not None:
             return cached
         key = form_key(self.entry.name, self.args, bound)
@@ -303,7 +300,7 @@ def apply_constraints(rule: Rule, lhs_node: int, nodes: tuple,
                                   f"{rule.missing_refs()[0]} but the template "
                                   f"has no such constituent")
             slots.append((lhs_node if k < 0 else nodes[k], feature))
-        ob = Obligation(tuple(slots), atom)
+        ob = tuple.__new__(Obligation, (tuple(slots), atom))  # C-level, unlike Obligation()
         graph.impose(ob, owner)
         obligations.append(ob)
     return obligations
@@ -354,10 +351,6 @@ class Stats:
     side_effects_run: int = 0
     depth_cutoffs: int = 0
     fired_by_rule: dict = field(default_factory=dict)
-
-    def count_fire(self, rule_name: str) -> None:
-        self.rules_fired += 1
-        self.fired_by_rule[rule_name] = self.fired_by_rule.get(rule_name, 0) + 1
 
     def snapshot(self) -> dict:
         return {

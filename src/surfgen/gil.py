@@ -38,9 +38,9 @@ class PositionedError(Exception):
         self.col = 0
 
     def __str__(self) -> str:
-        if self.line:
+        if self.col:
             return f"{self.line}:{self.col}: {self.message}"
-        return self.message
+        return f"{self.line}: {self.message}" if self.line else self.message
 
 
 class GilError(PositionedError):
@@ -468,9 +468,11 @@ def _read_document(lexemes: list, rest: str) -> FeatureStructure:
             if _cyclic(inside):
                 raise GilError("coreferences form a cycle")
         return value  # the root, closed last
-    # a token was refused: every lexeme from it on is still converted, and
-    # a malformed rest is reported, before the refusal is
+    # a token was refused: a located read converts every lexeme from it on,
+    # and reports a malformed rest, before the refusal; a bare read stops
     message, where = error or (_EXPECTED[expect].format(_kind(lexeme)), lexeme)
+    if type(where) is not _Located:  # each of these would fail unplaced
+        raise _Unplaced
     for lexeme in chain((lexeme,), tokens):
         if lexeme[0] not in _NOT_NUMBER:
             _number(lexeme)
@@ -612,13 +614,12 @@ def get_path(fs, path):
     if isinstance(path, str):
         path = Path.parse(path)
     current: Value = fs
-    for seg in path.segments:
+    for seg in path.segments:  # upper-cased, as the structure's keys
         if not isinstance(current, FeatureStructure):
             return None
-        nxt = current.get(seg)
-        if nxt is None:
+        current = current._values.get(seg)
+        if current is None:
             return None
-        current = nxt
     return current
 
 

@@ -35,6 +35,7 @@ from .session import GenerationSession, Solution
 from .tgl import Grammar, Registries, Rule
 
 MODES = ("first-solution-bias", "weight-ranked")
+ZERO = Fraction(0)  # shared by every weight of 0: Fraction() is Python-level
 FORMULAS = ("per-occurrence", "per-distinct")
 
 
@@ -204,8 +205,9 @@ def solution_weight(counts: Counter, spec: CriteriaSpec) -> Fraction:
             if counts.get(name, 0) != 0:
                 total += numerator
         # one-argument Fraction skips the gcd when every weight is whole
-        return Fraction(total, denominator) if denominator > 1 else Fraction(total)
-    total = Fraction(0)
+        return ZERO if not total else Fraction(total, denominator) \
+            if denominator > 1 else Fraction(total)
+    total = ZERO
     for criterion in spec.criteria:
         n = counts.get(criterion.rule_name, 0)
         if n != 0:

@@ -80,10 +80,10 @@ from .engine import (
     realize,
 )
 from .gil import FeatureStructure, is_atom
-from .tgl import FunCall, Grammar, Literal, Registries, Rule, eval_selector
+from .tgl import Expr, FunCall, Grammar, Literal, Registries, Rule, eval_selector
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a frozen dataclass's __init__ costs three times as much
 class Solution:
     """One emitted solution: its text, its weight, the variant index
     chosen at each point (``assignment``) and the root layer's ``items``.
@@ -129,17 +129,15 @@ class GenerationSession:
         self.table = BTTable(self.spec.point_rank)
         self.memo: Optional[MemoCache] = MemoCache() if use_memo else None
         self.memory: dict = {}
+        self._word_forms: dict = {}  # call name -> its word-form function
         self.stats = Stats()
         self._next_id = 1  # the next feature node id to hand out
         self._layers: list[Layer] = [Layer([], None, 0)]
         self._shown: Optional[Shown] = None  # set once the first derivation exists
-        # the shown solution's egos on a copy of the root layer's graph
-        self._egos: Optional[EgoStack] = None
+        self._egos: Optional[EgoStack] = None  # the shown egos, on a graph copy
         # node id -> (layer, frontier position) of each inflection call that
         # reads features on that node, over every captured layer
         self._readers: dict[int, list] = {}
-        # ids the odometer moved since the shown solution was committed
-        self._moved: set[int] = set()
         self._started = False
 
     # -- public API ---------------------------------------------------------
@@ -159,20 +157,38 @@ class GenerationSession:
                 self.trail.undo_to(base)
                 return
             self._capture(root)
-            self._shown = Shown(root)
+            shown = self._shown = Shown(root)
             self.trail.undo_to(base)
             # in every solution: imposed once, undone with the stream
             for ob in root.obligations:
                 self.graph.impose(ob, root)
-            self._egos = EgoStack(self.graph.copy(Trail()))
-            yield from self._emit({})
+            egos = self._egos = EgoStack(self.graph.copy(Trail()))
+            moved: set[int] = set()  # ids the odometer moved since the last commit
+            fixed: Optional[dict[int, int]] = {}  # the pins of the expansion
             while True:
-                point = prefs.choose_backtrack_point(self.table, self.spec)
-                if point is None:
-                    break
-                fixed = self._expand(point)
-                if fixed is not None:
-                    yield from self._emit(fixed)
+                for assignment in iter_assignments(root, fixed, moved):
+                    delta = combination_frontier(shown, assignment, moved)
+                    state = combination_state(delta, egos)
+                    if state is None:
+                        self.stats.combinations_filtered += 1
+                        continue
+                    calls = inflections(shown, delta, state, self._readers)
+                    forms = realize([layer.frontier[pos] for layer, pos in calls],
+                                    self.registries.functions, state.value, self.stats)
+                    commit(shown, delta, calls, forms)
+                    moved.clear()
+                    weight = prefs.solution_weight(shown.names, self.spec)
+                    self.stats.solutions_emitted += 1
+                    if self.trace is not None:
+                        self._trace("solution", 0, detail=root.text)
+                    # the odometer's assignment moves on: the solution keeps a copy
+                    yield Solution(root.text, weight, dict(assignment), root.items)
+                fixed = None
+                while fixed is None:  # until an expansion yields a new ego
+                    point = prefs.choose_backtrack_point(self.table, self.spec)
+                    if point is None:
+                        return
+                    fixed = self._expand(point)
         finally:
             self.trail.undo_to(base)
             if self._egos is not None:
@@ -281,14 +297,18 @@ class GenerationSession:
     def _fire(self, rule: Rule, fs: FeatureStructure, lhs_node: int,
               depth: int) -> tuple[Optional[DerivationNode], bool]:
         """The rule's node, or None and whether the rule may be retried."""
-        self.stats.count_fire(rule.name)
-        self._trace("rule-firing", depth, rule.category, rule.name)
+        stats, fired = self.stats, self.stats.fired_by_rule
+        stats.rules_fired += 1
+        fired[rule.name] = fired.get(rule.name, 0) + 1
+        if self.trace is not None:
+            self._trace("rule-firing", depth, rule.category, rule.name)
         mark = self.trail.mark()
         node = DerivationNode(rule.category, rule.name, lhs_node)
         failure = self._fire_body(rule, fs, node, depth + 1)
         if failure is None:
-            self.stats.rules_succeeded += 1
-            self._trace("rule-fired", depth, rule.category, rule.name)
+            stats.rules_succeeded += 1
+            if self.trace is not None:
+                self._trace("rule-fired", depth, rule.category, rule.name)
             return node, False
         self.trail.undo_to(mark)
         reason, retryable = failure
@@ -303,7 +323,9 @@ class GenerationSession:
             if not entry.is_side_effect:
                 raise EngineError(f"{call.name!r} lacks an undo callback and "
                                   f"cannot run as a side effect")
-            args = tuple(self._effect_arg(a, fs) for a in call.args)
+            args = tuple(a if is_atom(a) else
+                         eval_selector(a, fs, self.registries.selectors)
+                         for a in call.args)
             saved = entry.fn(self.memory, args)
             self.trail.push(("effect", entry.undo, self.memory, args, saved))
             self.stats.side_effects_run += 1
@@ -344,20 +366,20 @@ class GenerationSession:
 
     def _make_inflect(self, call: FunCall, fs: FeatureStructure,
                       lhs_node: int) -> Optional[InflectCall]:
-        entry = self.registries.functions.require(call.name)
-        if entry.is_side_effect:
-            raise EngineError(f"side effect {call.name!r} in a template slot")
+        entry = self._word_forms.get(call.name)
+        if entry is None:  # looked up and checked once per name
+            entry = self.registries.functions.require(call.name)
+            if entry.is_side_effect:
+                raise EngineError(f"side effect {call.name!r} in a template slot")
+            self._word_forms[call.name] = entry
         args = []
         for arg in call.args:
-            value = self._effect_arg(arg, fs)
-            if value is None or not is_atom(value):
-                return None
-            args.append(value)
+            if isinstance(arg, Expr):  # a selector, else an atom
+                arg = eval_selector(arg, fs, self.registries.selectors)
+                if not is_atom(arg):
+                    return None
+            args.append(arg)
         return InflectCall(entry, tuple(args), lhs_node)
-
-    def _effect_arg(self, arg, fs: FeatureStructure):
-        return arg if is_atom(arg) else \
-            eval_selector(arg, fs, self.registries.selectors)
 
     def _memo_store(self, category: str, fs: FeatureStructure, item,
                     effects_before: int) -> None:
@@ -394,15 +416,17 @@ class GenerationSession:
             return self._copy_point(item, node_map, replay)
         raise EngineError(f"cannot copy {item!r}")
 
-    def _copy_node(self, node: DerivationNode, node_map, replay: bool):
-        def mapped(n: int) -> int:
-            if n not in node_map:
-                node_map[n] = self._new_node()
-            return node_map[n]
+    def _mapped(self, node_map: dict[int, int], n: int) -> int:
+        if n not in node_map:
+            node_map[n] = self._new_node()
+        return node_map[n]
 
-        new = DerivationNode(node.category, node.rule_name, mapped(node.node_id))
+    def _copy_node(self, node: DerivationNode, node_map, replay: bool):
+        new = DerivationNode(node.category, node.rule_name,
+                             self._mapped(node_map, node.node_id))
         for ob in node.obligations:
-            new_ob = Obligation(tuple((mapped(n), f) for n, f in ob.slots), ob.atom)
+            new_ob = Obligation(tuple((self._mapped(node_map, n), f)
+                                      for n, f in ob.slots), ob.atom)
             new.obligations.append(new_ob)
             if replay:
                 self.graph.impose(new_ob, self._layers[-1])
@@ -411,16 +435,12 @@ class GenerationSession:
         return new
 
     def _copy_point(self, old: BacktrackPoint, node_map, replay: bool):
-        def mapped(n: int) -> int:
-            if n not in node_map:
-                node_map[n] = self._new_node()
-            return node_map[n]
-
         # rules the original consumed were pruned against the obligations of
         # *its* position; at the new position they are merely untried
         succeeded = {v.items[0].rule_name for v in old.variants}
         untried = [r for r in old.conflict_rules if r.name not in succeeded]
-        point = self.table.record(old.category, old.input, mapped(old.node_id),
+        point = self.table.record(old.category, old.input,
+                                  self._mapped(node_map, old.node_id),
                                   untried, self._layers[-1])
         point.conflict_rules = old.conflict_rules
         self.stats.bt_points_created += 1
@@ -446,7 +466,8 @@ class GenerationSession:
         """
         rule = point.remainder[0]
         self.stats.bt_expansions += 1
-        self._trace("expand", 0, point.category, rule.name, f"B{point.id}")
+        if self.trace is not None:
+            self._trace("expand", 0, point.category, rule.name, f"B{point.id}")
         mark = self.trail.mark()
         chain = []
         fixed = {}
@@ -493,25 +514,3 @@ class GenerationSession:
                     layers.append(v)
         for layer in reversed(layers):
             layer.steps = layer_steps(layer)
-
-    # -- emission -----------------------------------------------------------
-
-    def _emit(self, fixed: dict[int, int]) -> Iterator[Solution]:
-        shown, moved = self._shown, self._moved
-        for assignment in iter_assignments(shown.root, fixed, moved):
-            delta = combination_frontier(shown, assignment, moved)
-            state = combination_state(delta, self._egos)
-            if state is None:
-                self.stats.combinations_filtered += 1
-                continue
-            calls = inflections(shown, delta, state, self._readers)
-            forms = realize([layer.frontier[pos] for layer, pos in calls],
-                            self.registries.functions, state.value, self.stats)
-            commit(shown, delta, calls, forms)
-            moved.clear()
-            weight = prefs.solution_weight(shown.names, self.spec)
-            self.stats.solutions_emitted += 1
-            text = shown.root.text
-            self._trace("solution", 0, detail=text)
-            # the odometer's assignment moves on: the solution keeps a copy
-            yield Solution(text, weight, dict(assignment), shown.root.items)

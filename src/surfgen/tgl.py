@@ -355,7 +355,10 @@ class _GrammarReader:
         is returned, not raised."""
         try:
             for form in forms:
-                grammar.add(self.production(form, line))
+                rule = self.production(form, line)
+                if rule.name in grammar.by_name:  # placed at the name's string
+                    _SCANNER.fail(f"rule name {rule.name!r} used twice", form[2])
+                grammar.add(rule)
         except TglError as e:
             return e
         forms.clear()

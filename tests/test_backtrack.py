@@ -1,7 +1,9 @@
 import gc
 import itertools
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -865,3 +867,48 @@ def test_solutions_hash_and_build_a_set(regs):
     again = replace(solutions[5])
     assert again == solutions[5] and hash(again) == hash(solutions[5])
     assert len(set(solutions) | {again}) == 8
+
+
+DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "grammars" / "deep.tgl"
+# The Python-level calls of one further solution of a deep list, at most:
+# a ratchet that a change may lower and may not raise
+FURTHER_SOLUTION_CALLS = 73
+
+
+def deep_list(items: int) -> FeatureStructure:
+    body = ""
+    for k in reversed(range(items)):
+        item = f"[(PRED {('professor', 'document')[k % 2]}) (NO {k + 1})]"
+        body = f"[(ITEM {item})" + (f" (REST {body})" if body else "") + "]"
+    return parse_gil(f"[(ITEMS {body})]")
+
+
+def further_solution_calls(grammar, items: int) -> int:
+    """The Python-level calls (``sys.setprofile`` "call" events) of the
+    second solution of a deep list, on a registry an earlier document
+    warmed, so that every word form is in its table."""
+    regs = Registries.standard()
+    assert len(list(make_session(grammar, registries=regs).solutions(deep_list(items)))) == 2
+    stream = make_session(grammar, registries=regs).solutions(deep_list(items))
+    next(stream)
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        next(stream)
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+def test_a_further_solution_makes_as_many_calls_at_any_length():
+    """The paper's claim, counted: a further solution of a deep list fires
+    one rule, and the calls it makes do not grow with the list."""
+    grammar = parse_grammar(DEEP.read_text(encoding="utf-8"))
+    short, long = further_solution_calls(grammar, 16), further_solution_calls(grammar, 60)
+    assert abs(short - long) <= 2, (short, long)
+    assert max(short, long) <= FURTHER_SOLUTION_CALLS, (short, long)

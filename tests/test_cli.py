@@ -262,6 +262,15 @@ def test_validate_syntax_error(tmp_path):
     assert "1:" in err  # line-numbered diagnostic
 
 
+def test_rule_name_used_twice_is_placed_at_the_name(tmp_path):
+    bad = tmp_path / "twice.tgl"
+    rule = '(DEFPRODUCTION "r" (:PRECOND (:CAT TXT :TEST ()) :ACTIONS (:TEMPLATE "a")))\n'
+    bad.write_text(rule + "\n" + rule, encoding="utf-8")
+    code, out, err = run(["validate", "--grammar", str(bad)])
+    assert (code, out, err) == \
+        (EXIT_ERROR, "", f"error: {bad}:3:16: rule name 'r' used twice\n")
+
+
 def test_validate_unknown_function(tmp_path):
     bad = tmp_path / "calls.tgl"
     bad.write_text('(DEFPRODUCTION "x" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
@@ -288,7 +297,12 @@ def test_custom_lexicon_flag(paths, tmp_path):
 @pytest.mark.parametrize("flag, text, message", [
     ("--lexicon", "meet | vform=inf sehen\n",
      "line 1: cell 'vform=inf sehen' lacks '->'"),
+    ("--lexicon", "# head\n | -> x\n", "line 2: entry without a lemma"),
+    ("--lexicon", "w | case=akk ->\n", "line 1: empty surface form"),
+    ("--lexicon", "w | -> x | -> y\n", "line 1: two fallback cells"),
     ("--criteria", "dup\ndup\n", "criteria name a rule more than once"),
+    ("--criteria", 'ok\n"open 2\n', "line 2: unterminated quoted name"),
+    ("--criteria", '"r" heavy\n', "line 1: bad weight 'heavy'"),
 ])
 def test_malformed_lexicon_or_criteria_file_is_an_input_error(
         paths, tmp_path, flag, text, message):

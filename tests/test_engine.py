@@ -227,8 +227,8 @@ def test_assign_conflict_is_a_clash():
 
 def test_same_value_reassignment_is_fine():
     graph = FeatureGraph(Trail())
-    graph.bind((1, "CASE"), Sym("akk"))
-    graph.bind((1, "CASE"), Sym("AKK"))  # symbols compare case-insensitively
+    graph.impose(Obligation(((1, "CASE"),), Sym("akk")))
+    graph.impose(Obligation(((1, "CASE"),), Sym("AKK")))  # symbols compare case-insensitively
     assert graph.value((1, "CASE")) == Sym("akk")
 
 
@@ -281,9 +281,9 @@ def test_unvalidated_constraint_naming_no_constituent_is_an_engine_error(regs):
 def test_trail_undo_bindings():
     trail = Trail()
     graph = FeatureGraph(trail)
-    graph.bind((1, "CASE"), Sym("akk"))
+    graph.impose(Obligation(((1, "CASE"),), Sym("akk")))
     m2 = trail.mark()
-    graph.bind((1, "NUM"), Sym("sg"))
+    graph.impose(Obligation(((1, "NUM"),), Sym("sg")))
     trail.undo_to(m2)
     assert graph.value((1, "CASE")) == Sym("akk")
     assert graph.value((1, "NUM")) is None
@@ -293,7 +293,7 @@ def test_trail_undo_class_merge():
     trail = Trail()
     graph = FeatureGraph(trail)
     mark = trail.mark()
-    graph.equate([(1, "NUM"), (2, "NUM")])
+    graph.impose(Obligation(((1, "NUM"), (2, "NUM"))))
     assert graph.find((1, "NUM")) == graph.find((2, "NUM"))
     trail.undo_to(mark)
     assert graph.find((1, "NUM")) != graph.find((2, "NUM"))
@@ -303,9 +303,9 @@ def test_trail_undo_class_merge():
 def test_trail_undo_merge_restores_bindings():
     trail = Trail()
     graph = FeatureGraph(trail)
-    graph.bind((1, "F"), Sym("x"))
+    graph.impose(Obligation(((1, "F"),), Sym("x")))
     mark = trail.mark()
-    graph.equate([(1, "F"), (2, "F")])
+    graph.impose(Obligation(((1, "F"), (2, "F"))))
     assert graph.value((2, "F")) == Sym("x")
     trail.undo_to(mark)
     assert graph.value((1, "F")) == Sym("x")
@@ -323,8 +323,8 @@ def test_trail_full_undo_equals_fresh_state():
     graph = FeatureGraph(trail)
     base = trail.mark()
     for i in range(5):
-        graph.bind((i, "F"), Sym("v"))
-    graph.equate([(0, "G"), (1, "G"), (2, "G")])
+        graph.impose(Obligation(((i, "F"),), Sym("v")))
+    graph.impose(Obligation(((0, "G"), (1, "G"), (2, "G"))))
     trail.undo_to(base)
     assert graph.is_empty()
     assert len(trail) == 0
@@ -344,7 +344,7 @@ def test_ring_lists_each_class_through_unions_and_undo():
             trail.undo_to(marks.pop(rng.randrange(len(marks))))
             marks = [m for m in marks if m <= trail.mark()]
         else:
-            graph.equate(rng.sample(slots, rng.randint(2, 3)))
+            graph.impose(Obligation(tuple(rng.sample(slots, rng.randint(2, 3)))))
         for slot in slots:
             members, m = [], slot
             while True:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from surfgen import gil
 from surfgen.gil import (
     FeatureStructure,
     GilError,
@@ -15,6 +16,7 @@ from surfgen.gil import (
 )
 
 from .grammars import hard_input, random_input
+from .test_readers_pinned import HAND
 
 
 def test_parse_meeting_document(meeting_fs):
@@ -384,3 +386,22 @@ def test_roundtrip_random_structures():
     for _ in range(100):
         fs = _random_structure(rng, 0)
         assert fs_equal(fs, parse_gil(serialize_gil(fs)))
+
+
+def test_a_refused_document_converts_each_later_number_once(monkeypatch):
+    """Once a token is refused, only the located read converts the numbers
+    after it: the bare read stops at the refusal.  The error is the pinned
+    one, int()'s refusal of the number, which comes before the refusal."""
+    text = HAND["gil"]["int-past-limit-after-refusal"]
+    converted = []
+    number = gil._number
+
+    def counted(lexeme):
+        converted.append(lexeme)
+        return number(lexeme)
+
+    monkeypatch.setattr(gil, "_number", counted)
+    with pytest.raises(GilError, match="Exceeds the limit") as refused:
+        parse_gil(text)
+    assert (refused.value.line, refused.value.col) == (1, 7)
+    assert converted == ["9" * 5000]

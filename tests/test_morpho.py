@@ -153,6 +153,9 @@ def test_lexicon_feature_values_compare_case_insensitively(value):
     ("w | case=akk -> x | CASE=AKK -> y\n", r"line 1: duplicate paradigm cell"),
     ("w | num=sg,case=Akk -> x | CASE=akk,Num=SG -> y\n",
      r"line 1: duplicate paradigm cell"),
+    ("# head\n | -> x\n", r"line 2: entry without a lemma"),
+    ("w | case=akk ->\n", r"line 1: empty surface form"),
+    ("w | -> x | -> y\n", r"line 1: two fallback cells"),
 ])
 def test_lexicon_rejects_malformed_and_duplicate_cells(text, message):
     with pytest.raises(MorphoError, match=message):

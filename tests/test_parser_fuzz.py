@@ -85,8 +85,8 @@ def test_readers_raise_only_their_own_errors(text):
 
 
 def test_both_reads_agree_on_every_pinned_case():
-    """The pinned cases also reach values and the errors that no item
-    places (an undefined tag, a cycle, a rule name used twice), which
-    mutated windows seldom do."""
+    """The pinned cases also reach values, the errors that no item places
+    (an undefined tag, a cycle) and a rule name used twice, which mutated
+    windows seldom do."""
     for lang, text in cases().values():
         assert_reads_agree(lang, text)

@@ -433,6 +433,18 @@ def test_parse_criteria_decimal_weight():
     assert parse_criteria("r 2.5\n").weight_of("r") == Fraction(5, 2)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: parse_criteria('ok\n"open 2\n'), "line 2: unterminated quoted name"),
+    (lambda: parse_criteria('"r" heavy\n'), "line 1: bad weight 'heavy'"),
+    (lambda: parse_criteria("r\n", mode="best"), "unknown mode 'best'"),
+    (lambda: CriteriaSpec(weight_formula="per-rule"), "unknown weight formula 'per-rule'"),
+])
+def test_criteria_refusals_name_what_they_refuse(make, message):
+    with pytest.raises(CriteriaError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
 def test_parse_criteria_errors():
     with pytest.raises(CriteriaError):
         parse_criteria("dup 1\ndup 2\n")

@@ -227,6 +227,29 @@ def test_pretty_print_roundtrip(demo_dir):
             assert a.constraints == b.constraints
 
 
+def test_predicate_or_selector_registered_twice_is_refused():
+    regs = Registries.standard()
+    regs.predicates.register("busy", lambda fs: True)
+    regs.selectors.register("agent", lambda fs: fs)
+    with pytest.raises(TglError) as refused:
+        regs.predicates.register("BUSY", lambda fs: False)
+    assert str(refused.value) == "predicate 'BUSY' registered twice"
+    with pytest.raises(TglError) as refused:
+        regs.selectors.register("agent", lambda fs: fs)
+    assert str(refused.value) == "selector 'agent' registered twice"
+
+
+def test_rule_name_used_twice_outside_the_reader_names_its_line():
+    rule = parse_grammar('(DEFPRODUCTION "r" (:PRECOND (:CAT TXT :TEST ())'
+                         ' :ACTIONS (:TEMPLATE "a")))').rules[0]
+    grammar = parse_grammar("")
+    grammar.add(rule)
+    with pytest.raises(TglError) as refused:
+        grammar.add(rule)
+    assert (refused.value.line, refused.value.col) == (1, 0)
+    assert str(refused.value) == "1: rule name 'r' used twice"
+
+
 # --- validation --------------------------------------------------------------
 
 def test_validate_demo_grammars_clean(demo_dir):
