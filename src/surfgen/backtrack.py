@@ -42,11 +42,12 @@ point.  The odometer reports the ids its point steps set (a run sets
 variant 0 only, which never needs reporting), and the delta to the shown
 solution compares only those.
 
-The open points are indexed as their layers are captured (``BTTable``),
-in one heap: those with a c-rule left first, keyed by the best such rule,
-then the others (all of them without criteria), the newest first among
-equal keys; a stale entry is keyed again only on reaching the top
-(``BTTable.first_ranked``, ``prefs.choose_backtrack_point``).  So neither
+As their layers are captured, the open points enter one heap, which the
+session keeps and ``prefs`` alone keys, fills and reads
+(``prefs.open_point``, ``prefs.choose_backtrack_point``): those with a
+c-rule left first, keyed by the best such rule, then the others (all of
+them without criteria), the newest first among equal keys; a stale entry
+is keyed again only on reaching the top.  So neither
 the choice of a point nor the delta looks at every point.  Besides its
 ego, a further solution makes a fixed number of Python-level calls, as
 many on a long list as on a short one (a test counts them); per point it
@@ -71,7 +72,6 @@ derivation tree is built while emitting: the assignment fixes it, and
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import Counter
 from typing import Iterator, NamedTuple, Optional
@@ -80,10 +80,6 @@ from .engine import (ConstraintClash, DerivationNode, FeatureGraph,
                      InflectCall, LiteralTok, join_tokens)
 from .gil import FeatureStructure, fs_digest, fs_equal
 from .tgl import Rule
-
-
-# The key of an open point that its rank gives none: after every number.
-UNRANKED = float("inf")
 
 
 class BacktrackPoint:
@@ -96,8 +92,10 @@ class BacktrackPoint:
     frontier; ``index`` is its position in that frontier, set when that
     layer completes.  Its pre- and post-context are
     the frontier on either side of it, through the points around it.
-    ``key`` is the point's key in the table's index (``BTTable``) as it was
-    last made, and points compare in the order of that index.
+    ``key`` is the point's key in the open points' heap as ``prefs`` last
+    made it, set when the point enters it (``prefs.open_point``), and points
+    compare in the order of that heap: the lowest key first, then the
+    newest.
     """
 
     __slots__ = ("id", "category", "input", "node_id", "parent",
@@ -115,7 +113,6 @@ class BacktrackPoint:
         self.remainder: list[Rule] = list(rules)
         self.variants: list[Layer] = []
         self.index = 0
-        self.key = UNRANKED
 
     def __lt__(self, other: "BacktrackPoint") -> bool:
         if self.key == other.key:
@@ -125,67 +122,6 @@ class BacktrackPoint:
     def __repr__(self) -> str:
         return (f"<B{self.id} {self.category} variants={len(self.variants)} "
                 f"remainder={len(self.remainder)}>")
-
-
-class BTTable:
-    """The open backtrack points of one generation session.
-
-    ``record`` only numbers a new point: a point joins the table when the
-    layer holding it is captured (``add``), so a point recorded in a
-    derivation that failed never does.
-
-    ``index`` is a heap of the open points, those whose remainder is not
-    empty, each its own entry under its ``key``, so that indexing a point
-    makes no object for the collector to count.  ``rank`` maps a point to
-    its key, a number, or None for a point ranked below every key; without
-    a rank no point has a key.  The lowest key comes first, then the points
-    without one (keyed ``UNRANKED``), and the newest point among equal keys
-    (``first_ranked``).  The rank must be one whose key can only rise, or
-    become None, as the point's remainder shrinks.
-    """
-
-    def __init__(self, rank=None):
-        self.rank = rank
-        self.index: list[BacktrackPoint] = []
-        self._next_id = 1
-
-    def record(self, category: str, input: FeatureStructure, node_id: int,
-               rules: list[Rule], parent) -> BacktrackPoint:
-        point = BacktrackPoint(self._next_id, category, input, node_id,
-                               rules, parent)
-        self._next_id += 1
-        return point
-
-    def _key(self, point: BacktrackPoint):
-        key = None if self.rank is None else self.rank(point)
-        return UNRANKED if key is None else key
-
-    def add(self, point: BacktrackPoint) -> None:
-        """Enter a captured point.  Points compare in a total order, so the
-        order they are added in never changes what ``first_ranked`` gives."""
-        if point.remainder:
-            point.key = self._key(point)
-            heapq.heappush(self.index, point)
-
-    def first_ranked(self) -> Optional[BacktrackPoint]:
-        """The open point the index ranks first; None when none is open.
-
-        An entry is keyed again, or dropped once its point is exhausted,
-        only when it is on top: keys only rise as remainders shrink, so the
-        first entry whose key is up to date is the answer, and the other
-        entries are not looked at.
-        """
-        index = self.index
-        while index:
-            point = index[0]
-            if not point.remainder:
-                heapq.heappop(index)
-            elif (now := self._key(point)) == point.key:
-                return point
-            else:
-                point.key = now
-                heapq.heapreplace(index, point)
-        return None
 
 
 # Parts per block of a layer's text: a further solution joins again a

@@ -23,13 +23,14 @@ weights are non-negative rationals (``2``, ``0.5``, ``1/3``), default 1.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .backtrack import BacktrackPoint, BTTable
+from .backtrack import BacktrackPoint
 from .gil import FeatureStructure
 from .session import GenerationSession, Solution
 from .tgl import Grammar, Registries, Rule
@@ -37,6 +38,8 @@ from .tgl import Grammar, Registries, Rule
 MODES = ("first-solution-bias", "weight-ranked")
 ZERO = Fraction(0)  # shared by every weight of 0: Fraction() is Python-level
 FORMULAS = ("per-occurrence", "per-distinct")
+# The key of an open point with no c-rule left: after every number.
+UNRANKED = float("inf")
 
 
 class CriteriaError(Exception):
@@ -56,10 +59,10 @@ class Criterion:
 
 @dataclass(frozen=True)
 class CriteriaSpec:
-    """Criteria and how they order solutions.  ``weights``, ``scaled`` and
-    ``point_rank`` are made with the spec.  They are fields, not cached
-    properties: writing the instance ``__dict__`` after the spec is made
-    slows every later attribute read of it."""
+    """Criteria and how they order solutions.  ``weights`` and ``scaled``
+    are made with the spec.  They are fields, not cached properties:
+    writing the instance ``__dict__`` after the spec is made slows every
+    later attribute read of it."""
 
     criteria: tuple = ()
     mode: str = "first-solution-bias"
@@ -68,7 +71,6 @@ class CriteriaSpec:
     # the weights over their least common denominator: ((rule name,
     # numerator), ...) in criteria order, and the denominator
     scaled: tuple = field(init=False, repr=False, compare=False)
-    point_rank: object = field(init=False, repr=False, compare=False)  # see _point_rank
 
     def __post_init__(self):
         names = [c.rule_name for c in self.criteria]
@@ -85,39 +87,6 @@ class CriteriaSpec:
                         for c in self.criteria), denominator)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "point_rank", _point_rank(weights, self.mode))
-
-    def is_c_rule(self, rule_name: str) -> bool:
-        return rule_name in self.weights
-
-    def weight_of(self, rule_name: str) -> Optional[Fraction]:
-        return self.weights.get(rule_name)
-
-
-def _point_rank(weights: dict, mode: str):
-    """The key by which a table indexes open backtrack points for
-    ``choose_backtrack_point``, lowest first; None without criteria.
-    Only points whose remainder holds a c-rule have a key: under
-    weight-ranked the heaviest such rule's weight, negated, and 0 for
-    all of them otherwise.  A key can only rise, or become None, as the
-    remainder shrinks."""
-    if not weights:
-        return None
-    if mode == "first-solution-bias":
-        def rank(point):
-            for rule in point.remainder:
-                if rule.name in weights:
-                    return 0
-            return None
-    else:
-        def rank(point):
-            top = None
-            for rule in point.remainder:
-                weight = weights.get(rule.name)
-                if weight is not None and (top is None or weight > top):
-                    top = weight
-            return None if top is None else -top
-    return rank
 
 
 EMPTY_SPEC = CriteriaSpec()
@@ -168,29 +137,75 @@ def load_criteria(path, **kwargs) -> CriteriaSpec:
 
 def order_conflict_set(conflict_set: list[Rule], spec: CriteriaSpec) -> list[Rule]:
     """Stable partition: c-rules first by descending weight, rest after."""
-    if not spec.criteria:
+    weights = spec.weights
+    if not weights:
         return list(conflict_set)
-    c_rules = [r for r in conflict_set if spec.is_c_rule(r.name)]
-    c_rules.sort(key=lambda r: -spec.weight_of(r.name))  # stable for ties
-    others = [r for r in conflict_set if not spec.is_c_rule(r.name)]
-    return c_rules + others
+    c_rules, others = [], []
+    for rule in conflict_set:
+        weight = weights.get(rule.name)
+        if weight is None:
+            others.append(rule)
+        else:
+            c_rules.append((weight, rule))
+    c_rules.sort(key=lambda pair: -pair[0])  # stable for ties
+    return [rule for _, rule in c_rules] + others
 
 
-def choose_backtrack_point(table: BTTable,
+def point_key(point: BacktrackPoint, spec: CriteriaSpec):
+    """The key of an open point in the session's heap, lowest first: when
+    its remainder holds a c-rule, 0, or under weight-ranked the heaviest
+    such rule's weight, negated; ``UNRANKED`` without one, and so for
+    every point without criteria.  A key can only rise as the remainder
+    shrinks."""
+    weights = spec.weights
+    if not weights:
+        return UNRANKED
+    if spec.mode == "first-solution-bias":
+        for rule in point.remainder:
+            if rule.name in weights:
+                return 0
+        return UNRANKED
+    top = None
+    for rule in point.remainder:
+        weight = weights.get(rule.name)
+        if weight is not None and (top is None or weight > top):
+            top = weight
+    return UNRANKED if top is None else -top
+
+
+def open_point(index: list[BacktrackPoint], point: BacktrackPoint,
+               spec: CriteriaSpec) -> None:
+    """Enter a captured point in the session's heap, unless its remainder
+    is empty.  Points compare in a total order, so the order they are
+    entered in never changes what ``choose_backtrack_point`` gives."""
+    if point.remainder:
+        point.key = point_key(point, spec)
+        heapq.heappush(index, point)
+
+
+def choose_backtrack_point(index: list[BacktrackPoint],
                            spec: CriteriaSpec) -> Optional[BacktrackPoint]:
-    """Prefer points whose remainder still holds a c-rule (under
-    weight-ranked, the heaviest one), then the most recently created; with
-    no criteria, simply the most recently created open point.
+    """The open point to expand next, or None when none is open: the one
+    whose remainder still holds a c-rule (under weight-ranked, the
+    heaviest one), then the most recently created; with no criteria,
+    simply the most recently created open point.
 
-    Takes the table of the session, whose index ``spec.point_rank`` keys
-    (a session steered by spec builds its table so), and reads the first
-    entry of that index, not every open point; returns None on exhaustion.
-    Raises ValueError for a table ranked otherwise, whose index would order
-    the open points otherwise.
+    Reads the session's heap, which ``open_point`` filled under the same
+    spec, not every open point.  An entry is keyed again, or dropped once
+    its point is exhausted, only when it is on top: keys only rise as
+    remainders shrink, so the first entry whose key is up to date is the
+    answer.
     """
-    if table.rank is not spec.point_rank:
-        raise ValueError("the table is not indexed by the spec's point_rank")
-    return table.first_ranked()
+    while index:
+        point = index[0]
+        if not point.remainder:
+            heapq.heappop(index)
+        elif (now := point_key(point, spec)) == point.key:
+            return point
+        else:
+            point.key = now
+            heapq.heapreplace(index, point)
+    return None
 
 
 def solution_weight(counts: Counter, spec: CriteriaSpec) -> Fraction:

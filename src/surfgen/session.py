@@ -1,19 +1,20 @@
 """One generation run: first solution depth-first, then table-driven variants.
 
-The session owns all mutable state (trail, feature graph, backtrack table,
-memo cache, side-effect memory).  ``solutions()`` is a lazy stream: the
-first solution is derived top-down depth-first; every further solution is
-produced on demand by picking an unexhausted backtrack point, firing its
-next rule against the stored input substructure, and combining the new ego
-with the already-known contexts.  Only the new ego's subtree fires rules.
+The session owns all mutable state (trail, feature graph, the heap of open
+backtrack points, memo cache, side-effect memory).  ``solutions()`` is a
+lazy stream: the first solution is derived top-down depth-first; every
+further solution is produced on demand by picking an unexhausted
+backtrack point, firing its next rule against the stored input
+substructure, and combining the new ego with the already-known contexts.
+Only the new ego's subtree fires rules.
 
 The layer (``backtrack.Layer``) is the one derivation context: the open
 layers are a stack, whose top owns the bindings asserted and holds the
 points recorded.  A clash with a layer off the stack may be retried.
 
 The trail undoes feature bindings and side effects only.  A backtrack point
-needs no undoing: it joins the table once the layer holding it is
-captured, after its derivation has succeeded.
+needs no undoing: it enters the heap of open points once the layer holding
+it is captured, after its derivation has succeeded.
 
 Emission, too, is a delta: each solution's text is built from the last
 one emitted (``backtrack.Shown``).  Only the egos whose choice changed are
@@ -41,6 +42,7 @@ the egos it enters.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -48,7 +50,6 @@ from typing import Iterator, Optional
 from . import prefs
 from .backtrack import (
     BacktrackPoint,
-    BTTable,
     EgoStack,
     Layer,
     MemoCache,
@@ -112,9 +113,11 @@ class Solution:
 class GenerationSession:
     """Single-use generator state for one grammar and one input, steered
     by a ``prefs.CriteriaSpec``, by default the empty one: the spec orders
-    each conflict set, ranks the open points in the table and weighs each
-    solution.  ``_layers`` holds the root layer, made here, then each ego
-    being built or replayed, outermost first."""
+    each conflict set, keys the open points and weighs each solution.
+    ``open_points`` is the heap of the captured points whose remainder is
+    not empty, which ``prefs`` keys, enters and picks from.  ``_layers``
+    holds the root layer, made here, then each ego being built or
+    replayed, outermost first."""
 
     def __init__(self, grammar: Grammar, registries: Optional[Registries] = None,
                  *, spec: Optional[prefs.CriteriaSpec] = None,
@@ -126,7 +129,8 @@ class GenerationSession:
         self.max_depth = max_depth
         self.trail = Trail()
         self.graph = FeatureGraph(self.trail)
-        self.table = BTTable(self.spec.point_rank)
+        self.open_points: list[BacktrackPoint] = []
+        self._point_ids = itertools.count(1)
         self.memo: Optional[MemoCache] = MemoCache() if use_memo else None
         self.memory: dict = {}
         self._word_forms: dict = {}  # call name -> its word-form function
@@ -185,7 +189,7 @@ class GenerationSession:
                     yield Solution(root.text, weight, dict(assignment), root.items)
                 fixed = None
                 while fixed is None:  # until an expansion yields a new ego
-                    point = prefs.choose_backtrack_point(self.table, self.spec)
+                    point = prefs.choose_backtrack_point(self.open_points, self.spec)
                     if point is None:
                         return
                     fixed = self._expand(point)
@@ -273,8 +277,8 @@ class GenerationSession:
         return False
 
     def _record_point(self, category, fs, node_id, rules, depth) -> BacktrackPoint:
-        point = self.table.record(category, fs, node_id, list(rules),
-                                  self._layers[-1])
+        point = BacktrackPoint(next(self._point_ids), category, fs, node_id,
+                               list(rules), self._layers[-1])
         self.stats.bt_points_created += 1
         self._trace("bt-created", depth, category,
                     detail=f"B{point.id} conflict={len(rules)}")
@@ -439,9 +443,9 @@ class GenerationSession:
         # *its* position; at the new position they are merely untried
         succeeded = {v.items[0].rule_name for v in old.variants}
         untried = [r for r in old.conflict_rules if r.name not in succeeded]
-        point = self.table.record(old.category, old.input,
-                                  self._mapped(node_map, old.node_id),
-                                  untried, self._layers[-1])
+        point = BacktrackPoint(next(self._point_ids), old.category, old.input,
+                               self._mapped(node_map, old.node_id), untried,
+                               self._layers[-1])
         point.conflict_rules = old.conflict_rules
         self.stats.bt_points_created += 1
         for variant in old.variants:
@@ -499,15 +503,16 @@ class GenerationSession:
 
     def _capture(self, top: Layer) -> None:
         """Freeze a completed layer and the layers of its points' variants:
-        read each off once and enter its points in the table as the walk
-        meets them, then make their fold caches, inner layers first."""
-        readers, add = self._readers, self.table.add
+        read each off once and enter its open points in the heap as the
+        walk meets them, then make their fold caches, inner layers first."""
+        readers, enter = self._readers, prefs.open_point
+        open_points, spec = self.open_points, self.spec
         fill_post_contexts(top, readers)
         layers = [top]  # each after the layer holding its point
         stack = [top]
         while stack:
             for point in stack.pop().points:
-                add(point)
+                enter(open_points, point, spec)
                 for v in point.variants:
                     fill_post_contexts(v, readers)
                     stack.append(v)

@@ -7,17 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from surfgen.backtrack import (BacktrackPoint, BTTable, Layer, ResolvedNode,
-                               iter_assignments)
+from surfgen.backtrack import BacktrackPoint, Layer, ResolvedNode, iter_assignments
 from surfgen.engine import InflectCall, LiteralTok
 from surfgen.gil import FeatureStructure, parse_gil
-from surfgen.prefs import CriteriaSpec, Criterion, make_session
+from surfgen.prefs import (CriteriaSpec, Criterion, choose_backtrack_point, make_session,
+                           open_point)
 from surfgen.session import GenerationSession
 from surfgen.tgl import Registries, parse_grammar
 
 from .grammars import (FILTERED_GRAMMAR, LIST_GRAMMAR, NESTED_GRAMMAR,
                        build_registries, flat_grammar, hard_case, list_gil,
                        random_case)
+from .test_prefs import _rules
 from .test_walkers import captured_points, ref_resolve_items
 
 # A grammar shaped like the worked three-point table: an early choice, a
@@ -227,7 +228,7 @@ def test_point_only_for_real_conflicts(regs):
     )
     session = GenerationSession(g, regs)
     assert [s.text for s in session.solutions(FeatureStructure())] == ["w"]
-    assert captured_points(session) == [] and not session.table.index
+    assert captured_points(session) == [] and not session.open_points
     assert session.stats.bt_points_created == 0
 
 
@@ -251,8 +252,8 @@ def test_point_of_a_failed_rule_never_joins_the_table(regs):
     assert session.stats.bt_points_created == 2
     # only A's point was captured; B's, with b2 untried, went with a-bad
     assert [p.category for p in captured_points(session)] == ["A"]
-    assert all(p.category != "B" for p in session.table.index)
-    assert session.table.first_ranked() is None
+    assert all(p.category != "B" for p in session.open_points)
+    assert choose_backtrack_point(session.open_points, session.spec) is None
 
 
 def test_conflict_of_three_leaves_remainder_of_two(regs):
@@ -271,79 +272,81 @@ def test_conflict_of_three_leaves_remainder_of_two(regs):
 
 # --- the index of open points -------------------------------------------------
 
-def toy_rank(point):
-    """The lowest n of the remainder's rules named "cn"; None without one.
-    Shrinking the remainder from the front only raises it, or makes it None."""
-    keys = [int(rule[1:]) for rule in point.remainder if rule.startswith("c")]
-    return min(keys, default=None)
+# Criteria that key a point by the lowest n among its remainder's rules
+# named "cn" (as n - 10), and leave a point without one unranked: under
+# weight-ranked, rule cn weighs 10 - n.  Shrinking the remainder from the
+# front only raises the key, or leaves the point unranked.
+TOY_SPEC = CriteriaSpec(tuple(Criterion(f"c{n}", Fraction(10 - n)) for n in range(10)),
+                        mode="weight-ranked")
 
 
-def indexed(rank, *remainders):
-    """A table holding one real point per remainder (rule names stand in
-    for rules), created and added in that order."""
-    table = BTTable(rank)
-    points = [table.record("X", FeatureStructure(), 0, rules, None)
-              for rules in remainders]
+def indexed(spec, *remainders):
+    """A heap holding one real point per remainder, of rules with those
+    names, created and entered in that order."""
+    index = []
+    points = [BacktrackPoint(i, "X", FeatureStructure(), 0, _rules(names), None)
+              for i, names in enumerate(remainders, start=1)]
     for point in points:
-        table.add(point)
-    return table, points
+        open_point(index, point, spec)
+    return index, points
 
 
-def drain(table):
-    """The points first_ranked returns as each, once chosen, loses one rule."""
+def drain(index, spec):
+    """The points chosen in turn as each, once chosen, loses one rule."""
     order = []
-    while (point := table.first_ranked()) is not None:
+    while (point := choose_backtrack_point(index, spec)) is not None:
         order.append(point)
         del point.remainder[0]
     return order
 
 
 def test_index_puts_the_lowest_key_first_and_the_newest_among_equals():
-    table, (p1, p2, p3) = indexed(toy_rank, ["c2"], ["c1"], ["c1"])
-    assert drain(table) == [p3, p2, p1]
+    index, (p1, p2, p3) = indexed(TOY_SPEC, ["c2"], ["c1"], ["c1"])
+    assert drain(index, TOY_SPEC) == [p3, p2, p1]
 
 
 def test_index_puts_unranked_points_after_every_ranked_one_newest_first():
-    table, (p1, p2, p3, p4) = indexed(toy_rank, ["x"], ["c7"], ["y"], ["c9"])
-    assert drain(table) == [p2, p4, p3, p1]
+    index, (p1, p2, p3, p4) = indexed(TOY_SPEC, ["x"], ["c7"], ["y"], ["c9"])
+    assert drain(index, TOY_SPEC) == [p2, p4, p3, p1]
 
 
 def test_index_keys_a_shrunk_remainder_again():
-    table, (p1, p2) = indexed(toy_rank, ["c1", "c5"], ["c3"])
-    assert table.first_ranked() is p1
-    del p1.remainder[0]  # now keyed 5, behind p2
-    assert table.first_ranked() is p2
-    assert drain(table) == [p2, p1]
-    # a key that became None falls behind the ranked points
-    table, (p1, p2) = indexed(toy_rank, ["c0", "x"], ["c9"])
-    assert table.first_ranked() is p1
+    index, (p1, p2) = indexed(TOY_SPEC, ["c1", "c5"], ["c3"])
+    assert choose_backtrack_point(index, TOY_SPEC) is p1
+    del p1.remainder[0]  # now keyed by c5, behind p2
+    assert choose_backtrack_point(index, TOY_SPEC) is p2
+    assert drain(index, TOY_SPEC) == [p2, p1]
+    # a point left with no c-rule falls behind the ranked points
+    index, (p1, p2) = indexed(TOY_SPEC, ["c0", "x"], ["c9"])
+    assert choose_backtrack_point(index, TOY_SPEC) is p1
     del p1.remainder[0]
-    assert drain(table) == [p2, p1]
+    assert drain(index, TOY_SPEC) == [p2, p1]
 
 
 def test_index_never_returns_an_exhausted_point():
-    table, (p1, p2) = indexed(toy_rank, ["c1"], ["c1", "x"])
+    index, (p1, p2) = indexed(TOY_SPEC, ["c1"], ["c1", "x"])
     del p2.remainder[1]
     del p2.remainder[0]  # exhausted before its entry reaches the top
-    assert table.first_ranked() is p1
+    assert choose_backtrack_point(index, TOY_SPEC) is p1
     del p1.remainder[0]
-    assert table.first_ranked() is None
-    assert not table.index
-    # a point added exhausted never enters the index
-    empty = table.record("X", FeatureStructure(), 0, [], None)
-    table.add(empty)
-    assert table.first_ranked() is None and not table.index
+    assert choose_backtrack_point(index, TOY_SPEC) is None
+    assert not index
+    # a point entered exhausted never enters the heap
+    empty = BacktrackPoint(3, "X", FeatureStructure(), 0, [], None)
+    open_point(index, empty, TOY_SPEC)
+    assert choose_backtrack_point(index, TOY_SPEC) is None and not index
 
 
 def test_index_without_rank_gives_the_newest_open_point():
-    table, (p1, p2, p3) = indexed(None, ["c1", "a"], ["c2"], ["b"])
-    assert table.first_ranked() is p3
-    assert drain(table) == [p3, p2, p1, p1]
+    spec = CriteriaSpec()
+    index, (p1, p2, p3) = indexed(spec, ["c1", "a"], ["c2"], ["b"])
+    assert choose_backtrack_point(index, spec) is p3
+    assert drain(index, spec) == [p3, p2, p1, p1]
 
 
 def test_empty_index_gives_none():
-    assert BTTable().first_ranked() is None
-    assert BTTable(toy_rank).first_ranked() is None
+    assert choose_backtrack_point([], CriteriaSpec()) is None
+    assert choose_backtrack_point([], TOY_SPEC) is None
 
 
 # --- memoization --------------------------------------------------------------
@@ -508,7 +511,7 @@ def test_session_steered_by_spec_keeps_points_in_its_frontiers(mode):
                    for item in layer.frontier)
         points.extend(layer.points)
         layers.extend(v for point in layer.points for v in point.variants)
-    assert len(points) == 4 and set(session.table.index) <= set(points)
+    assert len(points) == 4 and set(session.open_points) <= set(points)
     assert all(point.parent.frontier[point.index] is point for point in points)
 
 

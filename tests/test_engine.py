@@ -171,6 +171,37 @@ def test_side_effects_run_first_and_undo(regs):
     assert session.stats.side_effects_run == 1
 
 
+def test_side_effect_gets_its_selector_value_and_is_undone_when_its_rule_fails():
+    """A selector argument of a :SIDE-EFFECTS call is evaluated against the
+    rule's input, and the effect it reaches is undone when the rule then
+    fails; the next rule of the conflict set runs its own effect."""
+    g = parse_grammar(
+        '(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+        ' :ACTIONS (:TEMPLATE (:RULE A (SELF)))))\n'
+        '(DEFPRODUCTION "a-bad" (:PRECOND (:CAT A :TEST ((TRUE)))'
+        ' :ACTIONS (:TEMPLATE (:RULE D (PATH MISSING)) :SIDE-EFFECTS ((log (PATH WHO))))))\n'
+        '(DEFPRODUCTION "a-good" (:PRECOND (:CAT A :TEST ((TRUE)))'
+        ' :ACTIONS (:TEMPLATE "a" :SIDE-EFFECTS ((log (PATH DAY))))))\n'
+    )
+    regs = Registries.standard()
+    events = []
+
+    def log(memory, args):
+        memory.setdefault("log", []).append(args)
+        events.append(("run", args))
+
+    def unlog(memory, args, saved):
+        memory["log"].pop()
+        events.append(("undo", args))
+
+    regs.functions.register_function("log", log, undo=unlog)
+    session = GenerationSession(g, regs)
+    assert [s.text for s in session.solutions(parse_gil("[(WHO anna) (DAY fri)]"))] == ["a"]
+    anna, fri = (Sym("anna"),), (Sym("fri"),)
+    assert events == [("run", anna), ("undo", anna), ("run", fri), ("undo", fri)]
+    assert session.memory == {"log": []}
+
+
 @pytest.mark.parametrize("actions, name", [
     ('(:TEMPLATE "x" (:FUN (note)))', "note"),
     ('(:TEMPLATE "x" :SIDE-EFFECTS ((weekday 1)))', "weekday"),

@@ -84,6 +84,13 @@ def test_dangling_coref_is_an_error():
         parse_gil("[(A #1)]")
 
 
+def test_undefined_tag_is_found_past_a_node_shared_twice():
+    """The reference check walks a shared node once, and goes on past its
+    second occurrence to the undefined tag below a later sibling."""
+    with pytest.raises(GilError, match="coreference tag #2 is never defined"):
+        parse_gil("[(A #1= [(X y)]) (B #1) (C [(D #2)])]")
+
+
 def test_duplicate_coref_definition():
     with pytest.raises(GilError, match="defined twice"):
         parse_gil("[(A #1= [(X 1)]) (B #1= [(Y 2)])]")
@@ -286,6 +293,11 @@ def test_serialize_roundtrips_generated_documents(make):
     assert shared > 0 or make == "random"
 
 
+def test_serialize_refuses_a_value_gil_cannot_write():
+    with pytest.raises(GilError, match="cannot serialize value of type float"):
+        serialize_gil(FeatureStructure([("A", 1.5)]))
+
+
 def test_serialize_escapes():
     fs = FeatureStructure([("A", 'line\nbreak\t"quoted"')])
     assert fs_equal(parse_gil(serialize_gil(fs)), fs)
@@ -343,6 +355,11 @@ def test_structure_is_not_equal_to_another_type():
     fs = parse_gil("[(A 1)]")
     assert fs.__eq__("[(A 1)]") is NotImplemented
     assert fs != "[(A 1)]" and fs != 1 and fs != ()
+
+
+def test_structures_compare_with_equals_by_value():
+    assert parse_gil("[(A 1) (L < x >)]") == parse_gil("[(L < x >) (A 1)]")
+    assert parse_gil("[(A 1)]") != parse_gil("[(A 2)]")
 
 
 def test_tag_numbering_is_invisible():

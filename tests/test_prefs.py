@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from surfgen import prefs
-from surfgen.backtrack import BTTable
+from surfgen.backtrack import BacktrackPoint
 from surfgen.gil import FeatureStructure, parse_gil
 from surfgen.prefs import (
     CriteriaError,
@@ -14,11 +14,11 @@ from surfgen.prefs import (
     best_first_stream,
     choose_backtrack_point,
     make_session,
+    open_point,
     order_conflict_set,
     parse_criteria,
     rank_solutions,
     solution_weight,
-    _point_rank,
 )
 from surfgen.session import GenerationSession, ResolvedNode
 from surfgen.tgl import Registries, parse_grammar
@@ -81,64 +81,44 @@ def test_order_is_stable_partition():
 
 # --- backtrack-point choice ----------------------------------------------------
 
-def _add_point(table, names):
-    """Record and add a point whose remainder holds rules of these names."""
-    point = table.record("X", FeatureStructure(), 0, _rules(names), None)
-    table.add(point)
-    return point
-
-
-def _table(spec, *remainders):
-    """A table indexed as spec's sessions index theirs, holding one point
-    per remainder, created in that order (the last is the newest)."""
-    table = BTTable(spec.point_rank)
-    return table, [_add_point(table, names) for names in remainders]
+def _heap(spec, *remainders):
+    """A heap of open points entered as spec's sessions enter theirs, one
+    point per remainder of rules with those names, created in that order
+    (the last is the newest)."""
+    index, points = [], []
+    for i, names in enumerate(remainders, start=1):
+        points.append(BacktrackPoint(i, "X", FeatureStructure(), 0, _rules(names), None))
+        open_point(index, points[-1], spec)
+    return index, points
 
 
 def test_choose_prefers_c_rule_remainder():
     spec = CriteriaSpec((Criterion("crule"),))
-    table, (_, p2) = _table(spec, ["plain"], ["crule"])
-    assert choose_backtrack_point(table, spec) is p2
-    table, (p1, _) = _table(spec, ["crule"], ["plain"])
-    assert choose_backtrack_point(table, spec) is p1
+    index, (_, p2) = _heap(spec, ["plain"], ["crule"])
+    assert choose_backtrack_point(index, spec) is p2
+    index, (p1, _) = _heap(spec, ["crule"], ["plain"])
+    assert choose_backtrack_point(index, spec) is p1
 
 
 def test_choose_without_criteria_is_deepest_first():
-    table, (_, p2) = _table(CriteriaSpec(), ["a"], ["b"])
-    assert choose_backtrack_point(table, CriteriaSpec()) is p2
+    index, (_, p2) = _heap(CriteriaSpec(), ["a"], ["b"])
+    assert choose_backtrack_point(index, CriteriaSpec()) is p2
 
 
 def test_choose_exhausted():
-    assert choose_backtrack_point(BTTable(), CriteriaSpec()) is None
+    assert choose_backtrack_point([], CriteriaSpec()) is None
     spec = CriteriaSpec((Criterion("a"),))
-    table, (p1,) = _table(spec, ["a"])
+    index, (p1,) = _heap(spec, ["a"])
     del p1.remainder[0]
-    assert choose_backtrack_point(table, spec) is None
-
-
-def test_choose_rejects_a_table_ranked_otherwise():
-    """A table not indexed by the spec's rank fails loudly instead of
-    handing out its newest point."""
-    spec = CriteriaSpec((Criterion("crule"),))
-    table = BTTable()
-    _add_point(table, ["crule"])
-    _add_point(table, ["plain"])
-    with pytest.raises(ValueError):
-        choose_backtrack_point(table, spec)
-    ranked, _ = _table(spec, ["crule"])
-    with pytest.raises(ValueError):
-        choose_backtrack_point(ranked, CriteriaSpec())
-    other = CriteriaSpec((Criterion("crule"),), mode="weight-ranked")
-    with pytest.raises(ValueError):
-        choose_backtrack_point(ranked, other)
+    assert choose_backtrack_point(index, spec) is None
 
 
 def test_choose_weight_ranked_picks_heaviest():
     spec = CriteriaSpec((Criterion("light", Fraction(1)),
                          Criterion("heavy", Fraction(5))), mode="weight-ranked")
     # the heavier point wins though the lighter one is newer
-    table, (heavy, _) = _table(spec, ["heavy"], ["light"])
-    assert choose_backtrack_point(table, spec) is heavy
+    index, (heavy, _) = _heap(spec, ["heavy"], ["light"])
+    assert choose_backtrack_point(index, spec) is heavy
 
 
 def ref_choose(open_points, spec):
@@ -149,8 +129,8 @@ def ref_choose(open_points, spec):
     if spec.criteria:
         best = None
         for point in open_points:
-            weights = [spec.weight_of(r.name) for r in point.remainder
-                       if spec.is_c_rule(r.name)]
+            weights = [spec.weights[r.name] for r in point.remainder
+                       if r.name in spec.weights]
             if not weights:
                 continue
             if spec.mode == "first-solution-bias":
@@ -178,10 +158,10 @@ def test_choose_matches_reference_ties_included(mode):
         spec = CriteriaSpec(tuple(Criterion(n, Fraction(rng.choice((1, 2, 2))))
                                   for n in rng.sample(names, rng.randint(0, 4))),
                             mode)
-        table, points = _table(spec, *(rng.sample(names, rng.randint(0, 3))
+        index, points = _heap(spec, *(rng.sample(names, rng.randint(0, 3))
                                        for _ in range(rng.randint(0, 6))))
         while True:
-            got = choose_backtrack_point(table, spec)
+            got = choose_backtrack_point(index, spec)
             assert got is ref_choose(_open_points(points), spec)
             if got is None:
                 break
@@ -200,9 +180,9 @@ def test_indexed_choice_matches_reference_in_sessions(mode, monkeypatch):
     rng = random.Random(mode)
     chosen = gained = 0
 
-    def checked(table, spec):
+    def checked(index, spec):
         nonlocal chosen
-        got = choose_backtrack_point(table, spec)
+        got = choose_backtrack_point(index, spec)
         assert got is ref_choose(_open_points(captured_points(session)), spec)
         chosen += 1
         return got
@@ -244,7 +224,6 @@ def test_choice_cost_follows_expansions_not_width(regs):
                             "weight-ranked")
         weights = _CountingDict(spec.weights)
         object.__setattr__(spec, "weights", weights)
-        object.__setattr__(spec, "point_rank", _point_rank(weights, spec.mode))
         session = make_session(grammar, spec, registries=regs)
         stream = session.solutions(FeatureStructure())
         next(stream)
@@ -425,12 +404,12 @@ def test_parse_criteria_basics():
 
 def test_parse_criteria_quoted_names():
     spec = parse_criteria('"VPinf with temp/loc adjuncts" 3\n"plain name"\n')
-    assert spec.weight_of("VPinf with temp/loc adjuncts") == 3
-    assert spec.weight_of("plain name") == 1
+    assert spec.weights["VPinf with temp/loc adjuncts"] == 3
+    assert spec.weights["plain name"] == 1
 
 
 def test_parse_criteria_decimal_weight():
-    assert parse_criteria("r 2.5\n").weight_of("r") == Fraction(5, 2)
+    assert parse_criteria("r 2.5\n").weights["r"] == Fraction(5, 2)
 
 
 @pytest.mark.parametrize("make, message", [

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from surfgen.gil import (
@@ -17,6 +19,7 @@ from surfgen.tgl import (
     Equation,
     Expr,
     FunCall,
+    Grammar,
     Lhs,
     Literal,
     Registries,
@@ -27,6 +30,7 @@ from surfgen.tgl import (
     eval_selector,
     eval_test,
     format_grammar,
+    format_rule,
     parse_grammar,
     validate_grammar,
 )
@@ -107,6 +111,29 @@ def test_superscript_digit_is_not_an_integer():
 def test_list_where_an_atom_belongs_is_a_grammar_error(text):
     with pytest.raises(TglError, match="expected an atom, found list"):
         parse_grammar(text)
+
+
+def test_keyword_where_an_atom_belongs_is_a_grammar_error():
+    with pytest.raises(TglError, match="expected an atom, found keyword"):
+        parse_grammar(_rule_with_test("(EQ A :B)"))
+
+
+def test_grammar_made_with_rules_indexes_them_and_refuses_a_repeated_name():
+    a, b = parse_grammar(_rule_with_test("(TRUE)")
+                         + _rule_with_test("(TRUE)").replace('"r"', '"s"')).rules
+    grammar = Grammar(rules=[a, b])
+    assert grammar.by_name == {"r": a, "s": b}
+    assert grammar.rules_for("TXT") == [a, b]
+    with pytest.raises(TglError, match="rule name 'r' used twice"):
+        Grammar(rules=[a, b, a])
+
+
+def test_format_refuses_a_template_item_that_is_no_action():
+    rule = parse_grammar(_rule_with_test("(TRUE)")).rules[0]
+    odd = Sym("odd")
+    with pytest.raises(TypeError) as exc:
+        format_rule(replace(rule, template=(Literal("a"), odd)))
+    assert exc.value.args == (odd,)
 
 
 def test_mixed_literals_and_calls_keep_order():
@@ -339,6 +366,22 @@ def test_validate_side_effect_in_a_template_is_an_error():
         [(Severity.ERROR, "side effect 'note' cannot appear in a template")]
 
 
+def test_validate_reach_check_meets_a_category_twice_and_goes_on():
+    """Below an :OPTRULE, a category met a second time is skipped and the
+    walk goes on to the constrained category after it."""
+    g = parse_grammar('(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
+                      ' :ACTIONS (:TEMPLATE (:OPTRULE A (SELF)))))\n'
+                      '(DEFPRODUCTION "a" (:PRECOND (:CAT A :TEST ((TRUE)))'
+                      ' :ACTIONS (:TEMPLATE (:RULE C (SELF)) (:RULE B (SELF))'
+                      ' (:RULE B (SELF)))))\n'
+                      '(DEFPRODUCTION "b" (:PRECOND (:CAT B :TEST ((TRUE)))'
+                      ' :ACTIONS (:TEMPLATE "b")))\n'
+                      '(DEFPRODUCTION "c" (:PRECOND (:CAT C :TEST ((TRUE)))'
+                      ' :ACTIONS (:TEMPLATE "c" :CONSTRAINTS (F LHS :VAL x))))')
+    diags = validate_grammar(g, Registries.standard())
+    assert [(d.severity, d.rule) for d in diags] == [(Severity.WARNING, "top")]
+
+
 def test_validate_warns_when_an_optional_constituent_reaches_constraints():
     g = parse_grammar('(DEFPRODUCTION "top" (:PRECOND (:CAT TXT :TEST ((TRUE)))'
                       ' :ACTIONS (:TEMPLATE (:OPTRULE A (SELF)))))\n'
@@ -359,6 +402,14 @@ def test_eval_role_filler_p_on_theme(theme):
     assert eval_test(Expr("ROLE-FILLER-P", (Sym("patient"),)), theme)
     assert eval_test(Expr("ROLE-FILLER-P", (Sym("agent"),)), theme)
     assert not eval_test(Expr("ROLE-FILLER-P", (Sym("beneficiary"),)), theme)
+
+
+@pytest.mark.parametrize("text", ["[(ARGS 3)]", "[(ARGS patient)]",
+                                  "[(ARGS [(ROLE patient)])]"])
+def test_role_filler_of_args_that_are_not_a_list_is_absent(text):
+    fs = parse_gil(text)
+    assert not eval_test(Expr("ROLE-FILLER-P", (Sym("patient"),)), fs)
+    assert eval_selector(Expr("ROLE-FILLER", (Sym("patient"),)), fs) is None
 
 
 def test_eval_role_filler_p_from_top_level(meeting_fs):

@@ -222,9 +222,9 @@ def test_walkers_match_reference_walks(case):
     root = session._layers[0].items
     points = captured_points(session)
     # the index holds captured points only, and every open one
-    assert set(session.table.index) <= set(points)
+    assert set(session.open_points) <= set(points)
     assert {p for p in points if p.remainder} == \
-        {p for p in session.table.index if p.remainder}
+        {p for p in session.open_points if p.remainder}
     layers = [session._shown.root] + [v for p in points for v in p.variants]
     for layer in layers:
         frontier, refs = ref_fill_post_contexts(layer.items)
@@ -272,8 +272,8 @@ def test_odometer_matches_reference_while_variants_arrive(case):
     """The fold caches are split as expansions add variants: after each
     expansion, and after each solution, the odometer still yields what the
     point-by-point reference walk yields, key order and stale entries
-    included, and every unexhausted point has an entry in the table's
-    index, the newest chosen first."""
+    included, and every unexhausted point has an entry in the session's
+    heap of open points, the newest chosen first."""
     grammar, fs = CASES[case]
     session = GenerationSession(grammar, build_registries())
     checks = [0]
@@ -281,8 +281,8 @@ def test_odometer_matches_reference_while_variants_arrive(case):
     def check():
         points = captured_points(session)
         open_points = [p for p in points if p.remainder]
-        assert set(open_points) <= set(session.table.index)
-        assert choose_backtrack_point(session.table, session.spec) is \
+        assert set(open_points) <= set(session.open_points)
+        assert choose_backtrack_point(session.open_points, session.spec) is \
             (open_points[-1] if open_points else None)
         if session._shown is None:
             return
