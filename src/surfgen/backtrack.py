@@ -147,7 +147,7 @@ class Layer:
     positions of its inflection ``calls``, and its nodes' ``obligations``
     and rule ``names``, in pre-order.  ``steps`` is its fold cache (see
     ``layer_steps``), made when it is captured, after those of its variant
-    layers; ``Shown.unfold`` keeps it up to date as points gain variants.
+    layers; ``unfold`` keeps it up to date as points gain variants.
     The rest is how the layer was last shown: ``parts``, one string per
     frontier item (a literal's text; a call's word form and a point's
     chosen ego's text once shown, "" until then), and ``text``, their
@@ -389,6 +389,29 @@ def _split(steps: tuple, point: BacktrackPoint) -> tuple:
     return steps[:i] + tuple(parts) + steps[i + 1:]
 
 
+def unfold(point: BacktrackPoint) -> None:
+    """Bring the fold caches up to date once point has a new variant.
+
+    A point with two variants now no longer folds: it is split out of
+    its run, and a layer that was folded whole no longer is, so its own
+    point is split out in the layer around it, and so on.  A point that
+    gains its first variant stays a step of its own where a cache has
+    it so; the walk takes such a step as it takes any point.  Every
+    layer around point is captured, so each has its cache.  The runs
+    are split in place: no odometer may be live (see ``_split``).
+    """
+    if len(point.variants) != 2:
+        return
+    layer = point.parent
+    while True:
+        whole = _whole_fragment(layer) is not None
+        layer.steps = _split(layer.steps, point)
+        if not whole or layer.point is None:
+            return
+        point = layer.point
+        layer = point.parent
+
+
 def iter_assignments(root: Layer, fixed: dict[int, int],
                      moved: set) -> Iterator[dict[int, int]]:
     """All choice assignments below the layer, leftmost point slowest.
@@ -551,28 +574,6 @@ class Shown:
         self.root = root
         self.chosen: dict[int, Layer] = {}
         self.names: Counter = Counter()
-
-    def unfold(self, point: BacktrackPoint) -> None:
-        """Bring the fold caches up to date once point has a new variant.
-
-        A point with two variants now no longer folds: it is split out of
-        its run, and a layer that was folded whole no longer is, so its own
-        point is split out in the layer around it, and so on.  A point that
-        gains its first variant stays a step of its own where a cache has
-        it so; the walk takes such a step as it takes any point.  Every
-        layer around point is captured, so each has its cache.  The runs
-        are split in place: no odometer may be live (see ``_split``).
-        """
-        if len(point.variants) != 2:
-            return
-        layer = point.parent
-        while True:
-            whole = _whole_fragment(layer) is not None
-            layer.steps = _split(layer.steps, point)
-            if not whole or layer.point is None:
-                return
-            point = layer.point
-            layer = point.parent
 
 
 class Delta(NamedTuple):

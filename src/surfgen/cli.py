@@ -58,6 +58,15 @@ def _load_grammar(path: str):
         raise _Usage(f"{path}:{e}") from None
 
 
+def _valid(path: str, grammar, registries: Registries,
+           start: Optional[str] = None) -> bool:
+    """Print the grammar's diagnostics to stderr; True when none is an error."""
+    diagnostics = validate_grammar(grammar, registries, start)
+    for diag in diagnostics:
+        print(f"{path}: {diag}", file=sys.stderr)
+    return not any(d.severity is Severity.ERROR for d in diagnostics)
+
+
 def cmd_generate(cfg: argparse.Namespace) -> int:
     """Run ``generate`` with the options ``build_parser`` parsed."""
     try:
@@ -67,11 +76,7 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
             input_fs = parse_gil(_read(cfg.input, "input"))
         except GilError as e:
             raise _Usage(f"{cfg.input}:{e}") from None
-        diagnostics = validate_grammar(grammar, registries, cfg.start)
-        errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-        for diag in diagnostics:
-            print(f"{cfg.grammar}: {diag}", file=sys.stderr)
-        if errors:
+        if not _valid(cfg.grammar, grammar, registries, cfg.start):
             return EXIT_ERROR
         spec = CriteriaSpec()
         if cfg.criteria:
@@ -131,10 +136,7 @@ def cmd_validate(grammar_path: str, lexicon_path: Optional[str] = None) -> int:
     except _Usage as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    diagnostics = validate_grammar(grammar, registries)
-    for diag in diagnostics:
-        print(f"{grammar_path}: {diag}", file=sys.stderr)
-    if any(d.severity is Severity.ERROR for d in diagnostics):
+    if not _valid(grammar_path, grammar, registries):
         return EXIT_ERROR
     print("OK")
     return EXIT_OK

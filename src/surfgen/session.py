@@ -63,6 +63,7 @@ from .backtrack import (
     iter_assignments,
     layer_steps,
     resolve,
+    unfold,
     unlink,
 )
 from .engine import (
@@ -222,13 +223,13 @@ class GenerationSession:
 
     def _generate(self, category: str, fs: FeatureStructure, node_id: int,
                   sink: list, depth: int) -> bool:
-        """Derive one category over fs at the given depth into sink."""
+        """Derive one category over fs at the given depth into sink: fire
+        the conflict set's rules in order until one succeeds."""
         if depth > self.max_depth:
             self.stats.depth_cutoffs += 1
             self._trace("depth-cutoff", depth, category,
                         detail=f"max_depth={self.max_depth}")
             return False
-        mark = self.trail.mark()
         effects_before = self.stats.side_effects_run
         if self.memo is not None:
             stored = self.memo.lookup(category, fs)
@@ -236,45 +237,34 @@ class GenerationSession:
                 self.stats.memo_hits += 1
                 self._trace("memo-hit", depth, category)
                 return True
-        conflict_set = match(category, fs, self.grammar, self.registries)
-        conflict_set = prefs.order_conflict_set(conflict_set, self.spec)
-        if not conflict_set:
-            return False
-        if len(conflict_set) == 1:
-            rule = conflict_set[0]
-            node, retryable = self._fire(rule, fs, node_id, depth)
-            if node is not None:
-                sink.append(node)
-                self._memo_store(category, fs, node, effects_before)
-                return True
-            if retryable:
-                # keep the rule for a retry under the always-present context
-                point = self._record_point(category, fs, node_id, conflict_set,
-                                           depth)
-                sink.append(point)
-                return True
-            return False
-        point = self._record_point(category, fs, node_id, conflict_set, depth)
+        rules = match(category, fs, self.grammar, self.registries)
+        rules = prefs.order_conflict_set(rules, self.spec)
+        point = None
+        if len(rules) > 1:
+            point = self._record_point(category, fs, node_id, rules, depth)
+            rules = point.remainder
         i = 0
-        while i < len(point.remainder):
-            rule = point.remainder[i]
-            variant, retryable = self._try_variant(point, rule, depth)
-            if variant is not None:
-                del point.remainder[i]
-                point.variants.append(variant)
-                sink.append(point)
-                self._memo_store(category, fs, point, effects_before)
+        while i < len(rules):
+            item, retryable = self._fire(rules[i], fs, node_id, depth, point)
+            if item is not None:
+                del rules[i]
+                if point is not None:
+                    point.variants.append(item)
+                    item = point
+                sink.append(item)
+                self._memo_store(category, fs, item, effects_before)
                 return True
             if retryable:
                 i += 1
             else:
-                del point.remainder[i]
-        if point.remainder:
-            # nothing derivable right here, but alternatives stay open
-            sink.append(point)
-            return True
-        self.trail.undo_to(mark)
-        return False
+                del rules[i]
+        if not rules:
+            return False
+        # nothing derivable right here, but the rules left stay open
+        if point is None:
+            point = self._record_point(category, fs, node_id, rules, depth)
+        sink.append(point)
+        return True
 
     def _record_point(self, category, fs, node_id, rules, depth) -> BacktrackPoint:
         point = BacktrackPoint(next(self._point_ids), category, fs, node_id,
@@ -284,44 +274,23 @@ class GenerationSession:
                     detail=f"B{point.id} conflict={len(rules)}")
         return point
 
-    def _try_variant(self, point: BacktrackPoint, rule: Rule,
-                     depth: int) -> tuple[Optional[Layer], bool]:
-        """The new variant layer, or None and whether the rule may be retried."""
-        layer = Layer(None, point, len(self._layers))
-        self._layers.append(layer)
-        try:
-            node, retryable = self._fire(rule, point.input, point.node_id, depth)
-        finally:
-            self._layers.pop()
-        if node is None:
-            return None, retryable
-        layer.items = (node,)
-        return layer, False
-
-    def _fire(self, rule: Rule, fs: FeatureStructure, lhs_node: int,
-              depth: int) -> tuple[Optional[DerivationNode], bool]:
-        """The rule's node, or None and whether the rule may be retried."""
+    def _fire(self, rule: Rule, fs: FeatureStructure, lhs_node: int, depth: int,
+              point: Optional[BacktrackPoint]) -> tuple[object, bool]:
+        """Fire rule over fs: its node, or given the point it is a variant
+        of, the new variant layer holding the node; else None and whether
+        the rule may be retried.  Its constituents derive at depth + 1, so
+        a derivation level takes two frames, this and ``_generate``'s."""
         stats, fired = self.stats, self.stats.fired_by_rule
         stats.rules_fired += 1
         fired[rule.name] = fired.get(rule.name, 0) + 1
         if self.trace is not None:
             self._trace("rule-firing", depth, rule.category, rule.name)
+        if point is not None:
+            layer = Layer(None, point, len(self._layers))
+            self._layers.append(layer)
         mark = self.trail.mark()
         node = DerivationNode(rule.category, rule.name, lhs_node)
-        failure = self._fire_body(rule, fs, node, depth + 1)
-        if failure is None:
-            stats.rules_succeeded += 1
-            if self.trace is not None:
-                self._trace("rule-fired", depth, rule.category, rule.name)
-            return node, False
-        self.trail.undo_to(mark)
-        reason, retryable = failure
-        self._trace("rule-failed", depth, rule.category, rule.name, reason)
-        return None, retryable
-
-    def _fire_body(self, rule: Rule, fs: FeatureStructure, node: DerivationNode,
-                   depth: int) -> Optional[tuple[str, bool]]:
-        """None on success, else (reason, retryable); depth is the children's."""
+        failure = None  # else (reason, retryable)
         for call in rule.side_effects:
             entry = self.registries.functions.require(call.name)
             if not entry.is_side_effect:
@@ -332,7 +301,7 @@ class GenerationSession:
                          for a in call.args)
             saved = entry.fn(self.memory, args)
             self.trail.push(("effect", entry.undo, self.memory, args, saved))
-            self.stats.side_effects_run += 1
+            stats.side_effects_run += 1
             if self.memo is not None:
                 self.memo.flush()
         first = self._next_id  # the constituents' ids, in call order
@@ -342,31 +311,49 @@ class GenerationSession:
             node.obligations = apply_constraints(rule, node.node_id, nodes,
                                                  self.graph, self._layers[-1])
         except ConstraintClash as clash:
-            self.stats.constraint_clashes += 1
-            return str(clash), any(o not in self._layers for o in clash.owners)
-        sink = node.children
-        k = 0
-        for action in rule.template:
-            if isinstance(action, Literal):
-                sink.append(LiteralTok(action.text))
-            elif isinstance(action, FunCall):
-                segment = self._make_inflect(action, fs, node.node_id)
-                if segment is None:
-                    return f"argument of {action.name!r} is absent", False
-                sink.append(segment)
-            else:
-                node_id = nodes[k]
-                k += 1
-                sub = eval_selector(action.selector, fs, self.registries.selectors)
-                if not isinstance(sub, FeatureStructure):
-                    if action.optional:
-                        continue
-                    return f"selector for {action.category} is absent", False
-                if not self._generate(action.category, sub, node_id, sink, depth):
-                    if action.optional:
-                        continue
-                    return f"no {action.category} derivation", False
-        return None
+            stats.constraint_clashes += 1
+            failure = str(clash), any(o not in self._layers for o in clash.owners)
+        else:
+            sink = node.children
+            k = 0
+            for action in rule.template:
+                if isinstance(action, Literal):
+                    sink.append(LiteralTok(action.text))
+                elif isinstance(action, FunCall):
+                    segment = self._make_inflect(action, fs, node.node_id)
+                    if segment is None:
+                        failure = f"argument of {action.name!r} is absent", False
+                        break
+                    sink.append(segment)
+                else:
+                    node_id = nodes[k]
+                    k += 1
+                    sub = eval_selector(action.selector, fs, self.registries.selectors)
+                    if not isinstance(sub, FeatureStructure):
+                        if action.optional:
+                            continue
+                        failure = f"selector for {action.category} is absent", False
+                        break
+                    if not self._generate(action.category, sub, node_id, sink,
+                                          depth + 1):
+                        if action.optional:
+                            continue
+                        failure = f"no {action.category} derivation", False
+                        break
+        if point is not None:
+            self._layers.pop()
+        if failure is not None:
+            self.trail.undo_to(mark)
+            reason, retryable = failure
+            self._trace("rule-failed", depth, rule.category, rule.name, reason)
+            return None, retryable
+        stats.rules_succeeded += 1
+        if self.trace is not None:
+            self._trace("rule-fired", depth, rule.category, rule.name)
+        if point is None:
+            return node, False
+        layer.items = (node,)
+        return layer, False
 
     def _make_inflect(self, call: FunCall, fs: FeatureStructure,
                       lhs_node: int) -> Optional[InflectCall]:
@@ -487,7 +474,7 @@ class GenerationSession:
                 layers.append(layer)
                 for ob in layer.obligations:
                     self.graph.impose(ob, layer)
-            variant, _ = self._try_variant(point, rule, 0)
+            variant, _ = self._fire(rule, point.input, point.node_id, 0, point)
         finally:
             del layers[1:]
         del point.remainder[0]
@@ -496,7 +483,7 @@ class GenerationSession:
             return None
         fixed[point.id] = variant.index
         point.variants.append(variant)
-        self._shown.unfold(point)
+        unfold(point)
         self._capture(variant)
         self.trail.undo_to(mark)
         return fixed

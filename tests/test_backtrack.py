@@ -875,7 +875,7 @@ def test_solutions_hash_and_build_a_set(regs):
 DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "grammars" / "deep.tgl"
 # The Python-level calls of one further solution of a deep list, at most:
 # a ratchet that a change may lower and may not raise
-FURTHER_SOLUTION_CALLS = 73
+FURTHER_SOLUTION_CALLS = 70
 
 
 def deep_list(items: int) -> FeatureStructure:
@@ -915,3 +915,48 @@ def test_a_further_solution_makes_as_many_calls_at_any_length():
     short, long = further_solution_calls(grammar, 16), further_solution_calls(grammar, 60)
     assert abs(short - long) <= 2, (short, long)
     assert max(short, long) <= FURTHER_SOLUTION_CALLS, (short, long)
+
+
+# A chain of nested two-way choices: each level picks "a" or "b" and derives
+# the next level inside its own ego
+CHOICE_CHAIN_GRAMMAR = """
+(DEFPRODUCTION "a" (:PRECOND (:CAT TXT :TEST ((EXISTS NEXT)))
+  :ACTIONS (:TEMPLATE "a" (:RULE TXT (PATH NEXT)))))
+(DEFPRODUCTION "b" (:PRECOND (:CAT TXT :TEST ((EXISTS NEXT)))
+  :ACTIONS (:TEMPLATE "b" (:RULE TXT (PATH NEXT)))))
+(DEFPRODUCTION "end" (:PRECOND (:CAT TXT :TEST ((NOT (EXISTS NEXT))))
+  :ACTIONS (:TEMPLATE "x")))
+"""
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run a test at the interpreter's default recursion limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def deep_session(grammar: str, regs) -> GenerationSession:
+    """A session whose max_depth leaves the recursion limit to bound it."""
+    return GenerationSession(parse_grammar(grammar), regs, max_depth=10_000)
+
+
+def test_a_400_item_list_derives_within_the_default_recursion_limit(
+        regs, default_recursion_limit):
+    """A derivation level takes two frames, so 400 levels fit in 1000."""
+    session = deep_session(DEEP.read_text(encoding="utf-8"), regs)
+    assert len(list(session.solutions(deep_list(400)))) == 2
+
+
+def test_a_400_level_choice_chain_derives_within_the_default_recursion_limit(
+        regs, default_recursion_limit):
+    levels = 400
+    doc = "[(END x)]"
+    for _ in range(levels):
+        doc = f"[(NEXT {doc})]"
+    stream = deep_session(CHOICE_CHAIN_GRAMMAR, regs).solutions(parse_gil(doc))
+    first, second = itertools.islice(stream, 2)
+    assert first.text == "a " * levels + "x"
+    assert second.text == "a " * (levels - 1) + "b x"

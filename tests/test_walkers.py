@@ -24,6 +24,7 @@ from surfgen.backtrack import (
     iter_assignments,
     layer_steps,
     resolve,
+    unfold,
 )
 from surfgen.engine import DerivationNode, LiteralTok, join_tokens
 from surfgen.gil import FeatureStructure, Sym, fs_digest, fs_equal, parse_gil
@@ -484,7 +485,7 @@ def test_walkers_on_deep_chain():
     point.variants.append(Layer((y,), point, 1))
     fill_post_contexts(point.variants[1], readers)
     point.variants[1].steps = layer_steps(point.variants[1])
-    shown.unfold(point)
+    unfold(point)
     assert [dict(a) for a in iter_assignments(root, {}, set())] == \
         [{point.id: 0}, {point.id: 1}]
     show(shown, {point.id: 1})
